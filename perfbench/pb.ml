@@ -2,10 +2,9 @@
    drives it; see perfbench/METRICS.md for what each number means).
 
    Subcommands:
-     host                                nproc, pool domains, OCaml version
+     host                                pool domains, OCaml version
      gen     --seed S --dir D            write certify-stream's edge lists
-     certify --file F --family F [--traced] [--sweep-s X]
-                                         one fresh-process certification
+     certify --file F --family F         one certification, layer by layer
      client  --seed S --seconds X        serve-hot oracle + open-loop client,
                                          driven over stdin (warm/run/quit)
      churn   --seed S --seconds X [--traced]
@@ -28,14 +27,6 @@ let scheme_named name =
   match Registry.find name with
   | Some e -> e.Registry.scheme
   | None -> failwith ("unknown scheme " ^ name)
-
-let median xs =
-  match List.sort compare xs with
-  | [] -> 0.
-  | s ->
-      let a = Array.of_list s in
-      let n = Array.length a in
-      if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
 
 (* Nearest-rank percentile of an ascending array. *)
 let pct sorted q =
@@ -137,27 +128,28 @@ let same_outcome (a : Scheme.outcome) (b : Scheme.outcome) =
   && a.Scheme.max_bits = b.Scheme.max_bits
   && a.Scheme.rejections = b.Scheme.rejections
 
-(* certify_cmd's call sequence on one edge-list file.  Untraced, the
-   only clock reads are at the two ends; traced, one clock read sits
-   between each pair of public calls, and Vcompile.compile is called on
-   its own first so that the Engine.run_par after it reuses the kernel
-   and times the sweep alone. *)
+(* Length of the reverification loop after each certification. *)
+let reverify_s = 0.3
+
+(* A copy of certify_cmd's call sequence on one edge-list file, at
+   [--jobs 1] as certify-stream runs the CLI, with one clock read
+   between each pair of public calls.  Vcompile.compile is called on
+   its own first, so the Engine.run_par after it reuses the kernel and
+   times the sweep alone.  run.py times the CLI itself for the
+   end-to-end figures; this copy gives the per-layer split, the
+   reverification rate and the reference outcome the CLI's answer is
+   checked against. *)
 let certify () =
   let file = arg_req "file" and family = arg_req "family" in
-  let traced = flag "traced" in
-  let sweep_s = Option.fold ~none:0. ~some:float_of_string (arg "sweep-s") in
   let scheme = scheme_named (family_scheme family) in
-  let pool = Pool.create () in
-  print_endline "ready";
-  flush stdout;
-  let clock () = if traced then now_ns () else 0 in
+  let pool = Pool.create ~jobs:1 () in
   let t0 = now_ns () in
   let g =
     match Io.of_edge_list_file file with Ok g -> g | Error e -> failwith e
   in
-  let t1 = clock () in
+  let t1 = now_ns () in
   let inst = Instance.make g in
-  let t2 = clock () in
+  let t2 = now_ns () in
   let w0 = Gc.minor_words () in
   let certs =
     match scheme.Scheme.prover inst with
@@ -165,90 +157,67 @@ let certify () =
     | None -> failwith "prover declined a yes-instance"
   in
   let w1 = Gc.minor_words () in
-  let t3 = clock () in
+  let t3 = now_ns () in
   let certs = Cert_store.intern_all certs in
   Scheme.record_cert_sizes scheme certs;
-  let t4 = clock () in
-  (* Telemetry is on only around the compile, for the library's own
-     vcompile span: elsewhere it would add its recording cost (one
-     histogram update per certificate in record_cert_sizes, for one)
-     to the layers being timed. *)
-  if traced then Metrics.with_enabled true (fun () -> ignore (Vcompile.compile scheme inst certs));
-  let t5 = clock () in
+  let t4 = now_ns () in
+  ignore (Vcompile.compile scheme inst certs);
+  let t5 = now_ns () in
   let outcome = Engine.run_par ~pool scheme inst certs in
   let t6 = now_ns () in
-  let cpu = cpu_s () and hwm = vm_hwm_kb () in
   (* Oracle, outside the timed region: the interpreted verifier on the
      same certificates must agree exactly, and accept. *)
   let reference = Scheme.run scheme inst certs in
   let ok = outcome.Scheme.accepted && same_outcome outcome reference in
-  let base =
-    [
-      ("family", Json.Str family);
-      ("n", int (Graph.n g));
-      ("m", int (Graph.m g));
-      ("certify_s", num (secs t0 t6));
-      ("max_bits", int outcome.Scheme.max_bits);
-      ("oracle_ok", Json.Bool ok);
-      ("cpu_s", num cpu);
-      ("vm_hwm_kb", int hwm);
-    ]
-  in
-  let layers =
-    if not traced then []
-    else begin
-      (* Reverification: the monitoring loop a certified network runs
-         forever — repeated sweeps over the same certificates. *)
-      Metrics.set_enabled true;
-      let sweeps = ref [] and sweep_ok = ref true in
-      let s0 = now_ns () in
-      while secs s0 (now_ns ()) < sweep_s || !sweeps = [] do
-        let a = now_ns () in
-        let o = Engine.run_par ~pool scheme inst certs in
-        sweeps := secs a (now_ns ()) :: !sweeps;
-        if not (same_outcome o outcome) then sweep_ok := false
-      done;
-      let sweep_total = List.fold_left ( +. ) 0. !sweeps in
-      let spans = Span.snapshot () in
-      let vspan =
-        List.filter
-          (fun (s : Span.snapshot) ->
-            let leaf = List.hd (List.rev (String.split_on_char '/' s.Span.path)) in
-            String.starts_with ~prefix:"vcompile." leaf)
-          spans
-      in
-      let counter name =
-        List.fold_left
-          (fun acc (n, _, v) -> if n = name then acc + v else acc)
-          0 (Metrics.counters ())
-      in
-      let compiles = List.fold_left (fun a (s : Span.snapshot) -> a + s.Span.count) 0 vspan in
-      let reuse = counter "vcompile.kernel_reuse" in
-      [
-        ("ingest_s", num (secs t0 t1));
-        ("make_s", num (secs t1 t2));
-        ("prover_s", num (secs t2 t3));
-        ("prover_minor_words", num (w1 -. w0));
-        ("intern_s", num (secs t3 t4));
-        ("arena_bytes", int (Cert_store.stats ()).Cert_store.arena_bytes);
-        ("compile_s", num (secs t4 t5));
-        ("sweep_s", num (secs t5 t6));
-        ( "compile_span_s",
-          num
-            (List.fold_left (fun a (s : Span.snapshot) -> a +. s.Span.total_ms) 0. vspan
-            /. 1000.) );
-        ("vcompile_compiles", int compiles);
-        ("kernel_reuse", int reuse);
-        ("reverify_sweeps", int (List.length !sweeps));
-        ("reverify_sweep_s", num (median !sweeps));
-        ( "reverify_vps",
-          num (float_of_int (Graph.n g * List.length !sweeps) /. sweep_total) );
-        ("reverify_ok", Json.Bool !sweep_ok);
-      ]
-    end
+  (* Reverification: the monitoring loop a certified network runs
+     forever — repeated sweeps over the same certificates, telemetry
+     off. *)
+  let sweeps = ref [] and sweep_ok = ref true in
+  let s0 = now_ns () in
+  while secs s0 (now_ns ()) < reverify_s || !sweeps = [] do
+    let a = now_ns () in
+    let o = Engine.run_par ~pool scheme inst certs in
+    sweeps := secs a (now_ns ()) :: !sweeps;
+    if not (same_outcome o outcome) then sweep_ok := false
+  done;
+  let sweep_total = List.fold_left ( +. ) 0. !sweeps in
+  (* One more sweep, untimed, with telemetry on: whether it reused the
+     compiled kernel. *)
+  let reused =
+    Metrics.with_enabled true (fun () ->
+        ignore (Engine.run_par ~pool scheme inst certs);
+        List.exists
+          (fun (n, _, v) -> n = "vcompile.kernel_reuse" && v > 0)
+          (Metrics.counters ()))
   in
   Pool.shutdown pool;
-  emit (base @ layers)
+  emit
+    [
+      ("family", Json.Str family);
+      ("scheme", Json.Str (family_scheme family));
+      ("n", int (Graph.n g));
+      ("m", int (Graph.m g));
+      ("accepted", Json.Bool reference.Scheme.accepted);
+      ("max_bits", int reference.Scheme.max_bits);
+      ( "rejections",
+        Json.Arr
+          (List.map
+             (fun (v, r) -> Json.Arr [ int v; Json.Str r ])
+             reference.Scheme.rejections) );
+      ("oracle_ok", Json.Bool ok);
+      ("ingest_s", num (secs t0 t1));
+      ("make_s", num (secs t1 t2));
+      ("prover_s", num (secs t2 t3));
+      ("prover_minor_words", num (w1 -. w0));
+      ("intern_s", num (secs t3 t4));
+      ("arena_bytes", int (Cert_store.stats ()).Cert_store.arena_bytes);
+      ("compile_s", num (secs t4 t5));
+      ("sweep_s", num (secs t5 t6));
+      ( "reverify_vps",
+        num (float_of_int (Graph.n g * List.length !sweeps) /. sweep_total) );
+      ("reverify_ok", Json.Bool !sweep_ok);
+      ("kernel_reused", Json.Bool reused);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* serve-hot: oracle and open-loop client                              *)
@@ -257,10 +226,13 @@ let certify () =
    certificates and compiled kernel stay hot after the first request. *)
 let hot_request seed =
   Protocol.Verify
-    { scheme = "spanning"; graph = Printf.sprintf "random-tree:16384:%d" (seed + 1); flip = None }
+    { scheme = "spanning"; graph = Printf.sprintf "random-tree:65536:%d" (seed + 1); flip = None }
 
 (* Offered rate: about 10 % of one worker's sweep capacity. *)
-let hot_rate = 100.
+let hot_rate = 25.
+
+(* Client connections: two, or one on a single-core host. *)
+let conns = min 2 (Domain.recommended_domain_count ())
 
 (* The seeded arrival schedule: Poisson due times (ns from the start)
    at [rate] for [seconds]. *)
@@ -349,7 +321,7 @@ let client () =
   in
   (* [run] replays one segment of the base schedule, or a schedule of
      its own rate and length (warm-up loads and ladder steps). *)
-  let run port trace_every conns step =
+  let run port trace_every step =
     let due =
       match step with
       | `Segment (k, m) -> segment base k m
@@ -439,12 +411,12 @@ let client () =
         | [ "warm"; p ] ->
             warm (int_of_string p);
             loop ()
-        | [ "run"; p; every; conns; "segment"; k; m ] ->
-            run (int_of_string p) (int_of_string every) (int_of_string conns)
+        | [ "run"; p; every; "segment"; k; m ] ->
+            run (int_of_string p) (int_of_string every)
               (`Segment (int_of_string k, int_of_string m));
             loop ()
-        | [ "run"; p; every; conns; "rate"; rate; secs ] ->
-            run (int_of_string p) (int_of_string every) (int_of_string conns)
+        | [ "run"; p; every; "rate"; rate; secs ] ->
+            run (int_of_string p) (int_of_string every)
               (`Rate (float_of_string rate, float_of_string secs));
             loop ()
         | [ "quit" ] | [ "" ] -> ()
@@ -652,11 +624,23 @@ let churn () =
     @ Option.value !layer ~default:[]);
   Pool.shutdown pool
 
+(* The domains a default-size pool (as churn-recover creates) really
+   runs on after Pool's clamp: every chunk of one parallel region
+   sleeps, so each domain of the pool gets to claim some, and reports
+   which domain ran it. *)
 let host () =
+  let pool = Pool.create () in
+  let ids =
+    Pool.map_chunks pool ~chunks:(4 * Pool.size pool) (fun _ ->
+        Unix.sleepf 0.02;
+        (Domain.self () :> int))
+  in
+  Pool.shutdown pool;
+  let domains = List.length (List.sort_uniq compare (Array.to_list ids)) in
   emit
     [
-      ("nproc", int (Domain.recommended_domain_count ()));
-      ("pool_domains", int (Domain.recommended_domain_count ()));
+      ("pool_domains", int domains);
+      ("pool_workers", int (domains - 1));
       ("ocaml", Json.Str Sys.ocaml_version);
     ]
 

@@ -21,6 +21,7 @@ import signal
 import statistics
 import subprocess
 import sys
+import threading
 import time
 
 sys.dont_write_bytecode = True  # leave no __pycache__ in the checkout
@@ -35,8 +36,8 @@ WORKLOADS = ("certify-stream", "serve-hot", "churn-recover")
 SEGMENTS = 4  # serve: schedule segments per run, each on a fresh server
 CHURN_PROCESSES = 2  # churn: runner processes per untraced run
 SETUPS = 8  # serve: server launches per run (set-up samples), >= SEGMENTS
-SWEEP_S = 0.3  # reverification sweeps per family in a traced certify pass
-HOT_LADDER = 1.5  # geometric step of serve-hot's max_rps ladder
+SETUP_LAUNCHES = 3  # certify: trivial CLI launches per pass (set-up samples)
+HOT_LADDER = 2.0  # geometric step of serve-hot's max_rps ladder
 HOT_LIMIT_MS = 20.0  # serve-hot latency limit on a ladder step's tail
 LADDER_STEP_S = 1.5
 LADDER_STEPS = 10
@@ -69,7 +70,7 @@ def build():
 
 def host_info():
     out = subprocess.run([PB, "host"], stdout=subprocess.PIPE, text=True, check=True, timeout=60)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    return dict(nproc=os.cpu_count(), **json.loads(out.stdout.strip().splitlines()[-1]))
 
 
 # ---------------------------------------------------------------------
@@ -121,32 +122,77 @@ def metric(value, unit):
 
 
 # ---------------------------------------------------------------------
-# certify-stream: fresh-process certification of three edge-list files
+# certify-stream: the CLI certifying three edge-list files
 
 
-def certify_pass(files, traced):
-    """One pass: each family certified in its own fresh process.
-    Returns per-family results, each with its process's spawn-to-ready
-    set-up time."""
-    results = {}
-    for fam in FAMILIES:
-        cmd = [PB, "certify", "--file", files[fam], "--family", fam]
-        if traced:
-            cmd += ["--traced", "--sweep-s", str(SWEEP_S)]
-        t0 = time.perf_counter()
-        p = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True)
-        try:
-            if p.stdout.readline().strip() != "ready":
-                raise BenchError("certify worker for %s did not start" % fam)
-            setup = time.perf_counter() - t0
-            res = read_json_line(p.stdout, "certify worker")
-            res["setup_s"] = setup
-        finally:
-            wait_child(p)
-        if p.returncode != 0:
-            raise BenchError("certify worker for %s failed" % fam)
-        results[fam] = res
-    return results
+def run_timed(cmd, timeout=120.0):
+    """Run a command to completion: (stdout, wall seconds, rusage).  The
+    wall time runs from the spawn to the reap."""
+    t0 = time.perf_counter()
+    p = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True)
+    timer = threading.Timer(timeout, p.kill)
+    timer.start()
+    try:
+        out = p.stdout.read()
+        _, status, ru = os.wait4(p.pid, 0)
+    finally:
+        timer.cancel()
+        p.stdout.close()
+    wall = time.perf_counter() - t0
+    p.returncode = os.waitstatus_to_exitcode(status)
+    if p.returncode != 0:
+        raise BenchError("%s exited with %d" % (" ".join(cmd[:3]), p.returncode))
+    return out, wall, ru
+
+
+def cli_certify(path, scheme, metrics_file=None):
+    """One `localcert certify` process on an edge-list file: its wall
+    time, CPU, peak RSS and printed verdict (and, given a metrics file,
+    its own prover and vcompile span totals)."""
+    cmd = [CLI, "certify", "-g", "file:" + path, "-s", scheme, "--jobs", "1"]
+    if metrics_file:
+        cmd += ["--metrics", metrics_file]
+    out, wall, ru = run_timed(cmd)
+    r = {"wall_s": wall, "cpu_s": ru.ru_utime + ru.ru_stime, "rss_kb": ru.ru_maxrss,
+         "accepted": None, "max_bits": None, "rejections": []}
+    for line in out.splitlines():
+        if line.startswith("prover: certificates assigned (max "):
+            r["max_bits"] = int(line.split("(max ", 1)[1].split()[0])
+        elif line.startswith("verifier: all nodes accept = "):
+            r["accepted"] = line.rsplit("= ", 1)[1].strip() == "true"
+        elif line.startswith("  node ") and " rejects: " in line:
+            head, reason = line.split(" rejects: ", 1)
+            r["rejections"].append([int(head.split()[1]), reason])
+    if metrics_file:
+        with open(metrics_file) as f:
+            timings = json.load(f)["approx"]["timings"]
+        vspans = [t for t in timings if t["name"].rsplit("/", 1)[-1].startswith("vcompile.")]
+        r["prover_span_s"] = sum(t["total_ms"] for t in timings if t["name"] == "prover") / 1000
+        r["compile_span_s"] = sum(t["total_ms"] for t in vspans) / 1000
+        r["compiles"] = sum(t["count"] for t in vspans)
+    return r
+
+
+def cli_matches(r, ref):
+    """The CLI's verdict equals the reference outcome: the interpreted
+    Scheme.run on the same certificates, computed by pb."""
+    return (r["accepted"] is True and r["accepted"] == ref["accepted"]
+            and r["max_bits"] == ref["max_bits"] and r["rejections"] == ref["rejections"])
+
+
+def cli_setup():
+    """The CLI's fixed cost per invocation: a process certifying a
+    2-vertex path (start-up, scheme registry, pool, output)."""
+    out, wall, _ = run_timed([CLI, "certify", "-g", "path:2", "-s", "spanning", "--jobs", "1"])
+    return wall, "verifier: all nodes accept = true" in out
+
+
+def pb_certify(path, family):
+    """pb's copy of the certify sequence: the layer split, the
+    reverification rate and the reference outcome."""
+    out = subprocess.run([PB, "certify", "--file", path, "--family", family],
+                         stdout=subprocess.PIPE, text=True, check=True, timeout=120)
+    return json.loads(out.stdout.strip().splitlines()[-1])
 
 
 def certify_stream(seed, seconds, trace):
@@ -155,75 +201,101 @@ def certify_stream(seed, seconds, trace):
     subprocess.run([PB, "gen", "--seed", str(seed), "--dir", cs_dir], check=True,
                    stdout=subprocess.DEVNULL, timeout=120)
     files = {f: os.path.join(cs_dir, f + ".el") for f in FAMILIES}
-    plain, traced = [], []  # per-family results, one dict per pass
+    mfile = os.path.join(cs_dir, "metrics.json")
     attempted = failed = 0
-    certify_pass(files, False)  # warm-up pass, not recorded
-    t_end = time.monotonic() + seconds
-    k = 0
-    while time.monotonic() < t_end or len(plain) < 1 or (trace and len(traced) < 1):
-        tracing = trace and k % 2 == 1
-        res = certify_pass(files, tracing)
+
+    def copy_pass():
+        nonlocal attempted, failed
+        res = {f: pb_certify(files[f], f) for f in FAMILIES}
         for r in res.values():
             attempted += 1
-            if not r["oracle_ok"] or not r.get("reverify_ok", True):
+            if not (r["oracle_ok"] and r["reverify_ok"]):
                 failed += 1
-        (traced if tracing else plain).append(res)
-        k += 1
-    # Answers must not depend on the pass or on tracing.
-    bits = {tuple(r[f]["max_bits"] for f in FAMILIES) for r in plain + traced}
-    correct = failed == 0 and len(bits) == 1
-    # Per-family medians, summed: each family's time is bimodal from
-    # process to process, and a median per family picks its main mode.
-    def family_sum(key, passes):
-        return sum(median([r[f][key] for r in passes]) for f in FAMILIES)
+        return res
 
-    pass_s = [sum(r[f]["certify_s"] for f in FAMILIES) for r in plain]
+    def cli_pass(metrics):
+        nonlocal attempted, failed
+        res = {}
+        for f in FAMILIES:
+            res[f] = cli_certify(files[f], ref[f]["scheme"], mfile if metrics else None)
+            attempted += 1
+            if not cli_matches(res[f], ref[f]):
+                failed += 1
+        return res
+
+    # Oracle first, outside any timing: pb's reference outcome per file.
+    ref = copy_pass()
+    copies = [ref]
+    cli_pass(False)  # warm-up pass, not recorded
+    plain, spans, setups = [], [], []
+    setup_ok = True
+    t_end = time.monotonic() + seconds
+    while time.monotonic() < t_end or len(plain) < 1:
+        for _ in range(SETUP_LAUNCHES):
+            wall, ok = cli_setup()
+            setups.append(wall)
+            setup_ok = setup_ok and ok
+        plain.append(cli_pass(False))
+        if trace:
+            spans.append(cli_pass(True))
+            copies.append(copy_pass())
+    correct = failed == 0 and setup_ok
+
+    def fam_median(passes, f, key):
+        return median([r[f][key] for r in passes])
+
+    pass_s = [sum(r[f]["wall_s"] for f in FAMILIES) for r in plain]
     if not trace:
         e2e = {
-            "setup_s": metric(family_sum("setup_s", plain), "s"),
-            "p50_ms": metric(1000 * family_sum("certify_s", plain), "ms"),
-            "cpu_ms_per_op": metric(1000 * family_sum("cpu_s", plain), "ms"),
-            "peak_rss_mb": metric(max(r[f]["vm_hwm_kb"] for r in plain for f in FAMILIES) / 1024, "MB"),
-            "cert_bits": metric(sum(plain[0][f]["max_bits"] for f in FAMILIES), "bits"),
+            "setup_s": metric(median(setups), "s"),
+            "p50_ms": metric(1000 * sum(fam_median(plain, f, "wall_s") for f in FAMILIES), "ms"),
+            "cpu_ms_per_op": metric(1000 * sum(fam_median(plain, f, "cpu_s") for f in FAMILIES), "ms"),
+            "peak_rss_mb": metric(max(fam_median(plain, f, "rss_kb") for f in FAMILIES) / 1024, "MB"),
+            "cert_bits": metric(sum(ref[f]["max_bits"] for f in FAMILIES), "bits"),
         }
         return correct, attempted, failed, e2e, None
     layers = {}
+    parts = ("ingest_s", "make_s", "prover_s", "intern_s", "compile_s", "sweep_s")
     for f in FAMILIES:
-        rs = [r[f] for r in traced]
-
-        def med(key):
-            return median([r[key] for r in rs])
-
+        certify_s = fam_median(plain, f, "wall_s")
+        prover_s = fam_median(copies, f, "prover_s")
+        compile_s = fam_median(copies, f, "compile_s")
+        prover_span = fam_median(spans, f, "prover_span_s")
+        compile_span = fam_median(spans, f, "compile_span_s")
+        ingest_s = fam_median(copies, f, "ingest_s")
+        layer_sum = median([sum(r[f][p] for p in parts) for r in copies])
         layers.update({
-            "certify_s." + f: med("certify_s"),
-            "io.ingest_s." + f: med("ingest_s"),
-            "io.edges_per_s." + f: rs[0]["m"] / med("ingest_s"),
-            "instance.make_s." + f: med("make_s"),
-            "prover.s." + f: med("prover_s"),
-            "prover.minor_words." + f: rs[0]["prover_minor_words"],
-            "cert_store.intern_s." + f: med("intern_s"),
-            "cert_store.arena_bytes." + f: rs[0]["arena_bytes"],
-            "vcompile.compile_s." + f: med("compile_s"),
-            "engine.sweep_s." + f: med("reverify_sweep_s"),
-            "reverify_vps." + f: med("reverify_vps"),
+            "certify_s." + f: certify_s,
+            "io.ingest_s." + f: ingest_s,
+            "io.edges_per_s." + f: ref[f]["m"] / ingest_s,
+            "instance.make_s." + f: fam_median(copies, f, "make_s"),
+            "prover.s." + f: prover_s,
+            "prover.minor_words." + f: ref[f]["prover_minor_words"],
+            "cert_store.intern_s." + f: fam_median(copies, f, "intern_s"),
+            "cert_store.arena_bytes." + f: ref[f]["arena_bytes"],
+            "vcompile.compile_s." + f: compile_s,
+            "engine.sweep_s." + f: fam_median(copies, f, "sweep_s"),
+            "reverify_vps." + f: fam_median(copies, f, "reverify_vps"),
+            # Layer-sum consistency: the copy's layers against the
+            # CLI's own wall time on the same file; and the copy's
+            # prover and compile against the CLI's --metrics spans.
+            "certify.layer_gap_frac." + f: abs(layer_sum - certify_s) / certify_s,
+            "prover.span_gap_frac." + f: abs(prover_s - prover_span) / prover_span,
+            "vcompile.span_gap_frac." + f: abs(compile_s - compile_span) / compile_span,
+            # Raw figures for the consistency test, not BENCHMARK.json
+            # metrics.
+            "layer_sum_s." + f: layer_sum,
+            "cli.prover_span_s." + f: prover_span,
+            "cli.compile_span_s." + f: compile_span,
         })
-        # Layer-sum consistency: the traced passes' layer times summed,
-        # against the untraced passes' certify_s for the same family.
-        parts = ("ingest_s", "make_s", "prover_s", "intern_s", "compile_s", "sweep_s")
-        untraced = median([r[f]["certify_s"] for r in plain])
-        layer_sum = median([sum(r[p] for p in parts) for r in rs])
-        layers["certify.layer_gap_frac." + f] = abs(layer_sum - untraced) / untraced
-        layers["vcompile.span_gap_frac." + f] = median(
-            [abs(r["compile_s"] - r["compile_span_s"]) / r["compile_s"] for r in rs])
-    all_rs = [r[f] for r in traced for f in FAMILIES]
-    compiles = sum(r["vcompile_compiles"] for r in all_rs)
-    reuse = sum(r["kernel_reuse"] for r in all_rs)
+    reused = [r[f]["kernel_reused"] for r in copies for f in FAMILIES]
     layers.update({
-        "vcompile.compiles": compiles / len(traced),
-        "vcompile.kernel_reuse_ratio": reuse / max(1, reuse + compiles),
+        "vcompile.compiles": median([sum(r[f]["compiles"] for f in FAMILIES) for r in spans]),
+        "vcompile.kernel_reuse_ratio": sum(reused) / len(reused),
         "op.samples": len(plain),
         "op.tail_ms": 1000 * max(pass_s),
-        "obs.trace_overhead_frac": family_sum("certify_s", traced) / family_sum("certify_s", plain) - 1,
+        "obs.trace_overhead_frac": sum(fam_median(spans, f, "wall_s") for f in FAMILIES)
+        / sum(fam_median(plain, f, "wall_s") for f in FAMILIES) - 1,
     })
     return correct, attempted, failed, None, layers
 
@@ -306,8 +378,7 @@ def stop_server(srv, live):
 def run_load(client, srv, every=0, segment=(0, 1), rate=None, seconds=None):
     """Replay one segment of the run's schedule (or, given a rate, a
     schedule of that rate and length) against the server."""
-    conns = min(2, os.cpu_count() or 1)
-    cmd = "run %d %d %d " % (srv.port, every, conns)
+    cmd = "run %d %d " % (srv.port, every)
     if rate is None:
         cmd += "segment %d %d" % segment
     else:

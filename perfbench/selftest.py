@@ -9,22 +9,21 @@ Run from the repository root (it builds what it needs).  Three checks:
    (read only): slice counts per layer equal the raw event counts,
    begin/end pairs match, and every traced request's server slices fit
    inside the client's own ``client.rtt`` slice for it.
-2. Layer-sum consistency on certify-stream: for each family, the traced
-   layer times sum to the untraced ``certify_s`` within
-   ``LAYER_SUM_TOL``; on spanning, ``vcompile.compile_s`` exceeds
-   ``prover.s``; and ``prover.s`` / ``vcompile.compile_s`` agree with the
-   CLI's own ``--metrics`` span totals on the same file within
-   ``SPAN_TOL`` (or ``SPAN_FLOOR_S``, for spans of a few milliseconds).
+2. Layer-sum consistency on certify-stream: for each family, pb's
+   layer times sum to the wall time of the ``localcert certify``
+   process on the same file within ``LAYER_SUM_TOL``; on spanning,
+   ``vcompile.compile_s`` exceeds ``prover.s``; and ``prover.s`` /
+   ``vcompile.compile_s`` agree with the CLI's own ``--metrics`` span
+   totals on the same file within ``SPAN_TOL`` (or ``SPAN_FLOOR_S``,
+   for spans of a few milliseconds).
 3. A short traced serve-hot run: every traced request's slices fit
    inside its client latency, and the tracer dropped nothing.
 
 Exits 0 when every check passes.
 """
 
-import json
 import os
 import statistics
-import subprocess
 import sys
 
 sys.dont_write_bytecode = True  # leave no __pycache__ in the checkout
@@ -33,10 +32,10 @@ import run  # noqa: E402
 import trace_agg  # noqa: E402
 
 FIXTURE = "TRACE_SERVE.trace.json"
-LAYER_SUM_TOL = 0.2  # share of certify_s
+LAYER_SUM_TOL = 0.2  # share of the CLI's wall time
 SPAN_TOL = 0.25  # share of the CLI's span total ...
 SPAN_FLOOR_S = 0.01  # ... or this many seconds, whichever is larger
-REPS = 7
+CERTIFY_S = 40.0  # about seven interleaved passes
 
 failures = []
 
@@ -74,43 +73,25 @@ def fixture_checks():
 
 
 def certify_checks():
-    work = os.path.join(run.WORK, "selftest")
-    os.makedirs(work, exist_ok=True)
-    subprocess.run([run.PB, "gen", "--seed", "7", "--dir", work], check=True, stdout=subprocess.DEVNULL)
-    files = {f: os.path.join(work, f + ".el") for f in run.FAMILIES}
-    # Untraced passes, traced passes and CLI runs are interleaved, so a
-    # drift in host speed during the test touches all three alike.
-    scheme = {"spanning": "spanning", "tree-mso": "tree-mso:perfect-matching"}
-    plain, traced = [], []
-    cli = {f: {"prover_s": [], "compile_s": []} for f in scheme}
-    for _ in range(REPS):
-        plain.append(run.certify_pass(files, False))
-        traced.append(run.certify_pass(files, True))
-        for f in scheme:
-            mfile = os.path.join(work, "cli-%s.json" % f)
-            subprocess.run([run.CLI, "certify", "-g", "file:" + files[f], "-s", scheme[f], "--metrics", mfile],
-                           check=True, stdout=subprocess.DEVNULL)
-            with open(mfile) as fh:
-                timings = json.load(fh)["approx"]["timings"]
-            cli[f]["prover_s"].append(sum(t["total_ms"] for t in timings if t["name"] == "prover") / 1000)
-            cli[f]["compile_s"].append(sum(t["total_ms"] for t in timings
-                                           if t["name"].rsplit("/", 1)[-1].startswith("vcompile.")) / 1000)
-    parts = ("ingest_s", "make_s", "prover_s", "intern_s", "compile_s", "sweep_s")
-    med = {}
+    # A traced certify-stream run interleaves the CLI's own runs (plain
+    # and with --metrics) with pb's layer-by-layer copy, so a drift in
+    # host speed during the test touches all three alike.
+    ok, attempted, failed, _, layers = run.certify_stream(7, CERTIFY_S, True)
+    check(ok and failed == 0, "certify-stream traced: answers correct (%d attempted, %d failed)"
+          % (attempted, failed))
     for f in run.FAMILIES:
-        untraced = statistics.median(r[f]["certify_s"] for r in plain)
-        layer_sum = statistics.median(sum(r[f][p] for p in parts) for r in traced)
-        gap = abs(layer_sum - untraced) / untraced
-        check(gap <= LAYER_SUM_TOL, "certify %s: layers sum %.3fs vs certify_s %.3fs (gap %.3f <= %.2f)"
-              % (f, layer_sum, untraced, gap, LAYER_SUM_TOL))
-        med[f] = {p: statistics.median(r[f][p] for r in traced) for p in ("prover_s", "compile_s")}
-    check(med["spanning"]["compile_s"] > med["spanning"]["prover_s"],
+        layer_sum, cli = layers["layer_sum_s." + f], layers["certify_s." + f]
+        gap = layers["certify.layer_gap_frac." + f]
+        check(gap <= LAYER_SUM_TOL, "certify %s: layers sum %.3fs vs the CLI's %.3fs (gap %.3f <= %.2f)"
+              % (f, layer_sum, cli, gap, LAYER_SUM_TOL))
+    check(layers["vcompile.compile_s.spanning"] > layers["prover.s.spanning"],
           "certify spanning: vcompile.compile_s %.3fs above prover.s %.3fs"
-          % (med["spanning"]["compile_s"], med["spanning"]["prover_s"]))
+          % (layers["vcompile.compile_s.spanning"], layers["prover.s.spanning"]))
     # The CLI's own --metrics spans for the same instance.
-    for f in scheme:
-        for label, key in (("prover.s", "prover_s"), ("vcompile.compile_s", "compile_s")):
-            ours, c = med[f][key], statistics.median(cli[f][key])
+    for f in ("spanning", "tree-mso"):
+        for label, ours_key, cli_key in (("prover.s", "prover.s.", "cli.prover_span_s."),
+                                         ("vcompile.compile_s", "vcompile.compile_s.", "cli.compile_span_s.")):
+            ours, c = layers[ours_key + f], layers[cli_key + f]
             check(abs(ours - c) <= max(SPAN_TOL * c, SPAN_FLOOR_S),
                   "certify %s: %s %.3fs vs CLI span %.3fs (within %.0f%% or %.0f ms)"
                   % (f, label, ours, c, 100 * SPAN_TOL, 1000 * SPAN_FLOOR_S))
