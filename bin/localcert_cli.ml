@@ -251,8 +251,8 @@ let compiled_arg =
           ( true,
             info [ "compiled" ]
               ~doc:
-                "Verify through ahead-of-time compiled kernels for schemes \
-                 that publish a lowering (the default)." );
+                "Verify through ahead-of-time compiled kernels (the \
+                 default)." );
           ( false,
             info [ "no-compiled" ]
               ~doc:

@@ -3,13 +3,13 @@ let any_local ~total:_ ~me:_ ~degree:_ = true
 let any_root ~total:_ ~degree:_ = true
 
 let at_most_one_vertex =
-  Scheme.trivial ~name:"depth2[n<=1]" (fun view ->
-      if view.Scheme.nbrs = [] then Accept
+  Scheme.trivial ~name:"depth2[n<=1]" (fun ~degree ->
+      if degree = 0 then Accept
       else Reject "has a neighbor, so n > 1")
 
 let more_than_one_vertex =
-  Scheme.trivial ~name:"depth2[n>1]" (fun view ->
-      if view.Scheme.nbrs <> [] then Accept
+  Scheme.trivial ~name:"depth2[n>1]" (fun ~degree ->
+      if degree > 0 then Accept
       else Reject "isolated, so n = 1 on a connected graph")
 
 let is_clique =

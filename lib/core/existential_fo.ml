@@ -147,85 +147,79 @@ let make phi =
         in
         (shared, trees))
   in
-  let verifier (view : Scheme.view) : Scheme.verdict =
-    let id_bits = view.id_bits in
-    match split ~id_bits view.cert with
+  (* The shared part stays raw in the decoded value: neighbors must
+     carry the same one bit for bit, so only the vertex's own copy is
+     ever parsed. *)
+  let check ~id_bits ~me ~label:_ mine ~ids ~decs ~lo ~hi : Scheme.verdict =
+    match mine with
     | None -> Reject "malformed certificate"
     | Some (shared_bits, my_trees) -> (
         match decode_shared ~id_bits ~k shared_bits with
         | None -> Reject "malformed shared part"
-        | Some (ids, madj) -> (
-            let nbrs = List.map (fun (nid, c) -> (nid, split ~id_bits c)) view.nbrs in
-            if List.exists (fun (_, p) -> p = None) nbrs then
-              Reject "malformed neighbor certificate"
-            else
-              let nbrs = List.map (fun (nid, p) -> (nid, Option.get p)) nbrs in
-              if
-                List.exists
-                  (fun (_, (s, _)) -> not (Bitstring.equal s shared_bits))
-                  nbrs
-              then Reject "shared parts disagree"
-              else begin
-                (* the k spanning-tree checks *)
-                let rec check_trees i trees =
-                  match trees with
-                  | [] -> Ok ()
-                  | (dist, parent_id) :: rest -> (
-                      let cert =
-                        {
-                          Spanning_tree.root_id = ids.(i);
-                          dist;
-                          parent_id;
-                        }
-                      in
-                      let neighbors =
-                        List.map
-                          (fun (nid, (_, ts)) ->
-                            let ndist, nparent = List.nth ts i in
-                            ( nid,
-                              {
-                                Spanning_tree.root_id = ids.(i);
-                                dist = ndist;
-                                parent_id = nparent;
-                              } ))
-                          nbrs
-                      in
-                      match
-                        Spanning_tree.check_tree_view ~me:view.me cert
-                          ~neighbors
-                      with
-                      | Ok () -> check_trees (i + 1) rest
-                      | Error e ->
-                          Error (Printf.sprintf "tree %d: %s" i e))
-                in
-                match check_trees 0 my_trees with
-                | Error e -> Reject e
-                | Ok () ->
-                    (* witness-side adjacency row check *)
-                    let neighbor_ids = List.map fst view.nbrs in
-                    let row_ok = ref true in
-                    Array.iteri
-                      (fun i idi ->
-                        if idi = view.me then
-                          Array.iteri
-                            (fun j idj ->
-                              if j <> i then begin
-                                let actual =
-                                  if idj = view.me then false
-                                  else List.mem idj neighbor_ids
-                                in
-                                if madj.(i).(j) <> actual then row_ok := false
-                              end)
-                            ids)
-                      ids;
-                    if not !row_ok then
-                      Reject "matrix misstates a witness adjacency"
-                    else if
-                      eval_matrix ~vars ~ids
-                        ~adj:(fun a b -> madj.(a).(b))
-                        matrix_formula
-                    then Accept
-                    else Reject "matrix does not satisfy the sentence"
-              end))
+        | Some (ids_w, madj) -> (
+            match Scheme.decoded_neighbors ~ids ~decs ~lo ~hi with
+            | None -> Reject "malformed neighbor certificate"
+            | Some nbrs ->
+                if
+                  List.exists
+                    (fun (_, (s, _)) -> not (Bitstring.equal s shared_bits))
+                    nbrs
+                then Reject "shared parts disagree"
+                else begin
+                  (* the k spanning-tree checks *)
+                  let rec check_trees i trees =
+                    match trees with
+                    | [] -> Ok ()
+                    | (dist, parent_id) :: rest -> (
+                        let cert =
+                          { Spanning_tree.root_id = ids_w.(i); dist; parent_id }
+                        in
+                        let neighbors =
+                          List.map
+                            (fun (nid, (_, ts)) ->
+                              let ndist, nparent = List.nth ts i in
+                              ( nid,
+                                {
+                                  Spanning_tree.root_id = ids_w.(i);
+                                  dist = ndist;
+                                  parent_id = nparent;
+                                } ))
+                            nbrs
+                        in
+                        match
+                          Spanning_tree.check_tree_view ~me cert ~neighbors
+                        with
+                        | Ok () -> check_trees (i + 1) rest
+                        | Error e -> Error (Printf.sprintf "tree %d: %s" i e))
+                  in
+                  match check_trees 0 my_trees with
+                  | Error e -> Reject e
+                  | Ok () ->
+                      (* witness-side adjacency row check *)
+                      let neighbor_ids = List.map fst nbrs in
+                      let row_ok = ref true in
+                      Array.iteri
+                        (fun i idi ->
+                          if idi = me then
+                            Array.iteri
+                              (fun j idj ->
+                                if j <> i then begin
+                                  let actual =
+                                    if idj = me then false
+                                    else List.mem idj neighbor_ids
+                                  in
+                                  if madj.(i).(j) <> actual then row_ok := false
+                                end)
+                              ids_w)
+                        ids_w;
+                      if not !row_ok then
+                        Reject "matrix misstates a witness adjacency"
+                      else if
+                        eval_matrix ~vars ~ids:ids_w
+                          ~adj:(fun a b -> madj.(a).(b))
+                          matrix_formula
+                      then Accept
+                      else Reject "matrix does not satisfy the sentence"
+                end))
   in
-  { Scheme.name; prover; verifier; compiled = None }
+  Scheme.of_lowering ~name ~prover { decode = split; check; flat = None }

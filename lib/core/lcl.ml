@@ -100,42 +100,43 @@ let decode_label lcl c =
   | Some l when l < lcl.alphabet -> Some l
   | _ -> None
 
-let verifier_core lcl ~check_own (view : Scheme.view) : Scheme.verdict =
-  match decode_label lcl view.cert with
-  | None -> Reject "malformed label certificate"
-  | Some mine -> (
-      if check_own && mine <> view.label then
-        Reject "certificate does not match my input label"
-      else
-        let nbrs = List.map (fun (_, c) -> decode_label lcl c) view.nbrs in
-        if List.exists (fun l -> l = None) nbrs then
-          Reject "malformed neighbor certificate"
-        else
-          let neighbor_labels = List.map Option.get nbrs in
-          if valid_at lcl ~label:mine ~neighbor_labels then Accept
-          else Reject "local constraint violated")
+let lowering lcl ~check_own : int option Scheme.lowering =
+  {
+    decode = (fun ~id_bits:_ c -> decode_label lcl c);
+    check =
+      (fun ~id_bits:_ ~me:_ ~label mine ~ids ~decs ~lo ~hi ->
+        match mine with
+        | None -> Reject "malformed label certificate"
+        | Some mine -> (
+            if check_own && mine <> label then
+              Reject "certificate does not match my input label"
+            else
+              match Scheme.decoded_neighbors ~ids ~decs ~lo ~hi with
+              | None -> Reject "malformed neighbor certificate"
+              | Some nbrs ->
+                  if
+                    valid_at lcl ~label:mine
+                      ~neighbor_labels:(List.map snd nbrs)
+                  then Accept
+                  else Reject "local constraint violated"));
+    flat = None;
+  }
 
 let scheme_of_labeled lcl =
-  {
-    Scheme.name = "lcl[" ^ lcl.name ^ "]";
-    prover =
-      (fun inst ->
-        if valid lcl inst.Instance.graph ~labels:inst.Instance.labels then
-          Some (Array.map (encode_label lcl) inst.Instance.labels)
-        else None);
-    verifier = verifier_core lcl ~check_own:true;
-    compiled = None;
-  }
+  Scheme.of_lowering
+    ~name:("lcl[" ^ lcl.name ^ "]")
+    ~prover:(fun inst ->
+      if valid lcl inst.Instance.graph ~labels:inst.Instance.labels then
+        Some (Array.map (encode_label lcl) inst.Instance.labels)
+      else None)
+    (lowering lcl ~check_own:true)
 
 let scheme_of_search lcl ~solve =
-  {
-    Scheme.name = "lcl-exists[" ^ lcl.name ^ "]";
-    prover =
-      (fun inst ->
-        match solve inst.Instance.graph with
-        | Some labels when valid lcl inst.Instance.graph ~labels ->
-            Some (Array.map (encode_label lcl) labels)
-        | _ -> None);
-    verifier = verifier_core lcl ~check_own:false;
-    compiled = None;
-  }
+  Scheme.of_lowering
+    ~name:("lcl-exists[" ^ lcl.name ^ "]")
+    ~prover:(fun inst ->
+      match solve inst.Instance.graph with
+      | Some labels when valid lcl inst.Instance.graph ~labels ->
+          Some (Array.map (encode_label lcl) labels)
+      | _ -> None)
+    (lowering lcl ~check_own:false)

@@ -103,7 +103,7 @@ let of_radius1 (s : Scheme.t) =
             (List.init (Graph.n ball.graph) Fun.id)
           |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
         in
-        s.Scheme.verifier
+        Scheme.verify s
           {
             Scheme.me = ball.ids.(ball.center);
             id_bits = ball.id_bits;

@@ -88,16 +88,11 @@ let all =
 let find name = List.find_opt (fun e -> e.name = name) all
 
 (* One line per family: the registry name, the (possibly
-   parameterized) name of the pinned default scheme, and whether it
-   publishes a lowering for the compiled engine path. *)
+   parameterized) name of the pinned default scheme, and the compiled
+   engine path every scheme's lowering takes. *)
 let summary () =
   List.map
     (fun e ->
-      let base =
-        if e.name = e.scheme.Scheme.name then e.name
-        else Printf.sprintf "%s (%s)" e.name e.scheme.Scheme.name
-      in
-      match e.scheme.Scheme.compiled with
-      | Some _ -> base ^ " [compiled]"
-      | None -> base)
+      if e.name = e.scheme.Scheme.name then e.name ^ " [compiled]"
+      else Printf.sprintf "%s (%s) [compiled]" e.name e.scheme.Scheme.name)
     all

@@ -26,6 +26,6 @@ val find : string -> entry option
 val summary : unit -> string list
 (** One line per registered family — the registry name, plus the
     pinned default scheme's own name when it differs, tagged
-    [[compiled]] when the scheme publishes a lowering for the
-    ahead-of-time compiled verifier path.  Shown by the CLI's
+    [[compiled]]: every scheme is a lowering, so every family takes
+    the ahead-of-time compiled verifier path.  Shown by the CLI's
     [--version] banner. *)

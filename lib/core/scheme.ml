@@ -9,12 +9,13 @@ type view = {
 type verdict = Accept | Reject of string
 
 (* A lowering splits a radius-1 verifier into a total per-certificate
-   decode stage and a check stage over pre-decoded values.  The
-   interpreted verifier decodes every view from scratch; the compiled
-   engine path (Localcert_engine.Vcompile) decodes each distinct
-   certificate once and reuses the result across every vertex that
-   sees it.  Because both paths end in the same [check], they agree on
-   every verdict — reason strings included — by construction. *)
+   decode stage and a check stage over pre-decoded values; every
+   scheme's verifier is one.  The interpreted oracle [verify] decodes
+   every view from scratch; the compiled engine path
+   (Localcert_engine.Vcompile) decodes each distinct certificate once
+   and reuses the result across every vertex that sees it.  Because
+   both paths end in the same [check], they agree on every verdict —
+   reason strings included — by construction. *)
 type 'dec lowering = {
   decode : id_bits:int -> Bitstring.t -> 'dec;
   check :
@@ -61,11 +62,10 @@ type compiled = Compiled : 'dec lowering -> compiled
 type t = {
   name : string;
   prover : Instance.t -> Bitstring.t array option;
-  verifier : view -> verdict;
-  compiled : compiled option;
+  lowering : compiled;
 }
 
-let check_lowered (Compiled l) (view : view) =
+let verify { lowering = Compiled l; _ } (view : view) =
   let id_bits = view.id_bits in
   let mine = l.decode ~id_bits view.cert in
   let ids = Array.of_list (List.map fst view.nbrs) in
@@ -75,14 +75,17 @@ let check_lowered (Compiled l) (view : view) =
   l.check ~id_bits ~me:view.me ~label:view.label mine ~ids ~decs ~lo:0
     ~hi:(Array.length ids)
 
-let of_lowering ~name ~prover l =
-  let compiled = Compiled l in
-  {
-    name;
-    prover;
-    verifier = (fun view -> check_lowered compiled view);
-    compiled = Some compiled;
-  }
+let of_lowering ~name ~prover l = { name; prover; lowering = Compiled l }
+
+let decoded_neighbors ~ids ~decs ~lo ~hi =
+  let rec go i acc =
+    if i < lo then Some acc
+    else
+      match decs.(i) with
+      | None -> None
+      | Some d -> go (i - 1) ((ids.(i), d) :: acc)
+  in
+  go (hi - 1) []
 
 type outcome = {
   accepted : bool;
@@ -134,7 +137,7 @@ let run ?(early_exit = false) scheme inst certs =
   let rejections = ref [] in
   (try
      for v = Graph.n inst.Instance.graph - 1 downto 0 do
-       match scheme.verifier (view_of inst certs v) with
+       match verify scheme (view_of inst certs v) with
        | Accept -> ()
        | Reject reason ->
            rejections := (v, reason) :: !rejections;
@@ -198,41 +201,92 @@ let decode_pair c =
       let b = Bitbuf.Reader.bitstring r in
       (a, b))
 
+(* Combinators compose lowerings, so a combined scheme takes the
+   compiled path like any other.  A sub-check runs on a 0-based copy
+   of the vertex's neighbor slice, projected to its own component. *)
+let sub_check l ~id_bits ~me ~label mine nbrs =
+  let ids = Array.of_list (List.map fst nbrs) in
+  let decs = Array.of_list (List.map snd nbrs) in
+  l.check ~id_bits ~me ~label mine ~ids ~decs ~lo:0 ~hi:(Array.length ids)
+
+let conjoin_lowering n1 l1 n2 l2 =
+  {
+    decode =
+      (fun ~id_bits c ->
+        Option.map
+          (fun (a, b) -> (l1.decode ~id_bits a, l2.decode ~id_bits b))
+          (decode_pair c));
+    check =
+      (fun ~id_bits ~me ~label mine ~ids ~decs ~lo ~hi ->
+        match mine with
+        | None -> Reject "conjoin: malformed pair certificate"
+        | Some (mine1, mine2) -> (
+            match decoded_neighbors ~ids ~decs ~lo ~hi with
+            | None -> Reject "conjoin: malformed neighbor certificate"
+            | Some nbrs -> (
+                let half proj = List.map (fun (id, d) -> (id, proj d)) nbrs in
+                match sub_check l1 ~id_bits ~me ~label mine1 (half fst) with
+                | Reject r -> Reject (n1 ^ ": " ^ r)
+                | Accept -> (
+                    match
+                      sub_check l2 ~id_bits ~me ~label mine2 (half snd)
+                    with
+                    | Reject r -> Reject (n2 ^ ": " ^ r)
+                    | Accept -> Accept))));
+    flat = None;
+  }
+
 let conjoin ~name s1 s2 =
   let prover inst =
     match (s1.prover inst, s2.prover inst) with
     | Some c1, Some c2 -> Some (Array.map2 encode_pair c1 c2)
     | _ -> None
   in
-  let verifier view =
-    let split c = decode_pair c in
-    match split view.cert with
-    | None -> Reject "conjoin: malformed pair certificate"
-    | Some (mine1, mine2) -> (
-        let halves =
-          List.map (fun (id, c) -> (id, split c)) view.nbrs
-        in
-        if List.exists (fun (_, h) -> h = None) halves then
-          Reject "conjoin: malformed neighbor certificate"
-        else
-          let part proj mine =
-            {
-              view with
-              cert = mine;
-              nbrs =
-                List.map
-                  (fun (id, h) -> (id, proj (Option.get h)))
-                  halves;
-            }
-          in
-          match s1.verifier (part fst mine1) with
-          | Reject r -> Reject (s1.name ^ ": " ^ r)
-          | Accept -> (
-              match s2.verifier (part snd mine2) with
-              | Reject r -> Reject (s2.name ^ ": " ^ r)
-              | Accept -> Accept))
+  match (s1.lowering, s2.lowering) with
+  | Compiled l1, Compiled l2 ->
+      of_lowering ~name ~prover (conjoin_lowering s1.name l1 s2.name l2)
+
+(* The decoded value is the selector as [Left]/[Right] around the
+   chosen scheme's decode of the body. *)
+let disjoin_lowering l1 l2 =
+  let untag c =
+    Bitbuf.decode c (fun r ->
+        let bit = Bitbuf.Reader.bit r in
+        let body = Bitbuf.Reader.bitstring r in
+        (bit, body))
   in
-  { name; prover; verifier; compiled = None }
+  {
+    decode =
+      (fun ~id_bits c ->
+        Option.map
+          (fun (sel, body) ->
+            if sel then Either.Right (l2.decode ~id_bits body)
+            else Either.Left (l1.decode ~id_bits body))
+          (untag c));
+    check =
+      (fun ~id_bits ~me ~label mine ~ids ~decs ~lo ~hi ->
+        match mine with
+        | None -> Reject "disjoin: malformed certificate"
+        | Some mine -> (
+            match decoded_neighbors ~ids ~decs ~lo ~hi with
+            | None -> Reject "disjoin: malformed neighbor certificate"
+            | Some nbrs -> (
+                let sel = Either.is_right mine in
+                if List.exists (fun (_, d) -> Either.is_right d <> sel) nbrs
+                then Reject "disjoin: neighbors disagree on the selector"
+                else
+                  let side pick =
+                    List.map (fun (id, d) -> (id, Option.get (pick d))) nbrs
+                  in
+                  match mine with
+                  | Left m ->
+                      sub_check l1 ~id_bits ~me ~label m
+                        (side Either.find_left)
+                  | Right m ->
+                      sub_check l2 ~id_bits ~me ~label m
+                        (side Either.find_right))));
+    flat = None;
+  }
 
 let disjoin ~name s1 s2 =
   let tag bit c =
@@ -240,12 +294,6 @@ let disjoin ~name s1 s2 =
     Bitbuf.Writer.bit w bit;
     Bitbuf.Writer.bitstring w c;
     Bitbuf.Writer.contents w
-  in
-  let untag c =
-    Bitbuf.decode c (fun r ->
-        let bit = Bitbuf.Reader.bit r in
-        let body = Bitbuf.Reader.bitstring r in
-        (bit, body))
   in
   let prover inst =
     match s1.prover inst with
@@ -255,32 +303,17 @@ let disjoin ~name s1 s2 =
         | Some c2 -> Some (Array.map (tag true) c2)
         | None -> None)
   in
-  let verifier view =
-    match untag view.cert with
-    | None -> Reject "disjoin: malformed certificate"
-    | Some (sel, body) -> (
-        let nbrs = List.map (fun (id, c) -> (id, untag c)) view.nbrs in
-        if List.exists (fun (_, u) -> u = None) nbrs then
-          Reject "disjoin: malformed neighbor certificate"
-        else if
-          List.exists (fun (_, u) -> fst (Option.get u) <> sel) nbrs
-        then Reject "disjoin: neighbors disagree on the selector"
-        else
-          let inner =
-            {
-              view with
-              cert = body;
-              nbrs = List.map (fun (id, u) -> (id, snd (Option.get u))) nbrs;
-            }
-          in
-          if sel then s2.verifier inner else s1.verifier inner)
-  in
-  { name; prover; verifier; compiled = None }
+  match (s1.lowering, s2.lowering) with
+  | Compiled l1, Compiled l2 ->
+      of_lowering ~name ~prover (disjoin_lowering l1 l2)
 
-let trivial ~name verifier =
-  {
-    name;
-    prover = (fun inst -> Some (Array.make (Instance.n inst) Bitstring.empty));
-    verifier;
-    compiled = None;
-  }
+let trivial ~name decide =
+  of_lowering ~name
+    ~prover:(fun inst -> Some (Array.make (Instance.n inst) Bitstring.empty))
+    {
+      decode = (fun ~id_bits:_ _ -> ());
+      check =
+        (fun ~id_bits:_ ~me:_ ~label:_ () ~ids:_ ~decs:_ ~lo ~hi ->
+          decide ~degree:(hi - lo));
+      flat = None;
+    }

@@ -77,12 +77,13 @@ and 'dec flat = {
           own fields live at [mine.(mbase .. mbase + width - 1)] and
           slot [i]'s fields at [plane.(i * width ..)], parallel to
           [ids.(i)].  Must agree with [check] verdict-for-verdict,
-          reason strings included — the interpreted verifier still
-          runs [check], and the engine's differential tests hold the
-          two paths to each other. *)
+          reason strings included — {!verify} runs [check], and the
+          engine's differential tests hold the two paths to each
+          other. *)
 }
-(** A scheme verifier split into decode and check stages.  The
-    interpreted verifier and the ahead-of-time compiled engine path
+(** A scheme verifier split into decode and check stages — the one
+    representation of a verifier.  The interpreted oracle {!verify}
+    and the ahead-of-time compiled engine path
     ({!Localcert_engine.Vcompile}) both end in the same [check], so
     their verdicts — reason strings included — agree by construction.
 
@@ -103,23 +104,29 @@ type t = {
   prover : Instance.t -> Bitstring.t array option;
       (** [None] when the instance is a no-instance (or the prover
           cannot find a witness); [Some certs] indexed by vertex. *)
-  verifier : view -> verdict;
-  compiled : compiled option;
-      (** The verifier's lowering, when the scheme has one.  [None]
-          makes every engine fall back to [verifier]. *)
+  lowering : compiled;  (** The verifier. *)
 }
 
-val check_lowered : compiled -> view -> verdict
-(** Run a lowering on one view, decoding from scratch — the
-    interpreted reference semantics of a lowered scheme. *)
+val verify : t -> view -> verdict
+(** Run the scheme's lowering on one view, decoding from scratch — the
+    interpreted reference semantics every engine is held to. *)
 
 val of_lowering :
   name:string ->
   prover:(Instance.t -> Bitstring.t array option) ->
   'dec lowering ->
   t
-(** A scheme whose verifier {e is} its lowering (via
-    {!check_lowered}), guaranteeing interpreted ≡ compiled. *)
+(** A scheme from its prover and its verifier's lowering. *)
+
+val decoded_neighbors :
+  ids:int array ->
+  decs:'a option array ->
+  lo:int ->
+  hi:int ->
+  (int * 'a) list option
+(** A [check]'s neighbor slice as an id-ascending [(id, value)] list,
+    or [None] when any neighbor's decode is malformed — the first step
+    of most checks over option-valued decodes. *)
 
 type outcome = {
   accepted : bool;
@@ -131,7 +138,7 @@ val view_of : Instance.t -> Bitstring.t array -> int -> view
 (** The radius-1 view of a vertex under a certificate assignment. *)
 
 val run : ?early_exit:bool -> t -> Instance.t -> Bitstring.t array -> outcome
-(** Execute the verifier at every vertex.  With [~early_exit:true] the
+(** Execute {!verify} at every vertex.  With [~early_exit:true] the
     sweep stops at the first rejecting vertex, so [rejections] contains
     exactly one entry on rejection; [accepted] and [max_bits] are
     unaffected.  The default [false] reports every rejecting vertex. *)
@@ -168,13 +175,16 @@ val record_outcome : t -> early_exit:bool -> outcome -> unit
 
 val conjoin : name:string -> t -> t -> t
 (** Certify both properties: certificates are length-prefixed pairs;
-    each vertex runs both verifiers on the respective halves. *)
+    each vertex runs both checks on the respective halves.  The
+    decoded value is the pair of the two decodes, or malformed. *)
 
 val disjoin : name:string -> t -> t -> t
 (** Certify a disjunction: a selector bit (checked equal between
     neighbors, hence global by connectivity) says which scheme's
-    certificate follows. *)
+    certificate follows.  The decoded value is the selector plus the
+    chosen scheme's decode. *)
 
-val trivial : name:string -> (view -> verdict) -> t
-(** A scheme with empty certificates (e.g. "max degree ≤ 3" needs none:
-    the view alone decides). *)
+val trivial : name:string -> (degree:int -> verdict) -> t
+(** A scheme with empty certificates whose verdict the vertex's degree
+    alone decides (e.g. "max degree ≤ 3").  Certificates decode to
+    [()] and are never read. *)

@@ -227,43 +227,41 @@ let make_table table =
             (Array.init (Instance.n inst) (fun v ->
                  encode_full (dist.(v) mod 3) states.(v)))
   in
-  let verifier (view : Scheme.view) : Scheme.verdict =
-    match decode_full view.cert with
+  let check ~id_bits:_ ~me:_ ~label mine ~ids ~decs ~lo ~hi : Scheme.verdict =
+    match mine with
     | None -> Reject "malformed certificate or wrong automaton description"
     | Some (dist3, state) -> (
-        let nbrs = List.map (fun (_, c) -> decode_full c) view.nbrs in
-        if List.exists (fun c -> c = None) nbrs then
-          Reject "malformed neighbor certificate"
-        else
-          let nbrs = List.map Option.get nbrs in
-          let up = (dist3 + 2) mod 3 and down = (dist3 + 1) mod 3 in
-          let parents = List.filter (fun (d, _) -> d = up) nbrs in
-          let children = List.filter (fun (d, _) -> d = down) nbrs in
-          if List.length parents + List.length children <> List.length nbrs
-          then Reject "neighbor at my own mod-3 distance"
-          else
-            let expected =
-              auto.TA.delta ~label:view.label
-                ~counts:(TA.counts_of_list (List.map snd children))
-            in
-            match parents with
-            | _ :: _ :: _ -> Reject "two parents"
-            | [ _ ] ->
-                if expected <> state then Reject "transition mismatch"
-                else Accept
-            | [] ->
-                if dist3 <> 0 then Reject "root must have distance 0"
-                else if expected <> state then Reject "root transition mismatch"
-                else if not (auto.TA.accepting state) then
-                  Reject "root state not accepting"
-                else Accept)
+        match Scheme.decoded_neighbors ~ids ~decs ~lo ~hi with
+        | None -> Reject "malformed neighbor certificate"
+        | Some nbrs ->
+            let nbrs = List.map snd nbrs in
+            let up = (dist3 + 2) mod 3 and down = (dist3 + 1) mod 3 in
+            let parents = List.filter (fun (d, _) -> d = up) nbrs in
+            let children = List.filter (fun (d, _) -> d = down) nbrs in
+            if List.length parents + List.length children <> List.length nbrs
+            then Reject "neighbor at my own mod-3 distance"
+            else
+              let expected =
+                auto.TA.delta ~label
+                  ~counts:(TA.counts_of_list (List.map snd children))
+              in
+              match parents with
+              | _ :: _ :: _ -> Reject "two parents"
+              | [ _ ] ->
+                  if expected <> state then Reject "transition mismatch"
+                  else Accept
+              | [] ->
+                  if dist3 <> 0 then Reject "root must have distance 0"
+                  else if expected <> state then
+                    Reject "root transition mismatch"
+                  else if not (auto.TA.accepting state) then
+                    Reject "root state not accepting"
+                  else Accept)
   in
-  {
-    Scheme.name = "tree-mso-table[" ^ table.U.name ^ "]";
-    prover;
-    verifier;
-    compiled = None;
-  }
+  Scheme.of_lowering
+    ~name:("tree-mso-table[" ^ table.U.name ^ "]")
+    ~prover
+    { decode = (fun ~id_bits:_ c -> decode_full c); check; flat = None }
 
 let with_tree_promise_check scheme =
   Scheme.conjoin

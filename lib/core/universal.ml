@@ -52,42 +52,48 @@ let graph_of_rows rows =
       ok := false;
     if !ok then Some (Graph.of_edges ~n:(List.length rows) !es) else None
 
-let make ~name p =
-  let verifier (view : Scheme.view) : Scheme.verdict =
-    let id_bits = view.id_bits in
-    match decode ~id_bits view.cert with
-    | None -> Reject "malformed description"
-    | Some rows -> (
-        if List.exists (fun (_, c) -> not (Bitstring.equal c view.cert)) view.nbrs
-        then Reject "neighbors carry a different description"
-        else
-          let my_row = List.assoc_opt view.me rows in
-          let true_nbrs = List.sort Int.compare (List.map fst view.nbrs) in
-          match my_row with
-          | None -> Reject "description misses my row"
-          | Some claimed when claimed <> true_nbrs ->
-              Reject "description misstates my neighborhood"
-          | Some _ -> (
-              match graph_of_rows rows with
-              | None -> Reject "description is not a valid graph"
-              | Some g ->
-                  if not (Graph.is_connected g) then
-                    Reject "described graph is disconnected"
-                  else if p g then Accept
-                  else Reject "described graph fails the property"))
-  in
+(* Certificates stay raw: neighbors must carry the same description
+   bit for bit, so only the vertex's own copy is ever parsed. *)
+let lowering p : Bitstring.t Scheme.lowering =
   {
-    Scheme.name = "universal[" ^ name ^ "]";
-    prover =
-      (fun inst ->
-        if Graph.is_connected inst.graph && p inst.graph then begin
-          let c = encode ~id_bits:inst.id_bits (describe inst) in
-          Some (Array.make (Instance.n inst) c)
-        end
-        else None);
-    verifier;
-    compiled = None;
+    decode = (fun ~id_bits:_ c -> c);
+    check =
+      (fun ~id_bits ~me ~label:_ mine ~ids ~decs ~lo ~hi ->
+        match decode ~id_bits mine with
+        | None -> Reject "malformed description"
+        | Some rows -> (
+            let differs = ref false in
+            for i = lo to hi - 1 do
+              if not (Bitstring.equal decs.(i) mine) then differs := true
+            done;
+            if !differs then Reject "neighbors carry a different description"
+            else
+              match List.assoc_opt me rows with
+              | None -> Reject "description misses my row"
+              | Some claimed
+                when claimed <> List.init (hi - lo) (fun i -> ids.(lo + i)) ->
+                  Reject "description misstates my neighborhood"
+              | Some _ -> (
+                  match graph_of_rows rows with
+                  | None -> Reject "description is not a valid graph"
+                  | Some g ->
+                      if not (Graph.is_connected g) then
+                        Reject "described graph is disconnected"
+                      else if p g then Accept
+                      else Reject "described graph fails the property")));
+    flat = None;
   }
+
+let make ~name p =
+  Scheme.of_lowering
+    ~name:("universal[" ^ name ^ "]")
+    ~prover:(fun inst ->
+      if Graph.is_connected inst.graph && p inst.graph then begin
+        let c = encode ~id_bits:inst.id_bits (describe inst) in
+        Some (Array.make (Instance.n inst) c)
+      end
+      else None)
+    (lowering p)
 
 let of_formula phi = make ~name:(Formula.to_string phi) (fun g -> Eval.sentence g phi)
 

@@ -32,14 +32,13 @@ let run_par ?pool ?jobs ?(early_exit = false) scheme inst certs =
         done
       end;
       (* The compiled fast path: decode-once, flat-array kernels
-         (Vcompile).  Falling back to the interpreted verifier when the
-         scheme has no lowering (or compilation is toggled off) keeps
-         this a drop-in — both paths produce identical outcomes. *)
+         (Vcompile).  With compilation toggled off, the interpreted
+         oracle runs instead — both produce identical outcomes. *)
       let kernel = Vcompile.compile scheme inst certs in
       let check =
         match kernel with
         | Some k -> k
-        | None -> fun v -> scheme.Scheme.verifier (Scheme.view_of inst certs v)
+        | None -> fun v -> Scheme.verify scheme (Scheme.view_of inst certs v)
       in
       let stop = Atomic.make false in
       let per_chunk =
@@ -48,13 +47,12 @@ let run_par ?pool ?jobs ?(early_exit = false) scheme inst certs =
             let lo = c * n / chunks and hi = (c + 1) * n / chunks in
             let rejections = ref [] in
             (* Only [Exit] (the early-exit signal) is caught here: a
-               verifier that raises is a programming error in this
-               single-assignment engine, and the exception propagates
-               through [Pool].  Exception containment for compiled
-               kernels lives in [Vcompile] (non-fatal falls back to the
-               interpreted verifier per vertex); containment for wire
-               data lives in [Runtime.run_verifier], where mangled
-               deliveries make verifier failures expected. *)
+               lowering that raises is a programming error (lowerings
+               are total by contract), and the exception propagates
+               through [Pool] exactly as it does from [Scheme.run].
+               Containment for wire data lives in
+               [Runtime.run_verifier], where mangled deliveries make
+               verifier failures expected. *)
             (try
                (* downto, so consing leaves the list vertex-ascending *)
                for v = hi - 1 downto lo do

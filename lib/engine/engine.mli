@@ -16,7 +16,7 @@
     and the same fooling witness.
 
     Verifiers run concurrently from several domains, so a scheme's
-    [verifier] must be thread-safe.  Every scheme in this library is:
+    lowering must be thread-safe.  Every scheme in this library is:
     views and instances are immutable, and the three closures that memo
     across calls ([Kernel_mso]'s evaluation cache and the intern tables
     of [Tree_automaton.product] / [Capped_type]) are mutex-guarded. *)
@@ -40,7 +40,10 @@ val run_par :
       rejection, via a shared atomic flag; the outcome then carries at
       least one rejection but not necessarily all of them.  With the
       default, the outcome equals [Scheme.run scheme inst certs]
-      exactly. *)
+      exactly.
+
+    An exception raised by the scheme's lowering propagates, as it
+    does from {!Scheme.run}; the pool survives it. *)
 
 val attack_par :
   ?pool:Pool.t ->

@@ -1,17 +1,20 @@
 (* Ahead-of-time compilation of lowered verifiers.
 
-   A scheme with a lowering splits its verifier into a total decode
-   stage and a check stage over pre-decoded values (Scheme.lowering).
-   The interpreted verifier re-decodes every certificate at every
-   vertex that sees it — a vertex of degree d costs d + 1 decodes, and
-   the allocations those decodes make are what serializes parallel
-   sweeps on the shared minor heap.  [compile] instead decodes each
+   Every scheme's verifier is a lowering: a total decode stage and a
+   check stage over pre-decoded values (Scheme.lowering).  The
+   interpreted oracle (Scheme.verify) re-decodes every certificate at
+   every vertex that sees it — a vertex of degree d costs d + 1
+   decodes, and the allocations those decodes make are what serializes
+   parallel sweeps on the shared minor heap.  [compile] instead decodes each
    distinct certificate exactly once up front (certificates are
    interned, so broadcast-heavy schemes decode a handful of strings),
    lays the per-vertex neighbor views out as flat arrays, and returns
-   a per-vertex kernel that runs only the check stage: no decoding, no
-   list building, and for the built-in schemes no allocation at all on
-   the accept path. *)
+   a per-vertex kernel that runs only the check stage: no decoding,
+   and for schemes whose check walks its slice in place (the flat-plane
+   families among them) no allocation at all on the accept path.  The
+   checks ported from verifier closures (Lcl, Tree_mso.make_table,
+   Existential_fo, Universal) and the conjoin/disjoin combinators
+   still build a neighbor list or sub-slices per vertex. *)
 
 module BH = Hashtbl.Make (struct
   type t = Bitstring.t
@@ -24,221 +27,177 @@ let enabled = Atomic.make true
 let set_enabled b = Atomic.set enabled b
 let is_enabled () = Atomic.get enabled
 
-(* Fallbacks are per-vertex and deterministic for a full sweep, but
-   early-exit sweeps visit a scheduling-dependent subset of vertices,
-   so the count is approximate. *)
-let fallback_counter () = Metrics.counter ~approx:true "engine.compiled_fallbacks"
-
 (* Compilation is pure in (scheme, instance, certificates), and the
-   dominant caller pattern — the runtime's round loop, repeated
-   sweeps over one assignment — re-presents the same inputs verbatim.
-   A single slot remembers the last compile.  Validity is physical:
-   same scheme, same instance, and every certificate the same value
-   it was (bitstrings are immutable, so [==] per element certifies
-   the array's contents; the snapshot copy guards against in-place
-   element replacement in the caller's array).  Any difference falls
-   through to a fresh compile, so the cache is invisible except in
-   time.  The slot pins O(n) words for the last instance — bounded,
-   and released by the next compile. *)
+   dominant callers re-present the same inputs verbatim: the runtime's
+   round loop, repeated sweeps over one assignment, and a server
+   answering verifies of a few (scheme, graph) pairs in turn.  A short
+   most-recently-used list remembers the last compiles.  Validity is
+   physical: same scheme, same instance, and every certificate the
+   same value it was (bitstrings are immutable, so [==] per element
+   certifies the array's contents; the snapshot copy guards against
+   in-place element replacement in the caller's array).  Any
+   difference falls through to a fresh compile, so the cache is
+   invisible except in time.  The newest kernel is always kept; older
+   ones stay only while the list holds at most [slots] kernels over at
+   most [slot_budget] vertex-plus-adjacency slots, so two schemes
+   alternating on one mid-sized graph both hit, while a kernel past
+   the budget pins only itself.  Domains race on the list
+   last-writer-wins, which can only drop an entry. *)
+let slots = 4
+let slot_budget = 1 lsl 21
+
 type entry = {
   c_scheme : Scheme.t;
   c_inst : Instance.t;
   c_certs : Bitstring.t array;
   c_kernel : int -> Scheme.verdict;
+  c_size : int;
 }
 
-let slot : entry option Atomic.t = Atomic.make None
+let recent : entry list Atomic.t = Atomic.make []
 
-let slot_hit (scheme : Scheme.t) (inst : Instance.t) certs =
-  match Atomic.get slot with
+let same_inputs e (scheme : Scheme.t) (inst : Instance.t) certs =
+  let n = Array.length certs in
+  e.c_scheme == scheme && e.c_inst == inst
+  && Array.length e.c_certs = n
+  &&
+  let i = ref 0 in
+  while !i < n && e.c_certs.(!i) == certs.(!i) do
+    incr i
+  done;
+  !i = n
+
+let lookup scheme inst certs =
+  let l = Atomic.get recent in
+  match List.find_opt (fun e -> same_inputs e scheme inst certs) l with
   | None -> None
   | Some e ->
-      let n = Array.length certs in
-      if
-        e.c_scheme == scheme && e.c_inst == inst
-        && Array.length e.c_certs = n
-        &&
-        let i = ref 0 in
-        while !i < n && e.c_certs.(!i) == certs.(!i) do
-          incr i
-        done;
-        !i = n
-      then begin
-        if Metrics.is_enabled () then
-          Metrics.incr (Metrics.counter ~approx:true "vcompile.kernel_reuse");
-        Some e.c_kernel
-      end
-      else None
+      if List.hd l != e then
+        Atomic.set recent (e :: List.filter (fun e' -> e' != e) l);
+      if Metrics.is_enabled () then
+        Metrics.incr (Metrics.counter ~approx:true "vcompile.kernel_reuse");
+      Some e.c_kernel
 
+let remember e =
+  let rec keep used k = function
+    | x :: rest when k < slots && used + x.c_size <= slot_budget ->
+        x :: keep (used + x.c_size) (k + 1) rest
+    | _ -> []
+  in
+  Atomic.set recent (e :: keep e.c_size 1 (Atomic.get recent))
+
+(* A raising decode or check propagates, as it does from Scheme.run:
+   lowerings are total by contract, so a raise is a bug. *)
 let compile_fresh (scheme : Scheme.t) (inst : Instance.t) certs =
-  match scheme.Scheme.compiled with
-    | None -> None
-    | Some (Scheme.Compiled l) ->
-        Span.with_ ("vcompile." ^ scheme.Scheme.name) @@ fun () ->
-        let id_bits = inst.Instance.id_bits in
-        let ids = inst.Instance.ids in
-        let labels = inst.Instance.labels in
-        let g = inst.Instance.graph in
-        let n = Graph.n g in
-        (* Decode once per distinct certificate.  [decode] is total by
-           contract; if a custom lowering still raises, a non-fatal
-           exception poisons that certificate ([None]) and every vertex
-           seeing it falls back to the interpreted verifier, keeping
-           the engine's containment story; fatal exceptions propagate
-           (Fatal.is_fatal). *)
-        let cache = BH.create (max 16 (min n 65536)) in
-        let dec_of c =
-          match BH.find_opt cache c with
-          | Some d -> d
-          | None ->
-              let d =
-                match l.Scheme.decode ~id_bits c with
-                | d -> Some d
-                | exception e when not (Fatal.is_fatal e) -> None
-              in
-              BH.add cache c d;
-              d
-        in
-        let dec = Array.map dec_of certs in
-        let interpret v =
-          if Metrics.is_enabled () then Metrics.incr (fallback_counter ());
-          scheme.Scheme.verifier (Scheme.view_of inst certs v)
-        in
-        (* The compiled layout mirrors the graph's CSR: one whole-graph
-           [nbr_ids]/[nbr_dec] pair shaped exactly like the adjacency
-           [col] array, rows sorted ascending by *identifier* — the
-           order [Scheme.view_of] presents.  The kernel hands each
-           check its row as a slice of the two shared arrays, so a
-           sweep is one linear pass over flat memory with no per-vertex
-           view structure at all.  A vertex that sees any poisoned
-           certificate keeps [ok = false] and takes the interpreted
-           path; its slots hold an arbitrary witness decode and are
-           never read. *)
-        let witness = ref None in
-        (try
-           Array.iter
-             (function Some _ as d -> witness := d; raise Exit | None -> ())
-             dec
-         with Exit -> ());
-        (match !witness with
+  match scheme.Scheme.lowering with
+  | Scheme.Compiled l -> (
+      Span.with_ ("vcompile." ^ scheme.Scheme.name) @@ fun () ->
+      let id_bits = inst.Instance.id_bits in
+      let ids = inst.Instance.ids in
+      let labels = inst.Instance.labels in
+      let g = inst.Instance.graph in
+      let n = Graph.n g in
+      (* Decode once per distinct certificate. *)
+      let cache = BH.create (max 16 (min n 65536)) in
+      let dec_of c =
+        match BH.find_opt cache c with
+        | Some d -> d
         | None ->
-            (* every certificate poisoned: nothing to lay out *)
-            Some interpret
-        | Some w ->
-            let rp, col = Graph.unsafe_csr g in
-            let total = rp.(n) in
-            let nbr_ids = Array.make total 0 in
-            let nbr_dec = Array.make total w in
-            let mine = Array.make n w in
-            let ok = Array.make n true in
-            for v = 0 to n - 1 do
-              match dec.(v) with
-              | Some d -> mine.(v) <- d
-              | None -> ok.(v) <- false
+            let d = l.Scheme.decode ~id_bits c in
+            BH.add cache c d;
+            d
+      in
+      let mine = Array.map dec_of certs in
+      (* The compiled layout mirrors the graph's CSR: one whole-graph
+         [nbr_ids]/[nbr_dec] pair shaped exactly like the adjacency
+         [col] array, rows sorted ascending by *identifier* — the
+         order [Scheme.view_of] presents.  The kernel hands each check
+         its row as a slice of the two shared arrays, so a sweep is one
+         linear pass over flat memory with no per-vertex view structure
+         at all. *)
+      let rp, col = Graph.unsafe_csr g in
+      let total = rp.(n) in
+      let nbr_ids = Array.make total 0 in
+      let nbr_dec = if total = 0 then [||] else Array.make total mine.(0) in
+      for v = 0 to n - 1 do
+        let lo = rp.(v) and hi = rp.(v + 1) in
+        let sorted = ref true in
+        for i = lo to hi - 1 do
+          let u = Array.unsafe_get col i in
+          nbr_dec.(i) <- mine.(u);
+          let idu = ids.(u) in
+          nbr_ids.(i) <- idu;
+          if i > lo && nbr_ids.(i - 1) > idu then sorted := false
+        done;
+        (* Rows come out of the CSR in vertex order and ids are assigned
+           ascending in vertex order for generated instances, so rows
+           are almost always already sorted; otherwise a joint insertion
+           sort of the (id, dec) pairs restores the view order. *)
+        if not !sorted then
+          for i = lo + 1 to hi - 1 do
+            let ki = nbr_ids.(i) and di = nbr_dec.(i) in
+            let j = ref (i - 1) in
+            while !j >= lo && nbr_ids.(!j) > ki do
+              nbr_ids.(!j + 1) <- nbr_ids.(!j);
+              nbr_dec.(!j + 1) <- nbr_dec.(!j);
+              decr j
             done;
-            for v = 0 to n - 1 do
-              let lo = rp.(v) and hi = rp.(v + 1) in
-              let sorted = ref true in
-              for i = lo to hi - 1 do
-                let u = Array.unsafe_get col i in
-                (match dec.(u) with
-                | Some d -> nbr_dec.(i) <- d
-                | None -> ok.(v) <- false);
-                let idu = ids.(u) in
-                nbr_ids.(i) <- idu;
-                if i > lo && nbr_ids.(i - 1) > idu then sorted := false
-              done;
-              (* Rows come out of the CSR in vertex order and ids are
-                 assigned ascending in vertex order for generated
-                 instances, so rows are almost always already sorted;
-                 otherwise a joint insertion sort of the (id, dec)
-                 pairs restores the view order. *)
-              if not !sorted then
-                for i = lo + 1 to hi - 1 do
-                  let ki = nbr_ids.(i) and di = nbr_dec.(i) in
-                  let j = ref (i - 1) in
-                  while !j >= lo && nbr_ids.(!j) > ki do
-                    nbr_ids.(!j + 1) <- nbr_ids.(!j);
-                    nbr_dec.(!j + 1) <- nbr_dec.(!j);
-                    decr j
-                  done;
-                  nbr_ids.(!j + 1) <- ki;
-                  nbr_dec.(!j + 1) <- di
-                done
-            done;
-            (* Schemes that publish a flat plane (Scheme.flat) get a
-               struct-of-arrays layout: slot [i]'s decoded fields as
-               ints at [plane.(i * width ..)].  Boxed decoded records
-               are placed by the major allocator's size-class free
-               lists, so on graphs whose adjacency is not id-local — a
-               random tree at n = 10^6 — every [nbr_dec] dereference
-               is a cache miss and those misses dominate the sweep; the
-               plane is one contiguous int array the row walk streams
-               sequentially.  [nbr_dec] stays the sort's staging array
-               and is dropped once the plane is written. *)
-            match l.Scheme.flat with
-            | Some f ->
-                let k = f.Scheme.width in
-                let plane = Array.make (total * k) 0 in
-                for i = 0 to total - 1 do
-                  f.Scheme.write (Array.unsafe_get nbr_dec i) plane (i * k)
-                done;
-                (* own fields flattened too: [mine.(v)] is a boxed
-                   record behind a pointer, and one random dereference
-                   per vertex is still one miss per vertex at 10⁶ *)
-                let mine_plane = Array.make (n * k) 0 in
-                for v = 0 to n - 1 do
-                  f.Scheme.write (Array.unsafe_get mine v) mine_plane (v * k)
-                done;
-                Some
-                  (fun v ->
-                    if not (Array.unsafe_get ok v) then interpret v
-                    else
-                      match
-                        f.Scheme.check_flat ~id_bits
-                          ~me:(Array.unsafe_get ids v)
-                          ~label:(Array.unsafe_get labels v)
-                          ~mine:mine_plane ~mbase:(v * k)
-                          ~ids:nbr_ids ~plane
-                          ~lo:(Array.unsafe_get rp v)
-                          ~hi:(Array.unsafe_get rp (v + 1))
-                      with
-                      | verdict -> verdict
-                      | exception e when not (Fatal.is_fatal e) -> interpret v)
-            | None ->
-                Some
-                  (fun v ->
-                    if not (Array.unsafe_get ok v) then interpret v
-                    else
-                      match
-                        l.Scheme.check ~id_bits ~me:(Array.unsafe_get ids v)
-                          ~label:(Array.unsafe_get labels v)
-                          (Array.unsafe_get mine v)
-                          ~ids:nbr_ids ~decs:nbr_dec
-                          ~lo:(Array.unsafe_get rp v)
-                          ~hi:(Array.unsafe_get rp (v + 1))
-                      with
-                      | verdict -> verdict
-                      | exception e when not (Fatal.is_fatal e) -> interpret v))
+            nbr_ids.(!j + 1) <- ki;
+            nbr_dec.(!j + 1) <- di
+          done
+      done;
+      (* Schemes that publish a flat plane (Scheme.flat) get a
+         struct-of-arrays layout: slot [i]'s decoded fields as ints at
+         [plane.(i * width ..)].  Boxed decoded records are placed by
+         the major allocator's size-class free lists, so on graphs whose
+         adjacency is not id-local — a random tree at n = 10^6 — every
+         [nbr_dec] dereference is a cache miss and those misses dominate
+         the sweep; the plane is one contiguous int array the row walk
+         streams sequentially.  [nbr_dec] stays the sort's staging array
+         and is dropped once the plane is written. *)
+      match l.Scheme.flat with
+      | Some f ->
+          let k = f.Scheme.width in
+          let plane = Array.make (total * k) 0 in
+          for i = 0 to total - 1 do
+            f.Scheme.write (Array.unsafe_get nbr_dec i) plane (i * k)
+          done;
+          (* own fields flattened too: [mine.(v)] is a boxed record
+             behind a pointer, and one random dereference per vertex is
+             still one miss per vertex at 10⁶ *)
+          let mine_plane = Array.make (n * k) 0 in
+          for v = 0 to n - 1 do
+            f.Scheme.write (Array.unsafe_get mine v) mine_plane (v * k)
+          done;
+          fun v ->
+            f.Scheme.check_flat ~id_bits ~me:(Array.unsafe_get ids v)
+              ~label:(Array.unsafe_get labels v) ~mine:mine_plane
+              ~mbase:(v * k) ~ids:nbr_ids ~plane ~lo:(Array.unsafe_get rp v)
+              ~hi:(Array.unsafe_get rp (v + 1))
+      | None ->
+          fun v ->
+            l.Scheme.check ~id_bits ~me:(Array.unsafe_get ids v)
+              ~label:(Array.unsafe_get labels v) (Array.unsafe_get mine v)
+              ~ids:nbr_ids ~decs:nbr_dec ~lo:(Array.unsafe_get rp v)
+              ~hi:(Array.unsafe_get rp (v + 1)))
 
 let compile scheme inst certs =
   if not (Atomic.get enabled) then None
   else
-    match slot_hit scheme inst certs with
+    match lookup scheme inst certs with
     | Some kernel -> Some kernel
-    | None -> (
-        match compile_fresh scheme inst certs with
-        | None -> None
-        | Some kernel ->
-            Atomic.set slot
-              (Some
-                 {
-                   c_scheme = scheme;
-                   c_inst = inst;
-                   c_certs = Array.copy certs;
-                   c_kernel = kernel;
-                 });
-            Some kernel)
+    | None ->
+        let kernel = compile_fresh scheme inst certs in
+        let rp, _ = Graph.unsafe_csr inst.Instance.graph in
+        remember
+          {
+            c_scheme = scheme;
+            c_inst = inst;
+            c_certs = Array.copy certs;
+            c_kernel = kernel;
+            c_size = Array.length rp + rp.(Array.length rp - 1);
+          };
+        Some kernel
 
 (* Runtime inbox views carry per-delivery certificate copies, so a
    per-instance compile keyed by physical arrays does not apply; what
@@ -251,38 +210,30 @@ let cache_limit = 8192
 let view_checker (scheme : Scheme.t) =
   if not (Atomic.get enabled) then None
   else
-    match scheme.Scheme.compiled with
-    | None -> None
-    | Some (Scheme.Compiled l) ->
+    match scheme.Scheme.lowering with
+    | Scheme.Compiled l ->
         let key = Domain.DLS.new_key (fun () -> BH.create 64) in
         Some
           (fun (view : Scheme.view) ->
-            match
-              let cache = Domain.DLS.get key in
-              if BH.length cache > cache_limit then BH.reset cache;
-              let id_bits = view.Scheme.id_bits in
-              let dec_of c =
-                match BH.find_opt cache c with
-                | Some d -> d
-                | None ->
-                    let d = l.Scheme.decode ~id_bits c in
-                    BH.add cache c d;
-                    d
-              in
-              let mine = dec_of view.Scheme.cert in
-              let deg = List.length view.Scheme.nbrs in
-              let ids = Array.make deg 0 in
-              let decs = Array.make deg mine in
-              List.iteri
-                (fun i (nid, c) ->
-                  ids.(i) <- nid;
-                  decs.(i) <- dec_of c)
-                view.Scheme.nbrs;
-              l.Scheme.check ~id_bits ~me:view.Scheme.me
-                ~label:view.Scheme.label mine ~ids ~decs ~lo:0 ~hi:deg
-            with
-            | verdict -> verdict
-            | exception e when not (Fatal.is_fatal e) ->
-                if Metrics.is_enabled () then
-                  Metrics.incr (fallback_counter ());
-                scheme.Scheme.verifier view)
+            let cache = Domain.DLS.get key in
+            if BH.length cache > cache_limit then BH.reset cache;
+            let id_bits = view.Scheme.id_bits in
+            let dec_of c =
+              match BH.find_opt cache c with
+              | Some d -> d
+              | None ->
+                  let d = l.Scheme.decode ~id_bits c in
+                  BH.add cache c d;
+                  d
+            in
+            let mine = dec_of view.Scheme.cert in
+            let deg = List.length view.Scheme.nbrs in
+            let ids = Array.make deg 0 in
+            let decs = Array.make deg mine in
+            List.iteri
+              (fun i (nid, c) ->
+                ids.(i) <- nid;
+                decs.(i) <- dec_of c)
+              view.Scheme.nbrs;
+            l.Scheme.check ~id_bits ~me:view.Scheme.me ~label:view.Scheme.label
+              mine ~ids ~decs ~lo:0 ~hi:deg)

@@ -1,23 +1,20 @@
 (** Ahead-of-time compilation of lowered verifiers.
 
-    A {!Scheme.lowering} splits a radius-1 verifier into a total
+    Every scheme's verifier is a {!Scheme.lowering}: a total
     per-certificate decode stage and a check stage over pre-decoded
-    values.  The interpreted verifier re-decodes every certificate at
-    every vertex that sees it; this module decodes each {e distinct}
-    certificate once and drives the check stage through flat
-    precomputed arrays, which removes the per-vertex allocation churn
-    that serializes parallel sweeps on the shared minor heap
-    (DESIGN §5.5).
-
-    Verdict equality with the interpreted path is structural: a lowered
-    scheme's [verifier] {e is} [Scheme.check_lowered] over the same
-    lowering the compiler uses, so both paths end in the same check
-    function — reason strings included. *)
+    values.  The interpreted oracle {!Scheme.verify} re-decodes every
+    certificate at every vertex that sees it; this module decodes each
+    {e distinct} certificate once and drives the check stage through
+    flat precomputed arrays, which removes the per-vertex allocation
+    churn that serializes parallel sweeps on the shared minor heap
+    (DESIGN §5.5).  Verdict equality with {!Scheme.verify} is
+    structural: both paths end in the same check function — reason
+    strings included. *)
 
 val set_enabled : bool -> unit
 (** Globally enable/disable compilation (default: enabled).  With it
     disabled, {!compile} and {!view_checker} return [None] and every
-    engine runs the interpreted verifier — the CLI's [--no-compiled]. *)
+    engine runs {!Scheme.verify} — the CLI's [--no-compiled]. *)
 
 val is_enabled : unit -> bool
 
@@ -27,35 +24,35 @@ val compile :
     sweep: certificates are decoded once (per distinct bitstring — they
     are interned, so broadcast-heavy schemes decode a handful), and
     per-vertex neighbor views are laid out as id-ascending flat arrays
-    mirroring {!Scheme.view_of}.  [None] when the scheme has no
-    lowering or compilation is disabled; then callers fall back to the
-    interpreted verifier.
+    mirroring {!Scheme.view_of}.  [None] only when compilation is
+    disabled; then callers run {!Scheme.verify}.
 
-    Repeated sweeps reuse the previous kernel: a single-slot cache
-    keyed by physical identity of [scheme] and [inst] plus per-element
-    physical equality of [certs] (bitstrings are immutable, so [==]
-    certifies contents) returns the last compile when the inputs are
-    verbatim the same — the runtime's round loop and benchmark ladders
-    pay decode cost once, not once per sweep.  Reuse is counted in the
+    Repeated sweeps reuse earlier kernels: a cache of the few most
+    recent compiles, keyed by physical identity of [scheme] and [inst]
+    plus per-element physical equality of [certs] (bitstrings are
+    immutable, so [==] certifies contents), returns a kernel when the
+    inputs are verbatim the same — the runtime's round loop, benchmark
+    ladders and a server alternating schemes on one graph pay decode
+    cost once, not once per sweep.  It keeps up to four kernels while
+    their graphs total at most 2²¹ vertex-plus-adjacency slots; the
+    newest kernel is always kept.  Reuse is counted in the
     approximate [vcompile.kernel_reuse] metric.  Any changed
     certificate, instance or scheme recompiles, so behavior never
     differs from a fresh compile.
 
-    Containment: lowerings are total by contract, but if a custom one
-    still raises, a non-fatal exception from decode or check makes the
-    affected vertex fall back to [scheme.verifier] on its interpreted
-    view (counted in [engine.compiled_fallbacks]); fatal exceptions —
-    {!Localcert_util.Fatal.is_fatal} — propagate.  The kernel itself is
-    safe to call concurrently from several domains: compilation
-    populated every shared structure before returning.
+    Lowerings are total by contract; if one still raises, the
+    exception propagates from [compile] (decode) or from the kernel
+    (check), as it does from {!Scheme.run}.  The kernel itself is safe
+    to call concurrently from several domains: compilation populated
+    every shared structure before returning.
 
     Compilation time is recorded as a [vcompile.<scheme>] span. *)
 
 val view_checker : Scheme.t -> (Scheme.view -> Scheme.verdict) option
-(** A compiled drop-in for [scheme.verifier] on runtime inbox views,
+(** A compiled drop-in for {!Scheme.verify} on runtime inbox views,
     where certificates arrive as per-delivery wire copies and no
     instance-wide array exists to compile against.  Decoded values are
     cached per domain (content-keyed, bounded), so repeated rounds and
     broadcast certificates decode once per domain rather than once per
-    vertex per round.  Same fallback and containment behavior as
-    {!compile}. *)
+    vertex per round.  [None] only when compilation is disabled; an
+    exception from the lowering propagates, as from {!compile}. *)

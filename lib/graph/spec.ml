@@ -36,6 +36,12 @@ let parse ?max_vertices ?max_edges spec =
     | _ -> ()
   in
   let fi = float_of_int in
+  (* Gen.star and Gen.cycle refuse degenerate sizes themselves; path and
+     clique would build the empty graph, which no instance accepts. *)
+  let nonempty name n =
+    if n < 1 then failwith (name ^ ": need n >= 1");
+    n
+  in
   let sized ~n ~m g =
     check ~n ~m;
     g ()
@@ -43,7 +49,7 @@ let parse ?max_vertices ?max_edges spec =
   match
     match String.split_on_char ':' spec with
     | [ "path"; n ] ->
-        let n = int_field "path" n in
+        let n = nonempty "path" (int_field "path" n) in
         sized ~n:(fi n) ~m:(fi n) (fun () -> Gen.path n)
     | [ "cycle"; n ] ->
         let n = int_field "cycle" n in
@@ -52,7 +58,7 @@ let parse ?max_vertices ?max_edges spec =
         let n = int_field "star" n in
         sized ~n:(fi n) ~m:(fi n) (fun () -> Gen.star n)
     | [ "clique"; n ] ->
-        let n = int_field "clique" n in
+        let n = nonempty "clique" (int_field "clique" n) in
         sized ~n:(fi n)
           ~m:(fi n *. (fi n -. 1.) /. 2.)
           (fun () -> Gen.clique n)

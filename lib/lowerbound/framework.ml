@@ -106,7 +106,7 @@ let protocol_of_scheme scheme gadget =
         List.for_all
           (fun v ->
             if List.mem (gadget.side_of v) my_sides then
-              match scheme.Scheme.verifier (Scheme.view_of inst certs v) with
+              match Scheme.verify scheme (Scheme.view_of inst certs v) with
               | Accept -> true
               | Reject _ -> false
             else true)

@@ -21,10 +21,10 @@ let chunk_factor = 8
    take the simulator down — but let fatal/programming-error
    exceptions (OOM, stack overflow, tripped assertions) escape: those
    mean the process is broken, not that a fault was detected.  [check]
-   is either the scheme's interpreted verifier or its compiled view
-   checker (Vcompile.view_checker) — the latter already falls back to
-   the interpreted verifier on a non-fatal failure of its own, so this
-   outer containment produces the same rejection text either way. *)
+   is either the interpreted oracle (Scheme.verify) or the compiled
+   view checker (Vcompile.view_checker); both run the same lowering and
+   raise the same exception, so the rejection text is the same
+   either way. *)
 let run_verifier check view =
   match check view with
   | verdict -> verdict
@@ -189,13 +189,13 @@ let execute ?pool ?jobs ?(plan = Fault.none) ?(rounds = 1) ?(seed = 0)
   with_pool_arg ?pool ?jobs (fun pool ->
       Span.with_ "runtime.execute" @@ fun () ->
       (* Inbox views carry per-delivery wire copies, so the per-domain
-         decode-cache checker is the applicable compiled form; [None]
-         (no lowering, or compilation off) keeps the interpreted
-         verifier.  Verdicts are identical either way. *)
+         decode-cache checker is the applicable compiled form; with
+         compilation off the interpreted oracle runs instead.  Verdicts
+         are identical either way. *)
       let check =
         match if compiled then Vcompile.view_checker scheme else None with
         | Some fast -> fast
-        | None -> scheme.Scheme.verifier
+        | None -> Scheme.verify scheme
       in
       let nodes = Node.boot inst certs in
       let n = Array.length nodes in

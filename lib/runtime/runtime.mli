@@ -140,12 +140,11 @@ val execute :
     per-round sweep; results are identical either way.
 
     [?compiled] (default [true]) runs verdicts through the scheme's
-    compiled view checker ({!Vcompile.view_checker}) when it has a
-    lowering: per-domain decode caches make repeated rounds and
-    broadcast certificates decode once instead of once per view.
-    [~compiled:false] — or a scheme without a lowering — uses the
-    interpreted verifier; outcomes and traces are identical either
-    way.
+    compiled view checker ({!Vcompile.view_checker}): per-domain
+    decode caches make repeated rounds and broadcast certificates
+    decode once instead of once per view.  [~compiled:false] uses the
+    interpreted oracle {!Scheme.verify}; outcomes and traces are
+    identical either way.
 
     [?recover] (default [false]) enables self-healing re-certification
     after detections — see the module preamble.

@@ -6,8 +6,8 @@
 
    - within a worker: the worker pops a queue batch and groups it by
      request ([group]), computing each distinct request once and
-     fanning the response out — this is what makes the compiled-kernel
-     single-slot cache in Vcompile fire once per batch;
+     fanning the response out — this is what makes Vcompile's compiled-kernel
+     cache fire once per batch;
    - across workers: [run] registers the computation in a shared
      in-flight table; a second worker that starts the same request
      while the first is still computing blocks on the leader's result

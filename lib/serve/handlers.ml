@@ -13,10 +13,10 @@
    cached per (scheme, graph): a service exists to answer many verify
    requests against few instances, and reusing the *physically same*
    certificate array across requests is what lets Vcompile's
-   single-slot kernel cache skip decode entirely on repeat sweeps.
-   The cache is a sharded Memo, bounded only by the distinct instances
-   a deployment names; flip variants get their own entries so they are
-   physically stable too. *)
+   kernel cache skip decode entirely on repeat sweeps.
+   The cache is a sharded Memo, insert-only and capped by entry count
+   ([max_prepared], [max_flipped], [max_instances] below); flip
+   variants get their own entries so they are physically stable too. *)
 
 type prepared = {
   scheme : Scheme.t;
@@ -35,8 +35,8 @@ type t = {
          topology, and at 10⁶+ vertices regenerating the graph (and
          re-streaming its edge list) dwarfs the verification sweep.
          Instances are immutable, and physical sharing is what lets
-         Vcompile's instance-keyed kernel slot carry across schemes'
-         requests on the same graph. *)
+         Vcompile's instance-keyed kernel cache hold every scheme's
+         kernel for one graph side by side. *)
 }
 
 let create ~pool () =

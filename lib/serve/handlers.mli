@@ -14,8 +14,8 @@ type t
 val create : pool:Pool.t -> unit -> t
 (** Shared evaluation state: the engine pool, the {!Batcher}, and
     capped per-(scheme, graph) prover caches whose certificate arrays
-    stay physically stable across requests (so Vcompile's single-slot
-    kernel cache fires on repeat sweeps). *)
+    stay physically stable across requests (so Vcompile's kernel cache
+    fires on repeat sweeps). *)
 
 val handle : t -> Protocol.request -> Protocol.response
 (** Evaluate one request.  Identical concurrent cacheable requests are

@@ -41,31 +41,39 @@ let instance_of rng =
    differentials cases where foolings exist and must be found by both
    sides. *)
 let length_scheme d =
-  {
-    Scheme.name = Printf.sprintf "len>=%d" d;
-    prover =
-      (fun inst ->
-        Some (Array.make (Instance.n inst) (Rng.bits (Rng.make d) d)));
-    verifier =
-      (fun view ->
-        if Bitstring.length view.Scheme.cert >= d then Scheme.Accept
-        else Scheme.Reject "certificate too short");
-    compiled = None;
-  }
+  Scheme.of_lowering
+    ~name:(Printf.sprintf "len>=%d" d)
+    ~prover:(fun inst ->
+      Some (Array.make (Instance.n inst) (Rng.bits (Rng.make d) d)))
+    {
+      Scheme.decode = (fun ~id_bits:_ c -> Bitstring.length c);
+      check =
+        (fun ~id_bits:_ ~me:_ ~label:_ len ~ids:_ ~decs:_ ~lo:_ ~hi:_ ->
+          if len >= d then Scheme.Accept
+          else Scheme.Reject "certificate too short");
+      flat = None;
+    }
 
 let even_count =
   Spanning_tree.vertex_count ~expected:(fun n -> n mod 2 = 0) "even"
 
-let schemes =
-  [|
-    Spanning_tree.acyclicity;
-    even_count;
+(* Composed lowerings; the vcompile differential holds them to
+   [Scheme.verify] too. *)
+let composed =
+  [
     Scheme.conjoin ~name:"acyclic-and-even" Spanning_tree.acyclicity even_count;
     Scheme.disjoin ~name:"acyclic-or-even" Spanning_tree.acyclicity even_count;
-    Tree_mso.make Library.has_perfect_matching.Library.auto;
-    Treedepth_cert.make ~t:4 ();
-    length_scheme 1;
-  |]
+  ]
+
+let schemes =
+  Array.of_list
+    ([ Spanning_tree.acyclicity; even_count ]
+    @ composed
+    @ [
+        Tree_mso.make Library.has_perfect_matching.Library.auto;
+        Treedepth_cert.make ~t:4 ();
+        length_scheme 1;
+      ])
 
 let scheme_of rng = schemes.(Rng.int rng (Array.length schemes))
 
@@ -298,61 +306,64 @@ let attack_par_sound_scheme () =
     [ pool1; pool4 ]
 
 (* ------------------------------------------------------------------ *)
-(* Compiled-kernel crash containment                                    *)
+(* A raising lowering                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* A scheme whose published lowering misbehaves at one vertex while its
-   interpreted verifier is fine.  Lowerings are total by contract, so
-   this can only happen through a bug — the engine's containment rule
-   (lib/util/fatal.ml) still applies: a non-fatal exception from the
-   kernel falls back to the interpreted verifier for that vertex, a
-   fatal one (here [Assert_failure]) propagates, because it means the
-   process is broken, not that a fault was detected. *)
-let booby_trapped ~target raise_fatal =
-  {
-    Scheme.name = "booby-trapped";
-    prover = (fun inst -> Some (Array.make (Instance.n inst) Bitstring.empty));
-    verifier = (fun _ -> Scheme.Accept);
-    compiled =
-      Some
-        (Scheme.Compiled
-           {
-             Scheme.decode = (fun ~id_bits:_ _ -> ());
-             check =
-               (fun ~id_bits:_ ~me ~label:_ () ~ids:_ ~decs:_ ~lo:_ ~hi:_ ->
-                 if me = target then
-                   if raise_fatal then assert false
-                   else failwith "kernel boom"
-                 else Scheme.Accept);
-             flat = None;
-           });
-  }
+(* A lowering that raises at one vertex: in its check, or in decoding
+   that vertex's certificate (the only non-empty one).  Lowerings are
+   total by contract, so this can only happen through a bug, and no
+   engine masks it: the exception propagates from [Engine.run_par]
+   exactly as from [Scheme.run].  The runtime's containment
+   ([Runtime.run_verifier]) is tested in test_runtime/test_incremental. *)
+let booby_trapped ~target ~in_decode exn =
+  Scheme.of_lowering ~name:"booby-trapped"
+    ~prover:(fun _ -> None)
+    {
+      Scheme.decode =
+        (fun ~id_bits:_ c ->
+          if in_decode && Bitstring.length c > 0 then raise exn);
+      check =
+        (fun ~id_bits:_ ~me ~label:_ () ~ids:_ ~decs:_ ~lo:_ ~hi:_ ->
+          if (not in_decode) && me = target then raise exn
+          else Scheme.Accept);
+      flat = None;
+    }
 
-let compiled_kernel_crash_containment () =
-  let n = 400 in
+let trap_instance n =
   let inst = Instance.make (Gen.random_tree (Rng.make 9) n) in
   (* ids are v+1 under Instance.make; trap a mid-chunk vertex *)
-  let scheme = booby_trapped ~target:(n / 2) false in
-  let certs = Option.get (scheme.Scheme.prover inst) in
-  List.iter
-    (fun pool ->
-      let out = Engine.run_par ~pool scheme inst certs in
-      check "non-fatal kernel crash contained (accepts via fallback)" true
-        (out.Scheme.accepted && out.Scheme.rejections = []))
-    [ pool1; pool4; pool8 ];
-  (* the fallback is visible in telemetry *)
-  Metrics.with_enabled true (fun () ->
-      Metrics.reset ();
-      ignore (Engine.run_par ~pool:pool4 scheme inst certs);
-      check "fallback counted" true
-        (Metrics.value (Metrics.counter "engine.compiled_fallbacks") >= 1);
-      Metrics.reset ())
+  let target = n / 2 in
+  let certs =
+    Array.init n (fun v ->
+        if v = target then Bitstring.of_bools [ true ] else Bitstring.empty)
+  in
+  (inst, target + 1, certs)
 
-let compiled_kernel_fatal_propagates () =
-  let n = 400 in
-  let inst = Instance.make (Gen.random_tree (Rng.make 9) n) in
-  let scheme = booby_trapped ~target:(n / 2) true in
-  let certs = Option.get (scheme.Scheme.prover inst) in
+let raised f =
+  match f () with (_ : Scheme.outcome) -> None | exception e -> Some e
+
+let lowering_raise_propagates () =
+  let inst, target, certs = trap_instance 400 in
+  List.iter
+    (fun in_decode ->
+      let scheme = booby_trapped ~target ~in_decode (Failure "boom") in
+      let reference = raised (fun () -> Scheme.run scheme inst certs) in
+      check "Scheme.run raises" true (reference = Some (Failure "boom"));
+      List.iter
+        (fun pool ->
+          check "run_par raises as Scheme.run does" true
+            (raised (fun () -> Engine.run_par ~pool scheme inst certs)
+            = reference))
+        [ pool1; pool4; pool8 ])
+    [ false; true ];
+  check_int "pool still works" 10
+    (Array.length (Pool.map_chunks pool4 ~chunks:10 Fun.id))
+
+let lowering_fatal_propagates () =
+  let inst, target, certs = trap_instance 400 in
+  let scheme =
+    booby_trapped ~target ~in_decode:false (Assert_failure ("trap", 1, 1))
+  in
   match Engine.run_par ~pool:pool4 scheme inst certs with
   | _ -> Alcotest.fail "expected Assert_failure to propagate"
   | exception Assert_failure _ ->
@@ -379,10 +390,10 @@ let suite =
       ] );
     ( "engine:containment",
       [
-        Alcotest.test_case "non-fatal compiled-kernel crash contained" `Quick
-          compiled_kernel_crash_containment;
-        Alcotest.test_case "fatal compiled-kernel crash propagates" `Quick
-          compiled_kernel_fatal_propagates;
+        Alcotest.test_case "non-fatal lowering raise propagates" `Quick
+          lowering_raise_propagates;
+        Alcotest.test_case "fatal lowering raise propagates" `Quick
+          lowering_fatal_propagates;
       ] );
     ( "engine:pool",
       [

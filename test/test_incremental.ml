@@ -214,12 +214,7 @@ let test_sparse_speedup () =
    into a Reject, silently masking broken verifier logic. *)
 let test_fatal_exception_propagates () =
   let broken =
-    {
-      Scheme.name = "asserts";
-      prover = (fun inst -> Some (Array.make (Instance.n inst) Bitstring.empty));
-      verifier = (fun _ -> assert false);
-      compiled = None;
-    }
+    Scheme.trivial ~name:"asserts" (fun ~degree:_ -> assert false)
   in
   let inst = Instance.make (Gen.path 5) in
   let certs = Option.get (broken.Scheme.prover inst) in
@@ -232,12 +227,7 @@ let test_fatal_exception_propagates () =
 
 let test_scheme_failure_still_contained () =
   let raising =
-    {
-      Scheme.name = "raises";
-      prover = (fun inst -> Some (Array.make (Instance.n inst) Bitstring.empty));
-      verifier = (fun _ -> failwith "boom");
-      compiled = None;
-    }
+    Scheme.trivial ~name:"raises" (fun ~degree:_ -> failwith "boom")
   in
   let inst = Instance.make (Gen.path 5) in
   let certs = Option.get (raising.Scheme.prover inst) in

@@ -586,9 +586,9 @@ let registry_summary () =
   List.iter2
     (fun (e : Registry.entry) line ->
       check (e.Registry.name ^ " line starts with family name") true
-        (String.length line >= String.length e.Registry.name
-        && String.sub line 0 (String.length e.Registry.name)
-           = e.Registry.name))
+        (String.starts_with ~prefix:e.Registry.name line);
+      check (e.Registry.name ^ " line carries [compiled]") true
+        (String.ends_with ~suffix:" [compiled]" line))
     Registry.all lines
 
 let suite =

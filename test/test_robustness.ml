@@ -95,7 +95,7 @@ let anclist_rejections () =
   let scheme = Treedepth_cert.make ~t:4 () in
   let certs = Option.get (scheme.Scheme.prover instance) in
   let expect_reason certs v fragment =
-    match scheme.Scheme.verifier (td_view instance certs v) with
+    match Scheme.verify scheme (td_view instance certs v) with
     | Scheme.Accept -> Alcotest.failf "expected a rejection at %d" v
     | Scheme.Reject reason ->
         check
@@ -119,7 +119,7 @@ let anclist_rejections () =
     (* some vertex carries a depth-4 list *)
     List.find
       (fun v ->
-        match t3.Scheme.verifier (td_view instance certs v) with
+        match Scheme.verify t3 (td_view instance certs v) with
         | Scheme.Reject r -> r = "depth exceeds bound"
         | Scheme.Accept -> false)
       (Graph.vertices g)

@@ -145,26 +145,25 @@ let test_all_neighbors_crashed () =
   check_int "exactly the center crashed" 1 m.Trace.crashed;
   check_int "5 rejecting verdicts per leaf" 35 m.Trace.rejecting_verdicts
 
-(* A verifier that raises must be folded into a rejection, not escape. *)
+(* A verifier that raises must be folded into a rejection, not escape,
+   with the same text on the compiled and the interpreted path. *)
 let test_raising_verifier_contained () =
   let raising =
-    {
-      Scheme.name = "raises";
-      prover = (fun inst -> Some (Array.make (Instance.n inst) Bitstring.empty));
-      verifier = (fun _ -> failwith "boom");
-      compiled = None;
-    }
+    Scheme.trivial ~name:"raises" (fun ~degree:_ -> failwith "boom")
   in
   let inst = Instance.make (Gen.path 5) in
   let certs = Option.get (raising.Scheme.prover inst) in
-  let r = Runtime.execute ~pool:pool1 raising inst certs in
-  check "rejected" false r.Runtime.outcome.Scheme.accepted;
   List.iter
-    (fun (_, reason) ->
-      check "reason mentions the raise" true
-        (String.length reason >= 15
-        && String.sub reason 0 15 = "verifier raised"))
-    r.Runtime.outcome.Scheme.rejections
+    (fun compiled ->
+      let r = Runtime.execute ~pool:pool1 ~compiled raising inst certs in
+      check "rejected" false r.Runtime.outcome.Scheme.accepted;
+      List.iter
+        (fun (_, reason) ->
+          Alcotest.(check string)
+            "reason names the raise" "verifier raised: Failure(\"boom\")"
+            reason)
+        r.Runtime.outcome.Scheme.rejections)
+    [ true; false ]
 
 (* ------------------------------------------------------------------ *)
 (* Plan validation (bugfix regression)                                  *)
@@ -314,12 +313,7 @@ let test_near_miss_on_no_instance () =
    keeps near_miss coherent (here: first trial wins, so no near-miss). *)
 let test_near_miss_absent_when_first_trial_wins () =
   let accept_all =
-    {
-      Scheme.name = "accept-all";
-      prover = (fun _ -> None);
-      verifier = (fun _ -> Scheme.Accept);
-      compiled = None;
-    }
+    Scheme.trivial ~name:"accept-all" (fun ~degree:_ -> Scheme.Accept)
   in
   let inst = Instance.make (Gen.path 4) in
   let r =

@@ -265,7 +265,9 @@ let conjoin_rejects_mixed_certs () =
 
 let attack_reports () =
   (* a scheme that accepts anything is fooled instantly *)
-  let yes = Scheme.trivial ~name:"always-yes" (fun _ -> Scheme.Accept) in
+  let yes =
+    Scheme.trivial ~name:"always-yes" (fun ~degree:_ -> Scheme.Accept)
+  in
   let rng = Rng.make 1 in
   let r =
     Attack.random_assignments rng yes (inst (Gen.path 3)) ~trials:10 ~max_bits:2
@@ -273,7 +275,9 @@ let attack_reports () =
   check "fooled" true (r.Attack.fooled <> None);
   check_int "stopped early" 1 r.Attack.trials;
   (* a scheme that rejects everything is never fooled *)
-  let no = Scheme.trivial ~name:"always-no" (fun _ -> Scheme.Reject "no") in
+  let no =
+    Scheme.trivial ~name:"always-no" (fun ~degree:_ -> Scheme.Reject "no")
+  in
   let r = Attack.exhaustive no (inst (Gen.path 2)) ~max_bits:1 in
   check "never fooled" true (r.Attack.fooled = None);
   check_int "3^2 assignments" 9 r.Attack.trials

@@ -506,6 +506,14 @@ let spec_size_caps () =
   refused "path:1000000000";
   refused "caterpillar:100000:100000";
   refused "edges:0-9999999999";
+  (* empty graphs are refused with or without caps *)
+  List.iter
+    (fun spec ->
+      refused spec;
+      match Spec.parse spec with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s not refused uncapped" spec)
+    [ "path:0"; "clique:0" ];
   List.iter
     (fun spec ->
       match (capped spec, Spec.parse spec) with
@@ -524,14 +532,17 @@ let handlers_resource_bounds () =
   Pool.with_pool ~jobs:1 (fun pool ->
       let h = Handlers.create ~pool () in
       (* a graph spec naming an enormous instance is a typed Bad_graph,
-         answered without building anything *)
-      (match
-         Handlers.handle h
-           (Protocol.Verify
-              { scheme = scheme_name; graph = "clique:100000"; flip = None })
-       with
-      | Protocol.Error (Protocol.Bad_graph _) -> ()
-      | _ -> Alcotest.fail "oversized graph spec must be Bad_graph");
+         answered without building anything; so is one naming the
+         empty graph *)
+      List.iter
+        (fun graph ->
+          match
+            Handlers.handle h
+              (Protocol.Verify { scheme = scheme_name; graph; flip = None })
+          with
+          | Protocol.Error (Protocol.Bad_graph _) -> ()
+          | _ -> Alcotest.failf "graph spec %s must be Bad_graph" graph)
+        [ "clique:100000"; "path:0"; "clique:0" ];
       (* unbounded rounds are a typed Bad_argument *)
       match
         Handlers.handle h

@@ -26,6 +26,15 @@ let seed_arbitrary = QCheck.(int_bound 1_000_000)
 let registry = Array.of_list Registry.all
 let entry_of rng = registry.(Rng.int rng (Array.length registry))
 
+(* Per-vertex differential inputs: every registry family, plus the
+   engine suite's composed (conjoin/disjoin) lowerings on its instances. *)
+let case_of rng =
+  let r = Array.length registry in
+  let k = Rng.int rng (r + List.length Test_engine.composed) in
+  if k < r then
+    (registry.(k).Registry.scheme, registry.(k).Registry.instance rng)
+  else (List.nth Test_engine.composed (k - r), Test_engine.instance_of rng)
+
 (* Corrupt a few vertices: replacement with noise, truncation to empty,
    or a single bit flip — the latter exercises "almost well-formed"
    certificates, where decode succeeds but check must reject. *)
@@ -73,57 +82,49 @@ let qcheck_kernel_per_vertex =
     ~name:"compile: kernel verdict ≡ interpreted verdict at every vertex"
     ~count:600 seed_arbitrary (fun seed ->
       let rng = Rng.make seed in
-      let entry = entry_of rng in
-      let scheme = entry.Registry.scheme in
-      let inst = entry.Registry.instance rng in
+      let scheme, inst = case_of rng in
       let certs = certs_of rng scheme inst in
-      match Vcompile.compile scheme inst certs with
-      | None ->
-          (* compile refuses only schemes without a lowering *)
-          scheme.Scheme.compiled = None
-      | Some kernel ->
-          let n = Instance.n inst in
-          let ok = ref true in
-          for v = 0 to n - 1 do
-            let interpreted =
-              scheme.Scheme.verifier (Scheme.view_of inst certs v)
-            in
-            if kernel v <> interpreted then ok := false
-          done;
-          !ok)
+      let kernel = Option.get (Vcompile.compile scheme inst certs) in
+      let n = Instance.n inst in
+      let ok = ref true in
+      for v = 0 to n - 1 do
+        if kernel v <> Scheme.verify scheme (Scheme.view_of inst certs v) then
+          ok := false
+      done;
+      !ok)
 
 let qcheck_view_checker_per_vertex =
   QCheck.Test.make
     ~name:"view_checker ≡ interpreted verifier on the same views" ~count:600
     seed_arbitrary (fun seed ->
       let rng = Rng.make seed in
-      let entry = entry_of rng in
-      let scheme = entry.Registry.scheme in
-      let inst = entry.Registry.instance rng in
+      let scheme, inst = case_of rng in
       let certs = certs_of rng scheme inst in
-      match Vcompile.view_checker scheme with
-      | None -> scheme.Scheme.compiled = None
-      | Some fast ->
-          let n = Instance.n inst in
-          let ok = ref true in
-          for v = 0 to n - 1 do
-            let view = Scheme.view_of inst certs v in
-            if fast view <> scheme.Scheme.verifier view then ok := false
-          done;
-          !ok)
+      let fast = Option.get (Vcompile.view_checker scheme) in
+      let n = Instance.n inst in
+      let ok = ref true in
+      for v = 0 to n - 1 do
+        let view = Scheme.view_of inst certs v in
+        if fast view <> Scheme.verify scheme view then ok := false
+      done;
+      !ok)
 
-(* The registry must actually exercise the compiled path: the families
-   the bench ladders run on all publish lowerings. *)
+(* Every registry family, composed ones included, compiles — decode is
+   total even on all-empty certificates — and its kernel agrees with
+   the interpreted oracle there. *)
 let lowered_coverage () =
-  let lowered name =
-    match Registry.find name with
-    | None -> Alcotest.failf "registry entry %s missing" name
-    | Some e -> e.Registry.scheme.Scheme.compiled <> None
-  in
   List.iter
-    (fun name -> check (name ^ " is lowered") true (lowered name))
-    [ "spanning"; "acyclic"; "treedepth"; "kernel-mso";
-      "tree-mso:perfect-matching" ]
+    (fun e ->
+      let scheme = e.Registry.scheme in
+      let inst = e.Registry.instance (Rng.make 1) in
+      let certs = Array.make (Instance.n inst) Bitstring.empty in
+      let kernel = Option.get (Vcompile.compile scheme inst certs) in
+      check (e.Registry.name ^ " compiles") true
+        (List.for_all
+           (fun v ->
+             kernel v = Scheme.verify scheme (Scheme.view_of inst certs v))
+           (Graph.vertices inst.Instance.graph)))
+    Registry.all
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: engine and runtime                                      *)
@@ -210,14 +211,48 @@ let compiled_hits_counted () =
         (Metrics.value (Metrics.counter "engine.compiled_hits") = 0);
       Metrics.reset ())
 
+(* Two schemes alternating on one instance both keep their kernels;
+   past four keys the oldest is evicted, and a changed certificate
+   array is a new key. *)
+let kernel_cache_alternation () =
+  let inst = Instance.make (Gen.random_tree (Rng.make 5) 120) in
+  let a = Spanning_tree.scheme () and b = Spanning_tree.acyclicity in
+  let ca = Option.get (a.Scheme.prover inst) in
+  let cb = Option.get (b.Scheme.prover inst) in
+  let reuse () =
+    Metrics.value (Metrics.counter ~approx:true "vcompile.kernel_reuse")
+  in
+  Metrics.with_enabled true (fun () ->
+      Metrics.reset ();
+      let ka = Option.get (Vcompile.compile a inst ca) in
+      let kb = Option.get (Vcompile.compile b inst cb) in
+      check "first scheme still cached" true
+        (Option.get (Vcompile.compile a inst ca) == ka);
+      check "second scheme still cached" true
+        (Option.get (Vcompile.compile b inst cb) == kb);
+      check "both hits counted" true (reuse () = 2);
+      let flips =
+        List.init 4 (fun v ->
+            let c = Array.copy ca in
+            c.(v) <- Bitstring.flip c.(v) 0;
+            c)
+      in
+      List.iter (fun c -> ignore (Vcompile.compile a inst c)) flips;
+      check "oldest key evicted after four newer ones" true
+        (Option.get (Vcompile.compile b inst cb) != kb);
+      let kf = Option.get (Vcompile.compile a inst (List.nth flips 3)) in
+      check "changed certificates get their own kernel" true
+        (kf != ka
+        && kf 3 = Scheme.verify a (Scheme.view_of inst (List.nth flips 3) 3));
+      Metrics.reset ())
+
 let suite =
   [
     ( "vcompile:differential",
       [
         QCheck_alcotest.to_alcotest qcheck_kernel_per_vertex;
         QCheck_alcotest.to_alcotest qcheck_view_checker_per_vertex;
-        Alcotest.test_case "bench families publish lowerings" `Quick
-          lowered_coverage;
+        Alcotest.test_case "every family compiles" `Quick lowered_coverage;
       ] );
     ( "vcompile:end-to-end",
       [
@@ -227,5 +262,7 @@ let suite =
           disabled_compilation_is_equivalent;
         Alcotest.test_case "engine.compiled_hits counts kernel verdicts" `Quick
           compiled_hits_counted;
+        Alcotest.test_case "kernel cache keeps alternating schemes" `Quick
+          kernel_cache_alternation;
       ] );
   ]
