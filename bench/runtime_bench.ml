@@ -201,58 +201,80 @@ let churn_schemes () =
       ])
     churn_sizes
 
-let json_churn_cell b c =
-  Printf.bprintf b
-    {|{"rate":%g,"runs":%d,"detected_runs":%d,"quiesced_runs":%d,"mean_rounds_to_quiescence":%s,"recertified_frac":%g,"mean_wire_bits":%g}|}
-    c.c_rate c.c_runs c.c_detected c.c_quiesced
-    (if Float.is_nan c.c_mean_rtq then "null"
-     else Printf.sprintf "%g" c.c_mean_rtq)
-    c.c_recert_frac c.c_mean_wire_bits
+(* A mean over zero samples is NaN, which JSON cannot carry: null. *)
+let mean_json m = if Float.is_nan m then Json.Null else Json.Num m
 
-let json_cell b c =
-  Printf.bprintf b
-    {|{"rate":%g,"runs":%d,"corrupted_runs":%d,"detected_runs":%d,"detection_rate":%g,"mean_latency_rounds":%s,"mean_wire_bits":%g,"reverified_frac":%g}|}
-    c.rate c.runs c.corrupted_runs c.detected_runs
-    (float_of_int c.detected_runs /. float_of_int (max 1 c.corrupted_runs))
-    (if Float.is_nan c.mean_latency then "null"
-     else Printf.sprintf "%g" c.mean_latency)
-    c.mean_wire_bits c.reverified_frac
+let json_churn_cell c =
+  Json.Obj
+    [
+      ("rate", Json.Num c.c_rate);
+      ("runs", Json.int c.c_runs);
+      ("detected_runs", Json.int c.c_detected);
+      ("quiesced_runs", Json.int c.c_quiesced);
+      ("mean_rounds_to_quiescence", mean_json c.c_mean_rtq);
+      ("recertified_frac", Json.Num c.c_recert_frac);
+      ("mean_wire_bits", Json.Num c.c_mean_wire_bits);
+    ]
+
+let json_cell c =
+  Json.Obj
+    [
+      ("rate", Json.Num c.rate);
+      ("runs", Json.int c.runs);
+      ("corrupted_runs", Json.int c.corrupted_runs);
+      ("detected_runs", Json.int c.detected_runs);
+      ( "detection_rate",
+        Json.Num
+          (float_of_int c.detected_runs
+          /. float_of_int (max 1 c.corrupted_runs)) );
+      ("mean_latency_rounds", mean_json c.mean_latency);
+      ("mean_wire_bits", Json.Num c.mean_wire_bits);
+      ("reverified_frac", Json.Num c.reverified_frac);
+    ]
 
 let write_json path results churn_results =
-  let b = Buffer.create 4096 in
-  Printf.bprintf b
-    {|{"experiment":"runtime-corruption-sweep","rounds":%d,"seeds":%d,"schemes":[|}
-    rounds seeds;
-  List.iteri
-    (fun i (name, n, cells) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b {|{"scheme":"%s","n":%d,"series":[|} name n;
-      List.iteri
-        (fun j c ->
-          if j > 0 then Buffer.add_char b ',';
-          json_cell b c)
-        cells;
-      Buffer.add_string b "]}")
-    results;
-  (* additive key: consumers of the corruption sweep alone still parse *)
-  Printf.bprintf b
-    {|],"churn":{"rounds":%d,"seeds":%d,"horizon":%d,"series":[|}
-    churn_rounds churn_seeds churn_horizon;
-  List.iteri
-    (fun i (name, n, plan, cells) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b {|{"scheme":"%s","n":%d,"plan":"%s","cells":[|} name n
-        plan;
-      List.iteri
-        (fun j c ->
-          if j > 0 then Buffer.add_char b ',';
-          json_churn_cell b c)
-        cells;
-      Buffer.add_string b "]}")
-    churn_results;
-  Buffer.add_string b "]}}\n";
+  let doc =
+    Json.Obj
+      [
+        ("experiment", Json.Str "runtime-corruption-sweep");
+        ("rounds", Json.int rounds);
+        ("seeds", Json.int seeds);
+        ( "schemes",
+          Json.Arr
+            (List.map
+               (fun (name, n, cells) ->
+                 Json.Obj
+                   [
+                     ("scheme", Json.Str name);
+                     ("n", Json.int n);
+                     ("series", Json.Arr (List.map json_cell cells));
+                   ])
+               results) );
+        (* additive key: consumers of the corruption sweep alone still
+           parse *)
+        ( "churn",
+          Json.Obj
+            [
+              ("rounds", Json.int churn_rounds);
+              ("seeds", Json.int churn_seeds);
+              ("horizon", Json.int churn_horizon);
+              ( "series",
+                Json.Arr
+                  (List.map
+                     (fun (name, n, plan, cells) ->
+                       Json.Obj
+                         [
+                           ("scheme", Json.Str name);
+                           ("n", Json.int n);
+                           ("plan", Json.Str plan);
+                           ("cells", Json.Arr (List.map json_churn_cell cells));
+                         ])
+                     churn_results) );
+            ] );
+      ]
+  in
   let oc = open_out path in
-  Buffer.output_buffer oc b;
+  output_string oc (Json.pretty doc);
   close_out oc
 
 let run pool =

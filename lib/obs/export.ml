@@ -91,145 +91,67 @@ let reset () =
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 
-let render_entries b key entries =
-  Printf.bprintf b "  \"%s\": [" key;
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "\n    { \"name\": \"%s\", \"value\": %d }"
-        (Json.escape name) v)
-    entries;
-  if entries <> [] then Buffer.add_string b "\n  ";
-  Buffer.add_char b ']'
+let entries_json l =
+  Json.Arr
+    (List.map
+       (fun (name, v) ->
+         Json.Obj [ ("name", Json.Str name); ("value", Json.int v) ])
+       l)
 
-let render_int_list b l =
-  Buffer.add_string b "[ ";
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_string b ", ";
-      Printf.bprintf b "%d" v)
-    l;
-  Buffer.add_string b " ]"
+let ints_json l = Json.Arr (List.map Json.int l)
 
-let render_histograms b key hs =
-  Printf.bprintf b "  \"%s\": [" key;
-  List.iteri
-    (fun i (h : histogram) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "\n    { \"name\": \"%s\", \"bounds\": "
-        (Json.escape h.name);
-      render_int_list b h.bounds;
-      Buffer.add_string b ", \"counts\": ";
-      render_int_list b h.counts;
-      Printf.bprintf b ", \"sum\": %d }" h.sum)
-    hs;
-  if hs <> [] then Buffer.add_string b "\n  ";
-  Buffer.add_char b ']'
+let histograms_json hs =
+  Json.Arr
+    (List.map
+       (fun (h : histogram) ->
+         Json.Obj
+           [
+             ("name", Json.Str h.name);
+             ("bounds", ints_json h.bounds);
+             ("counts", ints_json h.counts);
+             ("sum", Json.int h.sum);
+           ])
+       hs)
 
-let render_timings b ts =
-  Buffer.add_string b "    \"timings\": [";
-  List.iteri
-    (fun i t ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b
-        "\n      { \"name\": \"%s\", \"count\": %d, \"total_ms\": %s, \
-         \"max_ms\": %s }"
-        (Json.escape t.name) t.count (Json.num t.total_ms) (Json.num t.max_ms))
-    ts;
-  if ts <> [] then Buffer.add_string b "\n    ";
-  Buffer.add_char b ']'
+let timing_json t =
+  Json.Obj
+    [
+      ("name", Json.Str t.name);
+      ("count", Json.int t.count);
+      ("total_ms", Json.Num t.total_ms);
+      ("max_ms", Json.Num t.max_ms);
+    ]
 
-let indent_block s =
-  (* shift the "  \"key\": [...]" entry renderings two spaces deeper for
-     the approx object *)
-  String.split_on_char '\n' s
-  |> List.map (fun l -> if l = "" then l else "  " ^ l)
-  |> String.concat "\n"
+let to_json t =
+  Json.Obj
+    [
+      ("version", Json.int 1);
+      ("counters", entries_json t.counters);
+      ("gauges", entries_json t.gauges);
+      ("histograms", histograms_json t.histograms);
+      ( "approx",
+        Json.Obj
+          [
+            ("counters", entries_json t.approx_counters);
+            ("gauges", entries_json t.approx_gauges);
+            ("histograms", histograms_json t.approx_histograms);
+            ("timings", Json.Arr (List.map timing_json t.timings));
+          ] );
+    ]
 
-let render t =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n  \"version\": 1,\n";
-  render_entries b "counters" t.counters;
-  Buffer.add_string b ",\n";
-  render_entries b "gauges" t.gauges;
-  Buffer.add_string b ",\n";
-  render_histograms b "histograms" t.histograms;
-  Buffer.add_string b ",\n  \"approx\": {\n";
-  let inner = Buffer.create 512 in
-  render_entries inner "counters" t.approx_counters;
-  Buffer.add_string inner ",\n";
-  render_entries inner "gauges" t.approx_gauges;
-  Buffer.add_string inner ",\n";
-  render_histograms inner "histograms" t.approx_histograms;
-  Buffer.add_string b (indent_block (Buffer.contents inner));
-  Buffer.add_string b ",\n";
-  render_timings b t.timings;
-  Buffer.add_string b "\n  }\n}\n";
-  Buffer.contents b
+let render t = Json.pretty (to_json t)
 
 (* ------------------------------------------------------------------ *)
 (* Strict parsing                                                      *)
-
-exception Bad of string
-
-let field obj name =
-  match List.assoc_opt name obj with
-  | Some v -> v
-  | None -> raise (Bad (Printf.sprintf "missing field %S" name))
-
-let check_fields obj allowed ctx =
-  List.iter
-    (fun (k, _) ->
-      if not (List.mem k allowed) then
-        raise (Bad (Printf.sprintf "unexpected field %S in %s" k ctx)))
-    obj
-
-let as_obj ctx = function
-  | Json.Obj o -> o
-  | _ -> raise (Bad (ctx ^ ": expected an object"))
-
-let as_arr ctx = function
-  | Json.Arr a -> a
-  | _ -> raise (Bad (ctx ^ ": expected an array"))
-
-let as_num ctx = function
-  | Json.Num f ->
-      if not (Float.is_finite f) then raise (Bad (ctx ^ ": non-finite"));
-      f
-  | _ -> raise (Bad (ctx ^ ": expected a number"))
-
-let as_int ctx v =
-  let f = as_num ctx v in
-  if not (Float.is_integer f) then raise (Bad (ctx ^ ": expected an integer"));
-  (* [Float.is_integer] admits values like 2^62 or 1e300 whose
-     [int_of_float] is undefined; native ints cover [-2^62, 2^62).
-     -2^62 is exactly representable and equals [min_int], so only
-     values strictly below it are out of range. *)
-  if f >= 0x1p62 || f < -0x1p62 then
-    raise (Bad (ctx ^ ": integer overflows the native int range"));
-  int_of_float f
-
-let as_nonneg_int ctx v =
-  let i = as_int ctx v in
-  if i < 0 then raise (Bad (ctx ^ ": negative"));
-  i
-
-let as_nonneg ctx v =
-  let f = as_num ctx v in
-  if f < 0. then raise (Bad (ctx ^ ": negative"));
-  f
-
-let as_name ctx = function
-  | Json.Str s when s <> "" -> s
-  | Json.Str _ -> raise (Bad (ctx ^ ": empty name"))
-  | _ -> raise (Bad (ctx ^ ": name must be a string"))
 
 let check_sorted ctx names =
   let rec go = function
     | a :: (b :: _ as rest) ->
         if a >= b then
           raise
-            (Bad (Printf.sprintf "%s: names not strictly ascending (%S, %S)" ctx a b));
+            (Json.Bad
+               (Printf.sprintf "%s: names not strictly ascending (%S, %S)" ctx
+                  a b));
         go rest
     | _ -> ()
   in
@@ -239,10 +161,11 @@ let decode_entries ctx j =
   let entries =
     List.map
       (fun e ->
-        let o = as_obj ctx e in
-        check_fields o [ "name"; "value" ] ctx;
-        (as_name ctx (field o "name"), as_int ctx (field o "value")))
-      (as_arr ctx j)
+        let o = Json.as_obj ctx e in
+        Json.check_fields o [ "name"; "value" ] ctx;
+        ( Json.as_str ctx (Json.field o "name"),
+          Json.as_int ctx (Json.field o "value") ))
+      (Json.as_arr ctx j)
   in
   check_sorted ctx (List.map fst entries);
   entries
@@ -251,75 +174,73 @@ let decode_counter_entries ctx j =
   let entries = decode_entries ctx j in
   List.iter
     (fun (n, v) ->
-      if v < 0 then raise (Bad (Printf.sprintf "%s: %S negative" ctx n)))
+      if v < 0 then raise (Json.Bad (Printf.sprintf "%s: %S negative" ctx n)))
     entries;
   entries
 
 let decode_histogram j =
-  let o = as_obj "histogram" j in
-  check_fields o [ "name"; "bounds"; "counts"; "sum" ] "histogram";
-  let name = as_name "histogram" (field o "name") in
-  let bounds = List.map (as_int "bound") (as_arr "bounds" (field o "bounds")) in
-  let counts =
-    List.map (as_nonneg_int "count") (as_arr "counts" (field o "counts"))
-  in
-  if bounds = [] then raise (Bad ("histogram " ^ name ^ ": no bounds"));
+  let o = Json.as_obj "histogram" j in
+  Json.check_fields o [ "name"; "bounds"; "counts"; "sum" ] "histogram";
+  let name = Json.as_str "histogram" (Json.field o "name") in
+  let ints f key = List.map (f key) (Json.as_arr key (Json.field o key)) in
+  let bounds = ints Json.as_int "bounds" in
+  let counts = ints Json.as_nonneg_int "counts" in
+  let bad msg = raise (Json.Bad ("histogram " ^ name ^ ": " ^ msg)) in
+  if bounds = [] then bad "no bounds";
   let rec ascending = function
     | a :: (b :: _ as rest) -> a < b && ascending rest
     | _ -> true
   in
-  if not (ascending bounds) then
-    raise (Bad ("histogram " ^ name ^ ": bounds not strictly ascending"));
+  if not (ascending bounds) then bad "bounds not strictly ascending";
   if List.length counts <> List.length bounds + 1 then
-    raise (Bad ("histogram " ^ name ^ ": counts must be bounds + overflow"));
-  { name; bounds; counts; sum = as_int "sum" (field o "sum") }
+    bad "counts must be bounds + overflow";
+  { name; bounds; counts; sum = Json.as_int "sum" (Json.field o "sum") }
 
 let decode_timing j =
-  let o = as_obj "timing" j in
-  check_fields o [ "name"; "count"; "total_ms"; "max_ms" ] "timing";
+  let o = Json.as_obj "timing" j in
+  Json.check_fields o [ "name"; "count"; "total_ms"; "max_ms" ] "timing";
   {
-    name = as_name "timing" (field o "name");
-    count = as_nonneg_int "count" (field o "count");
-    total_ms = as_nonneg "total_ms" (field o "total_ms");
-    max_ms = as_nonneg "max_ms" (field o "max_ms");
+    name = Json.as_str "timing" (Json.field o "name");
+    count = Json.as_nonneg_int "count" (Json.field o "count");
+    total_ms = Json.as_nonneg "total_ms" (Json.field o "total_ms");
+    max_ms = Json.as_nonneg "max_ms" (Json.field o "max_ms");
   }
 
+let decode_histograms ctx j =
+  let hs = List.map decode_histogram (Json.as_arr ctx j) in
+  check_sorted ctx (List.map (fun (h : histogram) -> h.name) hs);
+  hs
+
 let decode_doc j =
-  let o = as_obj "snapshot" j in
-  check_fields o
+  let o = Json.as_obj "snapshot" j in
+  Json.check_fields o
     [ "version"; "counters"; "gauges"; "histograms"; "approx" ]
     "snapshot";
-  (match as_int "version" (field o "version") with
+  (match Json.as_int "version" (Json.field o "version") with
   | 1 -> ()
-  | v -> raise (Bad (Printf.sprintf "unsupported snapshot version %d" v)));
-  let histograms =
-    List.map decode_histogram (as_arr "histograms" (field o "histograms"))
+  | v ->
+      raise (Json.Bad (Printf.sprintf "unsupported snapshot version %d" v)));
+  let a = Json.as_obj "approx" (Json.field o "approx") in
+  Json.check_fields a
+    [ "counters"; "gauges"; "histograms"; "timings" ]
+    "approx";
+  let timings =
+    List.map decode_timing (Json.as_arr "timings" (Json.field a "timings"))
   in
-  check_sorted "histograms" (List.map (fun (h : histogram) -> h.name) histograms);
-  let a = as_obj "approx" (field o "approx") in
-  check_fields a [ "counters"; "gauges"; "histograms"; "timings" ] "approx";
-  let approx_histograms =
-    List.map decode_histogram (as_arr "approx histograms" (field a "histograms"))
-  in
-  check_sorted "approx histograms"
-    (List.map (fun (h : histogram) -> h.name) approx_histograms);
-  let timings = List.map decode_timing (as_arr "timings" (field a "timings")) in
   check_sorted "timings" (List.map (fun t -> t.name) timings);
   {
-    counters = decode_counter_entries "counters" (field o "counters");
-    gauges = decode_entries "gauges" (field o "gauges");
-    histograms;
-    approx_counters = decode_counter_entries "approx counters" (field a "counters");
-    approx_gauges = decode_entries "approx gauges" (field a "gauges");
-    approx_histograms;
+    counters = decode_counter_entries "counters" (Json.field o "counters");
+    gauges = decode_entries "gauges" (Json.field o "gauges");
+    histograms = decode_histograms "histograms" (Json.field o "histograms");
+    approx_counters =
+      decode_counter_entries "approx counters" (Json.field a "counters");
+    approx_gauges = decode_entries "approx gauges" (Json.field a "gauges");
+    approx_histograms =
+      decode_histograms "approx histograms" (Json.field a "histograms");
     timings;
   }
 
-let parse s =
-  match decode_doc (Json.parse_exn s) with
-  | d -> Ok d
-  | exception Bad msg -> Error msg
-  | exception Json.Error msg -> Error msg
+let parse = Json.decode decode_doc
 
 let parse_exn s =
   match parse s with

@@ -9,11 +9,11 @@
     dependent (span timings, cache hit accounting, sampled live sizes,
     pool/chunk geometry that varies with [--jobs]).
 
-    Rendering follows the [BENCH_PERF.json] discipline
-    ({!Localcert_util.Perf_schema}): canonical number formatting, names
-    sorted, and a strict parser that rejects unknown fields, unsorted
-    names and malformed shapes, such that render ∘ parse is a fixpoint
-    on rendered documents.  The CI telemetry smoke and the
+    Rendering and parsing go through {!Json}, the repository's one JSON
+    codec: canonical number formatting, names sorted, and a strict
+    parser that rejects unknown or repeated fields, unsorted names and
+    malformed shapes, such that render ∘ parse is a fixpoint on
+    rendered documents.  The CI telemetry smoke and the
     [localcert stats --validate] subcommand parse snapshots with
     exactly this parser. *)
 
@@ -48,13 +48,13 @@ val reset : unit -> unit
 (** {!Metrics.reset} plus {!Span.reset}. *)
 
 val render : t -> string
-(** Deterministic JSON (sorted names, canonical numbers, trailing
-    newline). *)
+(** Deterministic JSON in the {!Json.pretty} layout (sorted names,
+    canonical numbers, trailing newline). *)
 
 val parse : string -> (t, string) result
-(** Strict: unknown fields, duplicate or unsorted names, negative
-    counts, bound/count length mismatches and non-finite numbers are
-    all errors. *)
+(** Strict: unknown or repeated fields, duplicate or unsorted names,
+    negative counts, bound/count length mismatches and non-finite
+    numbers are all errors. *)
 
 val parse_exn : string -> t
 (** @raise Invalid_argument on parse failure. *)

@@ -141,7 +141,8 @@ let parse_exn s =
     done;
     let text = String.sub s start (!pos - start) in
     match float_of_string_opt text with
-    | Some f -> f
+    | Some f when Float.is_finite f -> f
+    | Some _ -> fail (Printf.sprintf "number %S is not a finite float" text)
     | None -> fail (Printf.sprintf "bad number %S" text)
   in
   let rec parse_value () =
@@ -209,40 +210,164 @@ let parse_exn s =
 
 let parse s = match parse_exn s with v -> Ok v | exception Error msg -> Error msg
 
+let int i = Num (float_of_int i)
+
+(* ------------------------------------------------------------------ *)
+(* Rendering                                                           *)
+
+(* [num] stays total (the trace validator formats arbitrary floats
+   with it), so the document renderers check finiteness themselves:
+   [inf]/[nan] are not JSON, and a renderer that wrote them would
+   hand consumers a file no parser accepts. *)
+let add_num b f =
+  if not (Float.is_finite f) then
+    invalid_arg ("Json: non-finite number " ^ string_of_float f);
+  Buffer.add_string b (num f)
+
+let add_str b s =
+  Buffer.add_char b '"';
+  Buffer.add_string b (escape s);
+  Buffer.add_char b '"'
+
+let add_sep b sep f l =
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string b sep;
+      f x)
+    l
+
 (* Compact canonical rendering of a whole tree.  Paired with [escape]
    and [num], parse ∘ render is the identity on trees, which gives
    every artifact built on this module (trace JSON included) the
    render ∘ parse fixpoint property without per-schema renderers. *)
+let rec add_compact b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool true -> Buffer.add_string b "true"
+  | Bool false -> Buffer.add_string b "false"
+  | Num f -> add_num b f
+  | Str s -> add_str b s
+  | Arr l ->
+      Buffer.add_char b '[';
+      add_sep b "," (add_compact b) l;
+      Buffer.add_char b ']'
+  | Obj o ->
+      Buffer.add_char b '{';
+      add_sep b ","
+        (fun (k, x) ->
+          add_str b k;
+          Buffer.add_char b ':';
+          add_compact b x)
+        o;
+      Buffer.add_char b '}'
+
 let render v =
   let b = Buffer.create 1024 in
-  let rec go = function
-    | Null -> Buffer.add_string b "null"
-    | Bool true -> Buffer.add_string b "true"
-    | Bool false -> Buffer.add_string b "false"
-    | Num f -> Buffer.add_string b (num f)
-    | Str s ->
-        Buffer.add_char b '"';
-        Buffer.add_string b (escape s);
-        Buffer.add_char b '"'
-    | Arr l ->
-        Buffer.add_char b '[';
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_char b ',';
-            go x)
-          l;
-        Buffer.add_char b ']'
-    | Obj o ->
-        Buffer.add_char b '{';
-        List.iteri
-          (fun i (k, x) ->
-            if i > 0 then Buffer.add_char b ',';
-            Buffer.add_char b '"';
-            Buffer.add_string b (escape k);
-            Buffer.add_string b "\":";
-            go x)
-          o;
-        Buffer.add_char b '}'
-  in
-  go v;
+  add_compact b v;
   Buffer.contents b
+
+let is_scalar = function Arr _ | Obj _ -> false | _ -> true
+
+let pretty v =
+  let b = Buffer.create 1024 in
+  let rec go indent = function
+    | Arr l when List.for_all is_scalar l ->
+        Buffer.add_char b '[';
+        add_sep b ", " (add_compact b) l;
+        Buffer.add_char b ']'
+    | Obj [] -> Buffer.add_string b "{}"
+    | Arr l -> block indent '[' ']' go l
+    | Obj o ->
+        block indent '{' '}'
+          (fun inner (k, x) ->
+            add_str b k;
+            Buffer.add_string b ": ";
+            go inner x)
+          o
+    | v -> add_compact b v
+  (* [items] is non-empty: empty containers render on one line above *)
+  and block :
+        'a. string -> char -> char -> (string -> 'a -> unit) -> 'a list -> unit
+      =
+   fun indent opening closing f items ->
+    let inner = indent ^ "  " in
+    Buffer.add_char b opening;
+    Buffer.add_string b ("\n" ^ inner);
+    add_sep b (",\n" ^ inner) (f inner) items;
+    Buffer.add_string b ("\n" ^ indent);
+    Buffer.add_char b closing
+  in
+  go "" v;
+  Buffer.add_char b '\n';
+  Buffer.contents b
+
+(* ------------------------------------------------------------------ *)
+(* Strict decoding                                                     *)
+
+exception Bad of string
+
+let field obj name =
+  match List.assoc_opt name obj with
+  | Some v -> v
+  | None -> raise (Bad (Printf.sprintf "missing field %S" name))
+
+(* A repeated key would otherwise be silently resolved by
+   [List.assoc_opt] to its first occurrence. *)
+let check_fields obj allowed ctx =
+  let rec go seen = function
+    | [] -> ()
+    | (k, _) :: rest ->
+        if not (List.mem k allowed) then
+          raise (Bad (Printf.sprintf "unexpected field %S in %s" k ctx));
+        if List.mem k seen then
+          raise (Bad (Printf.sprintf "duplicate field %S in %s" k ctx));
+        go (k :: seen) rest
+  in
+  go [] obj
+
+let as_obj ctx = function
+  | Obj o -> o
+  | _ -> raise (Bad (ctx ^ ": expected an object"))
+
+let as_arr ctx = function
+  | Arr a -> a
+  | _ -> raise (Bad (ctx ^ ": expected an array"))
+
+let as_bool ctx = function
+  | Bool b -> b
+  | _ -> raise (Bad (ctx ^ ": expected a boolean"))
+
+let as_str ctx = function
+  | Str s when s <> "" -> s
+  | Str _ -> raise (Bad (ctx ^ ": empty string"))
+  | _ -> raise (Bad (ctx ^ ": expected a string"))
+
+let as_num ctx = function
+  | Num f -> f
+  | _ -> raise (Bad (ctx ^ ": expected a number"))
+
+let as_nonneg ctx v =
+  let f = as_num ctx v in
+  if f < 0. then raise (Bad (ctx ^ ": negative"));
+  f
+
+let as_int ctx v =
+  let f = as_num ctx v in
+  if not (Float.is_integer f) then raise (Bad (ctx ^ ": expected an integer"));
+  (* [Float.is_integer] admits values like 2^62 or 1e300 whose
+     [int_of_float] is undefined; native ints cover [-2^62, 2^62).
+     -2^62 is exactly representable and equals [min_int], so only
+     values strictly below it are out of range. *)
+  if f >= 0x1p62 || f < -0x1p62 then
+    raise (Bad (ctx ^ ": integer overflows the native int range"));
+  int_of_float f
+
+let as_nonneg_int ctx v =
+  let i = as_int ctx v in
+  if i < 0 then raise (Bad (ctx ^ ": negative"));
+  i
+
+let decode f s =
+  match f (parse_exn s) with
+  | v -> Ok v
+  | exception Bad msg -> Error msg
+  | exception Error msg -> Error msg

@@ -1,15 +1,23 @@
-(** Minimal strict JSON: a generic tree, a recursive-descent parser,
-    and the canonical scalar renderings shared by every machine-readable
-    artifact in the repository (BENCH_PERF.json via
-    {!Localcert_util.Perf_schema}, telemetry snapshots via {!Export}).
+(** The repository's one JSON codec: a generic tree, a strict
+    recursive-descent parser, a compact and a pretty renderer, and the
+    strict-decoding kit every typed schema builds on.  It backs every
+    JSON document the repository writes or strictly reads:
+    - telemetry snapshots ([--metrics], {!Export});
+    - [BENCH_PERF.json] ({!Localcert_util.Perf_schema});
+    - [BENCH_SERVE.json] ([Localcert_serve.Bench_schema]);
+    - [BENCH_runtime.json] ([bench/runtime_bench.ml]);
+    - runtime traces ([simulate --trace], [Localcert_runtime.Trace]);
+    - Perfetto timelines ({!Tracer}, whose merge reader is lenient on
+      purpose: foreign events have open field sets).
 
-    The parser accepts exactly one JSON value and rejects trailing
-    garbage; schema-level strictness (unknown fields, ranges) is the
-    caller's job on the returned tree.  The number rendering is chosen
-    so that render ∘ parse is a fixpoint: every float prints as the
-    shortest decimal that reparses to the same bits, which is what lets
-    artifact-guard tests compare re-rendered documents byte for
-    byte. *)
+    The parser accepts exactly one JSON value, rejects trailing
+    garbage and rejects number literals that are not finite floats.
+    Schema-level strictness (exact field sets, ranges) is the caller's
+    job on the returned tree, through the decoding kit below.  The
+    number rendering is chosen so that render ∘ parse is a fixpoint:
+    every float prints as the shortest decimal that reparses to the
+    same bits, which is what lets artifact-guard tests compare
+    re-rendered documents byte for byte. *)
 
 type t =
   | Null
@@ -35,8 +43,59 @@ val num : float -> string
     everything else as the shortest decimal that parses back to exactly
     the same float. *)
 
+val int : int -> t
+(** [Num] of an integer. *)
+
 val render : t -> string
 (** Compact canonical rendering of a whole tree (no insignificant
     whitespace, {!escape}d strings, {!num} scalars).  [parse ∘ render]
     is the identity on trees, so [render ∘ parse] is a fixpoint on
-    rendered documents. *)
+    rendered documents.
+    @raise Invalid_argument on a non-finite [Num]. *)
+
+val pretty : t -> string
+(** The one layout for committed, diffable artifacts: 2-space indent,
+    one object member or array element per line, arrays of scalars
+    (and empty containers) on one line, trailing newline.  Scalars
+    render as in {!render}, so [parse ∘ pretty] is the identity on
+    trees and [pretty ∘ parse] is a fixpoint on pretty output.
+    @raise Invalid_argument on a non-finite [Num]. *)
+
+(** {2 Strict decoding}
+
+    Helpers for decoding a parsed tree into a typed schema.  Each takes
+    a context string used in its error message and raises {!Bad} on a
+    shape or range violation; {!decode} turns that into an [Error]. *)
+
+exception Bad of string
+
+val field : (string * t) list -> string -> t
+(** [field obj name] is the member [name] of [obj]; raises {!Bad}
+    when it is missing. *)
+
+val check_fields : (string * t) list -> string list -> string -> unit
+(** [check_fields obj allowed ctx] rejects a member whose key is not in
+    [allowed], and a key that appears twice. *)
+
+val as_obj : string -> t -> (string * t) list
+val as_arr : string -> t -> t list
+val as_bool : string -> t -> bool
+
+val as_str : string -> t -> string
+(** A non-empty string. *)
+
+val as_num : string -> t -> float
+(** A number; finite on parsed trees, since {!parse} rejects
+    non-finite literals. *)
+
+val as_nonneg : string -> t -> float
+
+val as_int : string -> t -> int
+(** An integer-valued number in the native int range [[-2^62, 2^62)]
+    (larger floats such as [1e300] have no defined [int_of_float]). *)
+
+val as_nonneg_int : string -> t -> int
+
+val decode : (t -> 'a) -> string -> ('a, string) result
+(** [decode f s] parses [s] and applies [f]; a parse {!Error} or a
+    {!Bad} raised by [f] becomes [Error msg]. *)

@@ -173,87 +173,54 @@ let detection_latency (m : metrics) =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-let event_json b = function
-  | Crash { vertex } ->
-      Printf.bprintf b {|{"type":"crash","vertex":%d}|} vertex
-  | Went_byzantine { vertex } ->
-      Printf.bprintf b {|{"type":"byzantine","vertex":%d}|} vertex
-  | Corrupt { vertex } ->
-      Printf.bprintf b {|{"type":"corrupt","vertex":%d}|} vertex
-  | Send { src; dst; bits } ->
-      Printf.bprintf b {|{"type":"send","src":%d,"dst":%d,"bits":%d}|} src dst
-        bits
-  | Drop { src; dst } ->
-      Printf.bprintf b {|{"type":"drop","src":%d,"dst":%d}|} src dst
-  | Flip { src; dst; bit } ->
-      Printf.bprintf b {|{"type":"flip","src":%d,"dst":%d,"bit":%d}|} src dst
-        bit
-  | Forge { src; dst; bits } ->
-      Printf.bprintf b {|{"type":"forge","src":%d,"dst":%d,"bits":%d}|} src
-        dst bits
-  | Edge_added { u; v } ->
-      Printf.bprintf b {|{"type":"edge_add","u":%d,"v":%d}|} u v
-  | Edge_removed { u; v } ->
-      Printf.bprintf b {|{"type":"edge_del","u":%d,"v":%d}|} u v
-  | Recover { vertex } ->
-      Printf.bprintf b {|{"type":"recover","vertex":%d}|} vertex
+let event_json ev =
+  let tagged ty fields = Json.Obj (("type", Json.Str ty) :: fields) in
+  let at_vertex ty v = tagged ty [ ("vertex", Json.int v) ] in
+  let link ty src dst rest =
+    tagged ty ([ ("src", Json.int src); ("dst", Json.int dst) ] @ rest)
+  in
+  let edge ty u v = tagged ty [ ("u", Json.int u); ("v", Json.int v) ] in
+  match ev with
+  | Crash { vertex = v } -> at_vertex "crash" v
+  | Went_byzantine { vertex = v } -> at_vertex "byzantine" v
+  | Corrupt { vertex = v } -> at_vertex "corrupt" v
+  | Send { src; dst; bits } -> link "send" src dst [ ("bits", Json.int bits) ]
+  | Drop { src; dst } -> link "drop" src dst []
+  | Flip { src; dst; bit } -> link "flip" src dst [ ("bit", Json.int bit) ]
+  | Forge { src; dst; bits } -> link "forge" src dst [ ("bits", Json.int bits) ]
+  | Edge_added { u; v } -> edge "edge_add" u v
+  | Edge_removed { u; v } -> edge "edge_del" u v
+  | Recover { vertex = v } -> at_vertex "recover" v
   | Verdict { vertex; accepted; reason } ->
-      Printf.bprintf b {|{"type":"verdict","vertex":%d,"accepted":%b|} vertex
-        accepted;
-      if not accepted then begin
-        Buffer.add_string b {|,"reason":"|};
-        escape b reason;
-        Buffer.add_char b '"'
-      end;
-      Buffer.add_char b '}'
+      tagged "verdict"
+        ([ ("vertex", Json.int vertex); ("accepted", Json.Bool accepted) ]
+        @ if accepted then [] else [ ("reason", Json.Str reason) ])
 
-let sep_iter b f = function
-  | [] -> ()
-  | x :: rest ->
-      f b x;
-      List.iter
-        (fun x ->
-          Buffer.add_char b ',';
-          f b x)
-        rest
-
-let round_json b r =
-  Printf.bprintf b {|{"round":%d,"wire_bits":%d,"verdicts_rendered":%d,"rejections":[|}
-    r.round r.wire_bits r.verdicts_rendered;
-  sep_iter b
-    (fun b (v, reason) ->
-      Printf.bprintf b {|{"vertex":%d,"reason":"|} v;
-      escape b reason;
-      Buffer.add_string b {|"}|})
-    r.rejections;
-  Buffer.add_string b {|],"events":[|};
-  sep_iter b event_json r.events;
-  Buffer.add_string b "]}"
+let round_json r =
+  Json.Obj
+    [
+      ("round", Json.int r.round);
+      ("wire_bits", Json.int r.wire_bits);
+      ("verdicts_rendered", Json.int r.verdicts_rendered);
+      ( "rejections",
+        Json.Arr
+          (List.map
+             (fun (v, reason) ->
+               Json.Obj [ ("vertex", Json.int v); ("reason", Json.Str reason) ])
+             r.rejections) );
+      ("events", Json.Arr (List.map event_json r.events));
+    ]
 
 let to_json t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b {|{"scheme":"|};
-  escape b t.scheme;
-  Printf.bprintf b {|","n":%d,"seed":%d,"plan":"|} t.n t.seed;
-  escape b t.plan;
-  Buffer.add_string b {|","rounds":[|};
-  sep_iter b round_json t.rounds;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Json.render
+    (Json.Obj
+       [
+         ("scheme", Json.Str t.scheme);
+         ("n", Json.int t.n);
+         ("seed", Json.int t.seed);
+         ("plan", Json.Str t.plan);
+         ("rounds", Json.Arr (List.map round_json t.rounds));
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Human-readable summary                                              *)

@@ -117,8 +117,9 @@ val detection_latency : metrics -> int option
     "latency" is never reported. *)
 
 val to_json : t -> string
-(** Machine-readable rendering.  Deterministic: the same trace value
-    always yields the same bytes. *)
+(** Machine-readable rendering (compact {!Localcert_obs.Json.render}).
+    Deterministic: the same trace value always yields the same
+    bytes. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** One line per round plus the aggregate metrics — the CLI's default

@@ -21,177 +21,107 @@ type run = {
 type doc = { smoke : bool; workers : int; runs : run list }
 
 (* ------------------------------------------------------------------ *)
-(* Rendering — canonical shortest-roundtrip numbers via Obs.Json, so
-   render ∘ parse is a fixpoint (the artifact guard test relies on
-   byte-stability).                                                    *)
+(* Rendering and strict decoding, both through Obs.Json.               *)
 
-let render_run b (r : run) =
-  Buffer.add_string b
-    (Printf.sprintf
-       "    {\n\
-       \      \"label\": \"%s\",\n\
-       \      \"opcode\": \"%s\",\n\
-       \      \"scheme\": \"%s\",\n\
-       \      \"graph\": \"%s\",\n\
-       \      \"connections\": %d,\n\
-       \      \"window\": %d,\n"
-       (Json.escape r.label) (Json.escape r.opcode) (Json.escape r.scheme)
-       (Json.escape r.graph) r.connections r.window);
-  (match r.rate with
-  | None -> ()
-  | Some rate -> Buffer.add_string b (Printf.sprintf "      \"rate\": %d,\n" rate));
-  Buffer.add_string b
-    (Printf.sprintf
-       "      \"sent\": %d,\n\
-       \      \"ok\": %d,\n\
-       \      \"retry_later\": %d,\n\
-       \      \"errors\": %d,\n\
-       \      \"duration_s\": %s,\n\
-       \      \"throughput_rps\": %s,\n\
-       \      \"p50_us\": %s,\n\
-       \      \"p99_us\": %s,\n\
-       \      \"p999_us\": %s,\n\
-       \      \"max_us\": %s\n\
-       \    }"
-       r.sent r.ok r.retry_later r.errors (Json.num r.duration_s)
-       (Json.num r.throughput_rps) (Json.num r.p50_us) (Json.num r.p99_us)
-       (Json.num r.p999_us) (Json.num r.max_us))
+let run_json (r : run) =
+  Json.Obj
+    ([
+       ("label", Json.Str r.label);
+       ("opcode", Json.Str r.opcode);
+       ("scheme", Json.Str r.scheme);
+       ("graph", Json.Str r.graph);
+       ("connections", Json.int r.connections);
+       ("window", Json.int r.window);
+     ]
+    @ (match r.rate with None -> [] | Some rate -> [ ("rate", Json.int rate) ])
+    @ [
+        ("sent", Json.int r.sent);
+        ("ok", Json.int r.ok);
+        ("retry_later", Json.int r.retry_later);
+        ("errors", Json.int r.errors);
+        ("duration_s", Json.Num r.duration_s);
+        ("throughput_rps", Json.Num r.throughput_rps);
+        ("p50_us", Json.Num r.p50_us);
+        ("p99_us", Json.Num r.p99_us);
+        ("p999_us", Json.Num r.p999_us);
+        ("max_us", Json.Num r.max_us);
+      ])
 
 let render (d : doc) =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "{\n  \"smoke\": %b,\n  \"workers\": %d,\n  \"runs\": [\n"
-       d.smoke d.workers);
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      render_run b r)
-    d.runs;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* Strict decoding                                                     *)
-
-exception Bad of string
-
-let field obj name =
-  match List.assoc_opt name obj with
-  | Some v -> v
-  | None -> raise (Bad (Printf.sprintf "missing field %S" name))
-
-let check_fields obj allowed ctx =
-  List.iter
-    (fun (k, _) ->
-      if not (List.mem k allowed) then
-        raise (Bad (Printf.sprintf "unexpected field %S in %s" k ctx)))
-    obj
-
-let as_obj ctx = function
-  | Json.Obj o -> o
-  | _ -> raise (Bad (ctx ^ ": expected an object"))
-
-let as_arr ctx = function
-  | Json.Arr a -> a
-  | _ -> raise (Bad (ctx ^ ": expected an array"))
-
-let as_num ctx = function
-  | Json.Num f ->
-      if not (Float.is_finite f) then raise (Bad (ctx ^ ": non-finite"));
-      f
-  | _ -> raise (Bad (ctx ^ ": expected a number"))
-
-let as_nonneg ctx v =
-  let f = as_num ctx v in
-  if f < 0. then raise (Bad (ctx ^ ": negative"));
-  f
-
-let as_int ctx v =
-  let f = as_num ctx v in
-  if not (Float.is_integer f) then raise (Bad (ctx ^ ": expected an integer"));
-  int_of_float f
-
-let as_nonneg_int ctx v =
-  let i = as_int ctx v in
-  if i < 0 then raise (Bad (ctx ^ ": negative"));
-  i
-
-let as_str ctx = function
-  | Json.Str s when s <> "" -> s
-  | Json.Str _ -> raise (Bad (ctx ^ ": empty string"))
-  | _ -> raise (Bad (ctx ^ ": expected a string"))
+  Json.pretty
+    (Json.Obj
+       [
+         ("smoke", Json.Bool d.smoke);
+         ("workers", Json.int d.workers);
+         ("runs", Json.Arr (List.map run_json d.runs));
+       ])
 
 let decode_run j =
-  let o = as_obj "run" j in
-  check_fields o
+  let o = Json.as_obj "run" j in
+  Json.check_fields o
     [
       "label"; "opcode"; "scheme"; "graph"; "connections"; "window"; "rate";
       "sent"; "ok"; "retry_later"; "errors"; "duration_s"; "throughput_rps";
       "p50_us"; "p99_us"; "p999_us"; "max_us";
     ]
     "run";
-  let label = as_str "label" (field o "label") in
-  let ctx msg = Printf.sprintf "run %s: %s" label msg in
-  let connections = as_nonneg_int "connections" (field o "connections") in
-  if connections < 1 then raise (Bad (ctx "connections must be positive"));
-  let window = as_nonneg_int "window" (field o "window") in
-  if window < 1 then raise (Bad (ctx "window must be positive"));
+  let str key = Json.as_str key (Json.field o key) in
+  let count key = Json.as_nonneg_int key (Json.field o key) in
+  let num key = Json.as_nonneg key (Json.field o key) in
+  let label = str "label" in
+  let bad msg = raise (Json.Bad (Printf.sprintf "run %s: %s" label msg)) in
+  let connections = count "connections" in
+  if connections < 1 then bad "connections must be positive";
+  let window = count "window" in
+  if window < 1 then bad "window must be positive";
   let r =
     {
       label;
-      opcode = as_str "opcode" (field o "opcode");
-      scheme = as_str "scheme" (field o "scheme");
-      graph = as_str "graph" (field o "graph");
+      opcode = str "opcode";
+      scheme = str "scheme";
+      graph = str "graph";
       connections;
       window;
-      rate = Option.map (as_nonneg_int "rate") (List.assoc_opt "rate" o);
-      sent = as_nonneg_int "sent" (field o "sent");
-      ok = as_nonneg_int "ok" (field o "ok");
-      retry_later = as_nonneg_int "retry_later" (field o "retry_later");
-      errors = as_nonneg_int "errors" (field o "errors");
-      duration_s = as_nonneg "duration_s" (field o "duration_s");
-      throughput_rps = as_nonneg "throughput_rps" (field o "throughput_rps");
-      p50_us = as_nonneg "p50_us" (field o "p50_us");
-      p99_us = as_nonneg "p99_us" (field o "p99_us");
-      p999_us = as_nonneg "p999_us" (field o "p999_us");
-      max_us = as_nonneg "max_us" (field o "max_us");
+      rate = Option.map (Json.as_nonneg_int "rate") (List.assoc_opt "rate" o);
+      sent = count "sent";
+      ok = count "ok";
+      retry_later = count "retry_later";
+      errors = count "errors";
+      duration_s = num "duration_s";
+      throughput_rps = num "throughput_rps";
+      p50_us = num "p50_us";
+      p99_us = num "p99_us";
+      p999_us = num "p999_us";
+      max_us = num "max_us";
     }
   in
   (* every request the loadgen sends is answered exactly once (typed
      overload included), so the outcome counts must tile [sent] *)
   if r.ok + r.retry_later + r.errors <> r.sent then
-    raise (Bad (ctx "ok + retry_later + errors must equal sent"));
+    bad "ok + retry_later + errors must equal sent";
   (* percentile monotonicity: a latency distribution cannot invert *)
   if not (r.p50_us <= r.p99_us && r.p99_us <= r.p999_us && r.p999_us <= r.max_us)
-  then raise (Bad (ctx "percentiles not monotone (p50 <= p99 <= p999 <= max)"));
+  then bad "percentiles not monotone (p50 <= p99 <= p999 <= max)";
   r
 
 let decode_doc j =
-  let o = as_obj "document" j in
-  check_fields o [ "smoke"; "workers"; "runs" ] "document";
-  let smoke =
-    match field o "smoke" with
-    | Json.Bool b -> b
-    | _ -> raise (Bad "document: smoke must be a boolean")
-  in
-  let workers = as_nonneg_int "workers" (field o "workers") in
-  if workers < 1 then raise (Bad "document: workers must be positive");
-  let runs = List.map decode_run (as_arr "runs" (field o "runs")) in
-  if runs = [] then raise (Bad "document: no runs");
+  let o = Json.as_obj "document" j in
+  Json.check_fields o [ "smoke"; "workers"; "runs" ] "document";
+  let smoke = Json.as_bool "smoke" (Json.field o "smoke") in
+  let workers = Json.as_nonneg_int "workers" (Json.field o "workers") in
+  if workers < 1 then raise (Json.Bad "document: workers must be positive");
+  let runs = List.map decode_run (Json.as_arr "runs" (Json.field o "runs")) in
+  if runs = [] then raise (Json.Bad "document: no runs");
   let seen = Hashtbl.create 8 in
   List.iter
     (fun (r : run) ->
       if Hashtbl.mem seen r.label then
-        raise (Bad (Printf.sprintf "duplicate run label %S" r.label));
+        raise (Json.Bad (Printf.sprintf "duplicate run label %S" r.label));
       Hashtbl.add seen r.label ())
     runs;
   { smoke; workers; runs }
 
-let parse s =
-  match decode_doc (Json.parse_exn s) with
-  | d -> Ok d
-  | exception Bad msg -> Error msg
-  | exception Json.Error msg -> Error msg
+let parse = Json.decode decode_doc
 
 let parse_exn s =
   match parse s with

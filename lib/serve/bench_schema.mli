@@ -8,8 +8,11 @@
     Like [BENCH_PERF.json] ({!Localcert_util.Perf_schema}), the schema
     lives next to the producer and is enforced by the test suite over
     the committed artifact, so drift between writer and reader is a
-    test failure rather than a silently stale file.  Validation is
-    strict: exact field sets, non-negative finite numbers, outcome
+    test failure rather than a silently stale file.  Rendering and
+    decoding go through {!Localcert_obs.Json}, the repository's one
+    JSON codec; this module keeps only the schema's own checks.
+    Validation is strict: exact field sets (no repeated keys),
+    integers in the native range, non-negative finite numbers, outcome
     counts that tile [sent], and percentile monotonicity
     (p50 ≤ p99 ≤ p999 ≤ max). *)
 
@@ -36,8 +39,8 @@ type run = {
 type doc = { smoke : bool; workers : int; runs : run list }
 
 val render : doc -> string
-(** Pretty-printed JSON, trailing newline included; [render ∘ parse]
-    is a fixpoint. *)
+(** {!Localcert_obs.Json.pretty} JSON, trailing newline included;
+    [render ∘ parse] is a fixpoint. *)
 
 val parse : string -> (doc, string) result
 val parse_exn : string -> doc

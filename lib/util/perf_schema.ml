@@ -18,131 +18,64 @@ type series = { scheme : string; groups : group list }
 type doc = { smoke : bool; series : series list }
 
 (* ------------------------------------------------------------------ *)
-(* Rendering.  String escaping and the canonical shortest-roundtrip
-   number rendering live in Obs.Json, shared with telemetry snapshots;
-   exact round-tripping makes render ∘ parse a fixpoint (the guard test
-   relies on it).                                                     *)
+(* Rendering and strict decoding, both through Obs.Json.               *)
 
-let escape = Json.escape
-let num = Json.num
+let jrow_json (r : jrow) =
+  Json.Obj
+    [
+      ("jobs", Json.int r.jobs);
+      ("verify_ms", Json.Num r.verify_ms);
+      ("verts_per_sec", Json.Num r.verts_per_sec);
+    ]
 
-let render_jrow b (r : jrow) =
-  Buffer.add_string b
-    (Printf.sprintf "{ \"jobs\": %d, \"verify_ms\": %s, \"verts_per_sec\": %s }"
-       r.jobs (num r.verify_ms) (num r.verts_per_sec))
+let group_json (g : group) =
+  let opt key = function None -> [] | Some v -> [ (key, Json.Num v) ] in
+  Json.Obj
+    ([
+       ("n", Json.int g.n);
+       ("prover_ms", Json.Num g.prover_ms);
+       ("minor_words", Json.Num g.minor_words);
+       ("interned_ratio", Json.Num g.interned_ratio);
+     ]
+    @ opt "memo_hit_ratio" g.memo_hit_ratio
+    @ opt "max_rss_mb" g.max_rss_mb
+    @ [ ("rows", Json.Arr (List.map jrow_json g.rows)) ])
 
-let render_group b (g : group) =
-  Buffer.add_string b
-    (Printf.sprintf
-       "      {\n\
-       \        \"n\": %d,\n\
-       \        \"prover_ms\": %s,\n\
-       \        \"minor_words\": %s,\n\
-       \        \"interned_ratio\": %s,\n"
-       g.n (num g.prover_ms) (num g.minor_words) (num g.interned_ratio));
-  (match g.memo_hit_ratio with
-  | None -> ()
-  | Some m ->
-      Buffer.add_string b
-        (Printf.sprintf "        \"memo_hit_ratio\": %s,\n" (num m)));
-  (match g.max_rss_mb with
-  | None -> ()
-  | Some r ->
-      Buffer.add_string b
-        (Printf.sprintf "        \"max_rss_mb\": %s,\n" (num r)));
-  Buffer.add_string b "        \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b "          ";
-      render_jrow b r)
-    g.rows;
-  Buffer.add_string b "\n        ]\n      }"
-
-let render_series b s =
-  Buffer.add_string b
-    (Printf.sprintf "    {\n      \"scheme\": \"%s\",\n      \"groups\": [\n"
-       (escape s.scheme));
-  List.iteri
-    (fun i g ->
-      if i > 0 then Buffer.add_string b ",\n";
-      render_group b g)
-    s.groups;
-  Buffer.add_string b "\n      ]\n    }"
+let series_json s =
+  Json.Obj
+    [
+      ("scheme", Json.Str s.scheme);
+      ("groups", Json.Arr (List.map group_json s.groups));
+    ]
 
 let render d =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"smoke\": %b,\n  \"series\": [\n" d.smoke);
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string b ",\n";
-      render_series b s)
-    d.series;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  Json.pretty
+    (Json.Obj
+       [
+         ("smoke", Json.Bool d.smoke);
+         ("series", Json.Arr (List.map series_json d.series));
+       ])
 
-(* ------------------------------------------------------------------ *)
-(* Strict decoding on the generic Obs.Json tree.                      *)
-
-exception Bad of string
-
-let field obj name =
-  match List.assoc_opt name obj with
-  | Some v -> v
-  | None -> raise (Bad (Printf.sprintf "missing field %S" name))
-
-let check_fields obj allowed ctx =
-  List.iter
-    (fun (k, _) ->
-      if not (List.mem k allowed) then
-        raise (Bad (Printf.sprintf "unexpected field %S in %s" k ctx)))
-    obj
-
-let as_obj ctx = function
-  | Json.Obj o -> o
-  | _ -> raise (Bad (ctx ^ ": expected an object"))
-
-let as_arr ctx = function
-  | Json.Arr a -> a
-  | _ -> raise (Bad (ctx ^ ": expected an array"))
-
-let as_num ctx = function
-  | Json.Num f ->
-      if not (Float.is_finite f) then raise (Bad (ctx ^ ": non-finite"));
-      f
-  | _ -> raise (Bad (ctx ^ ": expected a number"))
-
-let as_nonneg ctx v =
-  let f = as_num ctx v in
-  if f < 0. then raise (Bad (ctx ^ ": negative"));
-  f
-
-let as_int ctx v =
-  let f = as_num ctx v in
-  if not (Float.is_integer f) then raise (Bad (ctx ^ ": expected an integer"));
-  int_of_float f
-
-let as_ratio ctx v =
-  let f = as_nonneg ctx v in
-  if f > 1. then raise (Bad (ctx ^ ": above 1"));
+let ratio ctx v =
+  let f = Json.as_nonneg ctx v in
+  if f > 1. then raise (Json.Bad (ctx ^ ": above 1"));
   f
 
 let decode_jrow j =
-  let o = as_obj "row" j in
-  check_fields o [ "jobs"; "verify_ms"; "verts_per_sec" ] "row";
-  let jobs = as_int "jobs" (field o "jobs") in
-  if jobs <= 0 then raise (Bad "row: jobs must be positive");
+  let o = Json.as_obj "row" j in
+  Json.check_fields o [ "jobs"; "verify_ms"; "verts_per_sec" ] "row";
+  let jobs = Json.as_int "jobs" (Json.field o "jobs") in
+  if jobs <= 0 then raise (Json.Bad "row: jobs must be positive");
   {
     jobs;
-    verify_ms = as_nonneg "verify_ms" (field o "verify_ms");
-    verts_per_sec = as_nonneg "verts_per_sec" (field o "verts_per_sec");
+    verify_ms = Json.as_nonneg "verify_ms" (Json.field o "verify_ms");
+    verts_per_sec =
+      Json.as_nonneg "verts_per_sec" (Json.field o "verts_per_sec");
   }
 
 let decode_group j =
-  let o = as_obj "group" j in
-  check_fields o
+  let o = Json.as_obj "group" j in
+  Json.check_fields o
     [
       "n";
       "prover_ms";
@@ -153,61 +86,53 @@ let decode_group j =
       "rows";
     ]
     "group";
-  let n = as_int "n" (field o "n") in
-  if n <= 0 then raise (Bad "group: n must be positive");
-  let rows = List.map decode_jrow (as_arr "rows" (field o "rows")) in
-  if rows = [] then raise (Bad (Printf.sprintf "group n=%d: no rows" n));
+  let n = Json.as_int "n" (Json.field o "n") in
+  if n <= 0 then raise (Json.Bad "group: n must be positive");
+  let rows = List.map decode_jrow (Json.as_arr "rows" (Json.field o "rows")) in
+  if rows = [] then raise (Json.Bad (Printf.sprintf "group n=%d: no rows" n));
   (* one measurement per job count: a duplicate would make the jobs
      ladder — and the monotone guard over it — ambiguous *)
   let seen = Hashtbl.create 8 in
   List.iter
     (fun (r : jrow) ->
       if Hashtbl.mem seen r.jobs then
-        raise (Bad (Printf.sprintf "group n=%d: duplicate jobs=%d" n r.jobs));
+        raise
+          (Json.Bad (Printf.sprintf "group n=%d: duplicate jobs=%d" n r.jobs));
       Hashtbl.add seen r.jobs ())
     rows;
   {
     n;
-    prover_ms = as_nonneg "prover_ms" (field o "prover_ms");
-    minor_words = as_nonneg "minor_words" (field o "minor_words");
-    interned_ratio = as_ratio "interned_ratio" (field o "interned_ratio");
+    prover_ms = Json.as_nonneg "prover_ms" (Json.field o "prover_ms");
+    minor_words = Json.as_nonneg "minor_words" (Json.field o "minor_words");
+    interned_ratio = ratio "interned_ratio" (Json.field o "interned_ratio");
     memo_hit_ratio =
-      Option.map (as_ratio "memo_hit_ratio") (List.assoc_opt "memo_hit_ratio" o);
+      Option.map (ratio "memo_hit_ratio") (List.assoc_opt "memo_hit_ratio" o);
     max_rss_mb =
-      Option.map (as_nonneg "max_rss_mb") (List.assoc_opt "max_rss_mb" o);
+      Option.map (Json.as_nonneg "max_rss_mb") (List.assoc_opt "max_rss_mb" o);
     rows;
   }
 
 let decode_series j =
-  let o = as_obj "series" j in
-  check_fields o [ "scheme"; "groups" ] "series";
-  let scheme =
-    match field o "scheme" with
-    | Json.Str s when s <> "" -> s
-    | Json.Str _ -> raise (Bad "series: empty scheme name")
-    | _ -> raise (Bad "series: scheme must be a string")
+  let o = Json.as_obj "series" j in
+  Json.check_fields o [ "scheme"; "groups" ] "series";
+  let scheme = Json.as_str "scheme" (Json.field o "scheme") in
+  let groups =
+    List.map decode_group (Json.as_arr "groups" (Json.field o "groups"))
   in
-  let groups = List.map decode_group (as_arr "groups" (field o "groups")) in
-  if groups = [] then raise (Bad ("series " ^ scheme ^ ": no groups"));
+  if groups = [] then raise (Json.Bad ("series " ^ scheme ^ ": no groups"));
   { scheme; groups }
 
 let decode_doc j =
-  let o = as_obj "document" j in
-  check_fields o [ "smoke"; "series" ] "document";
-  let smoke =
-    match field o "smoke" with
-    | Json.Bool b -> b
-    | _ -> raise (Bad "document: smoke must be a boolean")
+  let o = Json.as_obj "document" j in
+  Json.check_fields o [ "smoke"; "series" ] "document";
+  let smoke = Json.as_bool "smoke" (Json.field o "smoke") in
+  let series =
+    List.map decode_series (Json.as_arr "series" (Json.field o "series"))
   in
-  let series = List.map decode_series (as_arr "series" (field o "series")) in
-  if series = [] then raise (Bad "document: no series");
+  if series = [] then raise (Json.Bad "document: no series");
   { smoke; series }
 
-let parse s =
-  match decode_doc (Json.parse_exn s) with
-  | d -> Ok d
-  | exception Bad msg -> Error msg
-  | exception Json.Error msg -> Error msg
+let parse = Json.decode decode_doc
 
 let parse_exn s =
   match parse s with

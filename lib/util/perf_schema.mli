@@ -15,9 +15,10 @@
     what this module parses is a test failure, not a silently stale
     file.
 
-    Rendering and parsing build on {!Localcert_obs.Json} (no external
-    JSON library in the dependency cone); the parser accepts general
-    JSON but [parse] rejects documents that do not match the schema
+    Rendering and parsing go through {!Localcert_obs.Json}, the
+    repository's one JSON codec ({!Localcert_obs.Json.pretty} layout,
+    strict-decoding kit); this module keeps only the schema's own
+    checks, and [parse] rejects documents that do not match the schema
     exactly. *)
 
 type jrow = {
@@ -58,13 +59,13 @@ type doc = {
 }
 
 val render : doc -> string
-(** Pretty-printed JSON, trailing newline included. *)
+(** {!Localcert_obs.Json.pretty} JSON, trailing newline included. *)
 
 val parse : string -> (doc, string) result
-(** Parse and validate: JSON well-formedness, exact field sets, at
-    least one series, at least one group per series, at least one row
-    per group, no duplicate job counts within a group, finite
-    non-negative numbers, ratios within [0..1]. *)
+(** Parse and validate: JSON well-formedness, exact field sets (no
+    repeated keys), at least one series, at least one group per series,
+    at least one row per group, no duplicate job counts within a group,
+    finite non-negative numbers, ratios within [0..1]. *)
 
 val parse_exn : string -> doc
 (** [parse] or [Invalid_argument]. *)

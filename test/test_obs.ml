@@ -249,6 +249,10 @@ let export_rejects_malformed () =
       ( "gauge value -1e300 overflows native int",
         {|{"version":1,"counters":[],"gauges":[{"name":"g","value":-1e300}],"histograms":[],"approx":{"counters":[],"gauges":[],"histograms":[],"timings":[]}}|}
       );
+      (* a repeated key used to resolve silently to its first value *)
+      ( "repeated version key",
+        {|{"version":1,"version":2,"counters":[],"gauges":[],"histograms":[],"approx":{"counters":[],"gauges":[],"histograms":[],"timings":[]}}|}
+      );
     ]
   in
   List.iter

@@ -154,6 +154,9 @@ let rejects_malformed () =
       ( "negative max_rss_mb",
         {|{ "smoke": false, "series": [ { "scheme": "x", "groups": [ { "n": 1, "prover_ms": 1, "minor_words": 1, "interned_ratio": 0, "max_rss_mb": -5, "rows": [ { "jobs": 1, "verify_ms": 1, "verts_per_sec": 1 } ] } ] } ] }|}
       );
+      ( "repeated smoke key",
+        {|{ "smoke": false, "smoke": 3, "series": [ { "scheme": "x", "groups": [ { "n": 1, "prover_ms": 1, "minor_words": 1, "interned_ratio": 0, "rows": [ { "jobs": 1, "verify_ms": 1, "verts_per_sec": 1 } ] } ] } ] }|}
+      );
       ( "memo ratio above one",
         {|{ "smoke": false, "series": [ { "scheme": "x", "groups": [ { "n": 1, "prover_ms": 1, "minor_words": 1, "interned_ratio": 0, "memo_hit_ratio": 1.5, "rows": [ { "jobs": 1, "verify_ms": 1, "verts_per_sec": 1 } ] } ] } ] }|}
       );

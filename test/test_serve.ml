@@ -658,9 +658,55 @@ let bench_schema_rejects () =
     };
   reject "duplicate labels"
     { bench_doc with Bench_schema.runs = [ bench_run; bench_run ] };
-  match Bench_schema.parse "{}" with
-  | Ok _ -> Alcotest.fail "accepted an empty document"
-  | Error _ -> ()
+  (* malformed texts the renderer cannot produce: edits of a rendered
+     run whose outcome counts are all [ok], so 0 + 0 + 0 tiling a
+     zero [sent] cannot mask a bad integer *)
+  let clean =
+    Bench_schema.render
+      {
+        bench_doc with
+        Bench_schema.runs =
+          [
+            {
+              bench_run with
+              Bench_schema.ok = 1000;
+              retry_later = 0;
+              errors = 0;
+            };
+          ];
+      }
+  in
+  let edit pairs =
+    List.fold_left
+      (fun text (needle, by) ->
+        let n = String.length needle in
+        let rec find i =
+          if i + n > String.length text then
+            Alcotest.failf "%S not in the rendered document" needle
+          else if String.sub text i n = needle then i
+          else find (i + 1)
+        in
+        let i = find 0 in
+        String.sub text 0 i ^ by
+        ^ String.sub text (i + n) (String.length text - i - n))
+      clean pairs
+  in
+  check "clean baseline parses" true (Result.is_ok (Bench_schema.parse clean));
+  List.iter
+    (fun (why, text) ->
+      if Result.is_ok (Bench_schema.parse text) then
+        Alcotest.failf "accepted %s" why)
+    [
+      ("an empty document", "{}");
+      ( "out-of-range counts (1e300 is no native int)",
+        edit
+          [
+            ({|"sent": 1000|}, {|"sent": 1e300|});
+            ({|"ok": 1000|}, {|"ok": 1e300|});
+          ] );
+      ( "a repeated key",
+        edit [ ({|"window": 256|}, {|"window": 256, "window": 256|}) ] );
+    ]
 
 (* The committed artifact at the repository root (same walk-up as the
    BENCH_PERF guard) parses under the schema and meets the throughput

@@ -111,6 +111,74 @@ let qcheck_programs_valid =
           | _ -> "?");
       valid && fixpoint)
 
+(* Random finite trees: [parse ∘ pretty] is the identity and
+   [pretty ∘ parse] a fixpoint on pretty output — the property that
+   keeps committed artifacts byte-stable across a re-render. *)
+let json_arb =
+  let open QCheck.Gen in
+  let str =
+    string_size
+      ~gen:(oneofl [ 'a'; 'z'; ' '; '"'; '\\'; '\n'; '\001' ])
+      (int_bound 6)
+  in
+  let scalar =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.int i) small_signed_int;
+        map (fun f -> Json.Num (if Float.is_finite f then f else 0.)) float;
+        map (fun s -> Json.Str s) str;
+      ]
+  in
+  let tree =
+    sized_size (int_bound 12)
+    @@ fix (fun self n ->
+           if n <= 0 then scalar
+           else
+             frequency
+               [
+                 (1, scalar);
+                 ( 2,
+                   map
+                     (fun l -> Json.Arr l)
+                     (list_size (int_bound 4) (self (n / 2))) );
+                 ( 2,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (int_bound 4) (pair str (self (n / 2)))) );
+               ])
+  in
+  QCheck.make ~print:Json.render tree
+
+let qcheck_pretty_roundtrip =
+  QCheck.Test.make ~name:"json: pretty round-trips random finite trees"
+    ~count:300 json_arb (fun t ->
+      let p = Json.pretty t in
+      Json.parse p = Ok t && Json.pretty (Json.parse_exn p) = p)
+
+(* inf/nan are not JSON: the parser refuses literals that overflow a
+   float, and neither renderer will write one. *)
+let json_non_finite () =
+  List.iter
+    (fun text ->
+      check (text ^ " rejected") true (Result.is_error (Json.parse text)))
+    [ "[1e400]"; "-1e400"; {|{"ts":1e400}|} ];
+  check "1e300 still parses" true (Json.parse "1e300" = Ok (Json.Num 1e300));
+  List.iter
+    (fun f ->
+      let tree = Json.Arr [ Json.Num f ] in
+      List.iter
+        (fun (name, r) ->
+          check
+            (Printf.sprintf "%s refuses %g" name f)
+            true
+            (match r tree with
+            | _ -> false
+            | exception Invalid_argument _ -> true))
+        [ ("render", Json.render); ("pretty", Json.pretty) ])
+    [ Float.infinity; Float.neg_infinity; Float.nan ]
+
 (* ------------------------------------------------------------------ *)
 (* Overflow                                                            *)
 
@@ -325,6 +393,9 @@ let suite =
     ( "tracer",
       [
         QCheck_alcotest.to_alcotest qcheck_programs_valid;
+        QCheck_alcotest.to_alcotest qcheck_pretty_roundtrip;
+        Alcotest.test_case "json refuses non-finite numbers" `Quick
+          json_non_finite;
         Alcotest.test_case "overflow drops new events, keeps old" `Quick
           overflow_drops_new_events;
         Alcotest.test_case "validator rejects malformed shapes" `Quick
