@@ -28,62 +28,142 @@ let default_state_bits (auto : TA.t) =
   let count = auto.TA.state_count () in
   if count >= 2 then Combin.ceil_log2 count else 8
 
-(* Prover: run the automaton from [root], returning per-vertex
-   (dist mod 3, state). *)
-let label_run (inst : Instance.t) (auto : TA.t) root =
-  let g = inst.Instance.graph in
-  let bt = Graph.bfs_tree g root in
+(* Prover: run the automaton down the BFS tree [bt], returning every
+   vertex's state.  Reversed BFS discovery order is nonincreasing
+   distance, so children are always labelled before their parent.  An
+   unlabelled vertex folds its children into the lowering's flat
+   label-0 table — the same [table_add]/[table_delta] path the
+   checker's [transition] takes, so no per-vertex allocation; a
+   labelled vertex, a missing table or a child state outside it falls
+   back to the exact [delta] over uncapped counts. *)
+let label_run ?table (inst : Instance.t) (auto : TA.t) (bt : Graph.bfs_tree) =
+  let g = inst.Instance.graph and labels = inst.Instance.labels in
+  let row_ptr, col = Graph.unsafe_csr g in
   let dist = bt.Graph.dist in
   let states = Array.make (Graph.n g) (-1) in
-  (* bottom-up: reversed BFS discovery order is nonincreasing
-     distance, so children are always labelled before their parent —
-     no comparison sort, no per-vertex neighbor array *)
+  let exact v dv =
+    let child_states = ref [] in
+    for i = row_ptr.(v + 1) - 1 downto row_ptr.(v) do
+      let w = col.(i) in
+      if dist.(w) = dv then child_states := states.(w) :: !child_states
+    done;
+    auto.TA.delta ~label:labels.(v) ~counts:(TA.counts_of_list !child_states)
+  in
   let order = bt.Graph.order in
   for i = Array.length order - 1 downto 0 do
     let v = order.(i) in
     let dv = dist.(v) + 1 in
-    let child_states =
-      Graph.fold_neighbors g v
-        (fun acc w -> if dist.(w) = dv then states.(w) :: acc else acc)
-        []
-    in
     states.(v) <-
-      auto.TA.delta ~label:inst.Instance.labels.(v)
-        ~counts:(TA.counts_of_list child_states)
+      (match table with
+      | Some tbl when labels.(v) = 0 ->
+          let packed = ref 0 and j = ref row_ptr.(v) in
+          let hi = row_ptr.(v + 1) in
+          while !packed >= 0 && !j < hi do
+            let w = col.(!j) in
+            if dist.(w) = dv then packed := TA.table_add tbl !packed states.(w);
+            incr j
+          done;
+          if !packed >= 0 then TA.table_delta tbl !packed else exact v dv
+      | _ -> exact v dv)
   done;
-  (dist, states)
+  states
 
-let prover_certs ?state_bits (inst : Instance.t) (auto : TA.t) roots =
-  if not (Graph.is_tree inst.Instance.graph) then None
-  else
-    let accepting_root =
-      List.find_opt
-        (fun r ->
-          let _, states = label_run inst auto r in
-          auto.TA.accepting states.(r))
-        roots
-    in
-    match accepting_root with
-    | None -> None
-    | Some root ->
-        let dist, states = label_run inst auto root in
-        let fp = fingerprint auto in
-        let sb =
-          match state_bits with
-          | Some b -> b
-          | None -> default_state_bits auto
-        in
-        let max_state = Array.fold_left max 0 states in
-        if max_state >= 1 lsl sb then
-          invalid_arg
-            (Printf.sprintf
-               "Tree_mso: automaton %s reached state %d, which does not fit \
-                the %d-bit state field; pass ~state_bits"
-               auto.TA.name max_state sb);
-        Some
-          (Array.init (Instance.n inst) (fun v ->
-               encode ~state_bits:sb
-                 { dist3 = dist.(v) mod 3; state = states.(v); fingerprint = fp }))
+let rec remove_one s = function
+  | [] -> []
+  | (s', c) :: rest when s' = s -> if c = 1 then rest else (s', c - 1) :: rest
+  | x :: rest -> x :: remove_one s rest
+
+(* Every vertex's state as the root of the tree, from the single run
+   [down] rooted at [bt]'s source, by rerooting.  Walking top-down,
+   [up.(c)] is the state of [c]'s parent [p] in the run rooted at [c]:
+   [p]'s other children plus [up.(p)].  The root state of [p] is
+   [delta] over all of those; [up.(c)] is the same multiset minus one
+   child in [c]'s state, shared by the children of [p] in that state.
+   Counts are exact (uncapped), as in [label_run]'s fallback, so this
+   is O(n) [delta] calls in all. *)
+let root_states (inst : Instance.t) (auto : TA.t) (bt : Graph.bfs_tree) down =
+  let g = inst.Instance.graph and labels = inst.Instance.labels in
+  let row_ptr, col = Graph.unsafe_csr g in
+  let dist = bt.Graph.dist in
+  let up = Array.make (Graph.n g) (-1) in
+  let root = Array.make (Graph.n g) (-1) in
+  Array.iter
+    (fun p ->
+      let label = labels.(p) and dc = dist.(p) + 1 in
+      let states = ref (if dist.(p) > 0 then [ up.(p) ] else []) in
+      for i = row_ptr.(p) to row_ptr.(p + 1) - 1 do
+        let c = col.(i) in
+        if dist.(c) = dc then states := down.(c) :: !states
+      done;
+      let counts = TA.counts_of_list !states in
+      root.(p) <- auto.TA.delta ~label ~counts;
+      let shared = ref [] in
+      for i = row_ptr.(p) to row_ptr.(p + 1) - 1 do
+        let c = col.(i) in
+        if dist.(c) = dc then
+          up.(c) <-
+            (match List.assoc_opt down.(c) !shared with
+            | Some u -> u
+            | None ->
+                let u = auto.TA.delta ~label ~counts:(remove_one down.(c) counts) in
+                shared := (down.(c), u) :: !shared;
+                u)
+      done)
+    bt.Graph.order;
+  root
+
+(* The run from the first root in [roots] whose run accepts, as
+   (distances, states), or [None] (also when the graph is not a tree).
+   The first root's run is kept when it accepts; otherwise one
+   rerooting pass decides every other candidate, and only the chosen
+   root is run again, so accepting and declining are both O(n). *)
+let accepting_run ?table (inst : Instance.t) (auto : TA.t) roots =
+  let g = inst.Instance.graph in
+  match roots () with
+  | Seq.Nil -> None
+  | Seq.Cons (r0, rest) ->
+      let bt = Graph.bfs_tree g r0 in
+      (* connected with n - 1 edges: a tree *)
+      if Array.length bt.Graph.order <> Graph.n g || Graph.m g <> Graph.n g - 1
+      then None
+      else
+        let states = label_run ?table inst auto bt in
+        if auto.TA.accepting states.(r0) then Some (bt.Graph.dist, states)
+        else
+          let root = lazy (root_states inst auto bt states) in
+          match Seq.find (fun r -> auto.TA.accepting (Lazy.force root).(r)) rest with
+          | None -> None
+          | Some r ->
+              let bt = Graph.bfs_tree g r in
+              Some (bt.Graph.dist, label_run ?table inst auto bt)
+
+let prover_certs ~state_bits:sb ~table (inst : Instance.t) (auto : TA.t) roots =
+  match accepting_run ?table inst auto roots with
+  | None -> None
+  | Some (dist, states) ->
+      let fp = fingerprint auto in
+      let max_state = Array.fold_left max 0 states in
+      if max_state >= 1 lsl sb then
+        invalid_arg
+          (Printf.sprintf
+             "Tree_mso: automaton %s reached state %d, which does not fit \
+              the %d-bit state field; pass ~state_bits"
+             auto.TA.name max_state sb);
+      (* certificates depend on (dist mod 3, state) only: encode each
+         pair once and share it *)
+      let memo = Hashtbl.create 16 in
+      Some
+        (Array.init (Instance.n inst) (fun v ->
+             let dist3 = dist.(v) mod 3 and state = states.(v) in
+             let key = dist3 + (3 * state) in
+             match Hashtbl.find memo key with
+             | c -> c
+             | exception Not_found ->
+                 let c =
+                   encode ~state_bits:sb { dist3; state; fingerprint = fp }
+                 in
+                 Hashtbl.add memo key c;
+                 c))
 
 (* The lowered checker.  Certificates decode (totally) to [cert
    option]; the check stage walks the pre-decoded neighbor array with
@@ -97,9 +177,8 @@ let prover_certs ?state_bits (inst : Instance.t) (auto : TA.t) roots =
 let nbr_cert (d : cert option) =
   match d with Some c -> c | None -> assert false
 
-let lowering ~state_bits (auto : TA.t) : cert option Scheme.lowering =
+let lowering ~state_bits ~table (auto : TA.t) : cert option Scheme.lowering =
   let fp = fingerprint auto in
-  let table0 = TA.tabulate auto ~label:0 in
   let slow_transition ~label ~down decs ~lo ~hi =
     let states = ref [] in
     for i = hi - 1 downto lo do
@@ -109,7 +188,7 @@ let lowering ~state_bits (auto : TA.t) : cert option Scheme.lowering =
     auto.TA.delta ~label ~counts:(TA.counts_of_list !states)
   in
   let transition ~label ~down decs ~lo ~hi =
-    match table0 with
+    match table with
     | Some tbl when label = 0 ->
         let packed = ref 0 in
         let i = ref lo in
@@ -166,20 +245,24 @@ let lowering ~state_bits (auto : TA.t) : cert option Scheme.lowering =
   in
   { decode = (fun ~id_bits:_ c -> decode ~state_bits c); check; flat = None }
 
-let make ?state_bits auto =
+(* One label-0 table per scheme, built when the scheme is made and
+   shared by its prover and its checker. *)
+let make_scheme ?state_bits ~name auto roots =
   let sb = match state_bits with Some b -> b | None -> default_state_bits auto in
-  Scheme.of_lowering
-    ~name:("tree-mso[" ^ auto.TA.name ^ "]")
-    ~prover:(fun inst ->
-      prover_certs ~state_bits:sb inst auto (Graph.vertices inst.Instance.graph))
-    (lowering ~state_bits:sb auto)
+  let table = TA.tabulate auto ~label:0 in
+  Scheme.of_lowering ~name
+    ~prover:(fun inst -> prover_certs ~state_bits:sb ~table inst auto (roots inst))
+    (lowering ~state_bits:sb ~table auto)
+
+let make ?state_bits auto =
+  make_scheme ?state_bits ~name:("tree-mso[" ^ auto.TA.name ^ "]") auto
+    (fun inst -> Seq.init (Instance.n inst) Fun.id)
 
 let make_with_root ?state_bits ~root auto =
-  let sb = match state_bits with Some b -> b | None -> default_state_bits auto in
-  Scheme.of_lowering
+  make_scheme ?state_bits
     ~name:(Printf.sprintf "tree-mso[%s]@%d" auto.TA.name root)
-    ~prover:(fun inst -> prover_certs ~state_bits:sb inst auto [ root ])
-    (lowering ~state_bits:sb auto)
+    auto
+    (fun _ -> Seq.return root)
 
 (* The literal certificate of Appendix C.1: mod-3 counter, automaton
    description (the encoded UOP table), and run state. *)
@@ -209,23 +292,11 @@ let make_table table =
             (dist3, state))
   in
   let prover (inst : Instance.t) =
-    if not (Graph.is_tree inst.Instance.graph) then None
-    else
-      let roots = Graph.vertices inst.Instance.graph in
-      let accepting_root =
-        List.find_opt
-          (fun r ->
-            let _, states = label_run inst auto r in
-            auto.TA.accepting states.(r))
-          roots
-      in
-      match accepting_root with
-      | None -> None
-      | Some root ->
-          let dist, states = label_run inst auto root in
-          Some
-            (Array.init (Instance.n inst) (fun v ->
-                 encode_full (dist.(v) mod 3) states.(v)))
+    Option.map
+      (fun (dist, states) ->
+        Array.init (Instance.n inst) (fun v ->
+            encode_full (dist.(v) mod 3) states.(v)))
+      (accepting_run inst auto (Seq.init (Instance.n inst) Fun.id))
   in
   let check ~id_bits:_ ~me:_ ~label mine ~ids ~decs ~lo ~hi : Scheme.verdict =
     match mine with

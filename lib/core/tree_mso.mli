@@ -24,10 +24,16 @@
 val make : ?state_bits:int -> Localcert_automata.Tree_automaton.t -> Scheme.t
 (** [make auto] certifies "the tree, suitably rooted, is accepted by
     [auto]" — for root-invariant automata this is a property of the
-    tree; in general it is the ∃-root projection.  The prover tries
-    every root and picks an accepting one.  [state_bits] fixes the
-    state field width (default: enough for the automaton's current
-    state count, with a floor of 1). *)
+    tree; in general it is the ∃-root projection.  The prover picks
+    the first vertex (in id order) whose rooting is accepted.  It runs
+    the automaton once from vertex 0; if that run rejects, one
+    rerooting pass decides every other root in O(n) [delta] calls, so
+    a no-instance is declined in linear time.  Unlabelled vertices go
+    through the automaton's flat label-0 table
+    ({!Localcert_automata.Tree_automaton.tabulate}), shared with the
+    verifier; labelled ones and automata without a table use the exact
+    [delta].  [state_bits] fixes the state field width (default: enough
+    for the automaton's current state count, with a floor of 1). *)
 
 val make_with_root : ?state_bits:int -> root:int -> Localcert_automata.Tree_automaton.t -> Scheme.t
 (** Prover uses a fixed root (completeness then requires the run from

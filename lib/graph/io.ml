@@ -116,108 +116,134 @@ let to_edge_list g =
       Buffer.add_string buf (Printf.sprintf "%d %d\n" u v));
   Buffer.contents buf
 
-(* Whitespace-separated int scanner over a pull-based character
-   source.  Both edge-list readers share it; the source is re-created
-   per counting pass, so a pass is one forward scan with no lookahead
-   state beyond a single char. *)
+(* Whitespace-separated int scanner over a byte buffer.  Both
+   edge-list readers share it: [of_edge_list] hands it the whole
+   string as one pre-filled chunk, [of_edge_list_file] refills the
+   buffer one [input] chunk at a time.  A scanner is created per
+   counting pass, so a pass is one forward scan that never looks back
+   further than the current byte. *)
 
-let is_ws c = c = ' ' || c = '\t' || c = '\r' || c = '\n'
-let is_digit c = c >= '0' && c <= '9'
+type scanner = {
+  buf : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+  refill : Bytes.t -> int;  (** fills [buf] from 0; 0 at end of input *)
+}
 
-let read_int read ~eof_msg =
-  let rec skip () =
-    match read () with
-    | Some c when is_ws c -> skip ()
-    | other -> other
-  in
-  match skip () with
-  | None -> failwith eof_msg
-  | Some c0 ->
-      let neg = c0 = '-' in
-      let c0 =
-        if neg then
-          match read () with
-          | Some c -> c
-          | None -> failwith eof_msg
-        else c0
-      in
-      if not (is_digit c0) then failwith eof_msg;
-      let v = ref (Char.code c0 - Char.code '0') in
-      let stop = ref false in
-      while not !stop do
-        match read () with
-        | Some c when is_digit c -> v := (!v * 10) + (Char.code c - Char.code '0')
-        | Some c when is_ws c -> stop := true
-        | Some _ -> failwith eof_msg
-        | None -> stop := true
-      done;
-      if neg then - !v else !v
+let[@inline] is_ws c = c = ' ' || c = '\t' || c = '\r' || c = '\n'
+let[@inline] is_digit c = c >= '0' && c <= '9'
 
-let rest_is_ws read =
-  let rec go () =
-    match read () with
-    | None -> true
-    | Some c when is_ws c -> go ()
-    | Some _ -> false
-  in
-  go ()
+(* True iff a byte is available at [s.pos], refilling if needed. *)
+let[@inline] more s =
+  s.pos < s.len
+  ||
+  let k = s.refill s.buf in
+  s.pos <- 0;
+  s.len <- k;
+  k > 0
 
-(* Parses "n m" then m edges from a fresh character source per pass.
-   [source ()] must yield the same characters on every call. *)
-let edge_list_of_source source =
-  let header read =
-    let n = read_int read ~eof_msg:"bad header" in
-    let m = read_int read ~eof_msg:"bad header" in
+let skip_ws s =
+  let continue = ref true in
+  while !continue do
+    let buf = s.buf and len = s.len in
+    let p = ref s.pos in
+    while !p < len && is_ws (Bytes.unsafe_get buf !p) do
+      incr p
+    done;
+    s.pos <- !p;
+    continue := !p >= len && more s
+  done
+
+let max_div10 = max_int / 10
+let max_mod10 = max_int mod 10
+
+(* One token: optional '-', then digits, ended by whitespace or end of
+   input.  A missing token or a stray byte fails with [err]; a
+   magnitude above [max_int] fails with "integer out of range" rather
+   than wrapping. *)
+let read_int s ~err =
+  skip_ws s;
+  if not (more s) then failwith err;
+  let neg = Bytes.unsafe_get s.buf s.pos = '-' in
+  if neg then begin
+    s.pos <- s.pos + 1;
+    if not (more s) then failwith err
+  end;
+  if not (is_digit (Bytes.unsafe_get s.buf s.pos)) then failwith err;
+  let v = ref 0 and continue = ref true in
+  while !continue do
+    let buf = s.buf and len = s.len in
+    let p = ref s.pos in
+    while !p < len && is_digit (Bytes.unsafe_get buf !p) do
+      let d = Char.code (Bytes.unsafe_get buf !p) - Char.code '0' in
+      if !v >= max_div10 && (!v > max_div10 || d > max_mod10) then
+        failwith "integer out of range";
+      v := (!v * 10) + d;
+      incr p
+    done;
+    s.pos <- !p;
+    continue := !p >= len && more s
+  done;
+  if more s && not (is_ws (Bytes.unsafe_get s.buf s.pos)) then failwith err;
+  if neg then - !v else !v
+
+(* Parses "n m" then m edges from a fresh scanner per pass.
+   [scanner ()] must yield the same bytes on every call. *)
+let edge_list_of_scanner scanner =
+  let header s =
+    skip_ws s;
+    if not (more s) then failwith "empty input";
+    let n = read_int s ~err:"bad header" in
+    let m = read_int s ~err:"bad header" in
     if n < 0 || m < 0 then failwith "bad header";
     (n, m)
   in
   match
-    let n, m = header (source ()) in
+    let n, m = header (scanner ()) in
     Graph.of_iter ~n (fun f ->
-        let read = source () in
-        let _ = header read in
+        let s = scanner () in
+        let _ = header s in
         for _ = 1 to m do
-          let a = read_int read ~eof_msg:"edge count mismatch" in
-          let b = read_int read ~eof_msg:"edge count mismatch" in
+          let a = read_int s ~err:"edge count mismatch" in
+          let b = read_int s ~err:"edge count mismatch" in
           f a b
         done;
-        if not (rest_is_ws read) then failwith "edge count mismatch")
+        skip_ws s;
+        if more s then failwith "edge count mismatch")
   with
   | g -> Ok g
   | exception Failure msg -> Error msg
   | exception Invalid_argument msg -> Error msg
 
-let string_source text () =
-  let p = ref 0 in
-  let len = String.length text in
-  fun () ->
-    if !p >= len then None
-    else begin
-      let c = text.[!p] in
-      incr p;
-      Some c
-    end
-
 let of_edge_list text =
-  if String.for_all is_ws text then Error "empty input"
-  else edge_list_of_source (string_source text)
+  edge_list_of_scanner (fun () ->
+      {
+        buf = Bytes.unsafe_of_string text;
+        pos = 0;
+        len = String.length text;
+        refill = (fun _ -> 0);
+      })
+
+let chunk_size = 65536
 
 let of_edge_list_file path =
-  (* Each counting pass re-opens the file: two sequential scans, so a
-     multi-gigabyte edge list never needs to fit in memory. *)
+  (* Each counting pass re-opens the file: sequential chunked scans,
+     so a multi-gigabyte edge list never needs to fit in memory. *)
   let run () =
     let channels = ref [] in
-    let source () =
-      let ic = open_in path in
+    let scanner () =
+      let ic = open_in_bin path in
       channels := ic :: !channels;
-      fun () ->
-        match input_char ic with
-        | c -> Some c
-        | exception End_of_file -> None
+      {
+        buf = Bytes.create chunk_size;
+        pos = 0;
+        len = 0;
+        refill = (fun b -> input ic b 0 (Bytes.length b));
+      }
     in
     Fun.protect
       ~finally:(fun () -> List.iter close_in_noerr !channels)
-      (fun () -> edge_list_of_source source)
+      (fun () -> edge_list_of_scanner scanner)
   in
   match run () with
   | r -> r

@@ -156,6 +156,16 @@ let of_iter_rejects_diverging_iterator () =
 (* ------------------------------------------------------------------ *)
 (* Streaming ingestion                                                 *)
 
+let with_edge_file text f =
+  let path = Filename.temp_file "csr_edges" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc text;
+      close_out oc;
+      f path)
+
 let qcheck_edge_list_stream_equals_of_edges =
   QCheck.Test.make ~name:"of_edge_list ≡ of_edges (and file ≡ string)"
     ~count:200 seed_arbitrary (fun (n, seed) ->
@@ -173,18 +183,23 @@ let qcheck_edge_list_stream_equals_of_edges =
         | Error _ -> false
       in
       let via_file =
-        let path = Filename.temp_file "csr_edges" ".txt" in
-        Fun.protect
-          ~finally:(fun () -> Sys.remove path)
-          (fun () ->
-            let oc = open_out path in
-            output_string oc text;
-            close_out oc;
+        with_edge_file text (fun path ->
             match Io.of_edge_list_file path with
             | Ok g' -> Graph.equal g g'
             | Error _ -> false)
       in
       via_string && via_file)
+
+(* Both readers on the same text: the file reader must answer exactly
+   as the string reader does, graph or error string. *)
+let readers_agree label text =
+  let via_string = Io.of_edge_list text in
+  let via_file = with_edge_file text Io.of_edge_list_file in
+  match (via_string, via_file) with
+  | Ok g, Ok g' -> check (label ^ ": same graph") true (Graph.equal g g')
+  | Error e, Error e' -> Alcotest.(check string) (label ^ ": same error") e e'
+  | Ok _, Error e -> Alcotest.failf "%s: only the file reader fails (%s)" label e
+  | Error e, Ok _ -> Alcotest.failf "%s: only the string reader fails (%s)" label e
 
 let edge_list_malformed () =
   let bad =
@@ -200,13 +215,54 @@ let edge_list_malformed () =
       "3 1\n0 x";
       "-1 0";
       "2 1\n0 1 trailing";
+      (* above max_int: must not wrap around to a valid vertex *)
+      "3 2\n0 1\n9223372036854775810 1\n";
+      "4611686018427387904 0";
+      "3 4611686018427387904\n0 1";
+      "3 1\n0 -4611686018427387905";
     ]
   in
   List.iter
     (fun text ->
       check (Printf.sprintf "rejects %S" text) true
-        (Result.is_error (Io.of_edge_list text)))
-    bad
+        (Result.is_error (Io.of_edge_list text));
+      readers_agree (Printf.sprintf "%S" text) text)
+    bad;
+  (* the largest int still parses, as a (too large) vertex id *)
+  Alcotest.(check (result unit string))
+    "max_int is in range" (Error "Graph: vertex 4611686018427387903 out of [0,3)")
+    (Result.map ignore (Io.of_edge_list "3 1\n0 4611686018427387903"))
+
+(* The file reader refills its buffer one chunk at a time.  Pad each
+   case with whitespace so that the byte at [split] of [feature] is the
+   first byte of the second chunk: a number, a '-' sign, a "\r\n" and
+   a trailing-garbage byte each straddle the refill. *)
+let edge_list_chunk_boundaries () =
+  let straddle before feature ~split after =
+    let pad = Io.chunk_size - String.length before - split in
+    before ^ String.make pad ' ' ^ feature ^ after
+  in
+  let cases =
+    [
+      ("number", straddle "100000 2\n0 1\n" "54321" ~split:2 " 7\n");
+      ("minus sign", straddle "3 1\n0 " "-1" ~split:1 "\n");
+      ("crlf", straddle "3 2\n0 1" "\r\n" ~split:1 "1 2\r\n");
+      ("garbage after a token", straddle "3 1\n0 " "1x" ~split:1 "\n");
+      ("garbage after the edges", straddle "3 1\n0 1" " x" ~split:1 "");
+      ( "overflow",
+        straddle "3 1\n0 " "9223372036854775810" ~split:10 "\n" );
+    ]
+  in
+  List.iter
+    (fun (label, text) ->
+      check (label ^ " spans two chunks") true
+        (String.length text > Io.chunk_size);
+      readers_agree label text)
+    cases;
+  check "number case parses" true
+    (Result.is_ok (Io.of_edge_list (List.assoc "number" cases)));
+  check "crlf case parses" true
+    (Result.is_ok (Io.of_edge_list (List.assoc "crlf" cases)))
 
 let graph6_truncated () =
   let g = Gen.random_tree (Rng.make 5) 30 in
@@ -336,6 +392,8 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_edge_list_stream_equals_of_edges;
         Alcotest.test_case "malformed edge lists rejected" `Quick
           edge_list_malformed;
+        Alcotest.test_case "file reader across chunk boundaries" `Quick
+          edge_list_chunk_boundaries;
         Alcotest.test_case "truncated graph6 rejected" `Quick graph6_truncated;
       ] );
     ( "cert-arena",

@@ -141,6 +141,104 @@ let tree_mso_capped_formula () =
   (* P5 has no dominating vertex *)
   declines scheme (inst (Gen.path 5))
 
+(* Prover differential: every certificate's (dist mod 3, state) is the
+   automaton's own run ([Tree_automaton.state_labeling]) from the root
+   the certificates name, and that root is the first vertex whose
+   rooting accepts, found here by brute force over all roots.  Covers
+   the label-0 table path, the exact-[delta] fallback on labelled
+   vertices, an automaton with no table, and root-sensitive automata,
+   where the rerooting pass picks the root. *)
+let tree_mso_prover_differential () =
+  let sb = 8 in
+  let decode c =
+    match
+      Bitbuf.decode c (fun r ->
+          let d = Bitbuf.Reader.fixed r ~width:2 in
+          let s = Bitbuf.Reader.fixed r ~width:sb in
+          ignore (Bitbuf.Reader.fixed r ~width:16 (* fingerprint *));
+          (d, s))
+    with
+    | Some x -> x
+    | None -> Alcotest.fail "undecodable certificate"
+  in
+  (* vertices in [Rooted.of_graph]'s postorder: ascending neighbours,
+     children before their parent *)
+  let postorder g root =
+    let out = ref [] in
+    let rec go v parent =
+      Array.iter (fun w -> if w <> parent then go w v) (Graph.neighbors g v);
+      out := v :: !out
+    in
+    go root (-1);
+    List.rev !out
+  in
+  let agree name ((auto : Tree_automaton.t), scheme) inst =
+    let g = inst.Instance.graph and labels = inst.Instance.labels in
+    let rooted root = Rooted.of_graph ~labels g ~root in
+    let brute =
+      List.find_opt
+        (fun r -> Tree_automaton.accepts auto (rooted r))
+        (Graph.vertices g)
+    in
+    match (scheme.Scheme.prover inst, brute) with
+    | None, None -> ()
+    | None, Some r -> Alcotest.failf "%s: declined, but root %d accepts" name r
+    | Some _, None -> Alcotest.failf "%s: certified, but no root accepts" name
+    | Some certs, Some r ->
+        let decs = Array.map decode certs in
+        let root =
+          List.find
+            (fun v ->
+              fst decs.(v) = 0
+              && Array.for_all (fun w -> fst decs.(w) <> 2) (Graph.neighbors g v))
+            (Graph.vertices g)
+        in
+        check_int (name ^ ": first accepting root") r root;
+        let dist = Graph.bfs_dist g root in
+        List.iter2
+          (fun v (_, s) ->
+            check_int (name ^ ": dist mod 3") (dist.(v) mod 3) (fst decs.(v));
+            check_int (name ^ ": state") s (snd decs.(v)))
+          (postorder g root)
+          (Tree_automaton.state_labeling auto (rooted root))
+  in
+  let scheme a = (a, Tree_mso.make ~state_bits:sb a) in
+  let pm = Library.has_perfect_matching.Library.auto in
+  let d4 = (Library.diameter_at_most 4).Library.auto in
+  let tabled =
+    [
+      pm; d4; (Library.has_vertex_of_degree_at_least 3).Library.auto;
+      (Library.max_degree_at_most 2).Library.auto;
+      (Library.height_at_most 2).Library.auto;
+    ]
+  in
+  List.iter
+    (fun a ->
+      check (a.Tree_automaton.name ^ " has a label-0 table") true
+        (Tree_automaton.tabulate a ~label:0 <> None))
+    tabled;
+  let tabled = List.map scheme tabled in
+  let labelled = List.map scheme [ pm; (Library.root_has_label 1).Library.auto ] in
+  (* a lazy product has no states before its first run, so no table *)
+  let lazy_auto = Tree_automaton.conj pm d4 in
+  check "lazy product has no table" true
+    (Tree_automaton.tabulate lazy_auto ~label:0 = None);
+  let lazy_scheme = scheme lazy_auto in
+  let rng = Rng.make 77 in
+  for i = 1 to 150 do
+    let n = 1 + Rng.int rng 20 in
+    let g = Gen.random_tree rng n in
+    let name (a, _) =
+      Printf.sprintf "%s on tree %d (n=%d)" a.Tree_automaton.name i n
+    in
+    List.iter (fun s -> agree (name s) s (inst g)) tabled;
+    let labels = Array.init n (fun _ -> Rng.int rng 2) in
+    List.iter
+      (fun s -> agree (name s ^ " labelled") s (Instance.make ~labels g))
+      labelled;
+    agree (name lazy_scheme) lazy_scheme (inst g)
+  done
+
 (* ================== Theorem 2.4: treedepth ======================= *)
 
 let td_instances =
@@ -370,6 +468,8 @@ let suite =
         Alcotest.test_case "rooted variant" `Quick tree_mso_rooted_variant;
         Alcotest.test_case "promise upgrade" `Quick tree_mso_promise_upgrade;
         Alcotest.test_case "capped formula pipeline" `Quick tree_mso_capped_formula;
+        Alcotest.test_case "prover differential" `Quick
+          tree_mso_prover_differential;
       ] );
     ( "core:treedepth (Thm 2.4)",
       [
