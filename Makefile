@@ -1,5 +1,4 @@
-.PHONY: all check build test bench bench-runtime bench-perf bench-perf-smoke \
-        serve-smoke bench-serve bench-serve-smoke clean
+.PHONY: all check build test bench clean
 
 all: build
 
@@ -14,37 +13,6 @@ check: build test
 
 bench:
 	dune exec bench/main.exe -- --timings
-
-# Fault-injection sweep over the round-based runtime; writes
-# BENCH_runtime.json (detection rate/latency/communication series).
-bench-runtime:
-	dune exec bench/main.exe -- --runtime
-
-# Prover/verifier wall-clock, throughput, parallel speedup and
-# allocation counters per scheme family; writes BENCH_PERF.json
-# (schema: lib/util/perf_schema.mli, guarded by the test suite).
-bench-perf:
-	dune exec bench/main.exe -- --perf
-
-# Small-n variant for CI: same artifact, seconds instead of minutes.
-bench-perf-smoke:
-	dune exec bench/main.exe -- --perf-smoke
-
-# Boot a self-hosted server, fire a scaled-down campaign at it and
-# validate the result — the one-command health check for the serving
-# subsystem (no artifact written).
-serve-smoke:
-	dune exec bin/localcert_cli.exe -- loadgen --campaign --smoke
-
-# Full latency/throughput campaign against a self-hosted server;
-# writes BENCH_SERVE.json (schema: lib/serve/bench_schema.mli, guarded
-# by the test suite, which expects the committed artifact to exist).
-bench-serve:
-	dune exec bin/localcert_cli.exe -- loadgen --campaign --out BENCH_SERVE.json
-
-# Smoke variant: same artifact shape, ~100x fewer requests.
-bench-serve-smoke:
-	dune exec bin/localcert_cli.exe -- loadgen --campaign --smoke --out BENCH_SERVE_smoke.json
 
 clean:
 	dune clean

@@ -2,11 +2,9 @@
    (E1–E12, the paper's "tables and figures"), then run Bechamel timing
    benches for the provers and verifiers of the main schemes.
 
-   `dune exec bench/main.exe` runs everything; pass `--experiments`,
-   `--timings`, `--runtime`, `--perf` or `--perf-smoke` to run only one
-   part.  `--perf` writes the BENCH_PERF.json artifact (see
-   Perf_bench); it is not part of the default everything-run because it
-   overwrites the committed artifact. *)
+   `dune exec bench/main.exe` runs both; pass `--experiments` or
+   `--timings` to run only one part.  The repository's oracle-checked,
+   layer-attributed benchmark is perfbench/run.py, not this executable. *)
 
 let ols =
   Bechamel.Analyze.ols ~bootstrap:0 ~r_square:true
@@ -217,8 +215,8 @@ let jobs_of_argv argv =
 
 (* `--metrics FILE` turns telemetry on for the whole bench run and
    writes the final snapshot.  The timing numbers then include the
-   (one-branch) telemetry overhead, so perf runs meant for the
-   committed artifact should not pass it. *)
+   (one-branch) telemetry overhead, so timing runs whose figures get
+   quoted should not pass it. *)
 let metrics_of_argv argv =
   let rec go = function
     | "--metrics" :: v :: _ -> Some v
@@ -234,19 +232,10 @@ let () =
   let argv = Array.to_list Sys.argv in
   let experiments = List.mem "--experiments" argv in
   let timings = List.mem "--timings" argv in
-  let runtime = List.mem "--runtime" argv in
-  let perf = List.mem "--perf" argv in
-  let perf_smoke = List.mem "--perf-smoke" argv in
-  let all =
-    (not experiments) && (not timings) && (not runtime) && (not perf)
-    && not perf_smoke
-  in
+  let all = (not experiments) && not timings in
   let metrics_out = metrics_of_argv argv in
   if metrics_out <> None then Metrics.set_enabled true;
-  if perf || perf_smoke then Perf_bench.run ~smoke:perf_smoke ();
   if experiments || all then Experiments.run_all ();
-  if runtime || all then
-    Pool.with_pool ~jobs:(jobs_of_argv argv) Runtime_bench.run;
   if timings || all then begin
     Printf.printf "\n================================================================\n";
     Printf.printf "Timing benches (Bechamel)\n";

@@ -798,18 +798,9 @@ let serve_cmd =
       $ inflight_arg $ conns_arg $ batch_arg $ log_arg $ metrics_arg
       $ trace_file_arg $ trace_rate_arg)
 
-let print_run (r : Bench_schema.run) =
-  Printf.printf "%s: %d requests in %.3fs -> %.0f req/s\n" r.Bench_schema.label
-    r.Bench_schema.sent r.Bench_schema.duration_s r.Bench_schema.throughput_rps;
-  Printf.printf "  ok %d, retry-later %d, errors %d\n" r.Bench_schema.ok
-    r.Bench_schema.retry_later r.Bench_schema.errors;
-  Printf.printf "  latency us: p50 %.0f  p99 %.0f  p999 %.0f  max %.0f\n"
-    r.Bench_schema.p50_us r.Bench_schema.p99_us r.Bench_schema.p999_us
-    r.Bench_schema.max_us
-
 let loadgen_cmd =
-  let run host port self campaign smoke out op scheme graph flip label
-      connections window total rate workers jobs log trace trace_rate =
+  let run host port self op scheme graph flip connections window total rate
+      workers jobs log trace trace_rate =
     with_telemetry ?trace ~trace_process:"localcert-loadgen" log None
     @@ fun () ->
     let jobs = Option.value jobs ~default:1 in
@@ -821,10 +812,8 @@ let loadgen_cmd =
       | "stats" -> Protocol.Stats
       | _ -> failwith "op must be ping, verify, certify or stats"
     in
-    let scale n = if smoke then max 50 (n / 100) else n in
-    let one ~port ~label ~connections ~window ~total ~rate ~scheme ~graph
-        request =
-      let cfg =
+    let go ~port =
+      Loadgen.run
         {
           Loadgen.host;
           port;
@@ -835,74 +824,24 @@ let loadgen_cmd =
           request;
           trace_rate;
         }
-      in
-      let r = Loadgen.to_run ~label ~scheme ~graph cfg (Loadgen.run cfg) in
-      print_run r;
-      r
     in
-    let server_cfg =
-      { Server.default_config with workers; jobs }
+    let s =
+      if self then
+        Loadgen.with_self_server
+          ~config:{ Server.default_config with workers; jobs }
+          go
+      else go ~port
     in
-    let runs =
-      if campaign then begin
-        (* Fixed three-shape campaign, self-hosted: the latency floor
-           (ping), the batched verify hot path, and typed overload
-           against a deliberately tiny admission queue. *)
-        let normal =
-          Loadgen.with_self_server ~config:server_cfg (fun ~port ->
-              [
-                one ~port ~label:"ping-floor" ~connections:2 ~window:16
-                  ~total:(scale 20_000) ~rate:None ~scheme:"-" ~graph:"-"
-                  Protocol.Ping;
-                one ~port ~label:"verify-n4096" ~connections:4 ~window:256
-                  ~total:(scale 200_000) ~rate:None ~scheme ~graph
-                  (Protocol.Verify { scheme; graph; flip = None });
-                one ~port ~label:"verify-paced" ~connections:4 ~window:256
-                  ~total:(scale 50_000) ~rate:(Some 20_000) ~scheme ~graph
-                  (Protocol.Verify { scheme; graph; flip = None });
-              ])
-        in
-        let overload =
-          Loadgen.with_self_server
-            ~config:
-              {
-                server_cfg with
-                Server.queue_capacity = 64;
-                inflight_cap = 32;
-              }
-            (fun ~port ->
-              [
-                one ~port ~label:"overload" ~connections:2 ~window:256
-                  ~total:(scale 50_000) ~rate:None ~scheme ~graph
-                  (Protocol.Verify { scheme; graph; flip = None });
-              ])
-        in
-        normal @ overload
-      end
-      else
-        let label = Option.value label ~default:op in
-        let go ~port =
-          [
-            one ~port ~label ~connections ~window ~total:(scale total) ~rate
-              ~scheme ~graph request;
-          ]
-        in
-        if self then Loadgen.with_self_server ~config:server_cfg (fun ~port -> go ~port)
-        else go ~port
-    in
-    match out with
-    | None -> ()
-    | Some path ->
-        let doc = { Bench_schema.smoke; workers; runs } in
-        let text = Bench_schema.render doc in
-        (match Bench_schema.parse text with
-        | Ok _ -> ()
-        | Error e ->
-            failwith ("internal: BENCH_SERVE failed self-validation: " ^ e));
-        let oc = open_out path in
-        output_string oc text;
-        close_out oc;
-        Printf.printf "results written to %s\n" path
+    let pct q = Loadgen.percentile s.Loadgen.latencies_us q in
+    Printf.printf "%s: %d requests in %.3fs -> %.0f req/s\n" op s.Loadgen.sent
+      s.Loadgen.duration_s
+      (if s.Loadgen.duration_s > 0. then
+         float_of_int s.Loadgen.sent /. s.Loadgen.duration_s
+       else 0.);
+    Printf.printf "  ok %d, retry-later %d, errors %d\n" s.Loadgen.ok
+      s.Loadgen.retry_later s.Loadgen.errors;
+    Printf.printf "  latency us: p50 %.0f  p99 %.0f  p999 %.0f  max %.0f\n"
+      (pct 0.50) (pct 0.99) (pct 0.999) (pct 1.0)
   in
   let port_arg =
     Arg.(
@@ -916,28 +855,6 @@ let loadgen_cmd =
           ~doc:
             "Boot an in-process server on an ephemeral port, load it, then \
              drain it — one command, no port coordination.")
-  in
-  let campaign_flag =
-    Arg.(
-      value & flag
-      & info [ "campaign" ]
-          ~doc:
-            "Run the fixed benchmark campaign (ping floor, verify \
-             saturation, paced verify, overload) against self-hosted \
-             servers; this is what writes the committed BENCH_SERVE.json.")
-  in
-  let smoke_flag =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:"Scale request counts down ~100x and mark the output smoke.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write schema-validated BENCH_SERVE JSON to $(docv).")
   in
   let op_arg =
     Arg.(
@@ -974,12 +891,6 @@ let loadgen_cmd =
       & info [ "flip" ] ~docv:"V:B"
           ~doc:"For verify: flip bit B of vertex V's certificate first.")
   in
-  let label_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "label" ] ~docv:"NAME" ~doc:"Run label in the output document.")
-  in
   let connections_arg =
     Arg.(
       value & opt int 4
@@ -1007,7 +918,7 @@ let loadgen_cmd =
       value
       & opt int Server.default_config.Server.workers
       & info [ "workers" ] ~docv:"N"
-          ~doc:"Worker domains for --self servers (recorded in the output).")
+          ~doc:"Worker domains for --self servers.")
   in
   let trace_rate_arg =
     Arg.(
@@ -1023,12 +934,12 @@ let loadgen_cmd =
     (Cmd.info "loadgen"
        ~doc:
          "Open-loop latency load generator for the certification server \
-          (p50/p99/p999, saturation throughput, BENCH_SERVE.json)")
+          (p50/p99/p999, saturation throughput)")
     Term.(
-      const run $ host_arg $ port_arg $ self_flag $ campaign_flag $ smoke_flag
-      $ out_arg $ op_arg $ scheme_arg $ graph_spec_arg $ flip_arg $ label_arg
-      $ connections_arg $ window_arg $ total_arg $ rate_arg $ workers_arg
-      $ jobs_arg $ log_arg $ trace_file_arg $ trace_rate_arg)
+      const run $ host_arg $ port_arg $ self_flag $ op_arg $ scheme_arg
+      $ graph_spec_arg $ flip_arg $ connections_arg $ window_arg $ total_arg
+      $ rate_arg $ workers_arg $ jobs_arg $ log_arg $ trace_file_arg
+      $ trace_rate_arg)
 
 (* ------------------------------------------------------------------ *)
 (* gadget                                                              *)

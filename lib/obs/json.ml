@@ -332,10 +332,6 @@ let as_arr ctx = function
   | Arr a -> a
   | _ -> raise (Bad (ctx ^ ": expected an array"))
 
-let as_bool ctx = function
-  | Bool b -> b
-  | _ -> raise (Bad (ctx ^ ": expected a boolean"))
-
 let as_str ctx = function
   | Str s when s <> "" -> s
   | Str _ -> raise (Bad (ctx ^ ": empty string"))

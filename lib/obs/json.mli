@@ -3,9 +3,6 @@
     strict-decoding kit every typed schema builds on.  It backs every
     JSON document the repository writes or strictly reads:
     - telemetry snapshots ([--metrics], {!Export});
-    - [BENCH_PERF.json] ({!Localcert_util.Perf_schema});
-    - [BENCH_SERVE.json] ([Localcert_serve.Bench_schema]);
-    - [BENCH_runtime.json] ([bench/runtime_bench.ml]);
     - runtime traces ([simulate --trace], [Localcert_runtime.Trace]);
     - Perfetto timelines ({!Tracer}, whose merge reader is lenient on
       purpose: foreign events have open field sets).
@@ -16,8 +13,8 @@
     job on the returned tree, through the decoding kit below.  The
     number rendering is chosen so that render ∘ parse is a fixpoint:
     every float prints as the shortest decimal that reparses to the
-    same bits, which is what lets artifact-guard tests compare
-    re-rendered documents byte for byte. *)
+    same bits, which is what lets tests compare re-rendered documents
+    byte for byte. *)
 
 type t =
   | Null
@@ -79,14 +76,9 @@ val check_fields : (string * t) list -> string list -> string -> unit
 
 val as_obj : string -> t -> (string * t) list
 val as_arr : string -> t -> t list
-val as_bool : string -> t -> bool
 
 val as_str : string -> t -> string
 (** A non-empty string. *)
-
-val as_num : string -> t -> float
-(** A number; finite on parsed trees, since {!parse} rejects
-    non-finite literals. *)
 
 val as_nonneg : string -> t -> float
 

@@ -22,8 +22,9 @@
 
     With tracing disabled (the default) every emitter is one atomic
     load and branch, cheap enough to leave compiled into the kernel
-    hot paths; the bench guard in [perf_bench] holds this to ≤1% of
-    verify time.
+    hot paths.  Enabled, an emit allocates one event record, so a
+    verification sweep gains a fixed number of minor words, never one
+    per vertex ([test/test_tracer.ml] holds this).
 
     {2 Trace context}
 

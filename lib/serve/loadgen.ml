@@ -6,15 +6,19 @@
    load is many clients asking about few instances, and identical
    concurrent requests are exactly what the server's batching layer
    coalesces into single engine sweeps — this harness measures that
-   path on purpose (BENCH_SERVE.json records the request so the run is
-   reproducible).
+   path on purpose.
 
    With [rate = Some r] each connection paces its sends against the
    wall clock (its share is [r / connections]); unpaced, the window is
    kept full — saturation throughput.  Latency is response arrival
-   minus send time, in microseconds, one sample per request including
-   RETRY_LATER and error responses (a typed overload answer is still
-   an answer; its latency is the admission path's latency). *)
+   minus the request's start, in microseconds, one sample per request
+   including RETRY_LATER and error responses (a typed overload answer
+   is still an answer; its latency is the admission path's latency).
+   A paced request starts at its due time on the schedule, not when a
+   full window finally lets it out: a stalled server delays every
+   request queued behind it, and timing from the actual send would
+   hide that wait (coordinated omission).  An unpaced request has no
+   schedule and starts when it is written. *)
 
 type config = {
   host : string;
@@ -72,6 +76,7 @@ let client cfg ~conn_id ~per_conn ~per_conn_rate =
   let out = { n_ok = 0; n_retry = 0; n_err = 0 } in
   let lat = Array.make (max per_conn 1) 0.0 in
   let send_times = Array.make (max per_conn 1) 0.0 in
+  let answered = Bytes.make (max per_conn 1) '\000' in
   let trace_every =
     if Tracer.is_enabled () then trace_every_of_rate cfg.trace_rate else 0
   in
@@ -113,8 +118,11 @@ let client cfg ~conn_id ~per_conn ~per_conn_rate =
           rstart := !rstart + consumed;
           rlen := !rlen - consumed;
           let id = frame.Wire.id in
-          if id < 0 || id >= per_conn then
+          if id < 0 || id >= !sent then
             failwith "loadgen: response id out of range";
+          if Bytes.get answered id <> '\000' then
+            failwith (Printf.sprintf "loadgen: duplicate response id %d" id);
+          Bytes.set answered id '\001';
           lat.(!recvd) <-
             (Unix.gettimeofday () -. send_times.(id)) *. 1e6;
           if trace_every > 0 && trace_of.(id) >= 0 then begin
@@ -149,7 +157,10 @@ let client cfg ~conn_id ~per_conn ~per_conn_rate =
     if can_send > 0 then begin
       Buffer.clear wbuf;
       for _ = 1 to can_send do
-        send_times.(!sent) <- Unix.gettimeofday ();
+        send_times.(!sent) <-
+          (match per_conn_rate with
+          | None -> Unix.gettimeofday ()
+          | Some r -> start +. (float_of_int !sent /. float_of_int r));
         if trace_every > 0 && !sent mod trace_every = 0 then begin
           let t = client_trace_tag lor (conn_id lsl 24) lor !sent in
           trace_of.(!sent) <- t;
@@ -247,40 +258,10 @@ let run cfg =
   Array.sort compare latencies_us;
   { sent; ok; retry_later; errors; duration_s; latencies_us }
 
-let opcode_string = function
-  | Protocol.Ping -> "ping"
-  | Protocol.Certify _ -> "certify"
-  | Protocol.Verify _ -> "verify"
-  | Protocol.Simulate _ -> "simulate"
-  | Protocol.Attack _ -> "attack"
-  | Protocol.Stats -> "stats"
-
-let to_run ~label ~scheme ~graph cfg (s : stats) : Bench_schema.run =
-  {
-    Bench_schema.label;
-    opcode = opcode_string cfg.request;
-    scheme;
-    graph;
-    connections = cfg.connections;
-    window = cfg.window;
-    rate = cfg.rate;
-    sent = s.sent;
-    ok = s.ok;
-    retry_later = s.retry_later;
-    errors = s.errors;
-    duration_s = s.duration_s;
-    throughput_rps =
-      (if s.duration_s > 0. then float_of_int s.sent /. s.duration_s else 0.);
-    p50_us = percentile s.latencies_us 0.50;
-    p99_us = percentile s.latencies_us 0.99;
-    p999_us = percentile s.latencies_us 0.999;
-    max_us = percentile s.latencies_us 1.0;
-  }
-
 (* Boot an in-process server on an ephemeral port, run [f ~port], then
-   drain it.  This is what `localcert loadgen --self` and `make
-   bench-serve` use: one command, no port coordination, and the drain
-   path gets exercised on every bench run. *)
+   drain it.  This is what `localcert loadgen --self` and the serve
+   tests use: one command, no port coordination, and the drain path
+   gets exercised on every run. *)
 let with_self_server ?(config = Server.default_config) f =
   let stop = Atomic.make false in
   let port_cell = Atomic.make 0 in

@@ -4,8 +4,7 @@
     and matching responses by id.  Every connection sends the same
     request — many clients asking about few instances is the service's
     hot shape, and it is exactly what the server's batcher coalesces;
-    this harness measures that path deliberately.  Results go into
-    [BENCH_SERVE.json] via {!Bench_schema}. *)
+    this harness measures that path deliberately. *)
 
 type config = {
   host : string;
@@ -32,13 +31,16 @@ type stats = {
   latencies_us : float array;
       (** sorted ascending; one sample per response, RETRY_LATER and
           error responses included (a typed overload answer is still
-          an answer) *)
+          an answer).  A sample runs from the request's start to its
+          response: for a paced run ([rate = Some _]) the start is the
+          request's due time on the schedule, so time spent waiting
+          behind a stalled server counts; unpaced, it is the send. *)
 }
 
 val run : config -> stats
 (** Raises [Invalid_argument] on non-positive connections, window or
-    total; [Failure] if the server closes a connection or breaks
-    framing mid-run. *)
+    total; [Failure] if the server closes a connection, breaks framing,
+    or answers an id that was never sent or was already answered. *)
 
 val request_once :
   host:string -> port:int -> Protocol.request ->
@@ -49,12 +51,6 @@ val request_once :
 val percentile : float array -> float -> float
 (** [percentile sorted q] with [q] in [0..1]; [q = 1.0] is the max,
     empty arrays give [0.0]. *)
-
-val opcode_string : Protocol.request -> string
-
-val to_run :
-  label:string -> scheme:string -> graph:string -> config -> stats ->
-  Bench_schema.run
 
 val with_self_server :
   ?config:Server.config -> (port:int -> 'a) -> 'a

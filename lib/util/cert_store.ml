@@ -16,7 +16,7 @@
 
    The store is global and sharded like [Memo]; [set_enabled false]
    turns every [intern] into the identity (used by the transparency
-   tests and to A/B the memory effect in bench/perf_bench.ml). *)
+   tests). *)
 
 let enabled = Atomic.make true
 
@@ -135,12 +135,6 @@ let stats () =
     arena_certs = Atomic.get arena_certs;
     arena_bytes = Atomic.get arena_bytes;
   }
-
-(* Hit fraction among lookups: 0 when every certificate was distinct,
-   approaching 1 when everything was a duplicate. *)
-let hit_ratio () =
-  let l = Atomic.get lookups in
-  if l = 0 then 0.0 else float_of_int (Atomic.get hits) /. float_of_int l
 
 let reset () =
   store := mk_store ();

@@ -55,8 +55,5 @@ val stats : unit -> stats
     that found an existing representative, distinct certificates
     stored, and arena totals. *)
 
-val hit_ratio : unit -> float
-(** [hits / lookups] since the last reset; [0.] before any lookup. *)
-
 val reset : unit -> unit
 (** Drop all interned certificates and zero the counters. *)

@@ -371,6 +371,71 @@ let lowering_fatal_propagates () =
       check_int "pool still works" 10
         (Array.length (Pool.map_chunks pool4 ~chunks:10 Fun.id))
 
+(* ------------------------------------------------------------------ *)
+(* The jobs ladder                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Verify time once grew along the jobs ladder (DESIGN §5.5), from two
+   causes, and each has a deterministic guard here rather than a
+   timing threshold.  First, the sweep allocated per vertex, and every
+   minor collection is a stop-the-world rendezvous across domains: a
+   warm compiled sweep must allocate the same minor words at every n.
+   Second, the pool spawned a domain per job whatever the core count,
+   so descheduled domains stalled each rendezvous: a pool must never
+   run on more domains than the hardware recommends. *)
+
+let spanning_fixture n =
+  let scheme = Spanning_tree.scheme () in
+  let inst = Instance.make (Gen.random_tree (Rng.make 1) n) in
+  (scheme, inst, Option.get (scheme.Scheme.prover inst))
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+(* Minor words of one [Engine.run_par] sweep of the n-vertex fixture
+   on a one-job pool (so all allocation lands on the calling domain),
+   once per wrapper in [arounds] (e.g. one that enables the tracer).
+   Each wrapper first runs a sweep unmeasured, which compiles and
+   caches the kernel and creates any per-domain state. *)
+let warm_sweep_words n arounds =
+  let scheme, inst, certs = spanning_fixture n in
+  Pool.with_pool ~jobs:1 (fun pool ->
+      let sweep () = Engine.run_par ~pool scheme inst certs in
+      List.iter (fun around -> ignore (around sweep)) arounds;
+      List.map (fun around -> minor_words (fun () -> around sweep)) arounds)
+
+let sweep_sizes = (4096, 262_144)
+let plain f = f ()
+
+let sweep_allocation_flat () =
+  let small, large = sweep_sizes in
+  Alcotest.(check (float 0.))
+    (Printf.sprintf "minor words at n=%d and n=%d" small large)
+    (List.hd (warm_sweep_words small [ plain ]))
+    (List.hd (warm_sweep_words large [ plain ]))
+
+(* Each chunk spins a little so that, without the clamp, the extra
+   worker domains get to claim chunks before the caller drains them. *)
+let pool_domains_clamped () =
+  let spin () =
+    let acc = ref 0 in
+    for i = 1 to 20_000 do
+      acc := !acc + i
+    done;
+    Sys.opaque_identity !acc
+  in
+  let ids =
+    Pool.map_chunks pool8 ~chunks:4096 (fun _ ->
+        ignore (spin ());
+        (Domain.self () :> int))
+  in
+  let distinct = List.length (List.sort_uniq compare (Array.to_list ids)) in
+  if distinct > Domain.recommended_domain_count () then
+    Alcotest.failf "jobs:8 pool ran on %d domains, hardware recommends %d"
+      distinct (Domain.recommended_domain_count ())
+
 let suite =
   [
     ( "engine:differential",
@@ -401,5 +466,12 @@ let suite =
         Alcotest.test_case "exceptions propagate" `Quick
           pool_exception_propagates;
         Alcotest.test_case "shutdown" `Quick pool_shutdown_semantics;
+      ] );
+    ( "engine:jobs-ladder",
+      [
+        Alcotest.test_case "warm sweep allocation independent of n" `Quick
+          sweep_allocation_flat;
+        Alcotest.test_case "domains clamped to the hardware" `Quick
+          pool_domains_clamped;
       ] );
   ]

@@ -583,6 +583,55 @@ let rejection_before_fault () =
 (* Registry summary (drives the --version banner)                      *)
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Json strict-decoding kit                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The kit every typed schema decodes through, checked directly rather
+   than only through Export's documents. *)
+let rejected f = match f () with _ -> false | exception Json.Bad _ -> true
+
+let json_kit_fields () =
+  let o = [ ("a", Json.int 1); ("b", Json.Str "x") ] in
+  Json.check_fields o [ "a"; "b"; "c" ] "ok";
+  check "field finds a member" true (Json.field o "b" = Json.Str "x");
+  check "missing field rejected" true (rejected (fun () -> Json.field o "c"));
+  check "unknown key rejected" true
+    (rejected (fun () -> Json.check_fields o [ "a" ] "unknown"));
+  check "repeated key rejected" true
+    (rejected (fun () ->
+         Json.check_fields (("a", Json.int 2) :: o) [ "a"; "b" ] "repeated"));
+  match Json.decode (fun t -> Json.check_fields (Json.as_obj "doc" t) [] "doc")
+          {|{"k":1,"k":1}|}
+  with
+  | Ok () -> Alcotest.fail "decode accepted a repeated key"
+  | Error _ -> ()
+
+let json_kit_scalars () =
+  check "as_int of 2^61" true (Json.as_int "n" (Json.Num 0x1p61) = 1 lsl 61);
+  check "as_int of -2^62 is min_int" true
+    (Json.as_int "n" (Json.Num (-0x1p62)) = min_int);
+  List.iter
+    (fun (what, f) -> check (what ^ " rejected") true (rejected f))
+    [
+      ("1e300 as int", fun () -> ignore (Json.as_int "n" (Json.Num 1e300)));
+      ("-1e300 as int", fun () -> ignore (Json.as_int "n" (Json.Num (-1e300))));
+      ("2^62 as int", fun () -> ignore (Json.as_int "n" (Json.Num 0x1p62)));
+      ("1.5 as int", fun () -> ignore (Json.as_int "n" (Json.Num 1.5)));
+      ("-1 as nonneg int", fun () ->
+        ignore (Json.as_nonneg_int "n" (Json.Num (-1.))));
+      ("-0.5 as nonneg", fun () -> ignore (Json.as_nonneg "n" (Json.Num (-0.5))));
+      ("empty string", fun () -> ignore (Json.as_str "s" (Json.Str "")));
+      ("number as string", fun () -> ignore (Json.as_str "s" (Json.int 1)));
+      ("object as array", fun () -> ignore (Json.as_arr "a" (Json.Obj [])));
+    ];
+  check "decode reports a Bad" true
+    (Result.is_error (Json.decode (Json.as_int "n") "1e300"));
+  check "decode reports a parse error" true
+    (Result.is_error (Json.decode (Json.as_int "n") "[1"));
+  check "decode accepts a good value" true
+    (Json.decode (Json.as_int "n") "42" = Ok 42)
+
 let registry_summary () =
   let lines = Registry.summary () in
   check_int "one line per family" (List.length Registry.all)
@@ -618,6 +667,13 @@ let suite =
           export_rejects_malformed;
         Alcotest.test_case "prometheus TYPE blocks well-formed" `Quick
           prometheus_well_formed;
+      ] );
+    ( "obs-json",
+      [
+        Alcotest.test_case "missing, unknown and repeated keys rejected"
+          `Quick json_kit_fields;
+        Alcotest.test_case "scalar decoders range-check" `Quick
+          json_kit_scalars;
       ] );
     ( "obs-differential",
       [

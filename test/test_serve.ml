@@ -609,138 +609,196 @@ let dead_peer_survival () =
       | Error e -> Alcotest.fail e)
 
 (* ------------------------------------------------------------------ *)
-(* Bench schema                                                        *)
+(* Load generator against scripted servers                             *)
 
-let bench_run =
+(* A one-connection server on an ephemeral loopback port whose answers
+   are scripted by [serve fd]: the load generator's own accounting is
+   then checked against a peer that misbehaves on purpose. *)
+let with_fake_server serve f =
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close lfd) @@ fun () ->
+  Unix.setsockopt lfd Unix.SO_REUSEADDR true;
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 1;
+  let port =
+    match Unix.getsockname lfd with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> assert false
+  in
+  let server =
+    Domain.spawn (fun () ->
+        let fd, _ = Unix.accept lfd in
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          (fun () ->
+            try serve fd
+            with Unix.Unix_error _ | End_of_file -> ()))
+  in
+  Fun.protect ~finally:(fun () -> Domain.join server) (fun () -> f ~port)
+
+(* Blocking frame reader over one socket. *)
+let frame_reader fd =
+  let buf = Bytes.create 65536 in
+  let len = ref 0 in
+  let rec next () =
+    match Wire.decode buf ~pos:0 ~len:!len with
+    | Wire.Frame (frame, used) ->
+        Bytes.blit buf used buf 0 (!len - used);
+        len := !len - used;
+        frame
+    | Wire.Fail e -> failwith (Wire.error_to_string e)
+    | Wire.Need _ -> (
+        match Unix.read fd buf !len (Bytes.length buf - !len) with
+        | 0 -> raise End_of_file
+        | n ->
+            len := !len + n;
+            next ())
+  in
+  next
+
+(* One write carrying each [(id, response)], in order. *)
+let send_responses fd answers =
+  let s =
+    String.concat ""
+      (List.map
+         (fun (id, r) -> Wire.encode (Protocol.encode_response ~id r))
+         answers)
+  in
+  ignore (Unix.write_substring fd s 0 (String.length s))
+
+let send_pongs fd ids =
+  send_responses fd (List.map (fun id -> (id, Protocol.Pong)) ids)
+
+(* Read [reads] requests, then send [answers] in one write. *)
+let read_then_answer ~reads answers fd =
+  let next = frame_reader fd in
+  for _ = 1 to reads do
+    ignore (next ())
+  done;
+  send_responses fd answers
+
+let ping_cfg ~port ~window ~total ~rate =
   {
-    Bench_schema.label = "verify-n4096";
-    opcode = "verify";
-    scheme = "spanning";
-    graph = "random-tree:4096:1";
-    connections = 4;
-    window = 256;
-    rate = None;
-    sent = 1000;
-    ok = 990;
-    retry_later = 8;
-    errors = 2;
-    duration_s = 0.5;
-    throughput_rps = 2000.;
-    p50_us = 100.;
-    p99_us = 900.;
-    p999_us = 1500.;
-    max_us = 2000.;
+    Loadgen.host = "127.0.0.1";
+    port;
+    connections = 1;
+    window;
+    total;
+    rate;
+    request = Protocol.Ping;
+    trace_rate = 0.;
   }
 
-let bench_doc = { Bench_schema.smoke = false; workers = 1; runs = [ bench_run ] }
+(* Coordinated omission: a server that stalls 300 ms before its first
+   answer holds back every paced request due meanwhile (window 1, one
+   due every 10 ms).  Timed from their actual sends those requests look
+   instant and the stall shows up in one sample; timed from their due
+   times, most of the run waited behind it. *)
+let loadgen_paced_counts_stall () =
+  let total = 40 in
+  with_fake_server
+    (fun fd ->
+      let next = frame_reader fd in
+      for i = 0 to total - 1 do
+        let frame = next () in
+        if i = 0 then Unix.sleepf 0.3;
+        send_pongs fd [ frame.Wire.id ]
+      done)
+    (fun ~port ->
+      let s =
+        Loadgen.run (ping_cfg ~port ~window:1 ~total ~rate:(Some 100))
+      in
+      check "all answered" true (s.Loadgen.sent = total && s.Loadgen.ok = total);
+      let p50 = Loadgen.percentile s.Loadgen.latencies_us 0.5 in
+      if p50 < 50_000. then
+        Alcotest.failf "paced p50 %.0f us hides the 300 ms stall" p50)
 
-let bench_schema_roundtrip () =
-  let rendered = Bench_schema.render bench_doc in
-  match Bench_schema.parse rendered with
-  | Error e -> Alcotest.failf "rendered doc does not parse: %s" e
-  | Ok d -> Alcotest.(check string) "fixpoint" rendered (Bench_schema.render d)
+(* A bogus answer must fail the run, not be counted. *)
+let expect_failure ~window ~reads answers expect =
+  with_fake_server (read_then_answer ~reads answers) (fun ~port ->
+      match Loadgen.run (ping_cfg ~port ~window ~total:2 ~rate:None) with
+      | s ->
+          Alcotest.failf "bogus answer accepted: sent=%d ok=%d" s.Loadgen.sent
+            s.Loadgen.ok
+      | exception Failure msg ->
+          if not (String.starts_with ~prefix:expect msg) then
+            Alcotest.failf "expected %S, got %S" expect msg)
 
-let bench_schema_rejects () =
-  let reject why doc =
-    match Bench_schema.parse (Bench_schema.render doc) with
-    | Ok _ -> Alcotest.failf "accepted %s" why
-    | Error _ -> ()
-  in
-  reject "inverted percentiles"
-    {
-      bench_doc with
-      Bench_schema.runs = [ { bench_run with Bench_schema.p99_us = 50. } ];
-    };
-  reject "counts not tiling sent"
-    {
-      bench_doc with
-      Bench_schema.runs = [ { bench_run with Bench_schema.ok = 1 } ];
-    };
-  reject "duplicate labels"
-    { bench_doc with Bench_schema.runs = [ bench_run; bench_run ] };
-  (* malformed texts the renderer cannot produce: edits of a rendered
-     run whose outcome counts are all [ok], so 0 + 0 + 0 tiling a
-     zero [sent] cannot mask a bad integer *)
-  let clean =
-    Bench_schema.render
-      {
-        bench_doc with
-        Bench_schema.runs =
-          [
-            {
-              bench_run with
-              Bench_schema.ok = 1000;
-              retry_later = 0;
-              errors = 0;
-            };
-          ];
-      }
-  in
-  let edit pairs =
-    List.fold_left
-      (fun text (needle, by) ->
-        let n = String.length needle in
-        let rec find i =
-          if i + n > String.length text then
-            Alcotest.failf "%S not in the rendered document" needle
-          else if String.sub text i n = needle then i
-          else find (i + 1)
-        in
-        let i = find 0 in
-        String.sub text 0 i ^ by
-        ^ String.sub text (i + n) (String.length text - i - n))
-      clean pairs
-  in
-  check "clean baseline parses" true (Result.is_ok (Bench_schema.parse clean));
+(* A server that answers id 0 twice and id 1 never has not answered
+   two requests. *)
+let loadgen_duplicate_id_fails () =
+  expect_failure ~window:2 ~reads:2
+    [ (0, Protocol.Pong); (0, Protocol.Pong) ]
+    "loadgen: duplicate response id 0"
+
+(* One that answers an id before it was sent has answered nothing. *)
+let loadgen_unsent_id_fails () =
+  expect_failure ~window:1 ~reads:1 [ (1, Protocol.Pong) ]
+    "loadgen: response id out of range"
+
+(* One that hangs up with requests outstanding fails the run. *)
+let loadgen_server_close_fails () =
+  expect_failure ~window:2 ~reads:2 [] "loadgen: server closed the connection"
+
+(* Typed overload and error answers are answers: each is counted in its
+   own bucket and contributes a latency sample. *)
+let loadgen_counts_typed_answers () =
+  with_fake_server
+    (read_then_answer ~reads:3
+       [
+         (2, Protocol.Retry_later);
+         (0, Protocol.Error (Protocol.Bad_argument "scripted"));
+         (1, Protocol.Pong);
+       ])
+    (fun ~port ->
+      let s = Loadgen.run (ping_cfg ~port ~window:3 ~total:3 ~rate:None) in
+      check "sent" true (s.Loadgen.sent = 3);
+      check "one ok, one retry-later, one error" true
+        (s.Loadgen.ok = 1 && s.Loadgen.retry_later = 1 && s.Loadgen.errors = 1);
+      check "one sample per answer" true
+        (Array.length s.Loadgen.latencies_us = 3))
+
+(* Unpaced requests have no schedule and are timed from their sends:
+   with window 1, the stall lands on the first request only. *)
+let loadgen_unpaced_times_sends () =
+  let total = 5 in
+  with_fake_server
+    (fun fd ->
+      let next = frame_reader fd in
+      for i = 0 to total - 1 do
+        let frame = next () in
+        if i = 0 then Unix.sleepf 0.3;
+        send_pongs fd [ frame.Wire.id ]
+      done)
+    (fun ~port ->
+      let s = Loadgen.run (ping_cfg ~port ~window:1 ~total ~rate:None) in
+      check "all answered" true (s.Loadgen.sent = total && s.Loadgen.ok = total);
+      let lat = s.Loadgen.latencies_us in
+      let max = Loadgen.percentile lat 1.0 in
+      if max < 300_000. then Alcotest.failf "stall not measured: max %.0f us" max;
+      let p50 = Loadgen.percentile lat 0.5 in
+      if p50 >= 150_000. then
+        Alcotest.failf "unpaced p50 %.0f us charges the stall to later sends"
+          p50)
+
+let loadgen_rejects_bad_config () =
   List.iter
-    (fun (why, text) ->
-      if Result.is_ok (Bench_schema.parse text) then
-        Alcotest.failf "accepted %s" why)
-    [
-      ("an empty document", "{}");
-      ( "out-of-range counts (1e300 is no native int)",
-        edit
-          [
-            ({|"sent": 1000|}, {|"sent": 1e300|});
-            ({|"ok": 1000|}, {|"ok": 1e300|});
-          ] );
-      ( "a repeated key",
-        edit [ ({|"window": 256|}, {|"window": 256, "window": 256|}) ] );
-    ]
-
-(* The committed artifact at the repository root (same walk-up as the
-   BENCH_PERF guard) parses under the schema and meets the throughput
-   floor the serving layer promises (ROADMAP item 3): 50k verify req/s
-   against the n=4096 spanning instance.  Smoke artifacts (CI
-   regenerates one in-place) skip the floor, not the schema. *)
-let committed_artifact () =
-  let rec find dir depth =
-    if depth > 6 then None
-    else
-      let candidate = Filename.concat dir "BENCH_SERVE.json" in
-      if Sys.file_exists candidate then Some candidate
-      else find (Filename.concat dir Filename.parent_dir_name) (depth + 1)
-  in
-  match find (Sys.getcwd ()) 0 with
-  | None ->
-      Alcotest.fail
-        "BENCH_SERVE.json not found; run `make bench-serve` (or commit the \
-         artifact)"
-  | Some path -> (
-      let ic = open_in_bin path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Bench_schema.parse text with
-      | Error e -> Alcotest.failf "%s invalid: %s" path e
-      | Ok d -> (
-          match Bench_schema.find_run d "verify-n4096" with
-          | None -> Alcotest.fail "missing the verify-n4096 run"
-          | Some r ->
-              check "overload run present" true
-                (Bench_schema.find_run d "overload" <> None);
-              if not d.Bench_schema.smoke then
-                check "\u{2265} 50k verify req/s" true
-                  (r.Bench_schema.throughput_rps >= 50_000.)))
+    (fun (what, cfg) ->
+      check (what ^ " rejected") true
+        (match Loadgen.run cfg with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    (let cfg = ping_cfg ~port:1 ~window:1 ~total:1 ~rate:None in
+     [
+       ("0 connections", { cfg with Loadgen.connections = 0 });
+       ("0 window", { cfg with Loadgen.window = 0 });
+       ("0 total", { cfg with Loadgen.total = 0 });
+     ]);
+  let sorted = [| 1.; 2.; 3.; 4. |] in
+  check "empty percentile is 0" true (Loadgen.percentile [||] 0.5 = 0.);
+  check "q = 1 is the max" true (Loadgen.percentile sorted 1.0 = 4.);
+  check "q = 0 is the min" true (Loadgen.percentile sorted 0.0 = 1.);
+  check "median" true (Loadgen.percentile sorted 0.5 = 3.)
 
 (* ------------------------------------------------------------------ *)
 (* Shutdown registry                                                   *)
@@ -811,14 +869,22 @@ let suite =
       ] );
     ( "serve-resolve",
       [ Alcotest.test_case "numeric, named and bogus hosts" `Quick resolve_hosts ] );
-    ( "serve-bench-schema",
+    ( "serve-loadgen",
       [
-        Alcotest.test_case "render/parse fixpoint" `Quick
-          bench_schema_roundtrip;
-        Alcotest.test_case "invalid documents rejected" `Quick
-          bench_schema_rejects;
-        Alcotest.test_case "committed artifact valid and fast enough" `Quick
-          committed_artifact;
+        Alcotest.test_case "paced latency counts a server stall" `Quick
+          loadgen_paced_counts_stall;
+        Alcotest.test_case "duplicate response id fails" `Quick
+          loadgen_duplicate_id_fails;
+        Alcotest.test_case "unsent response id fails" `Quick
+          loadgen_unsent_id_fails;
+        Alcotest.test_case "server hang-up fails" `Quick
+          loadgen_server_close_fails;
+        Alcotest.test_case "retry-later and errors counted" `Quick
+          loadgen_counts_typed_answers;
+        Alcotest.test_case "unpaced latency timed from the send" `Quick
+          loadgen_unpaced_times_sends;
+        Alcotest.test_case "bad config and percentile edges" `Quick
+          loadgen_rejects_bad_config;
       ] );
     ( "serve-shutdown",
       [ Alcotest.test_case "cleanups LIFO, contained" `Quick shutdown_cleanups ] );

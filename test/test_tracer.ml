@@ -388,6 +388,31 @@ let merge_interleaves_processes () =
   let r = Json.render merged in
   check "merged render fixpoint" true (Json.render (Json.parse_exn r) = r)
 
+(* ------------------------------------------------------------------ *)
+(* Overhead on the verify sweep                                        *)
+
+(* The tracer is compiled into the kernel hot paths on the promise that
+   it costs the sweep nothing per vertex.  Enabled, it may add a fixed
+   number of minor words per sweep (the run's own events), never a
+   number that grows with n: the extra words over the disabled sweep
+   must match at both sizes. *)
+let sweep_overhead_constant () =
+  let extra n =
+    Tracer.reset ();
+    match
+      Test_engine.warm_sweep_words n
+        [ Test_engine.plain; Tracer.with_enabled true ]
+    with
+    | [ off; on ] -> on -. off
+    | _ -> assert false
+  in
+  let small, large = Test_engine.sweep_sizes in
+  let e_small = extra small and e_large = extra large in
+  Tracer.reset ();
+  Alcotest.(check (float 0.))
+    (Printf.sprintf "tracer's extra minor words at n=%d and n=%d" small large)
+    e_small e_large
+
 let suite =
   [
     ( "tracer",
@@ -408,5 +433,7 @@ let suite =
           disabled_records_nothing;
         Alcotest.test_case "merge interleaves process documents" `Quick
           merge_interleaves_processes;
+        Alcotest.test_case "enabled sweep overhead independent of n" `Quick
+          sweep_overhead_constant;
       ] );
   ]
