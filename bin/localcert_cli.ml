@@ -242,24 +242,18 @@ let jobs_arg =
            (round, vertex) positions, not domains.")
 
 (* Shared by certify and simulate: both verify through the engine's
-   compiled fast path by default. *)
+   compiled fast path unless --no-compiled is given. *)
 let compiled_arg =
-  Arg.(
-    value
-    & vflag true
-        [
-          ( true,
-            info [ "compiled" ]
-              ~doc:
-                "Verify through ahead-of-time compiled kernels (the \
-                 default)." );
-          ( false,
-            info [ "no-compiled" ]
-              ~doc:
-                "Force the interpreted verifier everywhere.  Verdicts are \
-                 identical to the compiled path; useful for differential \
-                 checks and perf comparisons." );
-        ])
+  let no_compiled =
+    Arg.(
+      value & flag
+      & info [ "no-compiled" ]
+          ~doc:
+            "Force the interpreted verifier everywhere.  Verdicts are \
+             identical to the compiled path; useful for differential \
+             checks and perf comparisons.")
+  in
+  Term.(const not $ no_compiled)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry flags (shared by certify and simulate)                    *)
@@ -555,7 +549,7 @@ let simulate_cmd =
           Pool.with_pool ?jobs (fun pool ->
               let result =
                 Runtime.execute ~pool ~plan ~rounds ~seed ~incremental
-                  ~compiled ~recover scheme instance certs
+                  ~recover scheme instance certs
               in
               Format.printf "%a" Trace.pp_summary result.Runtime.trace;
               (match result.Runtime.quiesced_at with
@@ -591,8 +585,8 @@ let simulate_cmd =
               for s = 0 to 4 do
                 let r =
                   Runtime.execute ~pool ~plan:(Fault.corruption rate) ~rounds
-                    ~seed:((seed * 5) + s) ~incremental ~compiled scheme
-                    instance certs
+                    ~seed:((seed * 5) + s) ~incremental scheme instance
+                    certs
                 in
                 let m = Trace.metrics r.Runtime.trace in
                 if m.Trace.certs_corrupted > 0 then incr corrupted;

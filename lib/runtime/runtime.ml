@@ -180,8 +180,7 @@ let validate_plan ~n (plan : Fault.t) =
     plan.Fault.edits
 
 let execute ?pool ?jobs ?(plan = Fault.none) ?(rounds = 1) ?(seed = 0)
-    ?(incremental = true) ?(compiled = true) ?(recover = false) scheme inst
-    certs =
+    ?(incremental = true) ?(recover = false) scheme inst certs =
   if rounds < 1 then invalid_arg "Runtime.execute: rounds must be >= 1";
   if Array.length certs <> Instance.n inst then
     invalid_arg "Runtime.execute: certificate count does not match the instance";
@@ -190,10 +189,11 @@ let execute ?pool ?jobs ?(plan = Fault.none) ?(rounds = 1) ?(seed = 0)
       Span.with_ "runtime.execute" @@ fun () ->
       (* Inbox views carry per-delivery wire copies, so the per-domain
          decode-cache checker is the applicable compiled form; with
-         compilation off the interpreted oracle runs instead.  Verdicts
-         are identical either way. *)
+         compilation globally off (Vcompile.set_enabled) the
+         interpreted oracle runs instead.  Verdicts are identical
+         either way. *)
       let check =
-        match if compiled then Vcompile.view_checker scheme else None with
+        match Vcompile.view_checker scheme with
         | Some fast -> fast
         | None -> Scheme.verify scheme
       in

@@ -120,7 +120,6 @@ val execute :
   ?rounds:int ->
   ?seed:int ->
   ?incremental:bool ->
-  ?compiled:bool ->
   ?recover:bool ->
   Scheme.t ->
   Instance.t ->
@@ -139,12 +138,9 @@ val execute :
     events are re-examined.  [~incremental:false] forces the full
     per-round sweep; results are identical either way.
 
-    [?compiled] (default [true]) runs verdicts through the scheme's
-    compiled view checker ({!Vcompile.view_checker}): per-domain
-    decode caches make repeated rounds and broadcast certificates
-    decode once instead of once per view.  [~compiled:false] uses the
-    interpreted oracle {!Scheme.verify}; outcomes and traces are
-    identical either way.
+    Verdicts run through {!Vcompile.view_checker} while compilation is
+    globally enabled ({!Vcompile.set_enabled}), else through
+    {!Scheme.verify}; outcomes and traces are identical either way.
 
     [?recover] (default [false]) enables self-healing re-certification
     after detections — see the module preamble.

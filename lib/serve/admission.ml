@@ -78,7 +78,7 @@ let depth t = Mutex.protect t.m (fun () -> Queue.length t.q)
 
 (* Block for at least one item, then drain up to [max] without
    blocking: under load workers naturally pop batches (which is what
-   lets the batcher coalesce identical requests and the writer merge
+   lets the worker group identical requests and the writer merge
    response frames into one syscall), while a lone request is popped
    and served with no added latency.  [[]] only after [close]. *)
 let pop_batch t ~max =

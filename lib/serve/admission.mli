@@ -32,8 +32,9 @@ val pop_batch : 'a t -> max:int -> 'a list
 (** Block until at least one item is available (or the queue is
     closed), then drain up to [max] items without blocking.  Returns
     [[]] only after {!close} with the queue empty — the workers' exit
-    signal.  Batch pops are what let the {!Batcher} coalesce identical
-    requests under load while a lone request is served immediately. *)
+    signal.  Batch pops are what let a worker group identical
+    requests ({!Server.group}) under load while a lone request is
+    served immediately. *)
 
 val depth : 'a t -> int
 

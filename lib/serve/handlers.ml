@@ -7,7 +7,10 @@
    responses are therefore bit-identical to what a CLI run computes on
    the same inputs — the differential suite in test/test_serve.ml
    holds Verify against Engine.run_par and Simulate against
-   Runtime.execute, trace bytes included.
+   Runtime.execute, trace bytes included.  Because a response is a
+   pure function of its request, identical requests need only one
+   evaluation: the server's worker groups them per queue drain
+   (Server.group), and nothing here deduplicates.
 
    Prover work (instance construction + certificate computation) is
    cached per (scheme, graph): a service exists to answer many verify
@@ -26,7 +29,6 @@ type prepared = {
 
 type t = {
   pool : Pool.t;
-  batcher : (Protocol.request, Protocol.response) Batcher.t;
   prepared : (string * string, prepared) Memo.t;
   flipped : (string * string * int * int, Bitstring.t array) Memo.t;
   instances : (string, Instance.t) Memo.t;
@@ -42,7 +44,6 @@ type t = {
 let create ~pool () =
   {
     pool;
-    batcher = Batcher.create ();
     prepared = Memo.create ~name:"serve.prepared" 16;
     flipped = Memo.create ~name:"serve.flipped" 16;
     instances = Memo.create ~name:"serve.instances" 16;
@@ -53,7 +54,7 @@ exception Reject of Protocol.error_code
 (* Caches are capped: past the cap a request is still served, just
    without caching, so a client cycling through distinct graph specs
    costs itself prover time instead of growing the server's heap.
-   (The Batcher still coalesces concurrent duplicates either way.) *)
+   (Duplicates within one queue drain still share one evaluation.) *)
 let max_prepared = 256
 let max_flipped = 1024
 let max_instances = 64
@@ -200,22 +201,8 @@ let eval t (req : Protocol.request) : Protocol.response =
           fooled = report.Attack.fooled <> None;
         }
 
-(* Whether concurrent identical requests may share one evaluation.
-   Stats reads live mutable state and Ping is cheaper than the
-   table lookup. *)
-let cacheable = function
-  | Protocol.Certify _ | Protocol.Verify _ | Protocol.Simulate _
-  | Protocol.Attack _ ->
-      true
-  | Protocol.Ping | Protocol.Stats -> false
-
-let batcher t = t.batcher
-
 let handle t req =
-  match
-    if cacheable req then Batcher.run t.batcher req (fun () -> eval t req)
-    else eval t req
-  with
+  match eval t req with
   | resp -> resp
   | exception Reject code -> Protocol.Error code
   | exception e when not (Fatal.is_fatal e) ->

@@ -12,18 +12,15 @@
 type t
 
 val create : pool:Pool.t -> unit -> t
-(** Shared evaluation state: the engine pool, the {!Batcher}, and
-    capped per-(scheme, graph) prover caches whose certificate arrays
-    stay physically stable across requests (so Vcompile's kernel cache
+(** Shared evaluation state: the engine pool and capped
+    per-(scheme, graph) prover caches whose certificate arrays stay
+    physically stable across requests (so Vcompile's kernel cache
     fires on repeat sweeps). *)
 
 val handle : t -> Protocol.request -> Protocol.response
-(** Evaluate one request.  Identical concurrent cacheable requests are
-    coalesced through the batcher.  All failures (unknown scheme, bad
-    graph, prover declined, non-fatal evaluation exceptions) come back
-    as [Protocol.Error]; only {!Localcert_util.Fatal.is_fatal}
-    exceptions propagate. *)
-
-val batcher : t -> (Protocol.request, Protocol.response) Batcher.t
-(** The shared batcher (the server feeds group sizes into its
-    [serve.batch_size] histogram). *)
+(** Evaluate one request.  No deduplication happens here: the
+    server's worker groups identical requests of one queue drain
+    ({!Server.group}) and calls this once per group.  All failures
+    (unknown scheme, bad graph, prover declined, non-fatal evaluation
+    exceptions) come back as [Protocol.Error]; only
+    {!Localcert_util.Fatal.is_fatal} exceptions propagate. *)

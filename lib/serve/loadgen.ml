@@ -4,9 +4,9 @@
    on a blocking socket and matching responses by request id.  All
    connections send the *same* request: a certification service's hot
    load is many clients asking about few instances, and identical
-   concurrent requests are exactly what the server's batching layer
-   coalesces into single engine sweeps — this harness measures that
-   path on purpose.
+   requests drained together are exactly what a server worker groups
+   into single engine sweeps — this harness measures that path on
+   purpose.
 
    With [rate = Some r] each connection paces its sends against the
    wall clock (its share is [r / connections]); unpaced, the window is

@@ -3,8 +3,8 @@
     One domain per connection, each pipelining up to [window] requests
     and matching responses by id.  Every connection sends the same
     request — many clients asking about few instances is the service's
-    hot shape, and it is exactly what the server's batcher coalesces;
-    this harness measures that path deliberately. *)
+    hot shape, and it is exactly what a server worker groups within
+    one queue drain; this harness measures that path deliberately. *)
 
 type config = {
   host : string;

@@ -98,6 +98,13 @@ let h_queue_wait =
     (Metrics.histogram ~approx:true ~bounds:latency_bounds
        "serve.queue_wait_us")
 
+(* One observation per evaluated well-formed group: its size. *)
+let h_batch_size =
+  lazy
+    (Metrics.histogram ~approx:true
+       ~bounds:[| 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024 |]
+       "serve.batch_size")
+
 let when_metrics f = if Metrics.is_enabled () then f ()
 
 (* Server-sampled trace ids live in their own namespace (bit 60) so
@@ -136,6 +143,24 @@ let send conn s =
 
 (* ------------------------------------------------------------------ *)
 (* Worker loop                                                         *)
+
+(* The one coalescing layer.  A response is a pure function of its
+   request, so a drained batch is grouped by decoded request and each
+   group is evaluated once.  Nothing is shared across workers: two
+   workers that drain the same request at once each evaluate it. *)
+let group key items =
+  let tbl = Hashtbl.create 16 in
+  let order = ref [] in
+  List.iter
+    (fun item ->
+      let k = key item in
+      match Hashtbl.find_opt tbl k with
+      | Some l -> l := item :: !l
+      | None ->
+          Hashtbl.replace tbl k (ref [ item ]);
+          order := k :: !order)
+    items;
+  List.rev_map (fun k -> (k, List.rev !(Hashtbl.find tbl k))) !order
 
 (* Handlers.handle already folds non-fatal exceptions into typed
    [Internal] errors; this is the fatal backstop.  Out_of_memory while
@@ -199,7 +224,7 @@ let worker handlers queue batch_max ~io_tid =
     (match batch_trace with
     | Some t -> Tracer.complete_slice ~trace:t ~t0_ns:t_decode "serve.decode"
     | None -> ());
-    let groups = Batcher.group snd decoded in
+    let groups = group snd decoded in
     let out : (int, conn * Buffer.t) Hashtbl.t = Hashtbl.create 8 in
     List.iter
       (fun (key, items) ->
@@ -207,8 +232,9 @@ let worker handlers queue batch_max ~io_tid =
           match key with
           | Error code -> Protocol.Error code
           | Ok req ->
-              Batcher.observe_batch (Handlers.batcher handlers)
-                (List.length items);
+              when_metrics (fun () ->
+                  Metrics.observe (Lazy.force h_batch_size)
+                    (List.length items));
               handle_guarded handlers req
         in
         let resp =

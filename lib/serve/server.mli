@@ -28,6 +28,12 @@ type config = {
 
 val default_config : config
 
+val group : ('a -> 'k) -> 'a list -> ('k * 'a list) list
+(** [group key items] groups a drained batch by [key] (structural
+    equality), keys in first-seen order, each group's items in arrival
+    order.  A worker evaluates each group once and answers every item
+    from that evaluation — the server's only request coalescing. *)
+
 val resolve_addr : host:string -> port:int -> Unix.sockaddr
 (** Resolve [host] (a numeric IPv4 address or a name like
     ["localhost"], via getaddrinfo) to an IPv4 socket address.

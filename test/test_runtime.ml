@@ -155,7 +155,10 @@ let test_raising_verifier_contained () =
   let certs = Option.get (raising.Scheme.prover inst) in
   List.iter
     (fun compiled ->
-      let r = Runtime.execute ~pool:pool1 ~compiled raising inst certs in
+      let r =
+        Test_vcompile.with_compilation compiled (fun () ->
+            Runtime.execute ~pool:pool1 raising inst certs)
+      in
       check "rejected" false r.Runtime.outcome.Scheme.accepted;
       List.iter
         (fun (_, reason) ->

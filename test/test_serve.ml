@@ -1,7 +1,7 @@
 (* The serving subsystem: wire framing, protocol codecs, admission
-   control, coalescing, and the differential guarantee — a server's
-   verdicts and traces are byte-identical to what the in-process
-   engine and runtime compute for the same request. *)
+   control, queue-drain grouping, and the differential guarantee — a
+   server's verdicts and traces are byte-identical to what the
+   in-process engine and runtime compute for the same request. *)
 
 let check = Alcotest.(check bool)
 
@@ -267,46 +267,79 @@ let admission_bounds () =
   check "closed push" true (Admission.try_admit q s1 `G = Admission.Queue_full)
 
 (* ------------------------------------------------------------------ *)
-(* Batcher                                                             *)
+(* Queue-drain grouping                                                *)
 
-let batcher_group () =
-  let groups = Batcher.group fst [ (1, "a"); (2, "b"); (1, "c"); (1, "d") ] in
+let group_by_key () =
+  let groups = Server.group fst [ (1, "a"); (2, "b"); (1, "c"); (1, "d") ] in
   check "grouping" true
     (groups = [ (1, [ (1, "a"); (1, "c"); (1, "d") ]); (2, [ (2, "b") ]) ])
 
-let batcher_coalesce () =
-  let b = Batcher.create () in
-  let computed = Atomic.make 0 in
-  let gate = Atomic.make false in
-  let f () =
-    Atomic.incr computed;
-    while not (Atomic.get gate) do
-      Domain.cpu_relax ()
-    done;
-    "result"
-  in
-  let d1 = Domain.spawn (fun () -> Batcher.run b "k" f) in
-  (* wait for the leader to be registered, then follow *)
-  while Atomic.get computed = 0 do
-    Domain.cpu_relax ()
-  done;
-  let d2 = Domain.spawn (fun () -> Batcher.run b "k" (fun () -> "other")) in
-  Unix.sleepf 0.02;
-  Atomic.set gate true;
-  let r1 = Domain.join d1 and r2 = Domain.join d2 in
-  check "both got the leader's value" true (r1 = "result" && r2 = "result");
-  (* d2 may have arrived after the leader finished and recomputed; but
-     the gated leader ran exactly once *)
-  check "leader computed once" true (Atomic.get computed = 1 || r2 = "other")
+(* ------------------------------------------------------------------ *)
+(* Raw socket clients                                                  *)
 
-let batcher_exception () =
-  let b = Batcher.create () in
-  match Batcher.run b 1 (fun () -> failwith "boom") with
-  | _ -> Alcotest.fail "leader exception must propagate"
-  | exception Failure msg ->
-      check "message" true (msg = "boom");
-      (* the key must not be stuck in the in-flight table *)
-      check "key released" true (Batcher.run b 1 (fun () -> "ok") = "ok")
+(* Blocking frame reader over one socket; the buffer grows to fit a
+   large frame (a Simulate trace). *)
+let frame_reader fd =
+  let buf = ref (Bytes.create 65536) in
+  let len = ref 0 in
+  let rec next () =
+    match Wire.decode !buf ~pos:0 ~len:!len with
+    | Wire.Frame (frame, used) ->
+        Bytes.blit !buf used !buf 0 (!len - used);
+        len := !len - used;
+        frame
+    | Wire.Fail e -> failwith (Wire.error_to_string e)
+    | Wire.Need _ -> (
+        if !len = Bytes.length !buf then begin
+          let nb = Bytes.create (2 * !len) in
+          Bytes.blit !buf 0 nb 0 !len;
+          buf := nb
+        end;
+        match Unix.read fd !buf !len (Bytes.length !buf - !len) with
+        | 0 -> raise End_of_file
+        | n ->
+            len := !len + n;
+            next ())
+  in
+  next
+
+let connect port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+(* Write [(id, request)]s in one write. *)
+let send_requests fd reqs =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (id, req) -> Wire.encode_into b (Protocol.encode_request ~id req))
+    reqs;
+  let s = Buffer.contents b in
+  ignore (Unix.write_substring fd s 0 (String.length s))
+
+(* Read [count] responses, each decoded, sorted by id. *)
+let read_responses fd count =
+  let next = frame_reader fd in
+  List.init count (fun _ ->
+      let frame = next () in
+      match Protocol.decode_response frame with
+      | Ok resp -> (frame.Wire.id, resp)
+      | Error e -> Alcotest.failf "undecodable response: %s" e)
+  |> List.sort compare
+
+let ids_are count answers =
+  check "one answer per request id" true
+    (List.map fst answers = List.init count Fun.id)
+
+let expect_verdict what (direct : Scheme.outcome) = function
+  | Protocol.Verdict { accepted; max_bits; rejections } ->
+      check what true
+        (accepted = direct.Scheme.accepted
+        && max_bits = direct.Scheme.max_bits
+        && rejections = direct.Scheme.rejections)
+  | Protocol.Error code ->
+      Alcotest.failf "%s: error %s" what (Protocol.error_code_to_string code)
+  | _ -> Alcotest.failf "%s: expected a verdict" what
 
 (* ------------------------------------------------------------------ *)
 (* Differential: handlers ≡ engine ≡ runtime                           *)
@@ -464,6 +497,116 @@ let overload_retry_later () =
         (stats.Loadgen.retry_later > 0);
       check "but real work still happened" true (stats.Loadgen.ok > 0))
 
+let verify_req flip =
+  Protocol.Verify { scheme = scheme_name; graph = graph_spec; flip }
+
+(* What the server's flip does to the prover certificates (see
+   Handlers.flipped_certs), computed in process. *)
+let flipped_outcome (v, b) =
+  let sc, inst, certs, _ = direct_outcome () in
+  let certs = Array.copy certs in
+  let v = v mod Array.length certs in
+  let len = Bitstring.length certs.(v) in
+  if len > 0 then certs.(v) <- Bitstring.flip certs.(v) (b mod len);
+  Pool.with_pool ~jobs:1 (fun pool -> Engine.run_par ~pool sc inst certs)
+
+let batch_sizes () =
+  match
+    List.find_opt
+      (fun (h : Metrics.histogram_snapshot) ->
+        h.Metrics.hname = "serve.batch_size")
+      (Metrics.histograms ())
+  with
+  | Some h -> (Array.fold_left ( + ) 0 h.Metrics.counts, h.Metrics.sum)
+  | None -> (0, 0)
+
+(* One evaluation per distinct request per drain.  A long SIMULATE
+   holds the only worker while K identical VERIFYs pipelined on one
+   connection queue up behind it; the next drain takes all K as one
+   group.  serve.batch_size then holds exactly two groups, the
+   SIMULATE's (size 1) and one of size K, and every VERIFY still gets
+   its own answer under its own id. *)
+let drain_groups_identical_requests () =
+  let k = 12 in
+  let _, _, _, direct = direct_outcome () in
+  Metrics.with_enabled true @@ fun () ->
+  Metrics.reset ();
+  Fun.protect ~finally:Metrics.reset @@ fun () ->
+  Loadgen.with_self_server
+    ~config:{ Server.default_config with Server.workers = 1; jobs = 1 }
+    (fun ~port ->
+      let fd = connect port in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      send_requests fd
+        [
+          ( 0,
+            Protocol.Simulate
+              {
+                scheme = scheme_name;
+                graph = "random-tree:1024:1";
+                plan = "none";
+                rounds = 20;
+                seed = 1;
+              } );
+        ];
+      (* let the worker pop the SIMULATE alone *)
+      Unix.sleepf 0.02;
+      send_requests fd (List.init k (fun i -> (i + 1, verify_req None)));
+      let answers = read_responses fd (k + 1) in
+      ids_are (k + 1) answers;
+      (match List.assoc 0 answers with
+      | Protocol.Sim _ -> ()
+      | _ -> Alcotest.fail "expected a Sim response");
+      List.iter
+        (fun (id, resp) ->
+          if id > 0 then expect_verdict "verify ≡ engine" direct resp)
+        answers);
+  let groups, requests = batch_sizes () in
+  if (groups, requests) <> (2, k + 1) then
+    Alcotest.failf "expected groups of 1 and %d, got %d groups over %d requests"
+      k groups requests
+
+(* Two workers, four connections sending the same VERIFY at once (and
+   then its flipped variant): workers may evaluate the same request
+   concurrently, prover cache cold included, and every answer must
+   still be the in-process verdict. *)
+let concurrent_workers_agree () =
+  let conns = 4 and per_conn = 8 in
+  let _, _, _, plain = direct_outcome () in
+  let flip = (3, 0) in
+  let flipped = flipped_outcome flip in
+  check "the flip rejects" false flipped.Scheme.accepted;
+  List.iter
+    (fun (what, req, direct) ->
+      Loadgen.with_self_server
+        ~config:{ Server.default_config with Server.workers = 2; jobs = 1 }
+        (fun ~port ->
+          let go = Atomic.make false in
+          let clients =
+            List.init conns (fun _ ->
+                Domain.spawn (fun () ->
+                    let fd = connect port in
+                    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+                    while not (Atomic.get go) do
+                      Domain.cpu_relax ()
+                    done;
+                    send_requests fd (List.init per_conn (fun i -> (i, req)));
+                    read_responses fd per_conn))
+          in
+          Atomic.set go true;
+          List.iter
+            (fun client ->
+              let answers = Domain.join client in
+              ids_are per_conn answers;
+              List.iter
+                (fun (_, resp) -> expect_verdict what direct resp)
+                answers)
+            clients))
+    [
+      ("verify ≡ engine", verify_req None, plain);
+      ("flipped verify ≡ engine", verify_req (Some flip), flipped);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Graph spec parity                                                   *)
 
@@ -542,7 +685,15 @@ let handlers_resource_bounds () =
           with
           | Protocol.Error (Protocol.Bad_graph _) -> ()
           | _ -> Alcotest.failf "graph spec %s must be Bad_graph" graph)
-        [ "clique:100000"; "path:0"; "clique:0" ];
+        [
+          "clique:100000";
+          (* one vertex past max_graph_vertices = 2^24 *)
+          "path:16777217";
+          (* 11586 * 11585 / 2 ≈ 6.71e7 edges, past max_graph_edges = 2^26 *)
+          "clique:11586";
+          "path:0";
+          "clique:0";
+        ];
       (* unbounded rounds are a typed Bad_argument *)
       match
         Handlers.handle h
@@ -582,8 +733,7 @@ let dead_peer_survival () =
     (fun ~port ->
       (* open, fire a pipelined burst, vanish without reading *)
       for _ = 1 to 3 do
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+        let fd = connect port in
         let b = Buffer.create 4096 in
         for id = 0 to 63 do
           Wire.encode_into b
@@ -635,26 +785,6 @@ let with_fake_server serve f =
             with Unix.Unix_error _ | End_of_file -> ()))
   in
   Fun.protect ~finally:(fun () -> Domain.join server) (fun () -> f ~port)
-
-(* Blocking frame reader over one socket. *)
-let frame_reader fd =
-  let buf = Bytes.create 65536 in
-  let len = ref 0 in
-  let rec next () =
-    match Wire.decode buf ~pos:0 ~len:!len with
-    | Wire.Frame (frame, used) ->
-        Bytes.blit buf used buf 0 (!len - used);
-        len := !len - used;
-        frame
-    | Wire.Fail e -> failwith (Wire.error_to_string e)
-    | Wire.Need _ -> (
-        match Unix.read fd buf !len (Bytes.length buf - !len) with
-        | 0 -> raise End_of_file
-        | n ->
-            len := !len + n;
-            next ())
-  in
-  next
 
 (* One write carrying each [(id, response)], in order. *)
 let send_responses fd answers =
@@ -838,10 +968,7 @@ let suite =
       ] );
     ( "serve-batcher",
       [
-        Alcotest.test_case "group by key" `Quick batcher_group;
-        Alcotest.test_case "cross-domain coalescing" `Quick batcher_coalesce;
-        Alcotest.test_case "leader exceptions propagate" `Quick
-          batcher_exception;
+        Alcotest.test_case "group by key" `Quick group_by_key;
       ] );
     ( "serve-differential",
       [
@@ -858,6 +985,10 @@ let suite =
           handlers_resource_bounds;
         Alcotest.test_case "dead peers do not kill the server" `Quick
           dead_peer_survival;
+        Alcotest.test_case "one evaluation per distinct request per drain"
+          `Quick drain_groups_identical_requests;
+        Alcotest.test_case "two workers agree with the engine" `Quick
+          concurrent_workers_agree;
       ] );
     ( "serve-spec",
       [

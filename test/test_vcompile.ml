@@ -147,9 +147,15 @@ let qcheck_engine_jobs_ladder =
 
 let trace_equal (a : Trace.t) (b : Trace.t) = a = b
 
+(* Run [f] with the global compile switch set to [b], then restore it. *)
+let with_compilation b f =
+  let prev = Vcompile.is_enabled () in
+  Vcompile.set_enabled b;
+  Fun.protect ~finally:(fun () -> Vcompile.set_enabled prev) f
+
 let qcheck_runtime_compiled_flag =
   QCheck.Test.make
-    ~name:"Runtime.execute: ~compiled:true ≡ ~compiled:false (trace included)"
+    ~name:"Runtime.execute: compilation on ≡ off (trace included)"
     ~count:250 seed_arbitrary (fun seed ->
       let rng = Rng.make seed in
       let entry = entry_of rng in
@@ -158,12 +164,11 @@ let qcheck_runtime_compiled_flag =
       let certs = certs_of rng scheme inst in
       let rounds = 1 + Rng.int rng 2 in
       let pool = List.nth pools (Rng.int rng 3) in
-      let fast =
-        Runtime.execute ~pool ~rounds ~seed ~compiled:true scheme inst certs
+      let execute compiled =
+        with_compilation compiled (fun () ->
+            Runtime.execute ~pool ~rounds ~seed scheme inst certs)
       in
-      let slow =
-        Runtime.execute ~pool ~rounds ~seed ~compiled:false scheme inst certs
-      in
+      let fast = execute true and slow = execute false in
       outcome_equal fast.Runtime.outcome slow.Runtime.outcome
       && fast.Runtime.detected_at = slow.Runtime.detected_at
       && trace_equal fast.Runtime.trace slow.Runtime.trace
@@ -173,11 +178,6 @@ let qcheck_runtime_compiled_flag =
 (* ------------------------------------------------------------------ *)
 (* The global toggle and the hit counter                               *)
 (* ------------------------------------------------------------------ *)
-
-let with_compilation b f =
-  let prev = Vcompile.is_enabled () in
-  Vcompile.set_enabled b;
-  Fun.protect ~finally:(fun () -> Vcompile.set_enabled prev) f
 
 let disabled_compilation_is_equivalent () =
   let scheme = Spanning_tree.scheme () in
