@@ -1,4 +1,39 @@
-type send = { dst : int; payload : Bitstring.t }
+type t = {
+  graph : Graph.t;
+  row_ptr : int array;
+  col : int array;
+  twin : int array;  (* twin.(j): the slot of slot j's reverse edge *)
+  slots : Bitstring.t array;  (* receiver-aligned payloads *)
+}
+
+(* Marks a slot that received nothing.  Compared physically, and never
+   handed out, so no real payload — not even an empty one — is it. *)
+let silent = Bitstring.of_bools []
+
+(* Rows are sorted, so walking the senders u in ascending order visits
+   the entries of each row w in ascending order too: the next unfilled
+   entry of row w is always the one holding u. *)
+let layout graph =
+  let row_ptr, col = Graph.unsafe_csr graph in
+  let n = Graph.n graph in
+  let next = Array.sub row_ptr 0 n in
+  let twin = Array.make (Array.length col) 0 in
+  for u = 0 to n - 1 do
+    for j = row_ptr.(u) to row_ptr.(u + 1) - 1 do
+      let w = col.(j) in
+      twin.(j) <- next.(w);
+      next.(w) <- next.(w) + 1
+    done
+  done;
+  { graph; row_ptr; col; twin; slots = Array.make (Array.length col) silent }
+
+let graph t = t.graph
+
+type round = {
+  events : Trace.event list;
+  deliveries : Trace.deliveries;
+  wire_bits : int;
+}
 
 (* The Attack.corruptions-style persistent mutation: flip one bit or
    replace the certificate with fresh random bits of the same length.
@@ -13,79 +48,95 @@ let mutate_cert stream cert =
       (if Rng.int stream 2 = 0 then Bitstring.flip cert (Rng.int stream len)
        else Rng.bits stream len)
 
-(* One vertex's sender step.  Only reads/writes [node] and only draws
-   from [stream]; see the .mli determinism contract.  [active] is
-   false past the plan's horizon: every random number is still drawn
-   (the stream schedule is part of the trace contract) but no
-   rate-based fault fires — Byzantine vertices keep forging, since
+let push events e = events := e :: !events
+
+(* One vertex's sender step.  Reads/writes only [node], its outgoing
+   slots and [lens.(u)], and only draws from [stream]; see the .mli
+   determinism contract.  Fault events go onto the chunk's reversed
+   [events]; honest deliveries and delivered bits onto its counters.
+   [active] is false past the plan's horizon: every random number is
+   still drawn (the stream schedule is part of the trace contract) but
+   no rate-based fault fires — Byzantine vertices keep forging, since
    their status is state, not a per-round draw. *)
-let sender_step ~plan ~first_round ~active ~crash_mask ~graph ~(node : Node.t)
-    ~stream =
-  let events = ref [] in
-  let push e = events := e :: !events in
+let sender_step ~plan ~first_round ~active ~crash_mask ~plane ~lens
+    ~(node : Node.t) ~stream ~events ~sent ~bits =
+  let u = node.Node.vertex in
   if first_round then begin
     (match crash_mask with
-    | Some mask when node.Node.status = Node.Alive && mask.(node.vertex) ->
+    | Some mask when node.status = Node.Alive && mask.(u) ->
         node.status <- Node.Crashed;
-        push (Trace.Crash { vertex = node.vertex })
+        push events (Trace.Crash { vertex = u })
     | _ -> ());
     let u_byz = Rng.float stream 1.0 in
     if active && node.status = Node.Alive && u_byz < plan.Fault.byzantine
     then begin
       node.status <- Node.Byzantine;
-      push (Trace.Went_byzantine { vertex = node.vertex })
+      push events (Trace.Went_byzantine { vertex = u })
     end
   end;
   let u_crash = Rng.float stream 1.0 in
   if active && node.status <> Node.Crashed && u_crash < plan.Fault.crash
   then begin
     node.status <- Node.Crashed;
-    push (Trace.Crash { vertex = node.vertex })
+    push events (Trace.Crash { vertex = u })
   end;
   let u_corrupt = Rng.float stream 1.0 in
   if active && node.status = Node.Alive && u_corrupt < plan.Fault.corrupt
   then begin
     node.cert <- mutate_cert stream node.cert;
-    push (Trace.Corrupt { vertex = node.vertex })
+    push events (Trace.Corrupt { vertex = u })
   end;
-  let sends = ref [] in
-  if node.status <> Node.Crashed then
-    Graph.Delta.iter_neighbors graph node.vertex (fun w ->
-        let u_drop = Rng.float stream 1.0 in
-        let u_flip = Rng.float stream 1.0 in
-        let forged = node.status = Node.Byzantine in
+  let { row_ptr; col; twin; slots; _ } = plane in
+  let lo = row_ptr.(u) and hi = row_ptr.(u + 1) in
+  if node.status = Node.Crashed then begin
+    lens.(u) <- -1;
+    for j = lo to hi - 1 do
+      slots.(twin.(j)) <- silent
+    done
+  end
+  else begin
+    let forged = node.status = Node.Byzantine in
+    lens.(u) <- (if forged then -1 else Bitstring.length node.cert);
+    for j = lo to hi - 1 do
+      let w = col.(j) in
+      let u_drop = Rng.float stream 1.0 in
+      let u_flip = Rng.float stream 1.0 in
+      let payload =
+        if forged then
+          Rng.bits stream (Rng.int stream (plan.Fault.byz_bits + 1))
+        else node.cert
+      in
+      if active && u_drop < plan.Fault.drop then begin
+        push events (Trace.Drop { src = u; dst = w });
+        slots.(twin.(j)) <- silent
+      end
+      else begin
         let payload =
-          if forged then
-            Rng.bits stream (Rng.int stream (plan.Fault.byz_bits + 1))
-          else node.cert
+          if
+            active
+            && (not forged)
+            && u_flip < plan.Fault.flip
+            && Bitstring.length payload > 0
+          then begin
+            let bit = Rng.int stream (Bitstring.length payload) in
+            push events (Trace.Flip { src = u; dst = w; bit });
+            Bitstring.flip payload bit
+          end
+          else payload
         in
-        if active && u_drop < plan.Fault.drop then
-          push (Trace.Drop { src = node.vertex; dst = w })
-        else begin
-          let payload =
-            if
-              active
-              && (not forged)
-              && u_flip < plan.Fault.flip
-              && Bitstring.length payload > 0
-            then begin
-              let bit = Rng.int stream (Bitstring.length payload) in
-              push (Trace.Flip { src = node.vertex; dst = w; bit });
-              Bitstring.flip payload bit
-            end
-            else payload
-          in
-          let bits = Bitstring.length payload in
-          push
-            (if forged then Trace.Forge { src = node.vertex; dst = w; bits }
-             else Trace.Send { src = node.vertex; dst = w; bits });
-          sends := { dst = w; payload } :: !sends
-        end);
-  (List.rev !events, List.rev !sends)
+        let len = Bitstring.length payload in
+        if forged then
+          push events (Trace.Forge { src = u; dst = w; bits = len })
+        else incr sent;
+        bits := !bits + len;
+        slots.(twin.(j)) <- payload
+      end
+    done
+  end
 
 let chunk_factor = 8
 
-let exchange ~pool ~plan ~first_round ~active ~graph ~nodes ~streams =
+let exchange ~pool ~plan ~first_round ~active ~plane ~nodes ~streams =
   let n = Array.length nodes in
   (* The deterministic crash list becomes a bool mask once, instead of
      a List.mem per vertex (O(n·|crashed|) over the whole round).
@@ -98,23 +149,47 @@ let exchange ~pool ~plan ~first_round ~active ~graph ~nodes ~streams =
     end
     else None
   in
-  let per_vertex = Array.make n ([], []) in
+  let lens = Array.make n (-1) in
   let chunks = max 1 (min n (Pool.size pool * chunk_factor)) in
-  ignore
-    (Pool.map_chunks pool ~chunks (fun c ->
-         let lo = c * n / chunks and hi = (c + 1) * n / chunks in
-         for v = lo to hi - 1 do
-           per_vertex.(v) <-
-             sender_step ~plan ~first_round ~active ~crash_mask ~graph
-               ~node:nodes.(v) ~stream:streams.(v)
-         done));
-  let inboxes = Array.make n [] in
-  Array.iteri
-    (fun v (_, sends) ->
-      List.iter
-        (fun { dst; payload } ->
-          inboxes.(dst) <- (nodes.(v).Node.id, payload) :: inboxes.(dst))
-        sends)
-    per_vertex;
-  let events = List.concat_map fst (Array.to_list per_vertex) in
-  (events, inboxes)
+  let per_chunk =
+    Pool.map_chunks pool ~chunks (fun c ->
+        let lo = c * n / chunks and hi = (c + 1) * n / chunks in
+        let events = ref [] and sent = ref 0 and bits = ref 0 in
+        for v = lo to hi - 1 do
+          sender_step ~plan ~first_round ~active ~crash_mask ~plane ~lens
+            ~node:nodes.(v) ~stream:streams.(v) ~events ~sent ~bits
+        done;
+        (List.rev !events, !sent, !bits))
+  in
+  let events = List.concat_map (fun (e, _, _) -> e) (Array.to_list per_chunk) in
+  let sent = Array.fold_left (fun a (_, s, _) -> a + s) 0 per_chunk in
+  let wire_bits = Array.fold_left (fun a (_, _, b) -> a + b) 0 per_chunk in
+  {
+    events;
+    deliveries = { Trace.topology = plane.graph; payload_bits = lens; sent };
+    wire_bits;
+  }
+
+let view plane (inst : Instance.t) nodes v =
+  let node = nodes.(v) in
+  (* Cons from the row's end: the list comes out in vertex order, which
+     is id order whenever ids are monotone in the vertex index. *)
+  let nbrs = ref [] and sorted = ref true and next_id = ref max_int in
+  for j = plane.row_ptr.(v + 1) - 1 downto plane.row_ptr.(v) do
+    let payload = plane.slots.(j) in
+    if payload != silent then begin
+      let id = nodes.(plane.col.(j)).Node.id in
+      if id > !next_id then sorted := false;
+      next_id := id;
+      nbrs := (id, payload) :: !nbrs
+    end
+  done;
+  {
+    Scheme.me = node.Node.id;
+    id_bits = inst.Instance.id_bits;
+    label = inst.Instance.labels.(v);
+    cert = node.cert;
+    nbrs =
+      (if !sorted then !nbrs
+       else List.sort (fun (a, _) (b, _) -> Int.compare a b) !nbrs);
+  }

@@ -22,12 +22,3 @@ let boot inst certs =
         cert = Cert_store.intern certs.(v);
         status = Alive;
       })
-
-let view inst node ~inbox =
-  {
-    Scheme.me = node.id;
-    id_bits = inst.Instance.id_bits;
-    label = inst.Instance.labels.(node.vertex);
-    cert = node.cert;
-    nbrs = List.sort (fun (a, _) (b, _) -> Int.compare a b) inbox;
-  }

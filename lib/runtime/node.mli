@@ -21,9 +21,3 @@ val boot : Instance.t -> Bitstring.t array -> t array
 (** Initial node array: every vertex alive, holding its assigned
     certificate.  Raises [Invalid_argument] if the certificate count
     does not match the instance. *)
-
-val view : Instance.t -> t -> inbox:(int * Bitstring.t) list -> Scheme.view
-(** The {!Scheme.view} a node assembles from the messages it received
-    this round: [(sender id, payload)] pairs, sorted by id.  With a
-    full fault-free inbox this is exactly {!Scheme.view_of}; a silent
-    (crashed or dropped) neighbor is simply absent. *)

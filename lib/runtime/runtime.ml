@@ -32,10 +32,10 @@ let run_verifier check view =
       Scheme.Reject ("verifier raised: " ^ Printexc.to_string e)
 
 (* Full-sweep verification: every alive honest vertex assembles its
-   view from the round's inbox and runs the verifier.  Verdicts come
-   back in ascending vertex order (per-chunk downto + cons, chunks
-   ascending), matching Scheme.run's rejection order. *)
-let verify_round ~pool ~inst ~nodes ~inboxes check =
+   view from its row of the message plane and runs the verifier.
+   Verdicts come back in ascending vertex order (per-chunk downto +
+   cons, chunks ascending), matching Scheme.run's rejection order. *)
+let verify_round ~pool ~inst ~nodes ~plane check =
   let n = Array.length nodes in
   let chunks = max 1 (min n (Pool.size pool * chunk_factor)) in
   let per_chunk =
@@ -45,7 +45,7 @@ let verify_round ~pool ~inst ~nodes ~inboxes check =
         for v = hi - 1 downto lo do
           let node = nodes.(v) in
           if node.Node.status = Node.Alive then begin
-            let view = Node.view inst node ~inbox:inboxes.(v) in
+            let view = Network.view plane inst nodes v in
             out := (v, run_verifier check view) :: !out
           end
         done;
@@ -56,13 +56,14 @@ let verify_round ~pool ~inst ~nodes ~inboxes check =
 (* Incremental verification: the dirty-set propagator (Vcache) names
    the candidates whose view may have changed; only those reassemble a
    view, and only key misses among them run the verifier.  Everything
-   else reuses its cached verdict, so the assembled verdict list — and
-   hence outcome, rejections and trace — is identical to the full
-   sweep's, per-round and byte for byte.  [graph] is the current
-   topology overlay: scopes of this round's events (topology edits
-   included) are closed over the post-edit neighborhoods. *)
-let verify_round_incremental ~pool ~inst ~graph ~nodes ~inboxes ~cache
-    ~first_round ~events check =
+   else reuses its cached verdict, so the rejections and the verdict
+   count — and hence outcome and trace — are identical to the full
+   sweep's, per-round and byte for byte.  Scopes of this round's events
+   (topology edits included) are closed over the plane's topology, the
+   post-edit one. *)
+let verify_round_incremental ~pool ~inst ~nodes ~plane ~cache ~first_round
+    ~events check =
+  let graph = Network.graph plane in
   let cands =
     Array.of_list (Vcache.candidates cache ~graph ~first_round events)
   in
@@ -78,7 +79,7 @@ let verify_round_incremental ~pool ~inst ~graph ~nodes ~inboxes ~cache
              let node = nodes.(v) in
              if node.Node.status <> Node.Alive then Vcache.skip cache v
              else begin
-               let view = Node.view inst node ~inbox:inboxes.(v) in
+               let view = Network.view plane inst nodes v in
                let key =
                  View_key.make ~cert:view.Scheme.cert ~nbrs:view.Scheme.nbrs
                in
@@ -90,58 +91,96 @@ let verify_round_incremental ~pool ~inst ~graph ~nodes ~inboxes ~cache
              end
            done));
   end;
-  let verdicts = ref [] in
-  let n = Array.length nodes in
-  for v = n - 1 downto 0 do
-    if nodes.(v).Node.status = Node.Alive then
+  let rejections = ref [] and rendered = ref 0 in
+  for v = Array.length nodes - 1 downto 0 do
+    if nodes.(v).Node.status = Node.Alive then begin
+      incr rendered;
       match Vcache.verdict cache v with
-      | Some verdict -> verdicts := (v, verdict) :: !verdicts
+      | Some (Scheme.Reject reason) -> rejections := (v, reason) :: !rejections
+      | Some Scheme.Accept -> ()
       | None -> assert false (* alive ⇒ verified in round 1 *)
+    end
   done;
   Vcache.update_carry cache ~graph events;
   let reverified = ref [] in
   for i = k - 1 downto 0 do
     if ran.(i) then reverified := cands.(i) :: !reverified
   done;
-  (!verdicts, Array.to_list cands, !reverified)
+  (!rejections, !rendered, Array.to_list cands, !reverified)
 
 (* Everything the runtime records is deterministic given the seed: the
    fault plan draws from Rng streams keyed by (round, vertex) — plus
    one dedicated per-round topology stream, consumed sequentially —
    so event lists, and hence these counts, including the incremental
    layer's candidate and re-verification counts, are identical across
-   job counts. *)
-let fault_counter = function
-  | Trace.Crash _ -> Some "runtime.fault.crash"
-  | Trace.Went_byzantine _ -> Some "runtime.fault.byzantine"
-  | Trace.Corrupt _ -> Some "runtime.fault.corrupt"
-  | Trace.Drop _ -> Some "runtime.fault.drop"
-  | Trace.Flip _ -> Some "runtime.fault.flip"
-  | Trace.Forge _ -> Some "runtime.fault.forge"
-  | Trace.Edge_added _ -> Some "runtime.churn.edge_added"
-  | Trace.Edge_removed _ -> Some "runtime.churn.edge_removed"
-  | Trace.Send _ | Trace.Verdict _ | Trace.Recover _ -> None
+   job counts.  [fault_kind] indexes the per-kind fault counters. *)
+let fault_counters =
+  [|
+    "runtime.fault.crash";
+    "runtime.fault.byzantine";
+    "runtime.fault.corrupt";
+    "runtime.fault.drop";
+    "runtime.fault.flip";
+    "runtime.fault.forge";
+    "runtime.churn.edge_added";
+    "runtime.churn.edge_removed";
+  |]
 
-let record_round ~wire_bits ~events ~rejections ~reverified ~cached =
+let fault_kind = function
+  | Trace.Crash _ -> 0
+  | Trace.Went_byzantine _ -> 1
+  | Trace.Corrupt _ -> 2
+  | Trace.Drop _ -> 3
+  | Trace.Flip _ -> 4
+  | Trace.Forge _ -> 5
+  | Trace.Edge_added _ -> 6
+  | Trace.Edge_removed _ -> 7
+  | Trace.Send _ | Trace.Verdict _ | Trace.Recover _ -> -1
+
+(* The instruments, resolved once: registration takes the registry
+   mutex and a table lookup, which used to be paid per trace event. *)
+type instruments = {
+  rounds_c : Metrics.counter;
+  wire_h : Metrics.histogram;
+  rejections_c : Metrics.counter;
+  reverified_c : Metrics.counter;
+  cached_c : Metrics.counter;
+  sent_c : Metrics.counter;
+  recovered_c : Metrics.counter;
+  faults_c : Metrics.counter array;
+}
+
+let instruments =
+  lazy
+    {
+      rounds_c = Metrics.counter "runtime.rounds";
+      wire_h = Metrics.histogram "runtime.round_wire_bits";
+      rejections_c = Metrics.counter "runtime.rejections";
+      reverified_c = Metrics.counter "runtime.vertices_reverified";
+      cached_c = Metrics.counter "runtime.verdicts_cached";
+      sent_c = Metrics.counter "runtime.messages_sent";
+      recovered_c = Metrics.counter "runtime.certs_recovered";
+      faults_c = Array.map (fun name -> Metrics.counter name) fault_counters;
+    }
+
+(* [events] are the round's heap events; honest deliveries arrive as
+   one count. *)
+let record_round ~wire_bits ~sent ~events ~rejections ~reverified ~cached =
   if Metrics.is_enabled () then begin
-    Metrics.incr (Metrics.counter "runtime.rounds");
-    Metrics.observe (Metrics.histogram "runtime.round_wire_bits") wire_bits;
-    Metrics.add
-      (Metrics.counter "runtime.rejections")
-      (List.length rejections);
-    Metrics.add (Metrics.counter "runtime.vertices_reverified") reverified;
-    Metrics.add (Metrics.counter "runtime.verdicts_cached") cached;
+    let m = Lazy.force instruments in
+    Metrics.incr m.rounds_c;
+    Metrics.observe m.wire_h wire_bits;
+    Metrics.add m.rejections_c (List.length rejections);
+    Metrics.add m.reverified_c reverified;
+    Metrics.add m.cached_c cached;
+    Metrics.add m.sent_c sent;
     List.iter
       (fun e ->
-        match fault_counter e with
-        | Some name -> Metrics.incr (Metrics.counter name)
-        | None -> (
-            match e with
-            | Trace.Send _ ->
-                Metrics.incr (Metrics.counter "runtime.messages_sent")
-            | Trace.Recover _ ->
-                Metrics.incr (Metrics.counter "runtime.certs_recovered")
-            | _ -> ()))
+        match e with
+        | Trace.Recover _ -> Metrics.incr m.recovered_c
+        | _ ->
+            let k = fault_kind e in
+            if k >= 0 then Metrics.incr m.faults_c.(k))
       events
   end
 
@@ -179,15 +218,21 @@ let validate_plan ~n (plan : Fault.t) =
              e.v n))
     plan.Fault.edits
 
+(* Traces render the seed as a JSON number, a double: past 2^53 it
+   would name a different run. *)
+let max_seed = 1 lsl 53
+
 let execute ?pool ?jobs ?(plan = Fault.none) ?(rounds = 1) ?(seed = 0)
     ?(incremental = true) ?(recover = false) scheme inst certs =
   if rounds < 1 then invalid_arg "Runtime.execute: rounds must be >= 1";
+  if seed > max_seed || seed < -max_seed then
+    invalid_arg "Runtime.execute: seed must be within [-2^53, 2^53]";
   if Array.length certs <> Instance.n inst then
     invalid_arg "Runtime.execute: certificate count does not match the instance";
   validate_plan ~n:(Instance.n inst) plan;
   with_pool_arg ?pool ?jobs (fun pool ->
       Span.with_ "runtime.execute" @@ fun () ->
-      (* Inbox views carry per-delivery wire copies, so the per-domain
+      (* Plane views carry per-delivery wire copies, so the per-domain
          decode-cache checker is the applicable compiled form; with
          compilation globally off (Vcompile.set_enabled) the
          interpreted oracle runs instead.  Verdicts are identical
@@ -203,8 +248,9 @@ let execute ?pool ?jobs ?(plan = Fault.none) ?(rounds = 1) ?(seed = 0)
       let rng = Rng.make seed in
       let round_streams = Rng.split rng rounds in
       let delta = Graph.Delta.create inst.Instance.graph in
-      (* Committed-CSR cache: recovery and the final state need a clean
-         CSR; rebuild only when edits happened since the last commit. *)
+      (* Committed-CSR cache: every round's message plane, recovery and
+         the final state need a clean CSR; rebuild only when edits
+         happened since the last commit. *)
       let edit_ops = ref 0 in
       let committed = ref inst.Instance.graph in
       let committed_ops = ref 0 in
@@ -215,6 +261,9 @@ let execute ?pool ?jobs ?(plan = Fault.none) ?(rounds = 1) ?(seed = 0)
         end;
         !committed
       in
+      (* The message plane, re-laid out only when the committed
+         topology changed. *)
+      let plane = ref (Network.layout inst.Instance.graph) in
       (* Self-healing state.  [pending_dirty] accumulates suspect seeds
          (edit endpoints, rejecting vertices) since the last recovery;
          a recovery is attempted when the previous round rejected and
@@ -341,57 +390,40 @@ let execute ?pool ?jobs ?(plan = Fault.none) ?(rounds = 1) ?(seed = 0)
           done
         end;
         let pre_events = recover_events @ List.rev !topo_events in
-        (* 3. Exchange on the current overlay; 4. verify. *)
-        let net_events, inboxes =
-          Network.exchange ~pool ~plan ~first_round:(r = 1) ~active
-            ~graph:delta ~nodes ~streams
+        (* 3. Exchange on the committed topology; 4. verify. *)
+        let g = commit_current () in
+        if g != Network.graph !plane then plane := Network.layout g;
+        let plane = !plane in
+        let net =
+          Network.exchange ~pool ~plan ~first_round:(r = 1) ~active ~plane
+            ~nodes ~streams
         in
-        let events = pre_events @ net_events in
-        let verdicts, round_checked, round_reverified =
+        let events = pre_events @ net.Network.events in
+        let rejections, verdicts_rendered, round_checked, round_reverified =
           match cache with
           | Some cache ->
-              verify_round_incremental ~pool ~inst ~graph:delta ~nodes
-                ~inboxes ~cache ~first_round:(r = 1) ~events check
+              verify_round_incremental ~pool ~inst ~nodes ~plane ~cache
+                ~first_round:(r = 1) ~events check
           | None ->
-              let verdicts = verify_round ~pool ~inst ~nodes ~inboxes check in
+              let verdicts = verify_round ~pool ~inst ~nodes ~plane check in
               let alive = List.map fst verdicts in
-              (verdicts, alive, alive)
+              let rejections =
+                List.filter_map
+                  (function v, Scheme.Reject why -> Some (v, why) | _ -> None)
+                  verdicts
+              in
+              (rejections, List.length verdicts, alive, alive)
         in
         checked.(r - 1) <- round_checked;
         reverified.(r - 1) <- round_reverified;
-        let rejections =
-          List.filter_map
-            (function
-              | v, Scheme.Reject reason -> Some (v, reason)
-              | _, Scheme.Accept -> None)
-            verdicts
-        in
-        let verdicts_rendered = List.length verdicts in
-        let verdict_events =
-          List.map
-            (fun (v, verdict) ->
-              match verdict with
-              | Scheme.Accept ->
-                  Trace.Verdict { vertex = v; accepted = true; reason = "" }
-              | Scheme.Reject reason ->
-                  Trace.Verdict { vertex = v; accepted = false; reason })
-            verdicts
-        in
         let max_bits =
           Array.fold_left
             (fun acc (nd : Node.t) -> max acc (Bitstring.length nd.Node.cert))
             0 nodes
         in
-        let wire_bits =
-          List.fold_left
-            (fun acc e ->
-              match e with
-              | Trace.Send { bits; _ } | Trace.Forge { bits; _ } -> acc + bits
-              | _ -> acc)
-            0 events
-        in
+        let wire_bits = net.Network.wire_bits in
         let round_faults =
-          List.length (List.filter (fun e -> fault_counter e <> None) events)
+          List.length (List.filter (fun e -> fault_kind e >= 0) events)
         in
         fault_events_total := !fault_events_total + round_faults;
         if rejections <> [] then begin
@@ -400,7 +432,8 @@ let execute ?pool ?jobs ?(plan = Fault.none) ?(rounds = 1) ?(seed = 0)
             (fun (v, _) -> pending_dirty := v :: !pending_dirty)
             rejections
         end;
-        record_round ~wire_bits ~events ~rejections
+        record_round ~wire_bits ~sent:net.Network.deliveries.Trace.sent ~events
+          ~rejections
           ~reverified:(List.length round_reverified)
           ~cached:(verdicts_rendered - List.length round_reverified);
         if Tracer.is_enabled () then begin
@@ -420,7 +453,8 @@ let execute ?pool ?jobs ?(plan = Fault.none) ?(rounds = 1) ?(seed = 0)
         logs :=
           {
             Trace.round = r;
-            events = events @ verdict_events;
+            events;
+            deliveries = net.Network.deliveries;
             wire_bits;
             rejections;
             verdicts_rendered;

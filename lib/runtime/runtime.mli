@@ -129,8 +129,9 @@ val execute :
     (default 1) communication rounds under [?plan] (default
     {!Fault.none}), seeded by [?seed] (default 0).
 
-    Vertices are sharded across the {!Pool} in both the exchange and
-    the verification phase of every round ([?pool] to reuse a pool,
+    Vertices are sharded across the {!Pool} in both the exchange (on
+    the round's {!Network} message plane) and the verification phase of
+    every round ([?pool] to reuse a pool,
     [?jobs] for a private one, as in {!Engine.run_par}).
 
     [?incremental] (default [true]) enables the verdict cache: after
@@ -155,8 +156,9 @@ val execute :
     [Assert_failure]) are {e not} converted: they indicate a broken
     process, not a detected fault, and propagate to the caller.
 
-    Raises [Invalid_argument] if [rounds < 1], the certificate count
-    does not match the instance, a [plan.crashed] vertex id is outside
-    [\[0, n)], or a scheduled edit endpoint is outside [\[0, n)] —
-    out-of-range ids used to be silent no-ops; they are rejected
-    loudly now. *)
+    Raises [Invalid_argument] if [rounds < 1], [|seed| > 2{^53}] (the
+    trace renders the seed as a JSON number, which would round it to
+    the seed of another run), the certificate count does not match the
+    instance, a [plan.crashed] vertex id is outside [\[0, n)], or a
+    scheduled edit endpoint is outside [\[0, n)] — out-of-range ids
+    used to be silent no-ops; they are rejected loudly now. *)

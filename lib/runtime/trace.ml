@@ -11,9 +11,16 @@ type event =
   | Recover of { vertex : int }
   | Verdict of { vertex : int; accepted : bool; reason : string }
 
+type deliveries = {
+  topology : Graph.t;
+  payload_bits : int array;
+  sent : int;
+}
+
 type round_log = {
   round : int;
   events : event list;
+  deliveries : deliveries;
   wire_bits : int;
   rejections : (int * string) list;
   verdicts_rendered : int;
@@ -129,7 +136,7 @@ let metrics (t : t) =
         List.fold_left
           (fun acc e ->
             match e with
-            | Send _ -> { acc with messages_sent = acc.messages_sent + 1 }
+            | Send _ -> acc
             | Drop _ -> { acc with messages_dropped = acc.messages_dropped + 1 }
             | Flip _ ->
                 (* a flipped message is still delivered: count both *)
@@ -147,10 +154,14 @@ let metrics (t : t) =
                 { acc with edges_removed = acc.edges_removed + 1 }
             | Recover _ ->
                 { acc with certs_recovered = acc.certs_recovered + 1 }
-            | Verdict { accepted = false; _ } ->
-                { acc with rejecting_verdicts = acc.rejecting_verdicts + 1 }
             | Verdict _ -> acc)
-          { acc with wire_bits = acc.wire_bits + r.wire_bits }
+          {
+            acc with
+            wire_bits = acc.wire_bits + r.wire_bits;
+            messages_sent = acc.messages_sent + r.deliveries.sent;
+            rejecting_verdicts =
+              acc.rejecting_verdicts + List.length r.rejections;
+          }
           r.events)
     t.rounds;
   !m
@@ -168,6 +179,71 @@ let detection_latency (m : metrics) =
   match (m.detected_at, m.first_corruption) with
   | Some d, Some c when d >= c -> Some (d - c + 1)
   | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Derived sends                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The canonical list is pre-exchange events (recoveries, edits), then
+   the sender-side events with the honest deliveries woven back in,
+   then the verdicts.  The sender-side events are in ascending sender
+   order and, per sender, state events before link events in neighbor
+   order, so one cursor over them merges with the topology walk.
+   Anything the walk cannot place (a hand-built, non-canonical list)
+   is kept, after the walk.  The vertices that rendered a verdict are
+   exactly the honest broadcasters ([payload_bits >= 0]): crashed and
+   Byzantine vertices neither broadcast honestly nor verify. *)
+let all_events r =
+  let d = r.deliveries in
+  let pre, net =
+    List.partition
+      (function Recover _ | Edge_added _ | Edge_removed _ -> true | _ -> false)
+      r.events
+  in
+  let out = ref (List.rev pre) in
+  let emit e = out := e :: !out in
+  let net = ref net in
+  let row_ptr, col = Graph.unsafe_csr d.topology in
+  let n = Graph.n d.topology in
+  for u = 0 to n - 1 do
+    let rec state () =
+      match !net with
+      | ((Crash { vertex } | Went_byzantine { vertex } | Corrupt { vertex })
+         as e)
+        :: tl
+        when vertex = u ->
+          emit e;
+          net := tl;
+          state ()
+      | _ -> ()
+    in
+    state ();
+    let bits = d.payload_bits.(u) in
+    for j = row_ptr.(u) to row_ptr.(u + 1) - 1 do
+      let w = col.(j) in
+      match !net with
+      | ((Drop { src; dst } | Forge { src; dst; _ }) as e) :: tl
+        when src = u && dst = w ->
+          emit e;
+          net := tl
+      | (Flip { src; dst; _ } as e) :: tl when src = u && dst = w ->
+          emit e;
+          net := tl;
+          emit (Send { src = u; dst = w; bits })
+      | _ -> if bits >= 0 then emit (Send { src = u; dst = w; bits })
+    done
+  done;
+  List.iter emit !net;
+  let rejections = ref r.rejections in
+  for v = 0 to n - 1 do
+    if d.payload_bits.(v) >= 0 then
+      match !rejections with
+      | (w, reason) :: tl when w = v ->
+          emit (Verdict { vertex = v; accepted = false; reason });
+          rejections := tl
+      | _ -> emit (Verdict { vertex = v; accepted = true; reason = "" })
+  done;
+  List.rev !out
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
@@ -208,7 +284,7 @@ let round_json r =
              (fun (v, reason) ->
                Json.Obj [ ("vertex", Json.int v); ("reason", Json.Str reason) ])
              r.rejections) );
-      ("events", Json.Arr (List.map event_json r.events));
+      ("events", Json.Arr (List.map event_json (all_events r)));
     ]
 
 let to_json t =
@@ -239,9 +315,7 @@ let pp_summary ppf t =
       Format.fprintf ppf
         "round %2d: %4d sent (%d bits), %d dropped, %d flipped, %d forged, %d \
          corrupted, %d crashed; %d verdicts, %d rejecting"
-        r.round
-        (count (function Send _ -> true | _ -> false))
-        r.wire_bits
+        r.round r.deliveries.sent r.wire_bits
         (count (function Drop _ -> true | _ -> false))
         (count (function Flip _ -> true | _ -> false))
         (count (function Forge _ -> true | _ -> false))

@@ -9,6 +9,32 @@
     so the same seed produces a byte-identical {!to_json} rendering at
     every job count.
 
+    {2 Delivery records}
+
+    Honest deliveries are the bulk of a round (one per directed edge)
+    and carry no information beyond the topology and the sender's
+    certificate length; verdicts (one per verifying vertex) carry none
+    beyond the round's rejections.  So a {!round_log} holds neither as
+    events.  Its [events] list holds only the heap events —
+    recoveries, topology edits and the sender-side faults — and its
+    {!deliveries} record holds the round's topology, each sender's
+    payload length and the delivery count.  {!all_events} derives the
+    [Send] and [Verdict] events again, in the canonical order:
+    - recoveries and topology edits, as recorded;
+    - for each sender [u] in ascending order, its state events
+      ([Crash], [Went_byzantine], [Corrupt]) first, then for each
+      neighbor [w] of [u] in ascending order exactly one of: [Drop];
+      [Flip] followed by [Send]; [Forge]; or [Send] — the last only
+      when [u] broadcast honestly (its payload length is [>= 0]);
+    - for each vertex [v] in ascending order whose payload length is
+      [>= 0] — the alive, honest vertices, exactly those that verify —
+      one [Verdict]: rejecting with its reason if [v] is in
+      [rejections], accepting otherwise.
+
+    {!to_json} renders that derived list; {!metrics} and
+    {!pp_summary} read the counts and never build the derived
+    events.
+
     {!metrics} folds a trace into the aggregate figures the bench
     sweep reports: detection latency in rounds, corruption/detection
     counts, and total communication bits. *)
@@ -17,7 +43,8 @@ type event =
   | Crash of { vertex : int }  (** the vertex halted this round *)
   | Went_byzantine of { vertex : int }  (** round-1 adversary draw *)
   | Corrupt of { vertex : int }  (** stored certificate mutated *)
-  | Send of { src : int; dst : int; bits : int }  (** delivered honestly *)
+  | Send of { src : int; dst : int; bits : int }
+      (** delivered honestly; only ever derived, by {!all_events} *)
   | Drop of { src : int; dst : int }  (** lost on the wire *)
   | Flip of { src : int; dst : int; bit : int }
       (** delivered with bit [bit] inverted *)
@@ -31,11 +58,30 @@ type event =
       (** self-healing: the vertex re-adopted a freshly proved
           certificate (not a fault) *)
   | Verdict of { vertex : int; accepted : bool; reason : string }
-      (** verifier output ([reason] is [""] on acceptance) *)
+      (** verifier output ([reason] is [""] on acceptance); only ever
+          derived, by {!all_events} *)
+
+type deliveries = {
+  topology : Graph.t;
+      (** the round's topology, after its edits; physically shared by
+          consecutive rounds whose topology did not change *)
+  payload_bits : int array;
+      (** per sender: the length of the certificate it broadcast, or
+          [-1] when it sent nothing honestly (crashed, or Byzantine —
+          its per-message payloads are [Forge] events).  The vertices
+          with a length [>= 0] are exactly the ones that rendered a
+          verdict this round. *)
+  sent : int;  (** honest deliveries, flipped ones included *)
+}
+(** The honest deliveries of one round, stored implicitly: see the
+    preamble for how the [Send] events are derived from it. *)
 
 type round_log = {
   round : int;  (** 1-based *)
-  events : event list;  (** canonical order, see above *)
+  events : event list;
+      (** the heap events in canonical order; never a [Send] or a
+          [Verdict] (see {!all_events}) *)
+  deliveries : deliveries;
   wire_bits : int;  (** delivered payload bits this round *)
   rejections : (int * string) list;  (** rejecting vertices, ascending *)
   verdicts_rendered : int;
@@ -44,6 +90,11 @@ type round_log = {
           (every vertex crashed or Byzantine), which {!Runtime} treats
           as {e not} accepted *)
 }
+
+val all_events : round_log -> event list
+(** The round's complete canonical event list, [Send] and [Verdict]
+    events included, derived from [events], [deliveries] and
+    [rejections] as the preamble describes. *)
 
 type t = {
   scheme : string;
@@ -117,9 +168,9 @@ val detection_latency : metrics -> int option
     "latency" is never reported. *)
 
 val to_json : t -> string
-(** Machine-readable rendering (compact {!Localcert_obs.Json.render}).
-    Deterministic: the same trace value always yields the same
-    bytes. *)
+(** Machine-readable rendering (compact {!Localcert_obs.Json.render})
+    of every round's {!all_events}.  Deterministic: the same trace
+    value always yields the same bytes. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** One line per round plus the aggregate metrics — the CLI's default

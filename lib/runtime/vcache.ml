@@ -56,13 +56,13 @@ let create n =
 let mark_scope graph dirty = function
   | Trace.Self_and_neighbors v ->
       dirty.(v) <- true;
-      Graph.Delta.iter_neighbors graph v (fun w -> dirty.(w) <- true)
+      Graph.iter_neighbors graph v (fun w -> dirty.(w) <- true)
   | Trace.Inbox v -> dirty.(v) <- true
   | Trace.Endpoints (u, v) ->
       dirty.(u) <- true;
-      Graph.Delta.iter_neighbors graph u (fun w -> dirty.(w) <- true);
+      Graph.iter_neighbors graph u (fun w -> dirty.(w) <- true);
       dirty.(v) <- true;
-      Graph.Delta.iter_neighbors graph v (fun w -> dirty.(w) <- true)
+      Graph.iter_neighbors graph v (fun w -> dirty.(w) <- true)
   | Trace.Pure -> ()
 
 (* The round's candidate list, ascending.  Sequential by design: it

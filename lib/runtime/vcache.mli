@@ -12,14 +12,16 @@
     where the closure follows {!Trace.scope} (vertex-state faults
     dirty the vertex and its neighbors, wire faults dirty the
     receiving inbox, topology edits dirty both endpoints' closed
-    neighborhoods in the post-edit overlay) and the carry holds the scopes of the previous
-    round's transient events plus every vertex whose {!View_key}
-    changed.  Vertices outside the candidate set provably have the
-    same view as when their cached verdict was computed, so the
-    verdict is reused without reassembling the view.
+    neighborhoods in the post-edit topology) and the carry holds the
+    scopes of the previous round's transient events plus every vertex
+    whose {!View_key} changed.  Vertices outside the candidate set
+    provably have the same view as when their cached verdict was
+    computed, so the verdict is reused without reassembling the view.
 
-    The candidate set is computed {e sequentially} from the canonical
-    event list, so it — and every count derived from it — is identical
+    The candidate set is computed {e sequentially} from the round's
+    canonical heap events (honest deliveries are implicit in the
+    round's {!Trace.deliveries} and change no view, so they are never
+    walked), so it — and every count derived from it — is identical
     at every job count.  The per-candidate accessors ({!check},
     {!store}, {!skip}) mutate only the entry of the given vertex and
     may be called concurrently for distinct vertices. *)
@@ -31,8 +33,9 @@ val create : int -> t
     candidate and populates the cache. *)
 
 val candidates :
-  t -> graph:Graph.Delta.t -> first_round:bool -> Trace.event list -> int list
+  t -> graph:Graph.t -> first_round:bool -> Trace.event list -> int list
 (** The vertices whose view may have changed this round, ascending.
+    [graph] is the round's topology, after its edits.
     With [~first_round:true] that is every vertex (nothing is cached
     yet).  Also resets the per-round change flags; call exactly once
     per round, before the fan-out. *)
@@ -54,6 +57,6 @@ val verdict : t -> int -> Scheme.verdict option
 (** The verdict of [v]'s current view: fresh or cached.  [Some] for
     every vertex that was alive at its last candidacy. *)
 
-val update_carry : t -> graph:Graph.Delta.t -> Trace.event list -> unit
+val update_carry : t -> graph:Graph.t -> Trace.event list -> unit
 (** Compute the carry for the next round from this round's events and
     change flags.  Call exactly once per round, after the fan-out. *)

@@ -176,8 +176,13 @@ let eval t (req : Protocol.request) : Protocol.response =
         | Ok plan -> plan
         | Error msg -> raise (Reject (Protocol.Bad_plan msg))
       in
+      (* Runtime.execute's argument checks (a seed past 2^53, plan ids
+         outside the instance) are the client's error. *)
       let r =
-        Runtime.execute ~pool:t.pool ~plan ~rounds ~seed p.scheme p.inst certs
+        try
+          Runtime.execute ~pool:t.pool ~plan ~rounds ~seed p.scheme p.inst
+            certs
+        with Invalid_argument msg -> raise (Reject (Protocol.Bad_argument msg))
       in
       Protocol.Sim
         {

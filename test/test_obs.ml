@@ -496,17 +496,27 @@ let zero_round_trace () =
   Trace.pp_summary (Format.formatter_of_buffer buf) t;
   check "summary renders" true (Buffer.length buf > 0)
 
+(* A round on [n] isolated vertices in which the vertices [verifying]
+   rendered verdicts (they broadcast honestly, to nobody). *)
+let isolated n verifying =
+  {
+    Trace.topology = Graph.empty n;
+    payload_bits =
+      Array.init n (fun v -> if List.mem v verifying then 0 else -1);
+    sent = 0;
+  }
+
 let fault_free_trace () =
   let round =
     {
       Trace.round = 1;
-      events =
-        [
-          Trace.Send { src = 0; dst = 1; bits = 4 };
-          Trace.Send { src = 1; dst = 0; bits = 4 };
-          Trace.Verdict { vertex = 0; accepted = true; reason = "" };
-          Trace.Verdict { vertex = 1; accepted = true; reason = "" };
-        ];
+      events = [];
+      deliveries =
+        {
+          Trace.topology = Graph.of_edges ~n:2 [ (0, 1) ];
+          payload_bits = [| 4; 4 |];
+          sent = 2;
+        };
       wire_bits = 8;
       rejections = [];
       verdicts_rendered = 2;
@@ -517,6 +527,14 @@ let fault_free_trace () =
   in
   let m = Trace.metrics t in
   check_int "messages counted" 2 m.Trace.messages_sent;
+  check "sends and verdicts derived in canonical order" true
+    (Trace.all_events round
+    = [
+        Trace.Send { src = 0; dst = 1; bits = 4 };
+        Trace.Send { src = 1; dst = 0; bits = 4 };
+        Trace.Verdict { vertex = 0; accepted = true; reason = "" };
+        Trace.Verdict { vertex = 1; accepted = true; reason = "" };
+      ]);
   check "no corruption seen" true (m.Trace.first_corruption = None);
   check "no detection" true (m.Trace.detected_at = None);
   check "latency undefined without faults" true
@@ -528,7 +546,8 @@ let rejection_before_fault () =
   let r1 =
     {
       Trace.round = 1;
-      events = [ Trace.Verdict { vertex = 0; accepted = false; reason = "bad" } ];
+      events = [];
+      deliveries = isolated 2 [ 0 ];
       wire_bits = 0;
       rejections = [ (0, "bad") ];
       verdicts_rendered = 1;
@@ -538,6 +557,7 @@ let rejection_before_fault () =
     {
       Trace.round = 2;
       events = [ Trace.Corrupt { vertex = 1 } ];
+      deliveries = isolated 2 [ 0 ];
       wire_bits = 0;
       rejections = [ (0, "bad") ];
       verdicts_rendered = 1;
@@ -552,6 +572,9 @@ let rejection_before_fault () =
       rounds = [ r1; r2 ];
     }
   in
+  check "rejecting verdict derived" true
+    (Trace.all_events r1
+    = [ Trace.Verdict { vertex = 0; accepted = false; reason = "bad" } ]);
   let m = Trace.metrics t in
   check "detected in round 1" true (m.Trace.detected_at = Some 1);
   check "fault in round 2" true (m.Trace.first_corruption = Some 2);
@@ -564,11 +587,8 @@ let rejection_before_fault () =
         [
           {
             Trace.round = 1;
-            events =
-              [
-                Trace.Corrupt { vertex = 0 };
-                Trace.Verdict { vertex = 1; accepted = false; reason = "x" };
-              ];
+            events = [ Trace.Corrupt { vertex = 0 } ];
+            deliveries = isolated 2 [ 1 ];
             wire_bits = 0;
             rejections = [ (1, "x") ];
             verdicts_rendered = 1;

@@ -119,6 +119,83 @@ let qcheck_seed_reproducibility =
       = Trace.to_json (run ()).Runtime.trace)
 
 (* ------------------------------------------------------------------ *)
+(* Runtime counters agree with the trace                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The runtime.* counters are resolved once and bumped from the round's
+   fault events and delivery count; for a plan that fires every fault
+   kind (and recovers), each must equal the trace's own figure. *)
+let test_counters_match_trace () =
+  let scheme =
+    Lcl.scheme_of_search Lcl.maximal_independent_set ~solve:(fun g ->
+        Some (Lcl.greedy_mis g))
+  in
+  let inst = Instance.make (Gen.random_tree (Rng.make 4) 64) in
+  let certs = Option.get (scheme.Scheme.prover inst) in
+  let plan =
+    Result.get_ok
+      (Fault.of_spec
+         "drop:0.05,flip:0.05,byz:0.05,crash:0.02,crashed:3,corrupt:0.05,\
+          addedge:0.05,deledge:0.05,until:4")
+  in
+  Metrics.reset ();
+  let r =
+    Metrics.with_enabled true (fun () ->
+        Runtime.execute ~pool:pool1 ~plan ~rounds:6 ~seed:9 ~recover:true
+          scheme inst certs)
+  in
+  let m = Trace.metrics r.Runtime.trace in
+  List.iter
+    (fun (name, expected) ->
+      check (name ^ " fired") true (expected > 0);
+      check_int name expected (Metrics.value (Metrics.counter name)))
+    [
+      ("runtime.fault.crash", m.Trace.crashed);
+      ("runtime.fault.byzantine", m.Trace.byzantine);
+      ("runtime.fault.corrupt", m.Trace.certs_corrupted);
+      ("runtime.fault.drop", m.Trace.messages_dropped);
+      ("runtime.fault.flip", m.Trace.messages_flipped);
+      ("runtime.fault.forge", m.Trace.messages_forged);
+      ("runtime.churn.edge_added", m.Trace.edges_added);
+      ("runtime.churn.edge_removed", m.Trace.edges_removed);
+      ("runtime.messages_sent", m.Trace.messages_sent);
+      ("runtime.certs_recovered", m.Trace.certs_recovered);
+    ];
+  Metrics.reset ()
+
+(* ------------------------------------------------------------------ *)
+(* The exchange allocates per draw, not per message                     *)
+(* ------------------------------------------------------------------ *)
+
+(* One warm fault-free exchange on a one-job pool (all allocation lands
+   on the calling domain).  The plane leaves only the Rng draws on the
+   minor heap: two per directed edge at 8 words each (a boxed Int64
+   state and a boxed float), plus two per vertex.  The list exchange
+   built a Send event, an inbox entry and their conses per message, 59
+   words per directed edge on this graph; any per-message heap object
+   (three words at least) pushes the figure past the bound. *)
+let test_exchange_allocation () =
+  let g = Gen.random_connected (Rng.make 3) ~n:4096 ~extra_edges:2048 in
+  let inst = Instance.make g in
+  let scheme = Spanning_tree.scheme () in
+  let nodes = Node.boot inst (Option.get (scheme.Scheme.prover inst)) in
+  let n = Graph.n g in
+  let plane = Network.layout g in
+  let exchange streams =
+    Network.exchange ~pool:pool1 ~plan:Fault.none ~first_round:false
+      ~active:true ~plane ~nodes ~streams
+  in
+  ignore (exchange (Rng.split (Rng.make 1) (n + 1)));
+  let streams = Rng.split (Rng.make 2) (n + 1) in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (exchange streams));
+  let words = Gc.minor_words () -. before in
+  let per_edge = words /. float_of_int (2 * Graph.m g) in
+  if per_edge > 24. then
+    Alcotest.failf "exchange allocated %.1f minor words per directed edge"
+      per_edge
+
+(* ------------------------------------------------------------------ *)
 (* Crash isolation: a vertex with no alive neighbor must not crash us   *)
 (* ------------------------------------------------------------------ *)
 
@@ -189,6 +266,29 @@ let test_out_of_range_plan_rejected () =
     (raises (Fault.edit ~round:1 ~add:true 0 99));
   check "in-range crash list accepted" false
     (raises (Fault.crash_vertices [ 3 ]))
+
+(* A trace renders its seed as a JSON number, a double: a seed past
+   2^53 used to be written rounded ("seed":1.2345678901234568e+18) and
+   named a different run.  Such seeds are rejected; the extremes that
+   remain render exactly. *)
+let test_seed_range () =
+  let inst = Instance.make (Gen.path 4) in
+  let scheme = Spanning_tree.scheme () in
+  let certs = Option.get (scheme.Scheme.prover inst) in
+  let run seed = Runtime.execute ~pool:pool1 ~seed scheme inst certs in
+  List.iter
+    (fun seed ->
+      match run seed with
+      | (_ : Runtime.result) -> Alcotest.failf "seed %d accepted" seed
+      | exception Invalid_argument _ -> ())
+    [ 1234567890123456789; (1 lsl 53) + 1; -(1 lsl 53) - 1; max_int ];
+  List.iter
+    (fun seed ->
+      let json = Json.parse_exn (Trace.to_json (run seed).Runtime.trace) in
+      let fields = Json.as_obj "trace" json in
+      check_int "seed survives the trace" seed
+        (Json.as_int "seed" (Json.field fields "seed")))
+    [ 1 lsl 53; -(1 lsl 53); 1234567890123456 ]
 
 (* Vacuous acceptance (bugfix regression): a round in which every
    vertex crashed renders zero verdicts.  That round must not read as
@@ -341,6 +441,11 @@ let suite =
           test_raising_verifier_contained;
         Alcotest.test_case "out-of-range plan ids rejected loudly" `Quick
           test_out_of_range_plan_rejected;
+        Alcotest.test_case "seeds past 2^53 rejected" `Quick test_seed_range;
+        Alcotest.test_case "runtime counters match the trace" `Quick
+          test_counters_match_trace;
+        Alcotest.test_case "exchange allocates no per-message objects" `Quick
+          test_exchange_allocation;
         Alcotest.test_case "all-crashed round is not accepted" `Quick
           test_all_crashed_round_not_accepted;
         Alcotest.test_case "Fault.of_spec" `Quick test_of_spec;

@@ -694,20 +694,27 @@ let handlers_resource_bounds () =
           "path:0";
           "clique:0";
         ];
-      (* unbounded rounds are a typed Bad_argument *)
-      match
-        Handlers.handle h
-          (Protocol.Simulate
-             {
-               scheme = scheme_name;
-               graph = graph_spec;
-               plan = "corrupt:0.1";
-               rounds = 100_000_000;
-               seed = 1;
-             })
-      with
-      | Protocol.Error (Protocol.Bad_argument _) -> ()
-      | _ -> Alcotest.fail "unbounded rounds must be Bad_argument")
+      (* unbounded rounds, and a seed no trace could name, are a typed
+         Bad_argument *)
+      List.iter
+        (fun (rounds, seed, what) ->
+          match
+            Handlers.handle h
+              (Protocol.Simulate
+                 {
+                   scheme = scheme_name;
+                   graph = graph_spec;
+                   plan = "corrupt:0.1";
+                   rounds;
+                   seed;
+                 })
+          with
+          | Protocol.Error (Protocol.Bad_argument _) -> ()
+          | _ -> Alcotest.failf "%s must be Bad_argument" what)
+        [
+          (100_000_000, 1, "unbounded rounds");
+          (1, 1234567890123456789, "a seed past 2^53");
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Host resolution                                                     *)
