@@ -226,8 +226,6 @@ let prover_certs ~k ~t phi (inst : Instance.t) model =
           }
         in
         let entry_lists = Anclist.build inst model ~ann in
-        (* Intern the labels: vertices with identical ancestor lists
-           (and the shared kernel part) get one allocation. *)
         Some
           (Array.map
              (fun entries ->
@@ -236,7 +234,7 @@ let prover_certs ~k ~t phi (inst : Instance.t) model =
                  (Anclist.encode ~id_bits:inst.Instance.id_bits ann_codec
                     entries);
                Bitbuf.Writer.bitstring w rows_bits;
-               Cert_store.intern (Bitbuf.Writer.contents w))
+               Bitbuf.Writer.contents w)
              entry_lists)
       end
     end

@@ -19,7 +19,7 @@
    heal it. *)
 
 type outcome = {
-  certs : Bitstring.t array;  (** full interned assignment, [n] entries *)
+  certs : Bitstring.t array;  (** full assignment, [n] entries *)
   changed : int list;  (** vertices whose certificate differs, ascending *)
   scoped : bool;  (** true if the region prover sufficed *)
 }
@@ -74,7 +74,7 @@ let recertify (scheme : Scheme.t) inst ~dirty ~old =
       (prove_contained scheme inst)
   in
   let attempt =
-    if dirty = [] then Some (Cert_store.intern_all (Array.copy old), true)
+    if dirty = [] then Some (Array.copy old, true)
     else begin
       let reached, count = region_mask graph dirty in
       if count >= n then full ()
@@ -95,9 +95,9 @@ let recertify (scheme : Scheme.t) inst ~dirty ~old =
               match prove_contained scheme sub_inst with
               | Some sub_certs
                 when Array.length sub_certs = Array.length back ->
+                  let sub_certs = Cert_store.intern_all sub_certs in
                   let certs = Array.copy old in
                   Array.iteri (fun i v -> certs.(v) <- sub_certs.(i)) back;
-                  let certs = Cert_store.intern_all certs in
                   (* The region prover never saw the rest of the graph;
                      accept its certificates only if the whole spliced
                      assignment verifies.  Schemes whose certificates

@@ -9,7 +9,8 @@
 
 type outcome = {
   certs : Bitstring.t array;
-      (** the healed assignment: [n] interned certificates *)
+      (** the healed assignment: [n] certificates, the prover's
+          output deduped *)
   changed : int list;
       (** vertices whose certificate differs from [old], ascending —
           the nodes that must re-adopt *)

@@ -162,8 +162,8 @@ let certify scheme inst =
       Logger.debug ~fields:[ ("scheme", scheme.name) ] "prover gave up";
       None
   | Some certs ->
-      (* hash-cons the labels: duplicate certificates (common in
-         broadcast-style schemes) share one allocation.  Interning is
+      (* dedupe the labels: duplicate certificates (common in
+         broadcast-style schemes) share one allocation.  Dedupe is
          observation-equal, so the outcome and max_bits are unchanged. *)
       let certs = Cert_store.intern_all certs in
       record_cert_sizes scheme certs;

@@ -6,8 +6,8 @@
    every vertex that sees it — a vertex of degree d costs d + 1
    decodes, and the allocations those decodes make are what serializes
    parallel sweeps on the shared minor heap.  [compile] instead decodes each
-   distinct certificate exactly once up front (certificates are
-   interned, so broadcast-heavy schemes decode a handful of strings),
+   distinct certificate exactly once up front (broadcast-heavy schemes
+   decode a handful of strings),
    lays the per-vertex neighbor views out as flat arrays, and returns
    a per-vertex kernel that runs only the check stage: no decoding,
    and for schemes whose check walks its slice in place (the flat-plane

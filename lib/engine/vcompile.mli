@@ -21,8 +21,8 @@ val is_enabled : unit -> bool
 val compile :
   Scheme.t -> Instance.t -> Bitstring.t array -> (int -> Scheme.verdict) option
 (** [compile scheme inst certs] builds the per-vertex kernel for one
-    sweep: certificates are decoded once (per distinct bitstring — they
-    are interned, so broadcast-heavy schemes decode a handful), and
+    sweep: certificates are decoded once per distinct bitstring (so
+    broadcast-heavy schemes decode a handful), and
     per-vertex neighbor views are laid out as id-ascending flat arrays
     mirroring {!Scheme.view_of}.  [None] only when compilation is
     disabled; then callers run {!Scheme.verify}.

@@ -41,12 +41,8 @@ type round = {
 let mutate_cert stream cert =
   let len = Bitstring.length cert in
   if len = 0 then cert
-  else
-    (* intern the replacement so a corruption that recreates an
-       existing label still pointer-shares it *)
-    Cert_store.intern
-      (if Rng.int stream 2 = 0 then Bitstring.flip cert (Rng.int stream len)
-       else Rng.bits stream len)
+  else if Rng.int stream 2 = 0 then Bitstring.flip cert (Rng.int stream len)
+  else Rng.bits stream len
 
 let push events e = events := e :: !events
 

@@ -24,7 +24,7 @@
 type prepared = {
   scheme : Scheme.t;
   inst : Instance.t;
-  certs : Bitstring.t array option;  (* interned; None = prover declined *)
+  certs : Bitstring.t array option;  (* deduped; None = prover declined *)
 }
 
 type t = {
@@ -138,7 +138,7 @@ let flipped_certs t ~scheme ~graph p (v, b) =
       let certs = Array.copy base in
       let len = Bitstring.length certs.(v) in
       if len > 0 then
-        certs.(v) <- Cert_store.intern (Bitstring.flip certs.(v) (b mod len));
+        certs.(v) <- Bitstring.flip certs.(v) (b mod len);
       if Memo.length t.flipped < max_flipped then Memo.set t.flipped key certs;
       certs
 

@@ -8,12 +8,15 @@
    into single engine sweeps — this harness measures that path on
    purpose.
 
-   With [rate = Some r] each connection paces its sends against the
-   wall clock (its share is [r / connections]); unpaced, the window is
-   kept full — saturation throughput.  Latency is response arrival
-   minus the request's start, in microseconds, one sample per request
-   including RETRY_LATER and error responses (a typed overload answer
-   is still an answer; its latency is the admission path's latency).
+   With [rate = Some r] each connection paces its sends at its float
+   share [r /. connections], so the connections together offer exactly
+   [r] requests/s; unpaced, the window is kept full — saturation
+   throughput.  Every stamp (start, pacing, sends, arrivals) is read
+   from [Monotonic], which never steps, so no latency can come out
+   negative.  Latency is response arrival minus the request's start,
+   in microseconds, one sample per request including RETRY_LATER and
+   error responses (a typed overload answer is still an answer; its
+   latency is the admission path's latency).
    A paced request starts at its due time on the schedule, not when a
    full window finally lets it out: a stalled server delays every
    request queued behind it, and timing from the actual send would
@@ -75,14 +78,14 @@ let client cfg ~conn_id ~per_conn ~per_conn_rate =
   let template = Protocol.encode_request ~id:0 cfg.request in
   let out = { n_ok = 0; n_retry = 0; n_err = 0 } in
   let lat = Array.make (max per_conn 1) 0.0 in
-  let send_times = Array.make (max per_conn 1) 0.0 in
+  (* each request's start: its due time when paced, its send otherwise *)
+  let start_ns = Array.make (max per_conn 1) 0 in
   let answered = Bytes.make (max per_conn 1) '\000' in
   let trace_every =
     if Tracer.is_enabled () then trace_every_of_rate cfg.trace_rate else 0
   in
-  (* Monotonic send stamps and ids for traced requests only — the
-     untraced path keeps its allocation profile. *)
-  let send_ns = if trace_every > 0 then Array.make (max per_conn 1) 0 else [||] in
+  (* Trace ids for traced requests only — the untraced path keeps its
+     allocation profile. *)
   let trace_of =
     if trace_every > 0 then Array.make (max per_conn 1) (-1) else [||]
   in
@@ -90,7 +93,7 @@ let client cfg ~conn_id ~per_conn ~per_conn_rate =
   let rbuf = ref (Bytes.create 65536) in
   let rstart = ref 0 and rlen = ref 0 in
   let wbuf = Buffer.create 4096 in
-  let start = Unix.gettimeofday () in
+  let start = Monotonic.now_ns () in
   let read_some () =
     (* grow if the pending frame cannot fit *)
     if !rstart + !rlen = Bytes.length !rbuf then begin
@@ -124,12 +127,13 @@ let client cfg ~conn_id ~per_conn ~per_conn_rate =
             failwith (Printf.sprintf "loadgen: duplicate response id %d" id);
           Bytes.set answered id '\001';
           lat.(!recvd) <-
-            (Unix.gettimeofday () -. send_times.(id)) *. 1e6;
+            float_of_int (Monotonic.now_ns () - start_ns.(id)) /. 1e3;
           if trace_every > 0 && trace_of.(id) >= 0 then begin
-            (* client-observed round trip, stitched to the server's
-               slices by the echoed trace id *)
+            (* client-observed round trip over the latency sample's own
+               interval, stitched to the server's slices by the echoed
+               trace id *)
             let t = trace_of.(id) in
-            Tracer.complete_slice ~trace:t ~t0_ns:send_ns.(id) "client.rtt";
+            Tracer.complete_slice ~trace:t ~t0_ns:start_ns.(id) "client.rtt";
             Tracer.flow_end ~trace:t ~id:t "req"
           end;
           classify out (Protocol.decode_response frame);
@@ -149,22 +153,21 @@ let client cfg ~conn_id ~per_conn ~per_conn_rate =
       | None -> can_send
       | Some r ->
           let due =
-            int_of_float ((Unix.gettimeofday () -. start) *. float_of_int r)
-            + 1 - !sent
+            let elapsed_s = float_of_int (Monotonic.now_ns () - start) /. 1e9 in
+            int_of_float (elapsed_s *. r) + 1 - !sent
           in
           min can_send (max 0 due)
     in
     if can_send > 0 then begin
       Buffer.clear wbuf;
       for _ = 1 to can_send do
-        send_times.(!sent) <-
+        start_ns.(!sent) <-
           (match per_conn_rate with
-          | None -> Unix.gettimeofday ()
-          | Some r -> start +. (float_of_int !sent /. float_of_int r));
+          | None -> Monotonic.now_ns ()
+          | Some r -> start + int_of_float (float_of_int !sent *. 1e9 /. r));
         if trace_every > 0 && !sent mod trace_every = 0 then begin
           let t = client_trace_tag lor (conn_id lsl 24) lor !sent in
           trace_of.(!sent) <- t;
-          send_ns.(!sent) <- Monotonic.now_ns ();
           Tracer.flow_start ~trace:t ~id:t "req";
           Tracer.instant ~trace:t "client.send";
           Wire.encode_into wbuf { template with Wire.id = !sent; trace = Some t }
@@ -233,14 +236,17 @@ let run cfg =
   if cfg.connections < 1 then invalid_arg "Loadgen.run: connections < 1";
   if cfg.window < 1 then invalid_arg "Loadgen.run: window < 1";
   if cfg.total < 1 then invalid_arg "Loadgen.run: total < 1";
+  (match cfg.rate with
+  | Some r when r < 1 -> invalid_arg "Loadgen.run: rate < 1"
+  | _ -> ());
   let base = cfg.total / cfg.connections
   and extra = cfg.total mod cfg.connections in
   let per_conn_rate =
     Option.map
-      (fun r -> max 1 (r / cfg.connections))
+      (fun r -> float_of_int r /. float_of_int cfg.connections)
       cfg.rate
   in
-  let start = Unix.gettimeofday () in
+  let start = Monotonic.now_ns () in
   let domains =
     List.init cfg.connections (fun i ->
         let per_conn = base + if i < extra then 1 else 0 in
@@ -249,7 +255,7 @@ let run cfg =
             else client cfg ~conn_id:i ~per_conn ~per_conn_rate))
   in
   let results = List.map Domain.join domains in
-  let duration_s = Unix.gettimeofday () -. start in
+  let duration_s = float_of_int (Monotonic.now_ns () - start) /. 1e9 in
   let sent = List.fold_left (fun a (_, l) -> a + Array.length l) 0 results in
   let ok = List.fold_left (fun a (o, _) -> a + o.n_ok) 0 results in
   let retry_later = List.fold_left (fun a (o, _) -> a + o.n_retry) 0 results in

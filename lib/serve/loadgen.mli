@@ -13,8 +13,9 @@ type config = {
   window : int;  (** per-connection pipeline depth *)
   total : int;  (** total requests across all connections *)
   rate : int option;
-      (** total requests/s pacing across all connections; [None]
-          keeps every window full (saturation) *)
+      (** total requests/s pacing across all connections, each
+          connection paced at its float share; [None] keeps every
+          window full (saturation) *)
   request : Protocol.request;
   trace_rate : float;
       (** fraction of requests stamped with a client trace id (wire
@@ -34,12 +35,13 @@ type stats = {
           an answer).  A sample runs from the request's start to its
           response: for a paced run ([rate = Some _]) the start is the
           request's due time on the schedule, so time spent waiting
-          behind a stalled server counts; unpaced, it is the send. *)
+          behind a stalled server counts; unpaced, it is the send.
+          Timed on {!Localcert_obs.Monotonic}, so never negative. *)
 }
 
 val run : config -> stats
-(** Raises [Invalid_argument] on non-positive connections, window or
-    total; [Failure] if the server closes a connection, breaks framing,
+(** Raises [Invalid_argument] on non-positive connections, window,
+    total or rate; [Failure] if the server closes a connection, breaks framing,
     or answers an id that was never sent or was already answered. *)
 
 val request_once :

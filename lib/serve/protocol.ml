@@ -3,9 +3,9 @@
    Payloads are bit streams written with Bitbuf.Writer and packed into
    whole bytes (4-byte big-endian bit-length prefix, zero padding in
    the last byte).  Certificates and rejection lists therefore ride the
-   exact codecs the schemes already use — the interned Cert_store
-   representation on the server side is reached by decoding through
-   the same Bitstring values the in-process paths share.
+   exact codecs the schemes already use — the deduped certificate
+   arrays on the server side are reached by decoding through the same
+   Bitstring values the in-process paths share.
 
    Decoding is total: any Bitbuf.Decode_error, trailing bits, bad
    padding or out-of-range field becomes a typed [error_code], never an

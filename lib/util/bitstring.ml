@@ -104,8 +104,8 @@ let to_bools b =
 
 (* FNV-1a over the length and the raw bytes, folded into OCaml's
    nonnegative int range.  No intermediate string is allocated; the
-   result is cached so memo lookups and the intern table hash each
-   distinct certificate once. *)
+   result is cached so memo lookups and the certificate dedupe table
+   hash each distinct certificate once. *)
 let fnv_offset = 0x3BF29CE484222325
 let fnv_prime = 0x100000001B3
 
@@ -134,7 +134,7 @@ let bytes_eq a ao b bo n =
 
 (* Equality must ignore the unused low bits of the last byte; writers in
    this module always keep them zero, so plain byte comparison works.
-   Interned certificates are physically shared, so try [==] first; two
+   Deduped certificates are physically shared, so try [==] first; two
    already-computed hashes that differ decide without touching bytes. *)
 let equal a b =
   a == b

@@ -45,7 +45,7 @@ val hash : t -> int
 (** A hash compatible with {!equal}: FNV-1a over the length and the
     underlying bytes, computed in place (no intermediate string) and
     cached inside the value, so repeated lookups in memo tables and the
-    certificate intern store hash each distinct value once. *)
+    certificate dedupe table hash each distinct value once. *)
 
 (** {1 Mutation-as-copy} *)
 

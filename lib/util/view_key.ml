@@ -10,8 +10,8 @@
    values.  It is a fast-reject fingerprint only: [equal] always
    confirms a digest match structurally, so a (astronomically rare)
    digest collision costs one redundant comparison, never a wrong
-   cached verdict.  Payloads are interned certificates on the hot path
-   ([Cert_store]), which makes both the per-bitstring hash (cached in
+   cached verdict.  Payloads are deduped certificates on the hot path
+   ([Cert_store.intern_all]), which makes both the per-bitstring hash (cached in
    the value) and the structural comparison (usually a pointer test)
    cheap. *)
 

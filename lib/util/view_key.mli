@@ -26,4 +26,4 @@ val digest : t -> int
 val equal : t -> t -> bool
 (** Digest fast-path, then full structural comparison
     ([Bitstring.equal] on certificates — a pointer test when both sides
-    are interned). *)
+    are one deduped value). *)

@@ -7,10 +7,11 @@
    ≠ 0, spill into the next byte, partial last byte) are the common
    case, not the corner.
 
-   The second half pins the certificate-store invariant: interning is
-   observation-equal, so [Scheme.certify], [Engine.run_par] and a
-   faulty [Runtime.execute] must produce byte-identical results with
-   the store enabled and disabled. *)
+   The second half pins the certificate-dedupe invariant:
+   [Cert_store.intern_all] is observation-equal, so [Scheme.certify],
+   [Engine.run_par] and a faulty [Runtime.execute] must produce
+   byte-identical results on a raw certificate array and on its
+   deduped copy. *)
 
 let check = Alcotest.(check bool)
 
@@ -196,7 +197,7 @@ let qcheck_writer_matches_reference =
          = Some true)
 
 (* ------------------------------------------------------------------ *)
-(* Interning transparency                                             *)
+(* Dedupe transparency                                                *)
 (* ------------------------------------------------------------------ *)
 
 let outcome_equal (a : Scheme.outcome) (b : Scheme.outcome) =
@@ -214,41 +215,32 @@ let certs_of rng scheme inst =
 
 let entry_of seed = List.nth Registry.all (seed mod List.length Registry.all)
 
-let qcheck_interning_certify =
+(* [Scheme.certify] dedupes the prover's output before it verifies;
+   the raw prover output verified as is must agree bit for bit. *)
+let qcheck_dedupe_certify =
   QCheck.Test.make
-    ~name:"Scheme.certify byte-identical with interning on/off" ~count:40
-    seed_arbitrary (fun seed ->
-      let e = entry_of seed in
-      let certify enabled =
-        Cert_store.with_enabled enabled (fun () ->
-            Cert_store.reset ();
-            let rng = Rng.make seed in
-            match Scheme.certify e.Registry.scheme (e.Registry.instance rng) with
-            | None -> None
-            | Some (certs, outcome) ->
-                Some (Array.map Bitstring.to_string certs, outcome))
-      in
-      match (certify true, certify false) with
-      | None, None -> true
-      | Some (ca, oa), Some (cb, ob) -> ca = cb && outcome_equal oa ob
-      | _ -> false)
-
-let qcheck_interning_run_par =
-  QCheck.Test.make
-    ~name:"Engine.run_par outcome identical with interning on/off"
+    ~name:"Scheme.certify byte-identical to the raw prover and Scheme.run"
     ~count:40 seed_arbitrary (fun seed ->
       let e = entry_of seed in
-      let run enabled =
-        Cert_store.with_enabled enabled (fun () ->
-            Cert_store.reset ();
-            let rng = Rng.split (Rng.make seed) 2 in
-            let inst = e.Registry.instance rng.(0) in
-            let certs =
-              Cert_store.intern_all (certs_of rng.(1) e.Registry.scheme inst)
-            in
-            Engine.run_par ~pool:pool4 e.Registry.scheme inst certs)
-      in
-      outcome_equal (run true) (run false))
+      let sc = e.Registry.scheme in
+      let inst = e.Registry.instance (Rng.make seed) in
+      let strings certs = Array.map Bitstring.to_string certs in
+      match (Scheme.certify sc inst, sc.Scheme.prover inst) with
+      | None, None -> true
+      | Some (ca, oa), Some raw ->
+          strings ca = strings raw && outcome_equal oa (Scheme.run sc inst raw)
+      | _ -> false)
+
+let qcheck_dedupe_run_par =
+  QCheck.Test.make
+    ~name:"Engine.run_par outcome identical on raw and deduped certificates"
+    ~count:40 seed_arbitrary (fun seed ->
+      let e = entry_of seed in
+      let rng = Rng.split (Rng.make seed) 2 in
+      let inst = e.Registry.instance rng.(0) in
+      let raw = certs_of rng.(1) e.Registry.scheme inst in
+      let run certs = Engine.run_par ~pool:pool4 e.Registry.scheme inst certs in
+      outcome_equal (run raw) (run (Cert_store.intern_all raw)))
 
 let stress_plan =
   List.fold_left Fault.union (Fault.drops 0.15)
@@ -259,40 +251,43 @@ let stress_plan =
       Fault.byzantine ~bits:6 0.1;
     ]
 
-let qcheck_interning_runtime =
+let qcheck_dedupe_runtime =
   QCheck.Test.make
-    ~name:"faulty Runtime.execute trace byte-identical with interning on/off"
+    ~name:"faulty Runtime.execute trace byte-identical on raw and deduped certificates"
     ~count:30 seed_arbitrary (fun seed ->
       let e = entry_of seed in
-      let run enabled =
-        Cert_store.with_enabled enabled (fun () ->
-            Cert_store.reset ();
-            let rng = Rng.split (Rng.make seed) 2 in
-            let inst = e.Registry.instance rng.(0) in
-            let certs = certs_of rng.(1) e.Registry.scheme inst in
-            Runtime.execute ~pool:pool4 ~plan:stress_plan ~rounds:3 ~seed
-              e.Registry.scheme inst certs)
+      let rng = Rng.split (Rng.make seed) 2 in
+      let inst = e.Registry.instance rng.(0) in
+      let raw = certs_of rng.(1) e.Registry.scheme inst in
+      let run certs =
+        Runtime.execute ~pool:pool4 ~plan:stress_plan ~rounds:3 ~seed
+          e.Registry.scheme inst certs
       in
-      let a = run true and b = run false in
+      let a = run raw and b = run (Cert_store.intern_all raw) in
       Trace.to_json a.Runtime.trace = Trace.to_json b.Runtime.trace
       && outcome_equal a.Runtime.outcome b.Runtime.outcome
       && a.Runtime.detected_at = b.Runtime.detected_at)
 
-(* Interning really shares: equal certificates intern to one pointer. *)
-let interning_shares () =
-  Cert_store.with_enabled true (fun () ->
-      Cert_store.reset ();
-      let a = Bitstring.of_string "1011001" in
-      let b =
-        Bitstring.append (Bitstring.of_string "101") (Bitstring.of_string "1001")
-      in
-      let ia = Cert_store.intern a in
-      let ib = Cert_store.intern b in
-      check "physically shared" true (ia == ib);
-      check "equal to the original" true (Bitstring.equal ia a);
-      let s = Cert_store.stats () in
-      Alcotest.(check int) "distinct" 1 s.Cert_store.distinct;
-      Alcotest.(check int) "hits" 1 s.Cert_store.hits)
+(* Below the arena threshold, dedupe shares equal payloads in place:
+   one physical value per payload, empties untouched, no arena. *)
+let dedupe_shares_small () =
+  let a = Bitstring.of_string "1011001" in
+  let b =
+    Bitstring.append (Bitstring.of_string "101") (Bitstring.of_string "1001")
+  in
+  let c = Bitstring.of_string "0110" in
+  let empty = Bitstring.of_string "" in
+  let packs = (Cert_store.stats ()).Cert_store.arena_packs in
+  let out = Cert_store.intern_all [| a; c; empty; b; c |] in
+  check "equal payloads physically shared" true
+    (out.(0) == out.(3) && out.(1) == out.(4));
+  check "first occurrence kept in place" true (out.(0) == a && out.(1) == c);
+  check "empty certificate passes through" true (out.(2) == empty);
+  check "distinct payloads stay apart" false (out.(0) == out.(1));
+  check "equal to the input" true
+    (Array.for_all2 Bitstring.equal [| a; c; empty; b; c |] out);
+  Alcotest.(check int)
+    "no arena pack" packs (Cert_store.stats ()).Cert_store.arena_packs
 
 let suite =
   [
@@ -308,12 +303,9 @@ let suite =
           qcheck_writer_matches_reference;
         ] );
     ( "interning",
-      Alcotest.test_case "interning shares equal certificates" `Quick
-        interning_shares
+      Alcotest.test_case "small arrays share equal payloads in place" `Quick
+        dedupe_shares_small
       :: List.map QCheck_alcotest.to_alcotest
-           [
-             qcheck_interning_certify;
-             qcheck_interning_run_par;
-             qcheck_interning_runtime;
-           ] );
+           [ qcheck_dedupe_certify; qcheck_dedupe_run_par; qcheck_dedupe_runtime ]
+    );
   ]

@@ -5,7 +5,7 @@
    model — plain sorted adjacency lists rebuilt here from the edge
    list — on every [Graph] observation, on random inputs.  Streaming
    ingestion is held against [of_edges] the same way, and the arena
-   packing of Cert_store against the identity. *)
+   packing of [Cert_store.intern_all] against the identity. *)
 
 let check = Alcotest.(check bool)
 
@@ -286,8 +286,24 @@ let graph6_truncated () =
 (* ------------------------------------------------------------------ *)
 (* Certificate arenas                                                  *)
 
+(* [intern_all] arena-packs arrays of at least 2^16 entries; the tests
+   pad their payloads with empty certificates (which pass through
+   untouched) to reach that path, and check that they did. *)
+let arena_min = 1 lsl 16
+
+let packed_of certs =
+  let padded =
+    Array.append certs
+      (Array.make (arena_min - Array.length certs) Bitstring.empty)
+  in
+  let packs = (Cert_store.stats ()).Cert_store.arena_packs in
+  let out = Cert_store.intern_all padded in
+  check "arena used" true
+    ((Cert_store.stats ()).Cert_store.arena_packs = packs + 1);
+  Array.sub out 0 (Array.length certs)
+
 let qcheck_arena_transparent =
-  QCheck.Test.make ~name:"Cert_store.pack is the interning identity"
+  QCheck.Test.make ~name:"arena-packed intern_all is the identity"
     ~count:100
     QCheck.(int_bound 1_000_000)
     (fun seed ->
@@ -301,7 +317,7 @@ let qcheck_arena_transparent =
         Array.init 200 (fun _ ->
             if Rng.bool rng then pool.(Rng.int rng 16) else mk ())
       in
-      let packed = Cert_store.pack certs in
+      let packed = packed_of certs in
       Array.length packed = Array.length certs
       && Array.for_all2
            (fun c p ->
@@ -311,7 +327,7 @@ let qcheck_arena_transparent =
              && Bitstring.to_string c = Bitstring.to_string p)
            certs packed
       && (* equal nonempty inputs share one arena slot (empties pass
-            through untouched, as in [intern]) *)
+            through untouched) *)
       (let ok = ref true in
        Array.iteri
          (fun i c ->
@@ -336,7 +352,7 @@ let arena_views_behave () =
         Bitstring.of_bools
           (List.init (1 + Rng.int rng 90) (fun _ -> Rng.bool rng)))
   in
-  let packed = Cert_store.pack certs in
+  let packed = packed_of certs in
   Array.iteri
     (fun i c ->
       let p = packed.(i) in
@@ -360,20 +376,29 @@ let arena_views_behave () =
       end)
     certs
 
-(* intern_all routes big arrays through the arena and small ones
-   through the store — both observably identity. *)
+(* intern_all packs arrays at the threshold into the arena (deduping
+   there) and leaves arrays one below it in place — both observably
+   the identity. *)
 let intern_all_threshold () =
   Cert_store.reset ();
-  let big =
-    Array.init 70_000 (fun i ->
+  let certs n =
+    Array.init n (fun i ->
         Bitstring.of_string (if i mod 2 = 0 then "1010" else "0101"))
   in
+  let big = certs arena_min in
   let out = Cert_store.intern_all big in
   let s = Cert_store.stats () in
   check "arena used" true (s.Cert_store.arena_packs = 1);
   check "dedup in arena" true (s.Cert_store.arena_certs = 2);
-  check "store untouched" true (s.Cert_store.distinct = 0);
+  check "arena bytes" true (s.Cert_store.arena_bytes = 2);
   check "identity" true (Array.for_all2 Bitstring.equal big out);
+  let small = certs (arena_min - 1) in
+  let out = Cert_store.intern_all small in
+  check "below the threshold stays out of the arena" true
+    ((Cert_store.stats ()).Cert_store.arena_packs = 1);
+  check "first occurrences kept in place" true
+    (out.(0) == small.(0) && out.(1) == small.(1) && out.(2) == small.(0));
+  check "identity below" true (Array.for_all2 Bitstring.equal small out);
   Cert_store.reset ()
 
 let suite =

@@ -918,6 +918,23 @@ let loadgen_unpaced_times_sends () =
         Alcotest.failf "unpaced p50 %.0f us charges the stall to later sends"
           p50)
 
+(* [rate] is the total offered load: 4 req/s over 8 connections is
+   0.5 req/s each, so each connection's second request is due at 2 s.
+   Rounding each connection's share down to a whole 1 req/s would
+   finish in about 1 s. *)
+let loadgen_rate_is_total () =
+  Loadgen.with_self_server (fun ~port ->
+      let s =
+        Loadgen.run
+          {
+            (ping_cfg ~port ~window:1 ~total:16 ~rate:(Some 4)) with
+            Loadgen.connections = 8;
+          }
+      in
+      check "all answered" true (s.Loadgen.sent = 16 && s.Loadgen.ok = 16);
+      if s.Loadgen.duration_s < 1.75 then
+        Alcotest.failf "16 requests at 4 req/s took %.2f s" s.Loadgen.duration_s)
+
 let loadgen_rejects_bad_config () =
   List.iter
     (fun (what, cfg) ->
@@ -930,6 +947,7 @@ let loadgen_rejects_bad_config () =
        ("0 connections", { cfg with Loadgen.connections = 0 });
        ("0 window", { cfg with Loadgen.window = 0 });
        ("0 total", { cfg with Loadgen.total = 0 });
+       ("0 rate", { cfg with Loadgen.rate = Some 0 });
      ]);
   let sorted = [| 1.; 2.; 3.; 4. |] in
   check "empty percentile is 0" true (Loadgen.percentile [||] 0.5 = 0.);
@@ -1021,6 +1039,8 @@ let suite =
           loadgen_counts_typed_answers;
         Alcotest.test_case "unpaced latency timed from the send" `Quick
           loadgen_unpaced_times_sends;
+        Alcotest.test_case "rate is the total across connections" `Quick
+          loadgen_rate_is_total;
         Alcotest.test_case "bad config and percentile edges" `Quick
           loadgen_rejects_bad_config;
       ] );
