@@ -21,6 +21,17 @@
 
 open Cmdliner
 
+(* A user error found after argument parsing: a scheme that needs a
+   flag it was not given, a prover that declines the instance a
+   command needs certified, a fault plan that does not fit the graph,
+   an input file that does not parse.  [usage_errors] reports it the
+   way cmdliner reports a bad argument (one line, the CLI-error
+   status), not as an uncaught exception. *)
+exception Usage of string
+
+let usage msg = raise (Usage msg)
+let usage_errors f = try Ok (f ()) with Usage msg -> Error (`Msg msg)
+
 (* ------------------------------------------------------------------ *)
 (* Graph specification parsing                                         *)
 (* ------------------------------------------------------------------ *)
@@ -146,7 +157,7 @@ let scheme_of_name name ~t ~formula =
   let need_formula what =
     match formula with
     | Some f -> f
-    | None -> failwith (what ^ " needs --formula")
+    | None -> usage (what ^ " needs --formula")
   in
   match name with
   | "spanning" -> Spanning_tree.scheme ()
@@ -166,11 +177,11 @@ let scheme_of_name name ~t ~formula =
           | "tree-mso" -> (
               match List.assoc_opt arg Library.all_named with
               | Some e -> Tree_mso.make e.Library.auto
-              | None -> failwith ("unknown automaton " ^ arg))
+              | None -> usage ("unknown automaton " ^ arg))
           | "tree-mso-table" -> (
               match List.assoc_opt arg Localcert_automata.Uop.all_named with
               | Some table -> Tree_mso.make_table table
-              | None -> failwith ("unknown UOP table " ^ arg))
+              | None -> usage ("unknown UOP table " ^ arg))
           | "lcl" -> (
               match arg with
               | "mis" ->
@@ -184,13 +195,13 @@ let scheme_of_name name ~t ~formula =
                   | Some c ->
                       Lcl.scheme_of_search (Lcl.proper_coloring ~colors:c)
                         ~solve:(Lcl.greedy_coloring ~colors:c)
-                  | None -> failwith "lcl:<mis|weak2|COLORS>"))
+                  | None -> usage "lcl:<mis|weak2|COLORS>"))
           | "depth2" -> (
               match List.assoc_opt arg Depth2_fo.primitives with
               | Some s -> s
-              | None -> failwith ("unknown depth-2 primitive " ^ arg))
-          | _ -> failwith ("unknown scheme " ^ name))
-      | None -> failwith ("unknown scheme " ^ name))
+              | None -> usage ("unknown depth-2 primitive " ^ arg))
+          | _ -> usage ("unknown scheme " ^ name))
+      | None -> usage ("unknown scheme " ^ name))
 
 (* Arguments shared by certify, attack and simulate. *)
 
@@ -228,6 +239,16 @@ let jobs_conv =
         | Some j when j >= 1 && j <= 128 -> Ok j
         | Some _ | None ->
             Error (`Msg "expected a job count between 1 and 128")),
+      Format.pp_print_int )
+
+(* Counts that must be at least 1: cmdliner rejects anything else
+   before the command runs. *)
+let positive_conv =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some k when k >= 1 -> Ok k
+        | Some _ | None -> Error (`Msg "expected a positive integer")),
       Format.pp_print_int )
 
 let jobs_arg =
@@ -319,8 +340,8 @@ let with_telemetry ?trace ?(trace_process = "localcert") log metrics f =
           Tracer.write_file ~process_name:trace_process path;
           Printf.printf "trace written to %s\n%!" path);
       Shutdown.install ());
-  (* [~finally] rather than run-on-return: an exception exit (a bad
-     argument's [failwith], a prover blowing up) must still flush the
+  (* [~finally] rather than run-on-return: an exception exit (a [Usage]
+     error, a prover blowing up) must still flush the
      snapshot — that is the whole point of registering it. *)
   Fun.protect ~finally:Shutdown.run_cleanups f
 
@@ -346,6 +367,7 @@ let trace_rate_conv =
 
 let certify_cmd =
   let run g name t formula attack seed jobs compiled log metrics trace =
+    usage_errors @@ fun () ->
     with_telemetry ?trace ~trace_process:"localcert-certify" log metrics
     @@ fun () ->
     Vcompile.set_enabled compiled;
@@ -419,9 +441,10 @@ let certify_cmd =
   Cmd.v
     (Cmd.info "certify" ~doc:"Run a certification scheme on a graph")
     Term.(
-      const run $ graph_arg $ name_arg $ t_arg $ formula_arg $ attack_arg
-      $ seed_arg $ jobs_arg $ compiled_arg $ log_arg $ metrics_arg
-      $ trace_file_arg)
+      term_result
+        (const run $ graph_arg $ name_arg $ t_arg $ formula_arg $ attack_arg
+       $ seed_arg $ jobs_arg $ compiled_arg $ log_arg $ metrics_arg
+       $ trace_file_arg))
 
 (* ------------------------------------------------------------------ *)
 (* attack                                                              *)
@@ -429,6 +452,7 @@ let certify_cmd =
 
 let attack_cmd =
   let run g name t formula mode trials max_bits seed from jobs =
+    usage_errors @@ fun () ->
     let scheme = scheme_of_name name ~t ~formula in
     let instance = Instance.make g in
     Printf.printf "scheme: %s\ninstance: n=%d m=%d\nmode: %s, seed %d\n"
@@ -438,7 +462,7 @@ let attack_cmd =
       | "corruptions" -> (
           match scheme.Scheme.prover instance with
           | None ->
-              failwith
+              usage
                 "corruptions needs a valid base certification, but the \
                  prover declined on this instance"
           | Some base ->
@@ -459,12 +483,12 @@ let attack_cmd =
           Attack.exhaustive scheme instance ~max_bits
       | "transplant" -> (
           match from with
-          | None -> failwith "transplant needs --from YES-INSTANCE"
+          | None -> usage "transplant needs --from YES-INSTANCE"
           | Some g' ->
               Attack.transplant scheme ~from_instance:(Instance.make g')
                 ~to_instance:instance)
       | m ->
-          failwith
+          usage
             (Printf.sprintf
                "unknown mode %s (expected corruptions, random, exhaustive or \
                 transplant)"
@@ -516,8 +540,9 @@ let attack_cmd =
     (Cmd.info "attack"
        ~doc:"Probe a scheme's soundness with adversarial certificates")
     Term.(
-      const run $ graph_arg $ name_arg $ t_arg $ formula_arg $ mode_arg
-      $ trials_arg $ max_bits_arg $ seed_arg $ from_arg $ jobs_arg)
+      term_result
+        (const run $ graph_arg $ name_arg $ t_arg $ formula_arg $ mode_arg
+       $ trials_arg $ max_bits_arg $ seed_arg $ from_arg $ jobs_arg))
 
 (* ------------------------------------------------------------------ *)
 (* simulate                                                            *)
@@ -526,52 +551,53 @@ let attack_cmd =
 let simulate_cmd =
   let run g name t formula plan rounds seed trace_out sweep no_incremental jobs
       compiled recover log metrics trace_perfetto =
-    (* A malformed plan against this instance (out-of-range crashed: or
-       edit: ids) raises Invalid_argument from Runtime.execute; surface
-       it as a typed CLI error instead of a backtrace. *)
-    try
-      Ok
-        ( with_telemetry ?trace:trace_perfetto
-            ~trace_process:"localcert-simulate" log metrics
-        @@ fun () ->
-          Vcompile.set_enabled compiled;
-          let scheme = scheme_of_name name ~t ~formula in
-          let instance = Instance.make g in
-          let incremental = not no_incremental in
-          let certs =
-            match scheme.Scheme.prover instance with
-            | Some certs -> certs
-            | None ->
-                failwith
-                  "the prover declined on this instance; simulate needs an \
-                   initial certification (pick a yes-instance)"
+    usage_errors @@ fun () ->
+    with_telemetry ?trace:trace_perfetto ~trace_process:"localcert-simulate"
+      log metrics
+    @@ fun () ->
+    Vcompile.set_enabled compiled;
+    let scheme = scheme_of_name name ~t ~formula in
+    let instance = Instance.make g in
+    let incremental = not no_incremental in
+    let certs =
+      match scheme.Scheme.prover instance with
+      | Some certs -> certs
+      | None ->
+          usage
+            "the prover declined on this instance; simulate needs an \
+             initial certification (pick a yes-instance)"
+    in
+    Pool.with_pool ?jobs (fun pool ->
+        (* A plan that does not fit this instance (out-of-range
+           crashed: or edit: ids) or an out-of-range seed is
+           rejected by Runtime.execute with Invalid_argument. *)
+        let result =
+          try
+            Runtime.execute ~pool ~plan ~rounds ~seed ~incremental
+              ~recover scheme instance certs
+          with Invalid_argument msg -> usage msg
+        in
+        Format.printf "%a" Trace.pp_summary result.Runtime.trace;
+        (match result.Runtime.quiesced_at with
+        | Some q -> Printf.printf "quiesced_at: round %d\n" q
+        | None -> Printf.printf "quiesced_at: never\n");
+        if recover then begin
+          let adopted =
+            Array.fold_left
+              (fun acc l -> acc + List.length l)
+              0 result.Runtime.adopted
           in
-          Pool.with_pool ?jobs (fun pool ->
-              let result =
-                Runtime.execute ~pool ~plan ~rounds ~seed ~incremental
-                  ~recover scheme instance certs
-              in
-              Format.printf "%a" Trace.pp_summary result.Runtime.trace;
-              (match result.Runtime.quiesced_at with
-              | Some q -> Printf.printf "quiesced_at: round %d\n" q
-              | None -> Printf.printf "quiesced_at: never\n");
-              if recover then begin
-                let adopted =
-                  Array.fold_left
-                    (fun acc l -> acc + List.length l)
-                    0 result.Runtime.adopted
-                in
-                Printf.printf "recovery: %d certificate%s re-adopted\n" adopted
-                  (if adopted = 1 then "" else "s")
-              end;
-              (match trace_out with
-              | None -> ()
-              | Some path ->
-                  let oc = open_out path in
-                  output_string oc (Trace.to_json result.Runtime.trace);
-                  output_char oc '\n';
-                  close_out oc;
-                  Printf.printf "trace written to %s\n" path);
+          Printf.printf "recovery: %d certificate%s re-adopted\n" adopted
+            (if adopted = 1 then "" else "s")
+        end;
+        (match trace_out with
+        | None -> ()
+        | Some path ->
+            let oc = open_out path in
+            output_string oc (Trace.to_json result.Runtime.trace);
+            output_char oc '\n';
+            close_out oc;
+            Printf.printf "trace written to %s\n" path);
         if sweep then begin
           Printf.printf
             "\ncorruption-rate sweep (%d rounds per run, 5 seeds per rate):\n"
@@ -606,8 +632,7 @@ let simulate_cmd =
               Printf.printf "%8.2f %10d %10d %12.1f\n" rate !corrupted
                 !detected mean_latency)
             [ 0.02; 0.05; 0.1; 0.2; 0.4 ]
-        end) )
-    with Invalid_argument msg -> Error (`Msg msg)
+        end)
   in
   let plan_conv =
     Arg.conv
@@ -798,13 +823,12 @@ let loadgen_cmd =
     with_telemetry ?trace ~trace_process:"localcert-loadgen" log None
     @@ fun () ->
     let jobs = Option.value jobs ~default:1 in
-    let request =
+    let op, request =
       match op with
-      | "ping" -> Protocol.Ping
-      | "verify" -> Protocol.Verify { scheme; graph; flip }
-      | "certify" -> Protocol.Certify { scheme; graph }
-      | "stats" -> Protocol.Stats
-      | _ -> failwith "op must be ping, verify, certify or stats"
+      | `Ping -> ("ping", Protocol.Ping)
+      | `Verify -> ("verify", Protocol.Verify { scheme; graph; flip })
+      | `Certify -> ("certify", Protocol.Certify { scheme; graph })
+      | `Stats -> ("stats", Protocol.Stats)
     in
     let go ~port =
       Loadgen.run
@@ -852,7 +876,16 @@ let loadgen_cmd =
   in
   let op_arg =
     Arg.(
-      value & opt string "verify"
+      value
+      & opt
+          (enum
+             [
+               ("ping", `Ping);
+               ("verify", `Verify);
+               ("certify", `Certify);
+               ("stats", `Stats);
+             ])
+          `Verify
       & info [ "op" ] ~docv:"OP" ~doc:"Request kind: ping, verify, certify or stats.")
   in
   let scheme_arg =
@@ -887,23 +920,23 @@ let loadgen_cmd =
   in
   let connections_arg =
     Arg.(
-      value & opt int 4
+      value & opt positive_conv 4
       & info [ "connections" ] ~docv:"N" ~doc:"Concurrent client connections.")
   in
   let window_arg =
     Arg.(
-      value & opt int 128
+      value & opt positive_conv 128
       & info [ "window" ] ~docv:"N" ~doc:"Per-connection pipeline depth.")
   in
   let total_arg =
     Arg.(
-      value & opt int 20_000
+      value & opt positive_conv 20_000
       & info [ "requests" ] ~docv:"N" ~doc:"Total requests across connections.")
   in
   let rate_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_conv) None
       & info [ "rate" ] ~docv:"RPS"
           ~doc:"Pace sends to $(docv) requests/s total (default: saturate).")
   in
@@ -942,7 +975,7 @@ let loadgen_cmd =
 let gadget_cmd =
   let run kind m n =
     match kind with
-    | "treedepth" ->
+    | `Treedepth ->
         let id = Array.init m Fun.id in
         let rot = Array.init m (fun i -> (i + 1) mod m) in
         Printf.printf "Figure-3 gadget, m=%d: n=%d vertices\n" m ((8 * m) + 1);
@@ -959,7 +992,7 @@ let gadget_cmd =
           gadget.Framework.ell
           ((4 * m) + 1)
           (Framework.lower_bound_bits gadget)
-    | "automorphism" ->
+    | `Automorphism ->
         let gadget = Automorphism_gadget.make ~n ~depth:3 in
         Printf.printf "Theorem-2.3 gadget, trees of %d nodes, depth <= 3\n" n;
         Printf.printf "ell = %d encodable bits, r = 2, bound ell/2 = %.1f\n"
@@ -974,12 +1007,11 @@ let gadget_cmd =
           (Iso.has_fixed_point_free_automorphism eq.Instance.graph);
         Printf.printf "unequal strings: fpf automorphism = %b\n"
           (Iso.has_fixed_point_free_automorphism ne.Instance.graph)
-    | _ -> failwith "gadget kind must be treedepth or automorphism"
   in
   let kind_arg =
     Arg.(
       required
-      & opt (some string) None
+      & opt (some (enum [ ("treedepth", `Treedepth); ("automorphism", `Automorphism) ])) None
       & info [ "kind" ] ~docv:"KIND" ~doc:"treedepth or automorphism.")
   in
   let m_arg = Arg.(value & opt int 3 & info [ "m" ] ~doc:"Block size (treedepth gadget).") in
@@ -1032,20 +1064,7 @@ let stats_cmd =
   let run validate required prometheus percentiles remote log =
     (match log with None -> () | Some l -> Logger.set_level l);
     match remote with
-    | Some spec -> (
-        let host, port =
-          match String.rindex_opt spec ':' with
-          | Some i -> (
-              let h = String.sub spec 0 i in
-              let p = String.sub spec (i + 1) (String.length spec - i - 1) in
-              match int_of_string_opt p with
-              | Some p -> ((if h = "" then "127.0.0.1" else h), p)
-              | None -> failwith "expected --remote HOST:PORT")
-          | None -> (
-              match int_of_string_opt spec with
-              | Some p -> ("127.0.0.1", p)
-              | None -> failwith "expected --remote HOST:PORT or --remote PORT")
-        in
+    | Some (host, port) -> (
         match Loadgen.request_once ~host ~port Protocol.Stats with
         | Ok (Protocol.Stats_text text) ->
             (* The wire carries the Prometheus exposition; percentile
@@ -1093,7 +1112,7 @@ let stats_cmd =
   let validate_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some file) None
       & info [ "validate" ] ~docv:"FILE"
           ~doc:
             "Strictly parse a snapshot written by --metrics instead of \
@@ -1124,10 +1143,25 @@ let stats_cmd =
              with --remote the estimates are derived client-side from the \
              server's Prometheus histogram buckets.")
   in
+  let remote_conv =
+    Arg.conv
+      ( (fun spec ->
+          let host, port =
+            match String.rindex_opt spec ':' with
+            | Some i ->
+                ( String.sub spec 0 i,
+                  String.sub spec (i + 1) (String.length spec - i - 1) )
+            | None -> ("", spec)
+          in
+          match int_of_string_opt port with
+          | Some p -> Ok ((if host = "" then "127.0.0.1" else host), p)
+          | None -> Error (`Msg "expected HOST:PORT or PORT")),
+        fun ppf (h, p) -> Format.fprintf ppf "%s:%d" h p )
+  in
   let remote_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some remote_conv) None
       & info [ "remote" ] ~docv:"HOST:PORT"
           ~doc:
             "Fetch a running server's Prometheus exposition over the wire \
@@ -1148,13 +1182,13 @@ let stats_cmd =
 
 let trace_merge_cmd =
   let run files out validate require_req =
-    if files = [] then failwith "trace-merge needs at least one FILE";
+    usage_errors @@ fun () ->
     let docs =
       List.map
         (fun path ->
           match Json.parse (read_file path) with
           | Ok doc -> doc
-          | Error e -> failwith (path ^ ": not valid JSON: " ^ e))
+          | Error e -> usage (path ^ ": not valid JSON: " ^ e))
         files
     in
     let merged = Tracer.merge docs in
@@ -1189,7 +1223,7 @@ let trace_merge_cmd =
   in
   let files_arg =
     Arg.(
-      value & pos_all string []
+      non_empty & pos_all file []
       & info [] ~docv:"FILE"
           ~doc:"Chrome trace-event JSON documents (from --trace).")
   in
@@ -1226,7 +1260,8 @@ let trace_merge_cmd =
        ~doc:
          "Merge Chrome trace-event files (server + load generator) into \
           one Perfetto-loadable timeline, optionally validating it")
-    Term.(const run $ files_arg $ out_arg $ validate_flag $ require_flag)
+    Term.(
+      term_result (const run $ files_arg $ out_arg $ validate_flag $ require_flag))
 
 (* ------------------------------------------------------------------ *)
 (* export                                                              *)
@@ -1234,23 +1269,27 @@ let trace_merge_cmd =
 
 let export_cmd =
   let run g fmt =
+    usage_errors @@ fun () ->
     match fmt with
-    | "g6" -> print_endline (Io.to_graph6 g)
-    | "dot" -> print_string (Io.to_dot g)
-    | "edges" -> print_string (Io.to_edge_list g)
-    | "elim-dot" ->
-        if Graph.n g > 22 then failwith "exact model needs <= 22 vertices"
+    | `G6 -> print_endline (Io.to_graph6 g)
+    | `Dot -> print_string (Io.to_dot g)
+    | `Edges -> print_string (Io.to_edge_list g)
+    | `Elim_dot ->
+        if Graph.n g > 22 then usage "elim-dot: the exact model needs <= 22 vertices"
         else print_string (Elimination.to_dot (Exact.optimal_model g))
-    | _ -> failwith "format must be g6, dot, edges or elim-dot"
   in
   let fmt_arg =
     Arg.(
-      value & opt string "g6"
+      value
+      & opt
+          (enum
+             [ ("g6", `G6); ("dot", `Dot); ("edges", `Edges); ("elim-dot", `Elim_dot) ])
+          `G6
       & info [ "format" ] ~docv:"FMT" ~doc:"g6, dot, edges or elim-dot.")
   in
   Cmd.v
     (Cmd.info "export" ~doc:"Write a graph in an interchange format")
-    Term.(const run $ graph_arg $ fmt_arg)
+    Term.(term_result (const run $ graph_arg $ fmt_arg))
 
 (* --version output: the dune-project version (via the generated
    Version module) plus one line per registered scheme family. *)

@@ -26,8 +26,11 @@ let build (inst : Instance.t) tree ~ann =
   let depth = Elimination.depth tree in
   let kids = Elimination.children_all tree in
   (* Subtree vertex lists, sorted ascending (the exit-vertex choice
-     below depends on this order), built bottom-up so the whole pass
-     is O(Σ|subtree|) = O(n · depth) rather than O(n²). *)
+     below depends on this order), built bottom-up.  A vertex lies in
+     at most [depth] subtrees, and each subtree costs one sort plus one
+     [Graph.induced] and one BFS over its own rows, so the whole prover
+     is O((n + m) · depth · log n) — never a pass over all of [g] per
+     vertex. *)
   let subs = Array.make size [] in
   let by_depth = Array.init size Fun.id in
   Array.sort (fun a b -> Int.compare depth.(b) depth.(a)) by_depth;

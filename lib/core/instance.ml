@@ -8,15 +8,23 @@ type t = {
 let make ?labels ?ids ?id_bits graph =
   let size = Graph.n graph in
   if size = 0 then invalid_arg "Instance.make: empty graph";
-  let ids = match ids with Some a -> Array.copy a | None -> Array.init size (fun v -> v + 1) in
-  if Array.length ids <> size then invalid_arg "Instance.make: ids length";
-  let seen = Hashtbl.create size in
-  Array.iter
-    (fun id ->
-      if id < 1 then invalid_arg "Instance.make: ids must be >= 1";
-      if Hashtbl.mem seen id then invalid_arg "Instance.make: duplicate id";
-      Hashtbl.replace seen id ())
-    ids;
+  (* Default ids 1..n are valid by construction; a supplied array is
+     checked entry by entry. *)
+  let ids =
+    match ids with
+    | None -> Array.init size (fun v -> v + 1)
+    | Some a ->
+        let ids = Array.copy a in
+        if Array.length ids <> size then invalid_arg "Instance.make: ids length";
+        let seen = Hashtbl.create size in
+        Array.iter
+          (fun id ->
+            if id < 1 then invalid_arg "Instance.make: ids must be >= 1";
+            if Hashtbl.mem seen id then invalid_arg "Instance.make: duplicate id";
+            Hashtbl.replace seen id ())
+          ids;
+        ids
+  in
   let labels =
     match labels with
     | Some a ->

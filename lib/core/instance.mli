@@ -16,7 +16,9 @@ type t = private {
 
 val make : ?labels:int array -> ?ids:int array -> ?id_bits:int -> Graph.t -> t
 (** Default identifiers are [v + 1]; raises [Invalid_argument] on
-    duplicate or nonpositive ids, or if the graph is empty.
+    duplicate or nonpositive ids, a wrong [ids] or [labels] length, or
+    if the graph is empty.  The default ids need no check; a supplied
+    array is checked with a hash table.
 
     [?id_bits] widens the identifier encoding beyond the minimum the
     ids require (raises [Invalid_argument] if too narrow to encode the

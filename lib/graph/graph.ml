@@ -170,19 +170,41 @@ let remove_vertex g v =
       iter_edges g (fun a b ->
           if a <> v && b <> v then f (rename a) (rename b)))
 
+(* Only the rows of [vs] are read.  [back] is ascending and so is every
+   row, so a row's surviving neighbours map to ascending positions:
+   each is a binary search in [back] that starts past the previous
+   hit, and the rows come out sorted and duplicate-free with no
+   [of_iter] pass.  Nothing is sized by [g]. *)
 let induced g vs =
   let vs = List.sort_uniq Int.compare vs in
   List.iter (check_vertex ~n:g.size) vs;
   let back = Array.of_list vs in
-  let fwd = Array.make g.size (-1) in
-  Array.iteri (fun i v -> fwd.(v) <- i) back;
-  let sub =
-    of_iter ~n:(Array.length back) (fun f ->
-        iter_edges g (fun u v ->
-            let a = fwd.(u) and b = fwd.(v) in
-            if a >= 0 && b >= 0 then f a b))
-  in
-  (sub, back)
+  let k = Array.length back in
+  let bound = Array.fold_left (fun acc v -> acc + degree g v) 0 back in
+  let rp = Array.make (k + 1) 0 and col = Array.make bound 0 in
+  let w = ref 0 in
+  for i = 0 to k - 1 do
+    let v = back.(i) in
+    let lo = ref 0 in
+    for e = g.row_ptr.(v) to g.row_ptr.(v + 1) - 1 do
+      let x = Array.unsafe_get g.col e in
+      (* first position in [!lo, k) holding a vertex >= x *)
+      let a = ref !lo and b = ref k in
+      while !a < !b do
+        let mid = (!a + !b) lsr 1 in
+        if back.(mid) < x then a := mid + 1 else b := mid
+      done;
+      if !a < k && back.(!a) = x then begin
+        col.(!w) <- !a;
+        incr w;
+        lo := !a + 1
+      end
+      else lo := !a
+    done;
+    rp.(i + 1) <- !w
+  done;
+  let col = if !w = bound then col else Array.sub col 0 !w in
+  ({ size = k; row_ptr = rp; col }, back)
 
 let disjoint_union g h =
   let size = g.size + h.size in

@@ -50,9 +50,12 @@ val remove_vertex : t -> int -> t
     by shifting down, preserving relative order. *)
 
 val induced : t -> int list -> t * int array
-(** [induced g vs] is the subgraph induced by the (duplicate-free) list
-    [vs], together with the array mapping new indices to original
-    vertices. *)
+(** [induced g vs] is the subgraph induced by the vertices of [vs]
+    (repeats ignored), together with the ascending array mapping new
+    indices to original vertices.  Only the rows of [vs] are read:
+    O(|vs| log |vs| + Σ_{v ∈ vs} deg v · log |vs|), with no pass over
+    [g]'s other vertices or edges.  Raises [Invalid_argument] on a vertex
+    out of range. *)
 
 val disjoint_union : t -> t -> t
 (** Vertices of the second graph are shifted by [n] of the first. *)

@@ -87,73 +87,104 @@ let is_ancestor t ~anc ~desc =
 
 let is_model t g =
   Graph.n g = n t
-  && List.for_all
-       (fun (u, v) ->
-         is_ancestor t ~anc:u ~desc:v || is_ancestor t ~anc:v ~desc:u)
-       (Graph.edges g)
+  &&
+  try
+    Graph.iter_edges g (fun u v ->
+        if not (is_ancestor t ~anc:u ~desc:v || is_ancestor t ~anc:v ~desc:u)
+        then raise Exit);
+    true
+  with Exit -> false
 
 (* Coherence, restated per non-root vertex [w]: some vertex of the
-   subtree of [w] is adjacent to [parent w].  Every witness is an edge
-   (x, y) with [y] a proper ancestor of [x]; walking up from [x] to
+   subtree of [w] is adjacent to [parent w].  [cover t g] counts, for
+   every [w], the edges between its subtree and [parent w].  Every such
+   edge (x, y) has [y] a proper ancestor of [x]; walking up from [x] to
    [y] identifies the child of [y] it covers — one O(depth) walk per
    edge endpoint instead of a subtree scan per (v, child) pair. *)
-let is_coherent t g =
-  let covered = Array.make (n t) false in
+let cover t g =
+  let size = n t in
+  let count = Array.make size 0 in
   let mark x y =
-    (* if y is a proper ancestor of x, cover y's child on the path *)
     let rec go c p =
-      if p <> -1 then if p = y then covered.(c) <- true else go p t.parent.(p)
+      if p <> -1 then
+        if p = y then count.(c) <- count.(c) + 1 else go p t.parent.(p)
     in
     go x t.parent.(x)
   in
-  let size = n t in
-  List.iter
-    (fun (u, v) ->
+  Graph.iter_edges g (fun u v ->
       if u < size && v < size then begin
         mark u v;
         mark v u
-      end)
-    (Graph.edges g);
+      end);
+  count
+
+let is_coherent t g =
+  let count = cover t g in
   let ok = ref true in
-  Array.iteri
-    (fun w p -> if p <> -1 && not covered.(w) then ok := false)
-    t.parent;
+  Array.iteri (fun w p -> if p <> -1 && count.(w) = 0 then ok := false) t.parent;
   !ok
 
+(* Lemma B.1's repair loop.  Each step takes the least uncovered pair
+   (parent w, w) and hangs the subtree of [w] under the lowest proper
+   ancestor [u] of [parent w] adjacent to it.  No vertex strictly
+   between [parent w] and [u] is adjacent to that subtree, so the move
+   changes only two cover counts: [w] gains the subtree's edges to [u],
+   and the child [c] of [u] on the old path loses them.  A set of the
+   uncovered pairs, keyed [parent * n + w], then yields the next
+   violation without a rescan, in the order a full rescan after every
+   repair would find them. *)
 let coherentize t g =
   if not (is_model t g) then
     invalid_arg "Elimination.coherentize: not a model of the graph";
-  let parent = Array.copy t.parent in
-  let current () = { parent } in
-  let rec fix () =
-    let tree = current () in
-    let violation =
-      List.find_map
-        (fun v ->
-          List.find_map
-            (fun w ->
-              let sub = subtree tree w in
-              if List.exists (fun x -> Graph.mem_edge g x v) sub then None
-              else Some (v, w, sub))
-            (children tree v))
-        (List.init (n tree) Fun.id)
-    in
-    match violation with
-    | None -> ()
-    | Some (v, w, sub) ->
-        (* Lowest proper ancestor of [v] adjacent to the subtree of [w];
-           exists because [g] is connected and all edges out of the
-           subtree go to ancestors of [w]. *)
-        let rec lowest u =
-          if u = -1 then invalid_arg "Elimination.coherentize: disconnected"
-          else if List.exists (fun x -> Graph.mem_edge g x u) sub then u
-          else lowest parent.(u)
-        in
-        parent.(w) <- lowest parent.(v);
-        fix ()
-  in
-  fix ();
-  make ~parent
+  let size = n t in
+  let count = cover t g in
+  let module S = Set.Make (Int) in
+  let open_ = ref S.empty in
+  Array.iteri
+    (fun w p ->
+      if p <> -1 && count.(w) = 0 then open_ := S.add ((p * size) + w) !open_)
+    t.parent;
+  if S.is_empty !open_ then t
+  else begin
+    let parent = Array.copy t.parent in
+    let kids = children_all t in
+    let adj = Array.make size 0 in
+    while not (S.is_empty !open_) do
+      let key = S.min_elt !open_ in
+      open_ := S.remove key !open_;
+      let v = key / size and w = key mod size in
+      let rec collect acc = function
+        | [] -> acc
+        | x :: rest -> collect (x :: acc) (List.rev_append kids.(x) rest)
+      in
+      let sub = collect [] [ w ] in
+      let touch d =
+        List.iter
+          (fun x -> Graph.iter_neighbors g x (fun y -> adj.(y) <- adj.(y) + d))
+          sub
+      in
+      touch 1;
+      (* Lowest proper ancestor [u] of [v] adjacent to the subtree of
+         [w], with its child [c] on the path; exists because [g] is
+         connected and all edges out of the subtree go to ancestors of
+         [w]. *)
+      let rec lowest c u =
+        if u = -1 then invalid_arg "Elimination.coherentize: disconnected"
+        else if adj.(u) > 0 then (c, u)
+        else lowest u parent.(u)
+      in
+      let c, u = lowest v parent.(v) in
+      let e = adj.(u) in
+      touch (-1);
+      parent.(w) <- u;
+      kids.(v) <- List.filter (fun x -> x <> w) kids.(v);
+      kids.(u) <- w :: kids.(u);
+      count.(w) <- e;
+      count.(c) <- count.(c) - e;
+      if count.(c) = 0 then open_ := S.add ((u * size) + c) !open_
+    done;
+    make ~parent
+  end
 
 let exit_vertex t g v =
   let p = t.parent.(v) in
@@ -212,26 +243,30 @@ let centroid_of_tree g =
   let total = Graph.n g in
   let parent = Array.make total (-1) in
   let alive = Array.make total true in
-  (* Centroid of the alive component containing [v]. *)
+  (* Buffers shared by every centroid: [in_comp] marks the current
+     component and [comp.(0 .. size-1)] lists it in DFS visiting order.
+     Both are cleared over the component alone before the next one, so
+     each level of the decomposition costs O(n) and the whole is
+     O(n log n). *)
+  let in_comp = Array.make total false in
+  let comp = Array.make total 0 in
+  let sub = Array.make total 0 in
+  (* Mark the alive component containing [v]; returns its size. *)
   let component v =
-    let seen = Array.make total false in
-    let acc = ref [] in
+    let size = ref 0 in
     let rec dfs u =
-      seen.(u) <- true;
-      acc := u :: !acc;
+      in_comp.(u) <- true;
+      comp.(!size) <- u;
+      incr size;
       Graph.iter_neighbors g u (fun w ->
-          if alive.(w) && not seen.(w) then dfs w)
+          if alive.(w) && not in_comp.(w) then dfs w)
     in
     dfs v;
-    !acc
+    !size
   in
-  let centroid comp =
-    let in_comp = Array.make total false in
-    List.iter (fun v -> in_comp.(v) <- true) comp;
-    let size = List.length comp in
+  let centroid size =
     let best = ref (-1) and best_score = ref max_int in
-    (* subtree sizes by rooted DFS from an arbitrary vertex *)
-    let sub = Array.make total 0 in
+    (* subtree sizes by rooted DFS from the last vertex visited *)
     let rec calc u p =
       sub.(u) <- 1;
       Graph.iter_neighbors g u (fun w ->
@@ -240,7 +275,7 @@ let centroid_of_tree g =
             sub.(u) <- sub.(u) + sub.(w)
           end)
     in
-    let start = List.hd comp in
+    let start = comp.(size - 1) in
     calc start (-1);
     let rec walk u p =
       let score = ref (size - sub.(u)) in
@@ -257,8 +292,11 @@ let centroid_of_tree g =
     !best
   in
   let rec decompose v up =
-    let comp = component v in
-    let c = centroid comp in
+    let size = component v in
+    let c = centroid size in
+    for i = 0 to size - 1 do
+      in_comp.(comp.(i)) <- false
+    done;
     parent.(c) <- up;
     alive.(c) <- false;
     Graph.iter_neighbors g c (fun w -> if alive.(w) then decompose w c)

@@ -55,12 +55,20 @@ val is_model : t -> Graph.t -> bool
 val is_coherent : t -> Graph.t -> bool
 (** For every vertex [v] and child [w], some vertex of the subtree of
     [w] is adjacent to [v] in the graph (the paper's coherence; with
-    connectivity it makes every [G_v] connected, Remark 1). *)
+    connectivity it makes every [G_v] connected, Remark 1).
+    O(m · height): one walk up the model per edge endpoint. *)
 
 val coherentize : t -> Graph.t -> t
 (** Lemma B.1: reattach subtrees to their lowest adjacent ancestor until
     coherent.  Requires [is_model t g] and [g] connected; the result is
-    a coherent model of height at most the input's. *)
+    a coherent model of height at most the input's.  Repairs run in a
+    fixed order: the least uncovered pair ([parent w], [w]) first, the
+    order a rescan after every repair would find.
+
+    Cost: O(m · height) to check (a coherent input, e.g. any centroid
+    model of a tree, is returned as is), plus, per repair, the size and
+    degree sum of the moved subtree, the height, and a log n set
+    operation. *)
 
 val exit_vertex : t -> Graph.t -> int -> int
 (** [exit_vertex t g v]: for a non-root [v] of a coherent model, a
@@ -89,7 +97,9 @@ val of_caterpillar : spine:int -> legs:int -> t
 val centroid_of_tree : Graph.t -> t
 (** Centroid decomposition of a tree: a model of height at most
     ⌈log₂(n+1)⌉ — optimal on paths, within a small constant factor in
-    general. *)
+    general.  O(n log n): each level of the decomposition visits every
+    remaining component once, and the work arrays are allocated
+    once and cleared only over the component just split. *)
 
 val to_dot : t -> string
 (** DOT rendering of the rooted forest (directed, parent to child). *)

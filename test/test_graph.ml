@@ -293,6 +293,46 @@ let qcheck_iso_under_relabel =
       let perm = Rng.permutation r n in
       Iso.isomorphic g (Graph.relabel g perm))
 
+(* The edge-scan [induced] that predates the row walk, kept as the
+   reference: an n-sized index and one [of_iter] over every edge. *)
+let induced_reference g vs =
+  let vs = List.sort_uniq Int.compare vs in
+  let back = Array.of_list vs in
+  let fwd = Array.make (Graph.n g) (-1) in
+  Array.iteri (fun i v -> fwd.(v) <- i) back;
+  let sub =
+    Graph.of_iter ~n:(Array.length back) (fun f ->
+        Graph.iter_edges g (fun u v ->
+            let a = fwd.(u) and b = fwd.(v) in
+            if a >= 0 && b >= 0 then f a b))
+  in
+  (sub, back)
+
+(* Random graphs (connected, or two disjoint pieces) and vertex lists
+   of four shapes: empty, the full set ascending, the full set
+   descending, and a random unsorted list with repeats. *)
+let qcheck_induced_vs_reference =
+  QCheck.Test.make ~name:"induced = edge-scan reference" ~count:300
+    QCheck.(triple (int_range 1 40) (int_range 0 3) int)
+    (fun (n, shape, seed) ->
+      let r = Rng.make seed in
+      let g = Gen.random_connected r ~n ~extra_edges:(Rng.int r (3 * n)) in
+      let g =
+        if Rng.int r 3 = 0 then Graph.disjoint_union g (Gen.random_tree r n)
+        else g
+      in
+      let size = Graph.n g in
+      let vs =
+        match shape with
+        | 0 -> []
+        | 1 -> List.init size Fun.id
+        | 2 -> List.init size (fun i -> size - 1 - i)
+        | _ -> List.init (Rng.int r (2 * size)) (fun _ -> Rng.int r size)
+      in
+      let sub, back = Graph.induced g vs in
+      let sub', back' = induced_reference g vs in
+      Graph.equal sub sub' && back = back')
+
 let suite =
   [
     ( "graph:basic",
@@ -302,6 +342,7 @@ let suite =
         Alcotest.test_case "traversal" `Quick traversal;
         Alcotest.test_case "components/removal" `Quick components_and_removal;
         Alcotest.test_case "induced" `Quick induced_subgraph;
+        QCheck_alcotest.to_alcotest qcheck_induced_vs_reference;
         Alcotest.test_case "relabel/union" `Quick relabel_union;
       ] );
     ( "graph:generators",

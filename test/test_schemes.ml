@@ -48,6 +48,62 @@ let instance_ids () =
     (try ignore (Instance.make ~ids:[| 1; 1; 2; 3 |] (Gen.path 4)); false
      with Invalid_argument _ -> true)
 
+(* Id arrays of five kinds: the default, ascending, shuffled, with a
+   planted duplicate, and with a planted id < 1.  [Instance.make] must
+   reject exactly the last two, keep accepted ids as given, and number
+   a default instance 1..n. *)
+let qcheck_instance_ids =
+  QCheck.Test.make ~name:"Instance.make rejects exactly the bad id arrays"
+    ~count:300
+    QCheck.(triple (int_range 1 60) (int_range 0 4) int)
+    (fun (n, kind, seed) ->
+      let r = Rng.make seed in
+      let g = Gen.random_tree r n in
+      (* n distinct ids from [1, 4n], ascending *)
+      let ascending =
+        let picked = Array.make ((4 * n) + 1) false and k = ref 0 in
+        while !k < n do
+          let id = 1 + Rng.int r (4 * n) in
+          if not picked.(id) then begin
+            picked.(id) <- true;
+            incr k
+          end
+        done;
+        let acc = ref [] in
+        for id = 4 * n downto 1 do
+          if picked.(id) then acc := id :: !acc
+        done;
+        Array.of_list !acc
+      in
+      let shuffled () =
+        let perm = Rng.permutation r n in
+        Array.init n (fun i -> ascending.(perm.(i)))
+      in
+      let made ids =
+        match Instance.make ?ids g with
+        | i -> Some i.Instance.ids
+        | exception Invalid_argument _ -> None
+      in
+      match kind with
+      | 0 -> made None = Some (Array.init n (fun v -> v + 1))
+      | 1 -> made (Some ascending) = Some ascending
+      | 2 ->
+          let ids = shuffled () in
+          made (Some ids) = Some ids
+      | 3 ->
+          if n < 2 then true
+          else begin
+            let ids = if Rng.int r 2 = 0 then Array.copy ascending else shuffled () in
+            let i = Rng.int r n in
+            let j = (i + 1 + Rng.int r (n - 1)) mod n in
+            ids.(j) <- ids.(i);
+            made (Some ids) = None
+          end
+      | _ ->
+          let ids = if Rng.int r 2 = 0 then Array.copy ascending else shuffled () in
+          ids.(Rng.int r n) <- -Rng.int r 3;
+          made (Some ids) = None)
+
 let instance_random_ids () =
   let rng = Rng.make 5 in
   let i = Instance.with_random_ids rng (inst (Gen.cycle 6)) in
@@ -316,6 +372,7 @@ let suite =
       [
         Alcotest.test_case "ids" `Quick instance_ids;
         Alcotest.test_case "random ids" `Quick instance_random_ids;
+        QCheck_alcotest.to_alcotest qcheck_instance_ids;
       ] );
     ( "core:spanning-tree",
       [

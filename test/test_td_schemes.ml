@@ -456,6 +456,29 @@ let cycle_block_analysis () =
       check "refuses C6" true
         (Minor_free.cycle_block_analysis ~t:4 (inst (Gen.cycle 6)) = None)
 
+(* The treedepth prover's allocation per vertex must grow by no more
+   than a log factor from n to 4n.  The measure is every word the
+   prover allocates, minor + major - promoted: an n-sized array per
+   call (what made the prover quadratic) goes straight to the major
+   heap, where minor words alone would not see it.  Counts, not
+   timings, so the gate is deterministic. *)
+let prover_words_per_vertex n =
+  let scheme = Treedepth_cert.make ~t:64 () in
+  let inst = Instance.make (Gen.random_tree (Rng.make 1) n) in
+  let before = Gc.quick_stat () in
+  let certs = Sys.opaque_identity (scheme.Scheme.prover inst) in
+  let after = Gc.quick_stat () in
+  if certs = None then Alcotest.failf "prover declined a %d-vertex tree" n;
+  let words (s : Gc.stat) = s.minor_words +. s.major_words -. s.promoted_words in
+  (words after -. words before) /. float_of_int n
+
+let treedepth_prover_allocation () =
+  let small = prover_words_per_vertex 2000
+  and large = prover_words_per_vertex 8000 in
+  if large > 1.5 *. small then
+    Alcotest.failf "prover words/vertex %.0f at n=2000 but %.0f at n=8000"
+      small large
+
 let suite =
   [
     ( "core:tree-mso (Thm 2.2)",
@@ -481,6 +504,8 @@ let suite =
         Alcotest.test_case "sizes O(t log n)" `Quick treedepth_cert_sizes;
         Alcotest.test_case "random instances" `Quick treedepth_random_instances;
         Alcotest.test_case "random ids" `Quick treedepth_random_ids;
+        Alcotest.test_case "prover allocation near-linear" `Quick
+          treedepth_prover_allocation;
       ] );
     ( "core:kernel-mso (Thm 2.6)",
       [

@@ -113,6 +113,77 @@ let coherentize_random () =
       (Elimination.height fixed <= Elimination.height model)
   done
 
+(* The restart loop that predates the incremental repair, kept as the
+   reference: rescan every (vertex, child) pair after each repair and
+   fix the first violation found. *)
+let coherentize_reference (t : Elimination.t) g =
+  let parent = Array.copy t.Elimination.parent in
+  let rec fix () =
+    let tree = { Elimination.parent } in
+    let violation =
+      List.find_map
+        (fun v ->
+          List.find_map
+            (fun w ->
+              let sub = Elimination.subtree tree w in
+              if List.exists (fun x -> Graph.mem_edge g x v) sub then None
+              else Some (v, w, sub))
+            (Elimination.children tree v))
+        (List.init (Elimination.n tree) Fun.id)
+    in
+    match violation with
+    | None -> ()
+    | Some (v, w, sub) ->
+        let rec lowest u =
+          if List.exists (fun x -> Graph.mem_edge g x u) sub then u
+          else lowest parent.(u)
+        in
+        parent.(w) <- lowest parent.(v);
+        fix ()
+  in
+  fix ();
+  parent
+
+(* Models that need repairs: the heuristic's separator chains, and
+   chain models (any linear order of the vertices is a model of any
+   graph, and a random one is almost never coherent). *)
+let qcheck_coherentize_vs_reference =
+  QCheck.Test.make ~name:"coherentize = restart-loop reference" ~count:200
+    QCheck.(triple (int_range 2 60) bool int)
+    (fun (n, chain, seed) ->
+      let r = Rng.make seed in
+      let g = Gen.random_connected r ~n ~extra_edges:(Rng.int r (2 * n)) in
+      let model =
+        if chain then begin
+          let order = Rng.permutation r n in
+          let parent = Array.make n (-1) in
+          for i = 1 to n - 1 do
+            parent.(order.(i)) <- order.(i - 1)
+          done;
+          Elimination.make ~parent
+        end
+        else Heuristic.model ~exact_cutoff:4 g
+      in
+      (Elimination.coherentize model g).Elimination.parent
+      = coherentize_reference model g)
+
+(* The differential above means something only if its models need
+   repairs: most chain models over these graphs do. *)
+let chain_models_need_repairs () =
+  let r = Rng.make 3 and incoherent = ref 0 in
+  for _ = 1 to 50 do
+    let n = 10 + Rng.int r 30 in
+    let g = Gen.random_connected r ~n ~extra_edges:n in
+    let order = Rng.permutation r n in
+    let parent = Array.make n (-1) in
+    for i = 1 to n - 1 do
+      parent.(order.(i)) <- order.(i - 1)
+    done;
+    if not (Elimination.is_coherent (Elimination.make ~parent) g) then
+      incr incoherent
+  done;
+  check "most chain models incoherent" true (!incoherent >= 40)
+
 let exit_vertices () =
   let g = Gen.path 7 in
   let model = Elimination.coherentize (Elimination.of_path 7) g in
@@ -264,6 +335,9 @@ let suite =
         Alcotest.test_case "centroid models" `Quick centroid_models;
         Alcotest.test_case "coherence" `Quick coherence;
         Alcotest.test_case "coherentize random" `Quick coherentize_random;
+        QCheck_alcotest.to_alcotest qcheck_coherentize_vs_reference;
+        Alcotest.test_case "chain models need repairs" `Quick
+          chain_models_need_repairs;
         Alcotest.test_case "exit vertices" `Quick exit_vertices;
       ] );
     ( "treedepth:exact",
