@@ -442,7 +442,8 @@ let e11 () =
     [ 8; 16; 32; 64; 128 ]
 
 (* ------------------------------------------------------------------ *)
-(* E12: completeness / soundness audit across all schemes.            *)
+(* E12: completeness / soundness audit across all schemes.  Returns  *)
+(* the number of failed audits, so bench/main.exe can exit non-zero. *)
 (* ------------------------------------------------------------------ *)
 
 let e12 () =
@@ -506,7 +507,9 @@ let e12 () =
   let r = Attack.exhaustive Spanning_tree.acyclicity (inst (Gen.cycle 3)) ~max_bits:2 in
   row "exhaustive (C3, <=2-bit certs): %d assignments, fooled: %b\n"
     r.Attack.trials
-    (r.Attack.fooled <> None)
+    (r.Attack.fooled <> None);
+  !completeness_total - !completeness + !soundness_total - !soundness
+  + if r.Attack.fooled <> None then 1 else 0
 
 (* ------------------------------------------------------------------ *)
 (* E13: ablations — the design choices DESIGN.md calls out.           *)
@@ -758,9 +761,10 @@ let run_all () =
   e9 ();
   e10 ();
   e11 ();
-  e12 ();
+  let audit_failures = e12 () in
   e13 ();
   e14 ();
   e15 ();
   e16 ();
-  e17 ()
+  e17 ();
+  audit_failures

@@ -3,7 +3,8 @@
    benches for the provers and verifiers of the main schemes.
 
    `dune exec bench/main.exe` runs both; pass `--experiments` or
-   `--timings` to run only one part.  The repository's oracle-checked,
+   `--timings` to run only one part.  The exit status is 1 when any E12
+   completeness or soundness audit fails.  The repository's oracle-checked,
    layer-attributed benchmark is perfbench/run.py, not this executable. *)
 
 let ols =
@@ -235,7 +236,9 @@ let () =
   let all = (not experiments) && not timings in
   let metrics_out = metrics_of_argv argv in
   if metrics_out <> None then Metrics.set_enabled true;
-  if experiments || all then Experiments.run_all ();
+  let audit_failures =
+    if experiments || all then Experiments.run_all () else 0
+  in
   if timings || all then begin
     Printf.printf "\n================================================================\n";
     Printf.printf "Timing benches (Bechamel)\n";
@@ -244,8 +247,12 @@ let () =
         engine_comparison pool;
         report "all schemes" (benchmark (timing_tests pool)))
   end;
-  match metrics_out with
+  (match metrics_out with
   | None -> ()
   | Some path ->
       Export.write_file path (Export.snapshot ());
-      Printf.printf "\nmetrics written to %s\n" path
+      Printf.printf "\nmetrics written to %s\n" path);
+  if audit_failures > 0 then begin
+    Printf.eprintf "E12: %d scheme audit(s) failed\n" audit_failures;
+    exit 1
+  end

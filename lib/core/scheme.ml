@@ -14,7 +14,7 @@ type verdict = Accept | Reject of string
    every view from scratch; the compiled engine path
    (Localcert_engine.Vcompile) decodes each distinct certificate once
    and reuses the result across every vertex that sees it.  Because
-   both paths end in the same [check], they agree on every verdict —
+   both paths end in the same check, they agree on every verdict —
    reason strings included — by construction. *)
 type 'dec lowering = {
   decode : id_bits:int -> Bitstring.t -> 'dec;
@@ -37,10 +37,9 @@ type 'dec lowering = {
    allocator's size-class free lists, so at 10⁶+ vertices each
    neighbor dereference is a cache miss on any graph whose adjacency
    is not id-local; an int plane is one contiguous unboxed array and
-   the same row walk streams it sequentially.  [check_flat] must agree
-   with [check] verdict-for-verdict (reason strings included) — the
-   interpreted path still runs [check], and the differential tests
-   hold the two to each other. *)
+   the same row walk streams it sequentially.  A plane-backed lowering
+   has one check, [check_flat]: [flat_lowering] derives its boxed
+   [check] from it, so there is no second copy to keep in step. *)
 and 'dec flat = {
   width : int;
   write : 'dec -> int array -> int -> unit;
@@ -76,6 +75,24 @@ let verify { lowering = Compiled l; _ } (view : view) =
     ~hi:(Array.length ids)
 
 let of_lowering ~name ~prover l = { name; prover; lowering = Compiled l }
+
+(* The boxed check writes the vertex's value and its neighbors' into
+   one scratch plane (neighbors at slots [0, deg), the vertex at slot
+   [deg]) and runs the plane check on it.  A fresh zeroed plane per
+   call keeps it reentrant across domains and nested sub-checks. *)
+let flat_lowering ~decode flat =
+  let check ~id_bits ~me ~label mine ~ids ~decs ~lo ~hi =
+    let deg = hi - lo and w = flat.width in
+    let plane = Array.make ((deg + 1) * w) 0 in
+    for i = 0 to deg - 1 do
+      flat.write decs.(lo + i) plane (i * w)
+    done;
+    flat.write mine plane (deg * w);
+    let ids = if lo = 0 then ids else Array.sub ids lo deg in
+    flat.check_flat ~id_bits ~me ~label ~mine:plane ~mbase:(deg * w) ~ids
+      ~plane ~lo:0 ~hi:deg
+  in
+  { decode; check; flat = Some flat }
 
 let decoded_neighbors ~ids ~decs ~lo ~hi =
   let rec go i acc =

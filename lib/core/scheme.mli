@@ -54,7 +54,8 @@ type 'dec lowering = {
           passes a 0-based pair built from the view. *)
   flat : 'dec flat option;
       (** Optional struct-of-arrays plane for the compiled engine;
-          [None] keeps the boxed [decs] layout. *)
+          [None] keeps the boxed [decs] layout.  Build a plane-backed
+          lowering with {!flat_lowering}, which derives [check]. *)
 }
 
 and 'dec flat = {
@@ -73,19 +74,19 @@ and 'dec flat = {
     lo:int ->
     hi:int ->
     verdict;
-      (** [check] over planes instead of boxed values: the vertex's
-          own fields live at [mine.(mbase .. mbase + width - 1)] and
-          slot [i]'s fields at [plane.(i * width ..)], parallel to
-          [ids.(i)].  Must agree with [check] verdict-for-verdict,
-          reason strings included — {!verify} runs [check], and the
-          engine's differential tests hold the two paths to each
-          other. *)
+      (** The check over planes instead of boxed values: the
+          vertex's own fields live at [mine.(mbase .. mbase + width -
+          1)] and slot [i]'s fields at [plane.(i * width ..)],
+          parallel to [ids.(i)].  The lowering's one check:
+          {!flat_lowering} derives the boxed [check] from it. *)
 }
 (** A scheme verifier split into decode and check stages — the one
     representation of a verifier.  The interpreted oracle {!verify}
     and the ahead-of-time compiled engine path
-    ({!Localcert_engine.Vcompile}) both end in the same [check], so
-    their verdicts — reason strings included — agree by construction.
+    ({!Localcert_engine.Vcompile}) both end in the same check — [check],
+    or for a plane-backed lowering [check_flat], from which
+    {!flat_lowering} derives [check] — so their verdicts, reason
+    strings included, agree by construction.
 
     Why planes exist: decoded records are boxed, and the major heap's
     size-class free lists place them wherever holes are — at 10⁶+
@@ -117,6 +118,16 @@ val of_lowering :
   'dec lowering ->
   t
 (** A scheme from its prover and its verifier's lowering. *)
+
+val flat_lowering :
+  decode:(id_bits:int -> Bitstring.t -> 'dec) -> 'dec flat -> 'dec lowering
+(** A plane-backed lowering whose boxed [check] is derived from
+    [check_flat]: it writes the vertex's decoded value and each
+    neighbor's into a scratch plane and runs [check_flat] on it.  The
+    compiled engine runs [check_flat] on whole-graph planes; {!verify},
+    the runtime's view checker and the combinators' sub-checks run the
+    derived [check] — one check function, so every path agrees on
+    every verdict by construction. *)
 
 val decoded_neighbors :
   ids:int array ->

@@ -14,99 +14,45 @@ let decode ~id_bits b =
       let parent_id = Bitbuf.Reader.fixed r ~width:id_bits in
       { root_id; dist; parent_id })
 
-(* Build certificates from a BFS spanning tree. *)
-let tree_certs (inst : Instance.t) root =
-  let sp = Spanning.bfs inst.graph ~root in
-  Array.init (Instance.n inst) (fun v ->
+(* The one BFS behind every spanning-family prover: [None] on the
+   empty graph or when [root] does not reach every vertex. *)
+let spanning_bfs (inst : Instance.t) root =
+  let g = inst.graph in
+  if Graph.n g = 0 then None
+  else
+    let t = Graph.bfs_tree g root in
+    if Array.length t.Graph.order < Graph.n g then None else Some t
+
+(* Build certificates from a BFS spanning tree ([order.(0)] is its
+   root, the one vertex without a parent). *)
+let tree_certs (inst : Instance.t) (t : Graph.bfs_tree) =
+  let root_id = inst.ids.(t.order.(0)) in
+  Array.mapi
+    (fun v p ->
       {
-        root_id = inst.ids.(root);
-        dist = sp.dist.(v);
-        parent_id =
-          (if v = root then inst.ids.(root) else inst.ids.(sp.parent.(v)));
+        root_id;
+        dist = t.dist.(v);
+        parent_id = inst.ids.(if p < 0 then v else p);
       })
+    t.parent
+
+let encode_trees (inst : Instance.t) t =
+  Array.map (encode ~id_bits:inst.id_bits) (tree_certs inst t)
 
 (* ------------------------------------------------------------------ *)
-(* Lowered checkers.  Decoding is total (malformed = None); the check
-   stage runs on pre-decoded certificates and is shared verbatim by
-   the interpreted verifier and the compiled engine path, so the two
-   agree on every verdict by construction.                            *)
+(* Verifiers.  Decoding is total (malformed = None).  Each scheme has
+   one check, over a struct-of-arrays plane (Scheme.flat): a decoded
+   [cert option] flattens to [valid; root_id; dist; parent_id].  The
+   compiled engine runs it on whole-graph planes; Scheme.flat_lowering
+   derives the boxed [check] every other path runs by writing the
+   vertex and its neighbors into a scratch plane, so all paths agree
+   on every verdict, reason strings included, by construction.
 
-(* Check stages take the neighbors as parallel [ids]/[decs] slices
-   ([lo, hi)) — the compiled engine passes whole-graph CSR rows here,
-   so the loops below index shared flat arrays and allocate nothing. *)
-
-(* [proj] extracts the embedded tree certificate from a decoded (and
-   known well-formed) neighbor value. *)
-let check_tree_arr ~me c ~ids ~decs ~lo ~hi ~proj =
-  let nth i = proj decs.(i) in
-  let rec roots_ok i =
-    i >= hi || ((nth i).root_id = c.root_id && roots_ok (i + 1))
-  in
-  if not (roots_ok lo) then Error "root ids disagree"
-  else if c.dist = 0 then
-    if c.root_id <> me then Error "distance 0 but not the claimed root"
-    else if c.parent_id <> me then Error "root must be its own parent"
-    else Ok ()
-  else if c.root_id = me then Error "claimed root has nonzero distance"
-  else begin
-    let rec find i =
-      if i >= hi then -1 else if ids.(i) = c.parent_id then i else find (i + 1)
-    in
-    match find lo with
-    | -1 -> Error "parent is not a neighbor"
-    | i ->
-        if (nth i).dist = c.dist - 1 then Ok ()
-        else Error "parent distance is not mine minus one"
-  end
-
-let opt_cert = function Some c -> c | None -> assert false
-
-let check_tree_view ~me c ~neighbors =
-  let ids = Array.of_list (List.map fst neighbors) in
-  let decs = Array.of_list (List.map snd neighbors) in
-  check_tree_arr ~me c ~ids ~decs ~lo:0 ~hi:(Array.length ids) ~proj:Fun.id
-
-(* The compiled sweeps below are single-pass: at 10⁶+ vertices each
-   [decs.(i)] dereference is a likely cache miss (decoded records live
-   in vertex order, rows of a non-path graph reference them in random
-   order), so the row is walked once, gathering every sub-check's
-   flag, and the verdict is decided afterwards in the multi-pass
-   checkers' priority order.  Each sub-check is a forall/exists over
-   the whole row, so gathering commutes — verdicts (error strings
-   included) are identical to the layered versions. *)
-
-let tree_check ~me mine ~ids ~decs ~lo ~hi : Scheme.verdict =
-  match mine with
-  | None -> Reject "malformed certificate"
-  | Some c ->
-      let malformed = ref false in
-      let roots_ok = ref true in
-      let parent_idx = ref (-1) in
-      let i = ref lo in
-      while (not !malformed) && !i < hi do
-        (match decs.(!i) with
-        | None -> malformed := true
-        | Some nc ->
-            if nc.root_id <> c.root_id then roots_ok := false;
-            if ids.(!i) = c.parent_id then parent_idx := !i);
-        incr i
-      done;
-      if !malformed then Reject "malformed neighbor certificate"
-      else if not !roots_ok then Reject "root ids disagree"
-      else if c.dist = 0 then
-        if c.root_id <> me then Reject "distance 0 but not the claimed root"
-        else if c.parent_id <> me then Reject "root must be its own parent"
-        else Accept
-      else if c.root_id = me then Reject "claimed root has nonzero distance"
-      else if !parent_idx < 0 then Reject "parent is not a neighbor"
-      else if (opt_cert decs.(!parent_idx)).dist = c.dist - 1 then Accept
-      else Reject "parent distance is not mine minus one"
-
-(* Struct-of-arrays planes for the compiled engine (Scheme.flat): a
-   decoded [cert option] flattens to [valid; root_id; dist; parent_id]
-   and the flat checks below repeat the fused sweeps on plane slots
-   instead of boxed records — same gathering, same verdict cascade,
-   same reason strings. *)
+   Each check is single-pass: at 10⁶+ vertices a neighbor's slot may
+   be a cache miss, so the row is walked once, gathering every
+   sub-check's flag, and the verdict is decided afterwards in a fixed
+   priority order.  Each sub-check is a forall/exists over the whole
+   row, so gathering commutes with the cascade. *)
 
 let tree_width = 4
 
@@ -151,72 +97,36 @@ let tree_check_flat ~me ~mine ~mbase ~ids ~plane ~lo ~hi : Scheme.verdict =
     else Reject "parent distance is not mine minus one"
   end
 
-let tree_flat : cert option Scheme.flat =
-  {
-    width = tree_width;
-    write = tree_write;
-    check_flat =
-      (fun ~id_bits:_ ~me ~label:_ ~mine ~mbase ~ids ~plane ~lo ~hi ->
-        tree_check_flat ~me ~mine ~mbase ~ids ~plane ~lo ~hi);
-  }
-
 let tree_lowering : cert option Scheme.lowering =
-  {
-    decode = (fun ~id_bits c -> decode ~id_bits c);
-    check =
-      (fun ~id_bits:_ ~me ~label:_ mine ~ids ~decs ~lo ~hi ->
-        tree_check ~me mine ~ids ~decs ~lo ~hi);
-    flat = Some tree_flat;
-  }
+  Scheme.flat_lowering ~decode
+    {
+      width = tree_width;
+      write = tree_write;
+      check_flat =
+        (fun ~id_bits:_ ~me ~label:_ ~mine ~mbase ~ids ~plane ~lo ~hi ->
+          tree_check_flat ~me ~mine ~mbase ~ids ~plane ~lo ~hi);
+    }
+
+(* The spanning-tree check at one vertex over well-formed certificates,
+   through the same derived check the scheme runs. *)
+let check_tree_view ~me c ~neighbors =
+  let ids = Array.of_list (List.map fst neighbors) in
+  let decs = Array.of_list (List.map (fun (_, nc) -> Some nc) neighbors) in
+  match
+    tree_lowering.check ~id_bits:0 ~me ~label:0 (Some c) ~ids ~decs ~lo:0
+      ~hi:(Array.length ids)
+  with
+  | Accept -> Ok ()
+  | Reject r -> Error r
 
 let scheme ?(root = 0) () =
   Scheme.of_lowering ~name:"spanning-tree"
-    ~prover:(fun inst ->
-      if Graph.is_connected inst.Instance.graph then
-        Some
-          (Array.map
-             (encode ~id_bits:inst.Instance.id_bits)
-             (tree_certs inst root))
-      else None)
+    ~prover:(fun inst -> Option.map (encode_trees inst) (spanning_bfs inst root))
     tree_lowering
 
-let acyclicity_check ~me mine ~ids ~decs ~lo ~hi : Scheme.verdict =
-  match mine with
-  | None -> Reject "malformed certificate"
-  | Some c ->
-      let malformed = ref false in
-      let roots_ok = ref true in
-      let parent_idx = ref (-1) in
-      (* every edge must be a tree edge: each neighbor is my parent
-         (dist-1, and I claim it) or my child (dist+1, and it claims
-         me) *)
-      let all_tree = ref true in
-      let i = ref lo in
-      while (not !malformed) && !i < hi do
-        (match decs.(!i) with
-        | None -> malformed := true
-        | Some nc ->
-            if nc.root_id <> c.root_id then roots_ok := false;
-            if ids.(!i) = c.parent_id then parent_idx := !i;
-            let is_parent = nc.dist = c.dist - 1 && c.parent_id = ids.(!i) in
-            let is_child = nc.dist = c.dist + 1 && nc.parent_id = me in
-            if not (is_parent || is_child) then all_tree := false);
-        incr i
-      done;
-      if !malformed then Reject "malformed neighbor certificate"
-      else if not !roots_ok then Reject "root ids disagree"
-      else if c.dist = 0 then
-        if c.root_id <> me then Reject "distance 0 but not the claimed root"
-        else if c.parent_id <> me then Reject "root must be its own parent"
-        else if !all_tree then Accept
-        else Reject "non-tree edge detected"
-      else if c.root_id = me then Reject "claimed root has nonzero distance"
-      else if !parent_idx < 0 then Reject "parent is not a neighbor"
-      else if (opt_cert decs.(!parent_idx)).dist <> c.dist - 1 then
-        Reject "parent distance is not mine minus one"
-      else if !all_tree then Accept
-      else Reject "non-tree edge detected"
-
+(* Acyclicity adds one sub-check to the tree cascade: every edge must
+   be a tree edge, i.e. each neighbor is my parent (dist - 1, and I
+   claim it) or my child (dist + 1, and it claims me). *)
 let acyclicity_check_flat ~me ~mine ~mbase ~ids ~plane ~lo ~hi :
     Scheme.verdict =
   if Array.unsafe_get mine mbase = 0 then Reject "malformed certificate"
@@ -261,30 +171,22 @@ let acyclicity_check_flat ~me ~mine ~mbase ~ids ~plane ~lo ~hi :
 let acyclicity =
   Scheme.of_lowering ~name:"acyclicity"
     ~prover:(fun inst ->
-      if Graph.is_tree inst.Instance.graph then
-        Some
-          (Array.map (encode ~id_bits:inst.Instance.id_bits) (tree_certs inst 0))
-      else None)
-    {
-      Scheme.decode = (fun ~id_bits c -> decode ~id_bits c);
-      check =
-        (fun ~id_bits:_ ~me ~label:_ mine ~ids ~decs ~lo ~hi ->
-          acyclicity_check ~me mine ~ids ~decs ~lo ~hi);
-      flat =
-        Some
-          {
-            Scheme.width = tree_width;
-            write = tree_write;
-            check_flat =
-              (fun ~id_bits:_ ~me ~label:_ ~mine ~mbase ~ids ~plane ~lo ~hi ->
-                acyclicity_check_flat ~me ~mine ~mbase ~ids ~plane ~lo ~hi);
-          };
-    }
+      let g = inst.Instance.graph in
+      if Graph.m g <> Graph.n g - 1 then None
+      else Option.map (encode_trees inst) (spanning_bfs inst 0))
+    (Scheme.flat_lowering ~decode
+       {
+         width = tree_width;
+         write = tree_write;
+         check_flat =
+           (fun ~id_bits:_ ~me ~label:_ ~mine ~mbase ~ids ~plane ~lo ~hi ->
+             acyclicity_check_flat ~me ~mine ~mbase ~ids ~plane ~lo ~hi);
+       })
 
 (* Vertex count: spanning-tree certificate extended with the subtree
-   size and the claimed global total.  The record is flat — no nested
-   tree certificate — so the one dereference the fused sweep below
-   performs per neighbor pulls every field into cache together. *)
+   size and the claimed global total.  The record is flat, with no
+   nested tree certificate, and so is its plane:
+   [valid; root_id; dist; parent_id; size; total]. *)
 type count_cert = {
   c_root_id : int;
   c_dist : int;
@@ -311,75 +213,23 @@ let decode_count ~id_bits b =
       let total = Bitbuf.Reader.nat r in
       { c_root_id; c_dist; c_parent_id; size; total })
 
-let count_certs (inst : Instance.t) root =
-  let sp = Spanning.bfs inst.graph ~root in
-  let sizes = Spanning.subtree_sizes sp in
-  let base = tree_certs inst root in
-  Array.init (Instance.n inst) (fun v ->
-      let t = base.(v) in
+let count_certs (inst : Instance.t) (t : Graph.bfs_tree) =
+  let n = Instance.n inst in
+  let sizes =
+    Spanning.subtree_sizes
+      { root = t.order.(0); parent = t.parent; dist = t.dist }
+  in
+  Array.mapi
+    (fun v c ->
       {
-        c_root_id = t.root_id;
-        c_dist = t.dist;
-        c_parent_id = t.parent_id;
+        c_root_id = c.root_id;
+        c_dist = c.dist;
+        c_parent_id = c.parent_id;
         size = sizes.(v);
-        total = Instance.n inst;
+        total = n;
       })
+    (tree_certs inst t)
 
-let count_check ~total_pred ~local ~root_check ~me mine ~ids ~decs ~lo ~hi :
-    Scheme.verdict =
-  match mine with
-  | None -> Reject "malformed certificate"
-  | Some mine ->
-      let n = hi - lo in
-      let malformed = ref false in
-      let roots_ok = ref true and totals_ok = ref true in
-      let parent_idx = ref (-1) in
-      let children_sum = ref 0 in
-      let i = ref lo in
-      while (not !malformed) && !i < hi do
-        (match decs.(!i) with
-        | None -> malformed := true
-        | Some c ->
-            if c.c_root_id <> mine.c_root_id then roots_ok := false;
-            if c.total <> mine.total then totals_ok := false;
-            if ids.(!i) = mine.c_parent_id then parent_idx := !i;
-            if c.c_parent_id = me && c.c_dist = mine.c_dist + 1 then
-              children_sum := !children_sum + c.size);
-        incr i
-      done;
-      if !malformed then Reject "malformed neighbor certificate"
-      else if not !roots_ok then Reject "root ids disagree"
-      else if
-        (* the spanning-tree core, on the flat fields *)
-        mine.c_dist = 0 && mine.c_root_id <> me
-      then Reject "distance 0 but not the claimed root"
-      else if mine.c_dist = 0 && mine.c_parent_id <> me then
-        Reject "root must be its own parent"
-      else if mine.c_dist > 0 && mine.c_root_id = me then
-        Reject "claimed root has nonzero distance"
-      else if mine.c_dist > 0 && !parent_idx < 0 then
-        Reject "parent is not a neighbor"
-      else if
-        mine.c_dist > 0
-        && (match decs.(!parent_idx) with
-           | Some p -> p.c_dist <> mine.c_dist - 1
-           | None -> assert false)
-      then Reject "parent distance is not mine minus one"
-      else if not !totals_ok then Reject "totals disagree"
-      else if mine.size <> !children_sum + 1 then
-        Reject "subtree size does not match children"
-      else if mine.c_dist = 0 && mine.size <> mine.total then
-        Reject "root size differs from claimed total"
-      else if mine.c_dist = 0 && not (total_pred mine.total) then
-        Reject "total fails the predicate"
-      else if not (local ~total:mine.total ~me ~degree:n) then
-        Reject "local degree check failed"
-      else if mine.c_dist = 0 && not (root_check ~total:mine.total ~degree:n)
-      then Reject "root check failed"
-      else Accept
-
-(* Flat plane for count certificates:
-   [valid; root_id; dist; parent_id; size; total]. *)
 let count_width = 6
 
 let count_write d plane base =
@@ -449,36 +299,28 @@ let count_check_flat ~total_pred ~local ~root_check ~me ~mine ~mbase ~ids
 
 let count_lowering ~total_pred ~local ~root_check :
     count_cert option Scheme.lowering =
-  {
-    decode = (fun ~id_bits c -> decode_count ~id_bits c);
-    check =
-      (fun ~id_bits:_ ~me ~label:_ mine ~ids ~decs ~lo ~hi ->
-        count_check ~total_pred ~local ~root_check ~me mine ~ids ~decs ~lo ~hi);
-    flat =
-      Some
-        {
-          Scheme.width = count_width;
-          write = count_write;
-          check_flat =
-            (fun ~id_bits:_ ~me ~label:_ ~mine ~mbase ~ids ~plane ~lo ~hi ->
-              count_check_flat ~total_pred ~local ~root_check ~me ~mine ~mbase
-                ~ids ~plane ~lo ~hi);
-        };
-  }
+  Scheme.flat_lowering ~decode:decode_count
+    {
+      width = count_width;
+      write = count_write;
+      check_flat =
+        (fun ~id_bits:_ ~me ~label:_ ~mine ~mbase ~ids ~plane ~lo ~hi ->
+          count_check_flat ~total_pred ~local ~root_check ~me ~mine ~mbase
+            ~ids ~plane ~lo ~hi);
+    }
 
 let always_local ~total:_ ~me:_ ~degree:_ = true
 let always_root ~total:_ ~degree:_ = true
+
+let encode_counts (inst : Instance.t) t =
+  Array.map (encode_count ~id_bits:inst.id_bits) (count_certs inst t)
 
 let vertex_count ?(root = 0) ~expected pred_name =
   Scheme.of_lowering
     ~name:(Printf.sprintf "vertex-count[%s]" pred_name)
     ~prover:(fun inst ->
-      if Graph.is_connected inst.Instance.graph && expected (Instance.n inst)
-      then
-        Some
-          (Array.map
-             (encode_count ~id_bits:inst.Instance.id_bits)
-             (count_certs inst root))
+      if expected (Instance.n inst) then
+        Option.map (encode_counts inst) (spanning_bfs inst root)
       else None)
     (count_lowering ~total_pred:expected ~local:always_local
        ~root_check:always_root)
@@ -488,33 +330,24 @@ let counted ?(choose_root = fun _ -> Some 0) ~name ~total_pred ~local
   Scheme.of_lowering ~name
     ~prover:(fun inst ->
       let g = inst.Instance.graph in
-      if not (Graph.is_connected g) then None
-      else
-        match choose_root g with
-        | None -> None
-        | Some root ->
-            let n = Instance.n inst in
-            let ok =
-              total_pred n
-              && Graph.fold_vertices
-                   (fun v acc ->
-                     acc
-                     && local ~total:n ~me:inst.Instance.ids.(v)
-                          ~degree:(Graph.degree g v))
-                   g true
-              && root_check ~total:n ~degree:(Graph.degree g root)
-            in
-            if ok then
-              Some
-                (Array.map
-                   (encode_count ~id_bits:inst.Instance.id_bits)
-                   (count_certs inst root))
-            else None)
+      match Option.bind (choose_root g) (spanning_bfs inst) with
+      | None -> None
+      | Some t ->
+          let n = Instance.n inst in
+          let ok =
+            total_pred n
+            && Graph.fold_vertices
+                 (fun v acc ->
+                   acc
+                   && local ~total:n ~me:inst.Instance.ids.(v)
+                        ~degree:(Graph.degree g v))
+                 g true
+            && root_check ~total:n ~degree:(Graph.degree g t.order.(0))
+          in
+          if ok then Some (encode_counts inst t) else None)
     (count_lowering ~total_pred ~local ~root_check)
 
 let count_cert_size inst =
-  let certs = count_certs inst 0 in
-  Array.fold_left
-    (fun acc c ->
-      max acc (Bitstring.length (encode_count ~id_bits:inst.Instance.id_bits c)))
-    0 certs
+  match spanning_bfs inst 0 with
+  | None -> invalid_arg "Spanning_tree.count_cert_size: disconnected graph"
+  | Some t -> Scheme.max_cert_bits (encode_counts inst t)

@@ -50,9 +50,16 @@ val counted :
     at a witness (e.g. a dominating vertex).  Completeness requires the
     chosen root to pass [root_check] on yes-instances. *)
 
-(** {1 Verification cores (shared with richer schemes)} *)
+(** {1 Verification core (shared with richer schemes)}
+
+    Each scheme above has one check, over a struct-of-arrays plane
+    ({!Scheme.flat}); {!Scheme.flat_lowering} derives the boxed form
+    every non-compiled path runs.  The spanning-tree check is also
+    exposed on its own for schemes that embed spanning trees. *)
 
 val check_tree_view :
   me:int -> cert -> neighbors:(int * cert) list -> (unit, string) result
-(** The spanning-tree local checks at one vertex, reusable by any
-    scheme that embeds a spanning tree. *)
+(** The spanning-tree local checks at one vertex over well-formed
+    certificates: {!scheme}'s own plane check, run on a plane built
+    from [neighbors], with the same reason strings.  [Existential_fo]
+    runs it once per witness tree. *)

@@ -28,9 +28,11 @@ let set_enabled b = Atomic.set enabled b
 let is_enabled () = Atomic.get enabled
 
 (* Compilation is pure in (scheme, instance, certificates), and the
-   dominant callers re-present the same inputs verbatim: the runtime's
-   round loop, repeated sweeps over one assignment, and a server
-   answering verifies of a few (scheme, graph) pairs in turn.  A short
+   dominant callers re-present the same inputs verbatim: a server
+   answering verifies of a few (scheme, graph) pairs in turn, and
+   repeated sweeps over one assignment (benchmark ladders, a reverify
+   of a certified instance).  The runtime never compiles: its inbox
+   views go through [view_checker] below.  A short
    most-recently-used list remembers the last compiles.  Validity is
    physical: same scheme, same instance, and every certificate the
    same value it was (bitstrings are immutable, so [==] per element

@@ -9,7 +9,10 @@
     churn that serializes parallel sweeps on the shared minor heap
     (DESIGN §5.5).  Verdict equality with {!Scheme.verify} is
     structural: both paths end in the same check function — reason
-    strings included. *)
+    strings included.  For a plane-backed lowering that function is
+    [check_flat], which the kernel runs on whole-graph planes and
+    {!Scheme.verify} reaches through the [check] that
+    {!Scheme.flat_lowering} derives from it. *)
 
 val set_enabled : bool -> unit
 (** Globally enable/disable compilation (default: enabled).  With it
@@ -31,9 +34,10 @@ val compile :
     recent compiles, keyed by physical identity of [scheme] and [inst]
     plus per-element physical equality of [certs] (bitstrings are
     immutable, so [==] certifies contents), returns a kernel when the
-    inputs are verbatim the same — the runtime's round loop, benchmark
-    ladders and a server alternating schemes on one graph pay decode
-    cost once, not once per sweep.  It keeps up to four kernels while
+    inputs are verbatim the same — a server alternating schemes on one
+    graph and repeated sweeps over one assignment (benchmark ladders,
+    a reverify) pay decode cost once, not once per sweep.  The runtime
+    does not compile; it verifies through {!view_checker}.  It keeps up to four kernels while
     their graphs total at most 2²¹ vertex-plus-adjacency slots; the
     newest kernel is always kept.  Reuse is counted in the
     approximate [vcompile.kernel_reuse] metric.  Any changed

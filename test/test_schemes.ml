@@ -133,6 +133,32 @@ let spanning_tree_random_ids () =
       (Instance.with_random_ids rng (inst (Gen.random_connected rng ~n:12 ~extra_edges:4)))
   done
 
+(* Every spanning-family prover declines a disconnected graph.  A
+   triangle plus an isolated vertex has m = n - 1 edges, so acyclicity
+   must see the disconnection itself, not just the edge count; the
+   counted scheme's chosen root is the isolated vertex, so its tree is
+   the smaller side.  An empty graph never reaches a prover:
+   [Instance.make] refuses it. *)
+let spanning_family_declines () =
+  let split = inst (Graph.of_edges ~n:4 [ (0, 1); (1, 2); (0, 2) ]) in
+  let yes ~total:_ ~me:_ ~degree:_ = true in
+  List.iter
+    (fun s -> declines s split)
+    [
+      Spanning_tree.scheme ();
+      Spanning_tree.scheme ~root:3 ();
+      Spanning_tree.acyclicity;
+      Spanning_tree.vertex_count ~expected:(fun _ -> true) "any";
+      Spanning_tree.counted ~name:"counted-any" ~total_pred:(fun _ -> true)
+        ~local:yes ~root_check:(fun ~total:_ ~degree:_ -> true) ();
+      Spanning_tree.counted ~choose_root:(fun _ -> Some 3) ~name:"counted-at-3"
+        ~total_pred:(fun _ -> true) ~local:yes
+        ~root_check:(fun ~total:_ ~degree:_ -> true) ();
+    ];
+  check "no empty instance" true
+    (try ignore (Instance.make (Graph.empty 0)); false
+     with Invalid_argument _ -> true)
+
 (* --- acyclicity --- *)
 
 let acyclicity_complete () =
@@ -366,6 +392,194 @@ let corruption_on_yes_instances () =
       in
       check "no-instance never fooled" true (r2.Attack.fooled = None)
 
+(* --- reason strings --- *)
+
+(* Every Reject branch of the spanning family, pinned as an exact
+   verdict three ways: the interpreted oracle ([Scheme.verify]), the
+   compiled kernel ([Vcompile.compile]), and the lowering's [check] on
+   a neighbor slice padded on both sides with malformed values, so
+   [lo > 0] and [hi] short of the array end. *)
+
+type spec =
+  | Bad  (** the empty bitstring: malformed for every decode below *)
+  | T of int * int * int  (** root id, distance, parent id *)
+  | C of int * int * int * int * int  (** ... then subtree size, total *)
+  | Raw of Bitstring.t
+
+let encode_spec ~id_bits = function
+  | Bad -> Bitstring.empty
+  | T (root_id, dist, parent_id) ->
+      Spanning_tree.encode ~id_bits { Spanning_tree.root_id; dist; parent_id }
+  | C (root, dist, parent, size, total) ->
+      let w = Bitbuf.Writer.create () in
+      Bitbuf.Writer.fixed w ~width:id_bits root;
+      Bitbuf.Writer.nat w dist;
+      Bitbuf.Writer.fixed w ~width:id_bits parent;
+      Bitbuf.Writer.nat w size;
+      Bitbuf.Writer.nat w total;
+      Bitbuf.Writer.contents w
+  | Raw b -> b
+
+let string_of_verdict = function
+  | Scheme.Accept -> "accept"
+  | Scheme.Reject r -> "reject: " ^ r
+
+let three_ways scheme (i : Instance.t) certs v =
+  let view = Scheme.view_of i certs v in
+  let kernel = Option.get (Vcompile.compile scheme i certs) in
+  let sliced =
+    match scheme.Scheme.lowering with
+    | Scheme.Compiled l ->
+        let id_bits = view.Scheme.id_bits in
+        let pad = 3 and deg = List.length view.Scheme.nbrs in
+        let junk = l.Scheme.decode ~id_bits Bitstring.empty in
+        let ids = Array.make (deg + (2 * pad)) 0 in
+        let decs = Array.make (deg + (2 * pad)) junk in
+        List.iteri
+          (fun k (id, c) ->
+            ids.(pad + k) <- id;
+            decs.(pad + k) <- l.Scheme.decode ~id_bits c)
+          view.Scheme.nbrs;
+        l.Scheme.check ~id_bits ~me:view.Scheme.me ~label:view.Scheme.label
+          (l.Scheme.decode ~id_bits view.Scheme.cert)
+          ~ids ~decs ~lo:pad ~hi:(pad + deg)
+  in
+  [
+    ("verify", Scheme.verify scheme view);
+    ("kernel", kernel v);
+    ("sliced", sliced);
+  ]
+
+let reason_case scheme i specs v want =
+  let certs = Array.map (encode_spec ~id_bits:i.Instance.id_bits) specs in
+  List.iter
+    (fun (path, got) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s at %d via %s" scheme.Scheme.name v path)
+        want (string_of_verdict got))
+    (three_ways scheme i certs v)
+
+let with_at specs k s =
+  let a = Array.copy specs in
+  a.(k) <- s;
+  a
+
+let reason_table () =
+  let p3 = inst (Gen.path 3) in
+  let tree = [| T (1, 0, 1); T (1, 1, 1); T (1, 2, 2) |] in
+  let count = [| C (1, 0, 1, 3, 3); C (1, 1, 1, 2, 3); C (1, 2, 2, 1, 3) |] in
+  let counted =
+    Spanning_tree.counted ~name:"count-table"
+      ~total_pred:(fun n -> n <> 4)
+      ~local:(fun ~total:_ ~me ~degree:_ -> me <> 9)
+      ~root_check:(fun ~total:_ ~degree -> degree = 1)
+      ()
+  in
+  let spanning = Spanning_tree.scheme () and acy = Spanning_tree.acyclicity in
+  (* The spanning-tree core, one cascade in all three families: (vertex
+     checked, vertex whose certificate is replaced, replacement as a
+     count tuple or [None] for malformed, reason). *)
+  let core =
+    [
+      (1, 1, None, "malformed certificate");
+      (1, 0, None, "malformed neighbor certificate");
+      (1, 2, Some (3, 2, 2, 1, 3), "root ids disagree");
+      (1, 1, Some (1, 0, 1, 2, 3), "distance 0 but not the claimed root");
+      (0, 0, Some (1, 0, 2, 3, 3), "root must be its own parent");
+      (0, 0, Some (1, 1, 1, 3, 3), "claimed root has nonzero distance");
+      (2, 2, Some (1, 2, 1, 1, 3), "parent is not a neighbor");
+      (2, 2, Some (1, 3, 2, 1, 3), "parent distance is not mine minus one");
+    ]
+  in
+  let core_cases =
+    List.concat_map
+      (fun (v, k, c, reason) ->
+        let as_tree, as_count =
+          match c with
+          | None -> (Bad, Bad)
+          | Some (r, d, p, sz, t) -> (T (r, d, p), C (r, d, p, sz, t))
+        in
+        let want = "reject: " ^ reason in
+        [
+          (spanning, p3, with_at tree k as_tree, v, want);
+          (acy, p3, with_at tree k as_tree, v, want);
+          (counted, p3, with_at count k as_count, v, want);
+        ])
+      core
+  in
+  let accepts =
+    List.concat_map
+      (fun v ->
+        [
+          (spanning, p3, tree, v, "accept");
+          (acy, p3, tree, v, "accept");
+          (counted, p3, count, v, "accept");
+        ])
+      [ 0; 1; 2 ]
+  in
+  let non_tree = "reject: non-tree edge detected" in
+  let acyclicity_cases =
+    [
+      (* a triangle's BFS certificates: the edge between the two
+         distance-1 vertices is neither parent nor child *)
+      (acy, inst (Gen.cycle 3), [| T (1, 0, 1); T (1, 1, 1); T (1, 1, 1) |], 1,
+       non_tree);
+      (* at the root: its one neighbor claims distance 2 *)
+      (acy, p3, with_at tree 1 (T (1, 2, 2)), 0, non_tree);
+    ]
+  in
+  let counting_cases =
+    [
+      (counted, p3, with_at count 2 (C (1, 2, 2, 1, 4)), 1,
+       "reject: totals disagree");
+      (counted, p3, with_at count 1 (C (1, 1, 1, 5, 3)), 1,
+       "reject: subtree size does not match children");
+      (counted, p3,
+       [| C (1, 0, 1, 3, 4); C (1, 1, 1, 2, 4); C (1, 2, 2, 1, 4) |], 0,
+       "reject: root size differs from claimed total");
+      (counted, inst (Gen.path 4),
+       [| C (1, 0, 1, 4, 4); C (1, 1, 1, 3, 4); C (1, 2, 2, 2, 4);
+          C (1, 3, 3, 1, 4) |], 0,
+       "reject: total fails the predicate");
+      (counted, inst ~ids:[| 1; 2; 9 |] (Gen.path 3), count, 2,
+       "reject: local degree check failed");
+      (* rooted at the middle vertex, whose degree is 2 *)
+      (counted, p3,
+       [| C (2, 1, 2, 1, 3); C (2, 0, 2, 3, 3); C (2, 1, 2, 1, 3) |], 1,
+       "reject: root check failed");
+    ]
+  in
+  (* Existential FO runs one spanning-tree check per witness and
+     prefixes the tree's index.  "exists x y. x -- y" on P3 picks
+     witnesses (v0, v1); a certificate keeps the honest shared part
+     and carries one (distance, parent id) pair per tree. *)
+  let efo = Existential_fo.make (Parser.parse_exn "exists x. exists y. x -- y") in
+  let efo_certs = Option.get (efo.Scheme.prover p3) in
+  let shared = Bitbuf.Reader.(bitstring (of_bitstring efo_certs.(0))) in
+  let efo_cert trees =
+    let w = Bitbuf.Writer.create () in
+    Bitbuf.Writer.bitstring w shared;
+    List.iter
+      (fun (d, p) ->
+        Bitbuf.Writer.nat w d;
+        Bitbuf.Writer.fixed w ~width:p3.Instance.id_bits p)
+      trees;
+    Raw (Bitbuf.Writer.contents w)
+  in
+  let efo_honest = Array.map (fun c -> Raw c) efo_certs in
+  let efo_cases =
+    [
+      (efo, p3, efo_honest, 2, "accept");
+      (efo, p3, with_at efo_honest 2 (efo_cert [ (1, 1); (1, 2) ]), 2,
+       "reject: tree 0: parent is not a neighbor");
+      (efo, p3, with_at efo_honest 2 (efo_cert [ (2, 2); (2, 2) ]), 2,
+       "reject: tree 1: parent distance is not mine minus one");
+    ]
+  in
+  List.iter
+    (fun (scheme, i, specs, v, want) -> reason_case scheme i specs v want)
+    (accepts @ core_cases @ acyclicity_cases @ counting_cases @ efo_cases)
+
 let suite =
   [
     ( "core:instance",
@@ -379,6 +593,9 @@ let suite =
         Alcotest.test_case "complete" `Quick spanning_tree_complete;
         Alcotest.test_case "sizes" `Quick spanning_tree_sizes;
         Alcotest.test_case "random ids" `Quick spanning_tree_random_ids;
+        Alcotest.test_case "family declines disconnected" `Quick
+          spanning_family_declines;
+        Alcotest.test_case "reason strings" `Quick reason_table;
       ] );
     ( "core:acyclicity",
       [
