@@ -5,9 +5,10 @@
    interpreted oracle (Scheme.verify) re-decodes every certificate at
    every vertex that sees it — a vertex of degree d costs d + 1
    decodes, and the allocations those decodes make are what serializes
-   parallel sweeps on the shared minor heap.  [compile] instead decodes each
-   distinct certificate exactly once up front (broadcast-heavy schemes
-   decode a handful of strings),
+   parallel sweeps on the shared minor heap.  [compile] instead decodes
+   up front, once per vertex for a plane-backed lowering (written
+   straight into an int plane) and once per distinct certificate for a
+   boxed one (broadcast-heavy schemes decode a handful of strings),
    lays the per-vertex neighbor views out as flat arrays, and returns
    a per-vertex kernel that runs only the check stage: no decoding,
    and for schemes whose check walks its slice in place (the flat-plane
@@ -88,6 +89,49 @@ let remember e =
   in
   Atomic.set recent (e :: keep e.c_size 1 (Atomic.get recent))
 
+(* The compiled layout mirrors the graph's CSR: one whole-graph
+   [nbr_ids] array shaped exactly like the adjacency [col] array, rows
+   sorted ascending by *identifier* — the order [Scheme.view_of]
+   presents — and the kernel hands each check its row as a slice, so a
+   sweep is one linear pass over flat memory with no per-vertex view
+   structure at all.  [view_rows] returns [nbr_ids] and the source
+   vertex of every slot.  Rows come out of the CSR in vertex order and
+   ids are assigned ascending in vertex order for generated instances,
+   so rows are almost always already sorted and the sources are [col]
+   itself; a row that is not gets a joint insertion sort of its
+   (id, source) pairs in a copy.  Ids are unique, so two slots tie only
+   on a parallel edge, where the pairs are equal: the order is the one
+   [Scheme.view_of]'s stable sort yields. *)
+let view_rows ids rp col =
+  let n = Array.length rp - 1 in
+  let nbr_ids = Array.make rp.(n) 0 in
+  let src = ref col in
+  for v = 0 to n - 1 do
+    let lo = rp.(v) and hi = rp.(v + 1) in
+    let sorted = ref true in
+    for i = lo to hi - 1 do
+      let idu = ids.(Array.unsafe_get col i) in
+      nbr_ids.(i) <- idu;
+      if i > lo && nbr_ids.(i - 1) > idu then sorted := false
+    done;
+    if not !sorted then begin
+      if !src == col then src := Array.copy col;
+      let src = !src in
+      for i = lo + 1 to hi - 1 do
+        let ki = nbr_ids.(i) and si = src.(i) in
+        let j = ref (i - 1) in
+        while !j >= lo && nbr_ids.(!j) > ki do
+          nbr_ids.(!j + 1) <- nbr_ids.(!j);
+          src.(!j + 1) <- src.(!j);
+          decr j
+        done;
+        nbr_ids.(!j + 1) <- ki;
+        src.(!j + 1) <- si
+      done
+    end
+  done;
+  (nbr_ids, !src)
+
 (* A raising decode or check propagates, as it does from Scheme.run:
    lowerings are total by contract, so a raise is a bug. *)
 let compile_fresh (scheme : Scheme.t) (inst : Instance.t) certs =
@@ -99,84 +143,61 @@ let compile_fresh (scheme : Scheme.t) (inst : Instance.t) certs =
       let labels = inst.Instance.labels in
       let g = inst.Instance.graph in
       let n = Graph.n g in
-      (* Decode once per distinct certificate. *)
-      let cache = BH.create (max 16 (min n 65536)) in
-      let dec_of c =
-        match BH.find_opt cache c with
-        | Some d -> d
-        | None ->
-            let d = l.Scheme.decode ~id_bits c in
-            BH.add cache c d;
-            d
-      in
-      let mine = Array.map dec_of certs in
-      (* The compiled layout mirrors the graph's CSR: one whole-graph
-         [nbr_ids]/[nbr_dec] pair shaped exactly like the adjacency
-         [col] array, rows sorted ascending by *identifier* — the
-         order [Scheme.view_of] presents.  The kernel hands each check
-         its row as a slice of the two shared arrays, so a sweep is one
-         linear pass over flat memory with no per-vertex view structure
-         at all. *)
       let rp, col = Graph.unsafe_csr g in
       let total = rp.(n) in
-      let nbr_ids = Array.make total 0 in
-      let nbr_dec = if total = 0 then [||] else Array.make total mine.(0) in
-      for v = 0 to n - 1 do
-        let lo = rp.(v) and hi = rp.(v + 1) in
-        let sorted = ref true in
-        for i = lo to hi - 1 do
-          let u = Array.unsafe_get col i in
-          nbr_dec.(i) <- mine.(u);
-          let idu = ids.(u) in
-          nbr_ids.(i) <- idu;
-          if i > lo && nbr_ids.(i - 1) > idu then sorted := false
-        done;
-        (* Rows come out of the CSR in vertex order and ids are assigned
-           ascending in vertex order for generated instances, so rows
-           are almost always already sorted; otherwise a joint insertion
-           sort of the (id, dec) pairs restores the view order. *)
-        if not !sorted then
-          for i = lo + 1 to hi - 1 do
-            let ki = nbr_ids.(i) and di = nbr_dec.(i) in
-            let j = ref (i - 1) in
-            while !j >= lo && nbr_ids.(!j) > ki do
-              nbr_ids.(!j + 1) <- nbr_ids.(!j);
-              nbr_dec.(!j + 1) <- nbr_dec.(!j);
-              decr j
-            done;
-            nbr_ids.(!j + 1) <- ki;
-            nbr_dec.(!j + 1) <- di
-          done
-      done;
-      (* Schemes that publish a flat plane (Scheme.flat) get a
-         struct-of-arrays layout: slot [i]'s decoded fields as ints at
-         [plane.(i * width ..)].  Boxed decoded records are placed by
-         the major allocator's size-class free lists, so on graphs whose
-         adjacency is not id-local — a random tree at n = 10^6 — every
-         [nbr_dec] dereference is a cache miss and those misses dominate
-         the sweep; the plane is one contiguous int array the row walk
-         streams sequentially.  [nbr_dec] stays the sort's staging array
-         and is dropped once the plane is written. *)
+      let nbr_ids, src = view_rows ids rp col in
       match l.Scheme.flat with
       | Some f ->
+          (* Schemes that publish a flat plane (Scheme.flat) get a
+             struct-of-arrays layout: vertex [v]'s decoded fields as ints
+             at [mine.(v * width ..)] and slot [i]'s at
+             [plane.(i * width ..)].  Boxed decoded records are placed by
+             the major allocator's size-class free lists, so on graphs
+             whose adjacency is not id-local — a random tree at n = 10^6
+             — every dereference of one is a cache miss; the planes are
+             contiguous int arrays the row walk streams sequentially.
+             These certificates are per-vertex (a spanning label embeds
+             the vertex's own distance and parent), so a dedupe table
+             would only cost: each one is decoded once, in vertex order,
+             straight into [mine], and no decoded value outlives its
+             [write]. *)
           let k = f.Scheme.width in
           let plane = Array.make (total * k) 0 in
-          for i = 0 to total - 1 do
-            f.Scheme.write (Array.unsafe_get nbr_dec i) plane (i * k)
-          done;
-          (* own fields flattened too: [mine.(v)] is a boxed record
-             behind a pointer, and one random dereference per vertex is
-             still one miss per vertex at 10⁶ *)
-          let mine_plane = Array.make (n * k) 0 in
+          let mine = Array.make (n * k) 0 in
           for v = 0 to n - 1 do
-            f.Scheme.write (Array.unsafe_get mine v) mine_plane (v * k)
+            f.Scheme.write (l.Scheme.decode ~id_bits certs.(v)) mine (v * k)
+          done;
+          for i = 0 to total - 1 do
+            let s = Array.unsafe_get src i * k and d = i * k in
+            for j = 0 to k - 1 do
+              Array.unsafe_set plane (d + j) (Array.unsafe_get mine (s + j))
+            done
           done;
           fun v ->
             f.Scheme.check_flat ~id_bits ~me:(Array.unsafe_get ids v)
-              ~label:(Array.unsafe_get labels v) ~mine:mine_plane
-              ~mbase:(v * k) ~ids:nbr_ids ~plane ~lo:(Array.unsafe_get rp v)
+              ~label:(Array.unsafe_get labels v) ~mine ~mbase:(v * k)
+              ~ids:nbr_ids ~plane ~lo:(Array.unsafe_get rp v)
               ~hi:(Array.unsafe_get rp (v + 1))
       | None ->
+          (* Boxed lowerings (lcl, tree-MSO, treedepth, kernel-MSO, the
+             FO fragments, the combinators) see repeated certificates —
+             kernel-MSO labels embed one kernel description, broadcast
+             schemes hand every vertex the same label — so each
+             distinct certificate is decoded once and slots share its
+             decoded value. *)
+          let cache = BH.create (max 16 (min n 65536)) in
+          let dec_of c =
+            match BH.find_opt cache c with
+            | Some d -> d
+            | None ->
+                let d = l.Scheme.decode ~id_bits c in
+                BH.add cache c d;
+                d
+          in
+          let mine = Array.map dec_of certs in
+          let nbr_dec =
+            Array.init total (fun i -> mine.(Array.unsafe_get src i))
+          in
           fun v ->
             l.Scheme.check ~id_bits ~me:(Array.unsafe_get ids v)
               ~label:(Array.unsafe_get labels v) (Array.unsafe_get mine v)

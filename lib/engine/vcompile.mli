@@ -4,8 +4,10 @@
     per-certificate decode stage and a check stage over pre-decoded
     values.  The interpreted oracle {!Scheme.verify} re-decodes every
     certificate at every vertex that sees it; this module decodes each
-    {e distinct} certificate once and drives the check stage through
-    flat precomputed arrays, which removes the per-vertex allocation
+    vertex's certificate once (plane-backed lowerings) or each
+    {e distinct} certificate once (boxed lowerings) and drives the
+    check stage through flat precomputed arrays, which removes the
+    per-vertex allocation
     churn that serializes parallel sweeps on the shared minor heap
     (DESIGN §5.5).  Verdict equality with {!Scheme.verify} is
     structural: both paths end in the same check function — reason
@@ -24,11 +26,15 @@ val is_enabled : unit -> bool
 val compile :
   Scheme.t -> Instance.t -> Bitstring.t array -> (int -> Scheme.verdict) option
 (** [compile scheme inst certs] builds the per-vertex kernel for one
-    sweep: certificates are decoded once per distinct bitstring (so
-    broadcast-heavy schemes decode a handful), and
-    per-vertex neighbor views are laid out as id-ascending flat arrays
-    mirroring {!Scheme.view_of}.  [None] only when compilation is
-    disabled; then callers run {!Scheme.verify}.
+    sweep, with per-vertex neighbor views laid out as id-ascending flat
+    arrays mirroring {!Scheme.view_of}.  A plane-backed lowering
+    ({!Scheme.flat_lowering}) decodes each vertex's certificate exactly
+    once, straight into an [n × width] own plane, and fills the
+    [2m × width] neighbor plane by copying fields from it — no dedupe
+    table and no boxed staging, since its certificates are per-vertex
+    anyway.  A boxed lowering decodes once per distinct bitstring (so
+    broadcast-heavy schemes decode a handful).  [None] only when
+    compilation is disabled; then callers run {!Scheme.verify}.
 
     Repeated sweeps reuse earlier kernels: a cache of the few most
     recent compiles, keyed by physical identity of [scheme] and [inst]

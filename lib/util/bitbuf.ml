@@ -41,7 +41,7 @@ module Writer = struct
     let remaining = ref width in
     while !remaining > 0 do
       let free = 8 - (w.len land 7) in
-      let take = min free !remaining in
+      let take = if free < !remaining then free else !remaining in
       let chunk = (n lsr (!remaining - take)) land ((1 lsl take) - 1) in
       if chunk <> 0 then begin
         let j = w.len lsr 3 in

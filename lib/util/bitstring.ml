@@ -258,7 +258,7 @@ let unsafe_extract b ~pos ~width =
   while !remaining > 0 do
     let j = !p lsr 3 and r = !p land 7 in
     let avail = 8 - r in
-    let take = min avail !remaining in
+    let take = if avail < !remaining then avail else !remaining in
     let c = Char.code (Bytes.unsafe_get b.data (b.off + j)) in
     let chunk = (c lsr (avail - take)) land ((1 lsl take) - 1) in
     v := (!v lsl take) lor chunk;

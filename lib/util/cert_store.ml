@@ -70,20 +70,29 @@ let dedupe certs store =
             v)
     certs
 
+(* The arena totals are counted locally and published once per array:
+   two atomic read-modify-writes per payload are contended cache-line
+   traffic when parallel domains pack at once. *)
 let pack certs =
-  Atomic.incr arena_packs;
   let chunk = ref Bytes.empty and pos = ref 0 in
-  dedupe certs (fun c ->
-      let nb = Bitstring.byte_size c in
-      if !pos + nb > Bytes.length !chunk then begin
-        chunk := Bytes.create (max chunk_bytes nb);
-        pos := 0
-      end;
-      let v = Bitstring.unsafe_pack c !chunk ~off:!pos in
-      pos := !pos + nb;
-      Atomic.incr arena_certs;
-      ignore (Atomic.fetch_and_add arena_bytes nb);
-      v)
+  let copied = ref 0 and bytes = ref 0 in
+  let packed =
+    dedupe certs (fun c ->
+        let nb = Bitstring.byte_size c in
+        if !pos + nb > Bytes.length !chunk then begin
+          chunk := Bytes.create (max chunk_bytes nb);
+          pos := 0
+        end;
+        let v = Bitstring.unsafe_pack c !chunk ~off:!pos in
+        pos := !pos + nb;
+        incr copied;
+        bytes := !bytes + nb;
+        v)
+  in
+  Atomic.incr arena_packs;
+  ignore (Atomic.fetch_and_add arena_certs !copied);
+  ignore (Atomic.fetch_and_add arena_bytes !bytes);
+  packed
 
 let intern_all certs =
   if Array.length certs < pack_threshold then dedupe certs Fun.id

@@ -246,6 +246,134 @@ let kernel_cache_alternation () =
         && kf 3 = Scheme.verify a (Scheme.view_of inst (List.nth flips 3) 3));
       Metrics.reset ())
 
+(* ------------------------------------------------------------------ *)
+(* Work counts and the large-n plane path                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A plane-backed compile decodes each vertex's certificate exactly
+   once — no per-slot and no per-distinct-certificate pass — and a
+   kernel-cache hit decodes nothing.  A boxed lowering decodes once per
+   distinct certificate.  Fresh scheme values keep the physically keyed
+   kernel cache from answering for another test's compile. *)
+let decode_work_counts () =
+  let calls = ref 0 in
+  let decode ~id_bits:_ c =
+    incr calls;
+    Bitstring.length c
+  in
+  let flat =
+    Scheme.flat_lowering ~decode
+      {
+        Scheme.width = 1;
+        write = (fun d plane base -> plane.(base) <- d);
+        check_flat =
+          (fun ~id_bits:_ ~me:_ ~label:_ ~mine ~mbase ~ids:_ ~plane ~lo ~hi ->
+            let ok = ref true in
+            for i = lo to hi - 1 do
+              if plane.(i) <> mine.(mbase) then ok := false
+            done;
+            if !ok then Accept else Reject "lengths differ");
+      }
+  in
+  let boxed =
+    {
+      Scheme.decode;
+      check =
+        (fun ~id_bits:_ ~me:_ ~label:_ _ ~ids:_ ~decs:_ ~lo:_ ~hi:_ -> Accept);
+      flat = None;
+    }
+  in
+  let prover _ = None in
+  let n = 1000 in
+  let inst =
+    Instance.with_random_ids (Rng.make 3)
+      (Instance.make (Gen.random_tree (Rng.make 3) n))
+  in
+  let certs =
+    Array.init n (fun v -> Bitstring.of_string (String.make (v mod 7) '1'))
+  in
+  let s = Scheme.of_lowering ~name:"count-flat" ~prover flat in
+  calls := 0;
+  let kernel = Option.get (Vcompile.compile s inst certs) in
+  Alcotest.(check int) "plane compile decodes n certificates" n !calls;
+  check "kernel agrees" true
+    (List.for_all
+       (fun v -> kernel v = Scheme.verify s (Scheme.view_of inst certs v))
+       (Graph.vertices inst.Instance.graph));
+  calls := 0;
+  ignore (Vcompile.compile s inst certs);
+  Alcotest.(check int) "cached compile decodes nothing" 0 !calls;
+  let b = Scheme.of_lowering ~name:"count-boxed" ~prover boxed in
+  calls := 0;
+  ignore (Vcompile.compile b inst certs);
+  Alcotest.(check int) "boxed compile decodes each distinct certificate" 7
+    !calls
+
+(* The plane path at arena scale: at least 2¹⁶ vertices, so
+   [Cert_store.intern_all] hands the kernel byte-offset views into
+   shared chunks, and random ids, so CSR rows arrive out of id order
+   and take the row sort.  A star with random ids adds one long
+   unsorted hub row; rooting the tree at a leaf makes the hub's parent
+   one of its row's slots, so a slot whose id and fields come from
+   different vertices changes a verdict.  Every vertex's kernel
+   verdict must equal the interpreted one, reason strings included, on
+   honest and corrupted certificates. *)
+let large_plane_differential () =
+  let rng = Rng.make 2024 in
+  let n = (1 lsl 16) + 123 in
+  let tree =
+    Instance.with_random_ids rng (Instance.make (Gen.random_tree rng n))
+  in
+  let star = Instance.with_random_ids rng (Instance.make (Gen.star 300)) in
+  let unsorted (inst : Instance.t) =
+    let g = inst.Instance.graph in
+    List.exists
+      (fun v ->
+        let row = Array.map (Instance.id_of inst) (Graph.neighbors g v) in
+        let sorted = Array.copy row in
+        Array.sort Int.compare sorted;
+        row <> sorted)
+      (Graph.vertices g)
+  in
+  check "random ids leave rows unsorted" true (unsorted tree && unsorted star);
+  (* the count scheme's prover declines the 300-vertex star; the
+     labels of a count that accepts any total make its root reject *)
+  let any_count = Spanning_tree.vertex_count ~expected:(fun _ -> true) "any" in
+  let rejected = ref 0 in
+  List.iter
+    (fun (scheme : Scheme.t) ->
+      List.iter
+        (fun inst ->
+          let honest =
+            match scheme.Scheme.prover inst with
+            | Some c -> c
+            | None -> Option.get (any_count.Scheme.prover inst)
+          in
+          let packs = (Cert_store.stats ()).Cert_store.arena_packs in
+          let interned = Cert_store.intern_all honest in
+          if Instance.n inst >= 1 lsl 16 then
+            check "certificates are arena-packed" true
+              ((Cert_store.stats ()).Cert_store.arena_packs = packs + 1);
+          List.iter
+            (fun certs ->
+              let kernel = Option.get (Vcompile.compile scheme inst certs) in
+              for v = 0 to Instance.n inst - 1 do
+                let want = Scheme.verify scheme (Scheme.view_of inst certs v) in
+                if want <> Accept then incr rejected;
+                if kernel v <> want then
+                  Alcotest.failf "%s: vertex %d disagrees" scheme.Scheme.name v
+              done)
+            [ interned; corrupt rng interned; corrupt rng interned ])
+        [ tree; star ])
+    [
+      Spanning_tree.scheme ~root:1 ();
+      Spanning_tree.acyclicity;
+      Spanning_tree.vertex_count ~root:1
+        ~expected:(fun k -> k > 1000)
+        "over 1000";
+    ];
+  check "corruptions are rejected somewhere" true (!rejected > 0)
+
 let suite =
   [
     ( "vcompile:differential",
@@ -253,6 +381,9 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_kernel_per_vertex;
         QCheck_alcotest.to_alcotest qcheck_view_checker_per_vertex;
         Alcotest.test_case "every family compiles" `Quick lowered_coverage;
+        Alcotest.test_case "decode work counts" `Quick decode_work_counts;
+        Alcotest.test_case "large-n plane differential" `Quick
+          large_plane_differential;
       ] );
     ( "vcompile:end-to-end",
       [
