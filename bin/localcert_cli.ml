@@ -382,11 +382,16 @@ let certify_cmd =
            domain): that is where the compiled fast path lives, and
            with compilation off it matches Scheme.run exactly. *)
         let verify certs = Engine.run_par ~pool scheme instance certs in
-        match Span.with_ "prover" (fun () -> scheme.Scheme.prover instance) with
+        match
+          Tracer.with_slice Scheme.prover_timer (fun () ->
+              scheme.Scheme.prover instance)
+        with
         | Some certs ->
             let certs = Cert_store.intern_all certs in
             Scheme.record_cert_sizes scheme certs;
-            let outcome = Span.with_ "verify" (fun () -> verify certs) in
+            let outcome =
+              Tracer.with_slice Scheme.verify_timer (fun () -> verify certs)
+            in
             Logger.debug
               ~fields:
                 [

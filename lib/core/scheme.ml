@@ -171,10 +171,12 @@ let run ?(early_exit = false) scheme inst certs =
   record_outcome scheme ~early_exit outcome;
   outcome
 
+let prover_timer = Metrics.timer "prover"
+let verify_timer = Metrics.timer "verify"
+
 let certify scheme inst =
-  Span.with_ "certify" @@ fun () ->
-  Span.with_ scheme.name @@ fun () ->
-  match Span.with_ "prover" (fun () -> scheme.prover inst) with
+  Tracer.with_slice (Metrics.timer ("certify." ^ scheme.name)) @@ fun () ->
+  match Tracer.with_slice prover_timer (fun () -> scheme.prover inst) with
   | None ->
       Logger.debug ~fields:[ ("scheme", scheme.name) ] "prover gave up";
       None
@@ -184,7 +186,9 @@ let certify scheme inst =
          observation-equal, so the outcome and max_bits are unchanged. *)
       let certs = Cert_store.intern_all certs in
       record_cert_sizes scheme certs;
-      let outcome = Span.with_ "verify" (fun () -> run scheme inst certs) in
+      let outcome =
+        Tracer.with_slice verify_timer (fun () -> run scheme inst certs)
+      in
       Logger.debug
         ~fields:
           [

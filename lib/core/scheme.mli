@@ -159,7 +159,14 @@ val max_cert_bits : Bitstring.t array -> int
     field of an {!outcome}). *)
 
 val certify : t -> Instance.t -> (Bitstring.t array * outcome) option
-(** Prover then verifier; [None] if the prover declines. *)
+(** Prover then verifier; [None] if the prover declines.  The call is
+    timed as [certify.<name>], its prover as {!prover_timer} and its
+    sweep as {!verify_timer}. *)
+
+val prover_timer : Metrics.timer
+val verify_timer : Metrics.timer
+(** ["prover"] and ["verify"]: {!certify} and the CLI's certify time
+    their prover and verifier sweep under these. *)
 
 val certificate_size : t -> Instance.t -> int option
 (** Max certificate bits the prover uses on this instance ([None] if it

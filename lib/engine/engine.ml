@@ -13,9 +13,20 @@ let with_pool_arg ?pool ?jobs f =
 let chunk_factor = 8
 let chunk_floor = 64
 
+let t_run_par = Metrics.timer "run_par"
+let c_chunks = Metrics.once (fun () -> Metrics.counter ~approx:true "engine.chunks")
+
+let h_chunk_vertices =
+  Metrics.once (fun () -> Metrics.histogram ~approx:true "engine.chunk_vertices")
+
+let c_vertices_verified =
+  Metrics.once (fun () -> Metrics.counter "engine.vertices_verified")
+
+let c_compiled_hits = Metrics.once (fun () -> Metrics.counter "engine.compiled_hits")
+
 let run_par ?pool ?jobs ?(early_exit = false) scheme inst certs =
   with_pool_arg ?pool ?jobs (fun pool ->
-      Span.with_ "run_par" @@ fun () ->
+      Tracer.with_slice t_run_par @@ fun () ->
       let n = Graph.n inst.Instance.graph in
       let chunks =
         max 1 (min n (max chunk_floor (Pool.size pool * chunk_factor)))
@@ -25,8 +36,8 @@ let run_par ?pool ?jobs ?(early_exit = false) scheme inst certs =
          so it is segregated into the approx section to keep the
          deterministic section jobs-invariant *)
       if Metrics.is_enabled () then begin
-        Metrics.add (Metrics.counter ~approx:true "engine.chunks") chunks;
-        let h = Metrics.histogram ~approx:true "engine.chunk_vertices" in
+        Metrics.add (c_chunks ()) chunks;
+        let h = h_chunk_vertices () in
         for c = 0 to chunks - 1 do
           Metrics.observe h (((c + 1) * n / chunks) - (c * n / chunks))
         done
@@ -79,9 +90,8 @@ let run_par ?pool ?jobs ?(early_exit = false) scheme inst certs =
       in
       Scheme.record_outcome scheme ~early_exit outcome;
       if (not early_exit) && Metrics.is_enabled () then begin
-        Metrics.add (Metrics.counter "engine.vertices_verified") n;
-        if Option.is_some kernel then
-          Metrics.add (Metrics.counter "engine.compiled_hits") n
+        Metrics.add (c_vertices_verified ()) n;
+        if Option.is_some kernel then Metrics.add (c_compiled_hits ()) n
       end;
       outcome)
 

@@ -29,19 +29,21 @@ type t = {
   mutable workers : unit Domain.t list;
 }
 
-(* Worker [i]'s task executions run under a span named after the
+(* Worker [i]'s task executions run under a timer named after the
    worker, so `pool.worker.<i>` timings give per-domain busy time and
    task counts (approximate by construction: which worker claims a
    task is scheduling).  Completions also bump a total — every
    submitted task is executed exactly once, no matter by whom, but the
    task count itself depends on the pool size, so it lives in the
    approx section alongside the submission counter. *)
-let completed () =
-  if Metrics.is_enabled () then
-    Metrics.incr (Metrics.counter ~approx:true "pool.tasks_completed")
+let c_completed =
+  Metrics.once (fun () -> Metrics.counter ~approx:true "pool.tasks_completed")
+
+let c_submitted =
+  Metrics.once (fun () -> Metrics.counter ~approx:true "pool.tasks_submitted")
 
 let worker i t =
-  let span_name = Printf.sprintf "pool.worker.%d" i in
+  let timer = Metrics.timer (Printf.sprintf "pool.worker.%d" i) in
   let rec loop () =
     Mutex.lock t.m;
     while Queue.is_empty t.queue && not t.stopped do
@@ -53,8 +55,8 @@ let worker i t =
         Mutex.unlock t.m
     | Some task ->
         Mutex.unlock t.m;
-        Span.with_ span_name task;
-        completed ();
+        Tracer.with_slice timer task;
+        if Metrics.is_enabled () then Metrics.incr (c_completed ());
         loop ()
   in
   loop ()
@@ -118,7 +120,7 @@ let submit_batch t count task =
         done;
         if count = 1 then Condition.signal t.cv else Condition.broadcast t.cv);
     if Metrics.is_enabled () then
-      Metrics.add (Metrics.counter ~approx:true "pool.tasks_submitted") count
+      Metrics.add (c_submitted ()) count
   end
 
 let map_chunks (type a) t ~chunks (f : int -> a) : a array =

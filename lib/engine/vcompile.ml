@@ -70,6 +70,9 @@ let same_inputs e (scheme : Scheme.t) (inst : Instance.t) certs =
   done;
   !i = n
 
+let c_kernel_reuse =
+  Metrics.once (fun () -> Metrics.counter ~approx:true "vcompile.kernel_reuse")
+
 let lookup scheme inst certs =
   let l = Atomic.get recent in
   match List.find_opt (fun e -> same_inputs e scheme inst certs) l with
@@ -77,8 +80,7 @@ let lookup scheme inst certs =
   | Some e ->
       if List.hd l != e then
         Atomic.set recent (e :: List.filter (fun e' -> e' != e) l);
-      if Metrics.is_enabled () then
-        Metrics.incr (Metrics.counter ~approx:true "vcompile.kernel_reuse");
+      if Metrics.is_enabled () then Metrics.incr (c_kernel_reuse ());
       Some e.c_kernel
 
 let remember e =
@@ -137,7 +139,8 @@ let view_rows ids rp col =
 let compile_fresh (scheme : Scheme.t) (inst : Instance.t) certs =
   match scheme.Scheme.lowering with
   | Scheme.Compiled l -> (
-      Span.with_ ("vcompile." ^ scheme.Scheme.name) @@ fun () ->
+      Tracer.with_slice (Metrics.timer ("vcompile." ^ scheme.Scheme.name))
+      @@ fun () ->
       let id_bits = inst.Instance.id_bits in
       let ids = inst.Instance.ids in
       let labels = inst.Instance.labels in

@@ -56,7 +56,8 @@ val compile :
     to call concurrently from several domains: compilation populated
     every shared structure before returning.
 
-    Compilation time is recorded as a [vcompile.<scheme>] span. *)
+    Compilation is timed as a [vcompile.<scheme>] slice
+    ({!Tracer.with_slice}). *)
 
 val view_checker : Scheme.t -> (Scheme.view -> Scheme.verdict) option
 (** A compiled drop-in for {!Scheme.verify} on runtime inbox views,

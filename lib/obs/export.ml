@@ -5,7 +5,12 @@ type histogram = {
   sum : int;
 }
 
-type timing = { name : string; count : int; total_ms : float; max_ms : float }
+type timing = Metrics.timing = {
+  name : string;
+  count : int;
+  total_ms : float;
+  max_ms : float;
+}
 
 type t = {
   counters : (string * int) list;
@@ -63,17 +68,6 @@ let snapshot () =
         if h.Metrics.happrox then Some (convert h) else None)
       all_histograms
   in
-  let timings =
-    List.map
-      (fun (s : Span.snapshot) ->
-        {
-          name = s.Span.path;
-          count = s.Span.count;
-          total_ms = s.Span.total_ms;
-          max_ms = s.Span.max_ms;
-        })
-      (Span.snapshot ())
-  in
   {
     counters;
     gauges;
@@ -81,12 +75,8 @@ let snapshot () =
     approx_counters;
     approx_gauges;
     approx_histograms;
-    timings;
+    timings = Metrics.timings ();
   }
-
-let reset () =
-  Metrics.reset ();
-  Span.reset ()
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

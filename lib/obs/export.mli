@@ -1,13 +1,13 @@
 (** Deterministic telemetry snapshots.
 
-    A snapshot is the merged state of the {!Metrics} registry plus
-    {!Span} aggregates, split into a {e deterministic} section —
-    counters, gauges and histogram bucket counts that are a pure
-    function of the workload (identical across two runs with the same
-    seed, at any job count) — and an {e approximate} section holding
-    everything timing-derived, scheduling-dependent or configuration-
-    dependent (span timings, cache hit accounting, sampled live sizes,
-    pool/chunk geometry that varies with [--jobs]).
+    A snapshot is the merged state of the {!Metrics} registry, split
+    into a {e deterministic} section — counters, gauges and histogram
+    bucket counts that are a pure function of the workload (identical
+    across two runs with the same seed, at any job count) — and an
+    {e approximate} section holding everything timing-derived,
+    scheduling-dependent or configuration-dependent (timers, cache hit
+    accounting, sampled live sizes, pool/chunk geometry that varies
+    with [--jobs]).
 
     Rendering and parsing go through {!Json}, the repository's one JSON
     codec: canonical number formatting, names sorted, and a strict
@@ -24,7 +24,7 @@ type histogram = {
   sum : int;
 }
 
-type timing = {
+type timing = Metrics.timing = {
   name : string;
   count : int;
   total_ms : float;
@@ -38,14 +38,12 @@ type t = {
   approx_counters : (string * int) list;
   approx_gauges : (string * int) list;  (** includes sampler output *)
   approx_histograms : histogram list;
-  timings : timing list;  (** span aggregates *)
+  timings : timing list;
+      (** {!Metrics.timer}s that have run, by flat timer name *)
 }
 
 val snapshot : unit -> t
 (** The current process-wide telemetry state. *)
-
-val reset : unit -> unit
-(** {!Metrics.reset} plus {!Span.reset}. *)
 
 val render : t -> string
 (** Deterministic JSON in the {!Json.pretty} layout (sorted names,

@@ -73,6 +73,11 @@ let log l ?(fields = []) msg =
         end
         else Buffer.add_string b v)
       fields;
+    (match Tracer.current_context () with
+    | Some id ->
+        Buffer.add_string b " trace_id=";
+        Buffer.add_string b (string_of_int id)
+    | None -> ());
     Buffer.add_char b '\n';
     Mutex.protect emit_mutex (fun () ->
         output_string stderr (Buffer.contents b);

@@ -3,7 +3,9 @@
     Records are one logfmt line each —
     [level=info msg="prover done" scheme=spanning max_bits=14] — so
     they grep and parse trivially; emission is serialized under a
-    mutex, so lines from parallel domains never interleave.
+    mutex, so lines from parallel domains never interleave.  A line
+    logged inside a {!Tracer.with_context} ends with
+    [trace_id=<decimal>], the id its Perfetto slices carry.
 
     The level is controlled by the [LOCALCERT_LOG] environment
     variable ([off], [error], [warn], [info], [debug]; unset or

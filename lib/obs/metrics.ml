@@ -56,7 +56,17 @@ type histogram = {
   h_sum : cells;
 }
 
-type instrument = C of counter | G of gauge | H of histogram
+(* Timers time coarse scopes (a prover run, a sweep, a compile), so
+   one cell per field is enough: a close is three atomic updates, and
+   the rare same-timer race from two domains loses nothing. *)
+type timer = {
+  t_name : string;
+  t_count : int Atomic.t;
+  t_total_ns : int Atomic.t;
+  t_max_ns : int Atomic.t;
+}
+
+type instrument = C of counter | G of gauge | H of histogram | T of timer
 
 let registry : (string, instrument) Hashtbl.t = Hashtbl.create 64
 let registry_mutex = Mutex.create ()
@@ -74,13 +84,23 @@ let register name make describe =
                 (Printf.sprintf "Metrics: %S is already another instrument kind"
                    name))
       | None ->
-          let i, v = make () in
+          let i, v = make name in
           Hashtbl.add registry name i;
           v)
 
+let once make =
+  let cell = Atomic.make None in
+  fun () ->
+    match Atomic.get cell with
+    | Some v -> v
+    | None ->
+        let v = make () in
+        Atomic.set cell (Some v);
+        v
+
 let counter ?(approx = false) name =
   register name
-    (fun () ->
+    (fun _ ->
       let c = { c_approx = approx; c_cells = make_cells () } in
       (C c, c))
     (function C c -> Some c | _ -> None)
@@ -97,7 +117,7 @@ let value c = sum_cells c.c_cells
 
 let gauge ?(approx = false) name =
   register name
-    (fun () ->
+    (fun _ ->
       let g = { g_approx = approx; g_cell = Atomic.make 0 } in
       (G g, g))
     (function G g -> Some g | _ -> None)
@@ -114,7 +134,7 @@ let histogram ?(approx = false) ?(bounds = default_bounds) name =
   if Array.length bounds = 0 || not !ok then
     invalid_arg "Metrics.histogram: bounds must be non-empty and increasing";
   register name
-    (fun () ->
+    (fun _ ->
       let h =
         {
           h_approx = approx;
@@ -142,6 +162,29 @@ let observe h v =
     ignore (Atomic.fetch_and_add h.h_sum.(s) v)
   end
 
+let timer name =
+  register name
+    (fun name ->
+      let z () = Atomic.make 0 in
+      let t = { t_name = name; t_count = z (); t_total_ns = z (); t_max_ns = z () } in
+      (T t, t))
+    (function T t -> Some t | _ -> None)
+
+let timer_name t = t.t_name
+
+let record_ns t dt_ns =
+  if Atomic.get enabled then begin
+    let dt_ns = max 0 dt_ns in
+    ignore (Atomic.fetch_and_add t.t_count 1);
+    ignore (Atomic.fetch_and_add t.t_total_ns dt_ns);
+    let rec raise_max () =
+      let cur = Atomic.get t.t_max_ns in
+      if dt_ns > cur && not (Atomic.compare_and_set t.t_max_ns cur dt_ns) then
+        raise_max ()
+    in
+    raise_max ()
+  end
+
 let register_sampler f =
   Mutex.protect registry_mutex (fun () -> samplers := f :: !samplers)
 
@@ -154,7 +197,9 @@ let reset () =
           | G g -> Atomic.set g.g_cell 0
           | H h ->
               Array.iter zero_cells h.h_buckets;
-              zero_cells h.h_sum)
+              zero_cells h.h_sum
+          | T t ->
+              List.iter (fun c -> Atomic.set c 0) [ t.t_count; t.t_total_ns; t.t_max_ns ])
         registry)
 
 (* ------------------------------------------------------------------ *)
@@ -204,6 +249,19 @@ let histograms () =
           :: acc
       | _ -> acc)
   |> List.sort (fun a b -> compare a.hname b.hname)
+
+type timing = { name : string; count : int; total_ms : float; max_ms : float }
+
+let timings () =
+  let ms cell = float_of_int (Atomic.get cell) /. 1e6 in
+  fold_registry (fun name i acc ->
+      match i with
+      | T t when Atomic.get t.t_count > 0 ->
+          let count = Atomic.get t.t_count in
+          { name; count; total_ms = ms t.t_total_ns; max_ms = ms t.t_max_ns }
+          :: acc
+      | _ -> acc)
+  |> List.sort (fun a b -> compare a.name b.name)
 
 let sampled () =
   let fs = Mutex.protect registry_mutex (fun () -> !samplers) in

@@ -20,7 +20,7 @@
     Instruments registered with [~approx:true] carry values that are
     not reproducible across runs (timing-derived, or racy cache
     accounting); {!Export} segregates them from the deterministic
-    section of a snapshot. *)
+    section of a snapshot.  Timers are always approximate. *)
 
 val set_enabled : bool -> unit
 (** Toggle all metric recording globally (default: disabled). *)
@@ -43,6 +43,14 @@ val sanitize : string -> string
 (** The name normalization applied at registration: every character
     outside [[A-Za-z0-9_.:/-]] becomes ['_'].  Exposed so callers can
     predict the registered name of a dynamically-built metric. *)
+
+val once : (unit -> 'a) -> unit -> 'a
+(** [once make] registers an instrument on first use and returns the
+    same handle afterwards, without the registry mutex:
+    [let c = once (fun () -> counter "x")], then [incr (c ())].  An
+    instrument never used stays out of the snapshot.  Unlike a
+    module-level [lazy] (which raises [Lazy.Undefined] when two domains
+    force it at once) it is safe from any domain. *)
 
 (** {1 Counters} *)
 
@@ -86,6 +94,22 @@ val observe : histogram -> int -> unit
 (** Record a value: bumps the first bucket whose bound is [>= v] (or
     the overflow bucket) and adds [v] to the histogram sum. *)
 
+(** {1 Timers} *)
+
+type timer
+(** Run count, total and longest run of one named scope, timed by
+    {!Tracer.with_slice}. *)
+
+val timer : string -> timer
+(** Find or register a timer.
+    @raise Invalid_argument on a kind mismatch. *)
+
+val timer_name : timer -> string
+(** The registered ({!sanitize}d) name. *)
+
+val record_ns : timer -> int -> unit
+(** Add one run of that many nanoseconds (negative counts as 0). *)
+
 (** {1 Samplers} *)
 
 val register_sampler : (unit -> (string * int) list) -> unit
@@ -110,6 +134,12 @@ type histogram_snapshot = {
 
 val histograms : unit -> histogram_snapshot list
 (** Sorted by name; shard cells already merged. *)
+
+type timing = { name : string; count : int; total_ms : float; max_ms : float }
+
+val timings : unit -> timing list
+(** The timers that have run since the last {!reset}, sorted by
+    name. *)
 
 val sampled : unit -> (string * int) list
 (** All registered samplers' output, merged and sorted by name. *)

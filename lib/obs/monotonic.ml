@@ -1,3 +1,1 @@
 external now_ns : unit -> int = "localcert_monotonic_ns" [@@noalloc]
-
-let now_us () = float_of_int (now_ns ()) /. 1e3

@@ -1,5 +1,5 @@
-(** Monotonic clock shared by the tracer, spans and the server's
-    queue-wait accounting.
+(** Monotonic clock shared by the tracer, its scope timers and the
+    server's queue-wait accounting.
 
     [Unix.gettimeofday] is wall time: an NTP step between enqueue and
     drain can make a queue wait negative or wildly skewed, and two
@@ -15,6 +15,3 @@ val now_ns : unit -> int
     Monotone non-decreasing within a process and across processes on
     one machine; 62 bits cover ~146 years, so subtraction never
     overflows in practice. *)
-
-val now_us : unit -> float
-(** {!now_ns} scaled to microseconds (the trace-event JSON unit). *)

@@ -62,7 +62,7 @@ let ring_capacity = Atomic.make default_capacity
 let generation = Atomic.make 0
 let rings : ring list ref = ref []
 let rings_mutex = Mutex.create ()
-let c_dropped = lazy (Metrics.counter "obs.trace_dropped")
+let c_dropped = Metrics.once (fun () -> Metrics.counter "obs.trace_dropped")
 
 let ring_key : ring option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
@@ -96,7 +96,7 @@ let append ev =
   end
   else begin
     r.rdropped <- r.rdropped + 1;
-    if Metrics.is_enabled () then Metrics.incr (Lazy.force c_dropped)
+    if Metrics.is_enabled () then Metrics.incr (c_dropped ())
   end
 
 let reset ?capacity () =
@@ -191,6 +191,22 @@ let flow_event kind ?trace ~id name =
 let flow_start ?trace ~id name = flow_event KFs ?trace ~id name
 let flow_step ?trace ~id name = flow_event KFt ?trace ~id name
 let flow_end ?trace ~id name = flow_event KFf ?trace ~id name
+
+let with_slice timer f =
+  (* [traced] is captured once, so every begin emitted gets its end
+     even if tracing is switched off inside [f]. *)
+  let traced = Atomic.get enabled in
+  if not (traced || Metrics.is_enabled ()) then f ()
+  else begin
+    let name = Metrics.timer_name timer in
+    if traced then begin_slice name;
+    let t0 = Monotonic.now_ns () in
+    Fun.protect
+      ~finally:(fun () ->
+        if traced then end_slice name;
+        Metrics.record_ns timer (Monotonic.now_ns () - t0))
+      f
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Export                                                              *)

@@ -1,11 +1,13 @@
 (** Request-scoped event tracing: per-domain rings, trace-context
     propagation, and Chrome trace-event export for Perfetto.
 
-    {!Metrics} and {!Span} keep {e aggregates}; this module keeps
-    {e events} — individual timestamped begin/end/instant/flow records
-    — so the journey of one request (accept → admission queue → worker
-    drain → batch coalesce → compiled kernel → response write) is
-    visible as a timeline rather than averaged away.
+    {!Metrics} keeps {e aggregates}; this module keeps {e events} —
+    individual timestamped begin/end/instant/flow records — so the
+    journey of one request (accept → admission queue → worker drain →
+    batch coalesce → compiled kernel → response write) is visible as a
+    timeline rather than averaged away.  {!with_slice} is the one
+    scope timer and feeds both: a slice on the timeline and a
+    {!Metrics.timer} aggregate.
 
     {2 Recording model}
 
@@ -97,6 +99,14 @@ val begin_slice : ?trace:int -> string -> unit
 val end_slice : string -> unit
 (** Close the innermost open slice.  The name is checked at validation
     time, not at emission time. *)
+
+val with_slice : Metrics.timer -> (unit -> 'a) -> 'a
+(** [with_slice timer f] runs [f] as one scope named
+    [Metrics.timer_name timer]: with tracing on, a begin/end slice pair
+    on this domain's timeline; with metrics on, [f]'s wall time added
+    to [timer].  The slice is closed and the time recorded even if [f]
+    raises.  With both off it is one branch around [f].  Nesting shows
+    in the trace; the aggregate is keyed by the flat timer name. *)
 
 val complete_slice :
   ?trace:int -> ?args:(string * int) list -> ?tid:int -> ?t1_ns:int ->

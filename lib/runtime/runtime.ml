@@ -151,7 +151,7 @@ type instruments = {
 }
 
 let instruments =
-  lazy
+  Metrics.once (fun () ->
     {
       rounds_c = Metrics.counter "runtime.rounds";
       wire_h = Metrics.histogram "runtime.round_wire_bits";
@@ -161,13 +161,13 @@ let instruments =
       sent_c = Metrics.counter "runtime.messages_sent";
       recovered_c = Metrics.counter "runtime.certs_recovered";
       faults_c = Array.map (fun name -> Metrics.counter name) fault_counters;
-    }
+    })
 
 (* [events] are the round's heap events; honest deliveries arrive as
    one count. *)
 let record_round ~wire_bits ~sent ~events ~rejections ~reverified ~cached =
   if Metrics.is_enabled () then begin
-    let m = Lazy.force instruments in
+    let m = instruments () in
     Metrics.incr m.rounds_c;
     Metrics.observe m.wire_h wire_bits;
     Metrics.add m.rejections_c (List.length rejections);
@@ -222,6 +222,8 @@ let validate_plan ~n (plan : Fault.t) =
    would name a different run. *)
 let max_seed = 1 lsl 53
 
+let t_execute = Metrics.timer "runtime.execute"
+
 let execute ?pool ?jobs ?(plan = Fault.none) ?(rounds = 1) ?(seed = 0)
     ?(incremental = true) ?(recover = false) scheme inst certs =
   if rounds < 1 then invalid_arg "Runtime.execute: rounds must be >= 1";
@@ -231,7 +233,7 @@ let execute ?pool ?jobs ?(plan = Fault.none) ?(rounds = 1) ?(seed = 0)
     invalid_arg "Runtime.execute: certificate count does not match the instance";
   validate_plan ~n:(Instance.n inst) plan;
   with_pool_arg ?pool ?jobs (fun pool ->
-      Span.with_ "runtime.execute" @@ fun () ->
+      Tracer.with_slice t_execute @@ fun () ->
       (* Plane views carry per-delivery wire copies, so the per-domain
          decode-cache checker is the applicable compiled form; with
          compilation globally off (Vcompile.set_enabled) the

@@ -20,7 +20,6 @@ type 'a t = {
   m : Mutex.t;
   nonempty : Condition.t;
   mutable closed : bool;
-  depth_gauge : Metrics.gauge Lazy.t;
 }
 
 type decision = Admitted | Queue_full | Conn_saturated
@@ -44,12 +43,12 @@ let create ~capacity ~inflight_cap () =
     m = Mutex.create ();
     nonempty = Condition.create ();
     closed = false;
-    depth_gauge = lazy (Metrics.gauge ~approx:true "serve.queue_depth");
   }
 
-let record_depth t depth =
-  if Metrics.is_enabled () then
-    Metrics.set_gauge (Lazy.force t.depth_gauge) depth
+let g_depth = Metrics.once (fun () -> Metrics.gauge ~approx:true "serve.queue_depth")
+
+let record_depth depth =
+  if Metrics.is_enabled () then Metrics.set_gauge (g_depth ()) depth
 
 let try_admit t s item =
   (* The connection cap is checked (and charged) before the queue so a
@@ -65,7 +64,7 @@ let try_admit t s item =
           if t.closed || Queue.length t.q >= t.capacity then Queue_full
           else begin
             Queue.push item t.q;
-            record_depth t (Queue.length t.q);
+            record_depth (Queue.length t.q);
             Condition.signal t.nonempty;
             Admitted
           end)
@@ -91,7 +90,7 @@ let pop_batch t ~max =
     else drain (Queue.pop t.q :: acc) (k + 1)
   in
   let items = drain [] 0 in
-  record_depth t (Queue.length t.q);
+  record_depth (Queue.length t.q);
   Mutex.unlock t.m;
   items
 

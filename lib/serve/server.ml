@@ -78,32 +78,30 @@ type job = {
 let c_requests op =
   Metrics.counter ~approx:true ("serve.requests." ^ Protocol.opcode_name op)
 
-let c_retry = lazy (Metrics.counter ~approx:true "serve.retry_later")
-let c_wire_errors = lazy (Metrics.counter ~approx:true "serve.wire_errors")
-let c_oversized =
-  lazy (Metrics.counter ~approx:true "serve.oversized_responses")
-let c_conns = lazy (Metrics.counter ~approx:true "serve.connections")
-let c_conns_rejected =
-  lazy (Metrics.counter ~approx:true "serve.connections_rejected")
-let g_open = lazy (Metrics.gauge ~approx:true "serve.conns_open")
+let approx_counter name =
+  Metrics.once (fun () -> Metrics.counter ~approx:true name)
+
+let approx_histogram bounds name =
+  Metrics.once (fun () -> Metrics.histogram ~approx:true ~bounds name)
+
+let c_retry = approx_counter "serve.retry_later"
+let c_wire_errors = approx_counter "serve.wire_errors"
+let c_oversized = approx_counter "serve.oversized_responses"
+let c_conns = approx_counter "serve.connections"
+let c_conns_rejected = approx_counter "serve.connections_rejected"
+let g_open = Metrics.once (fun () -> Metrics.gauge ~approx:true "serve.conns_open")
+let t_handle = Metrics.timer "serve.handle"
 
 let latency_bounds =
   [| 50; 100; 200; 500; 1000; 2000; 5000; 10000; 50000; 100000; 1000000 |]
 
-let h_latency =
-  lazy (Metrics.histogram ~approx:true ~bounds:latency_bounds "serve.latency_us")
-
-let h_queue_wait =
-  lazy
-    (Metrics.histogram ~approx:true ~bounds:latency_bounds
-       "serve.queue_wait_us")
+let h_latency = approx_histogram latency_bounds "serve.latency_us"
+let h_queue_wait = approx_histogram latency_bounds "serve.queue_wait_us"
 
 (* One observation per evaluated well-formed group: its size. *)
 let h_batch_size =
-  lazy
-    (Metrics.histogram ~approx:true
-       ~bounds:[| 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024 |]
-       "serve.batch_size")
+  approx_histogram [| 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024 |]
+    "serve.batch_size"
 
 let when_metrics f = if Metrics.is_enabled () then f ()
 
@@ -169,7 +167,7 @@ let group key items =
    admitted jobs keep their in-flight slots forever.  Answer the
    request, log loudly, keep serving. *)
 let handle_guarded handlers req =
-  match Span.with_ "serve.handle" (fun () -> Handlers.handle handlers req) with
+  match Tracer.with_slice t_handle (fun () -> Handlers.handle handlers req) with
   | resp -> resp
   | exception e ->
       Logger.err
@@ -184,7 +182,7 @@ let encodable_payload resp =
   let (_, payload) as r = Protocol.encode_response_payload resp in
   if String.length payload <= Wire.max_payload then r
   else begin
-    when_metrics (fun () -> Metrics.incr (Lazy.force c_oversized));
+    when_metrics (fun () -> Metrics.incr (c_oversized ()));
     Logger.warn
       ~fields:[ ("bytes", string_of_int (String.length payload)) ]
       "serve: response exceeds the frame limit; answering INTERNAL";
@@ -203,7 +201,7 @@ let worker handlers queue batch_max ~io_tid =
     List.iter
       (fun j ->
         when_metrics (fun () ->
-            Metrics.observe (Lazy.force h_queue_wait)
+            Metrics.observe (h_queue_wait ())
               ((t_drain - j.enqueued_ns) / 1000));
         match j.trace with
         | Some t ->
@@ -233,13 +231,13 @@ let worker handlers queue batch_max ~io_tid =
           | Error code -> Protocol.Error code
           | Ok req ->
               when_metrics (fun () ->
-                  Metrics.observe (Lazy.force h_batch_size)
+                  Metrics.observe (h_batch_size ())
                     (List.length items));
               handle_guarded handlers req
         in
         let resp =
           (* Install the group's trace context so the engine-side
-             spans (serve.handle, run_par, vcompile) tag their events
+             slices (serve.handle, run_par, vcompile) tag their events
              with the request that caused them. *)
           match List.find_map (fun ((j : job), _) -> j.trace) items with
           | None -> eval ()
@@ -260,7 +258,7 @@ let worker handlers queue batch_max ~io_tid =
             Wire.encode_into buf
               { Wire.id = j.frame.Wire.id; opcode; trace = j.trace; payload };
             when_metrics (fun () ->
-                Metrics.observe (Lazy.force h_latency)
+                Metrics.observe (h_latency ())
                   ((Monotonic.now_ns () - j.enqueued_ns) / 1000)))
           items)
       groups;
@@ -329,7 +327,7 @@ let dispatch ~trace_every queue conn (frame : Wire.frame) =
   match Admission.try_admit queue conn.slots job with
   | Admission.Admitted -> ()
   | Admission.Queue_full | Admission.Conn_saturated ->
-      when_metrics (fun () -> Metrics.incr (Lazy.force c_retry));
+      when_metrics (fun () -> Metrics.incr (c_retry ()));
       let opcode, payload = Lazy.force retry_later_payload in
       send conn
         (Wire.encode
@@ -349,7 +347,7 @@ let parse_frames ~trace_every queue conn =
         dispatch ~trace_every queue conn frame
     | Wire.Need _ -> continue := false
     | Wire.Fail e ->
-        when_metrics (fun () -> Metrics.incr (Lazy.force c_wire_errors));
+        when_metrics (fun () -> Metrics.incr (c_wire_errors ()));
         Logger.warn
           ~fields:[ ("conn", string_of_int conn.cid) ]
           ("wire error: " ^ Wire.error_to_string e);
@@ -453,13 +451,13 @@ let run ?(stop = Atomic.make false) ?(install_signals = true) ?ready config =
     Hashtbl.remove conns conn.fd;
     (try Unix.close conn.fd with Unix.Unix_error _ -> ());
     when_metrics (fun () ->
-        Metrics.set_gauge (Lazy.force g_open) (Hashtbl.length conns))
+        Metrics.set_gauge (g_open ()) (Hashtbl.length conns))
   in
   let accept_one () =
     match Unix.accept listen_fd with
     | fd, _addr ->
         if Hashtbl.length conns >= config.max_connections then begin
-          when_metrics (fun () -> Metrics.incr (Lazy.force c_conns_rejected));
+          when_metrics (fun () -> Metrics.incr (c_conns_rejected ()));
           try Unix.close fd with Unix.Unix_error _ -> ()
         end
         else begin
@@ -479,8 +477,8 @@ let run ?(stop = Atomic.make false) ?(install_signals = true) ?ready config =
           in
           Hashtbl.replace conns fd conn;
           when_metrics (fun () ->
-              Metrics.incr (Lazy.force c_conns);
-              Metrics.set_gauge (Lazy.force g_open) (Hashtbl.length conns))
+              Metrics.incr (c_conns ());
+              Metrics.set_gauge (g_open ()) (Hashtbl.length conns))
         end
     | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
       ->

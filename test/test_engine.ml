@@ -409,12 +409,24 @@ let warm_sweep_words n arounds =
 let sweep_sizes = (4096, 262_144)
 let plain f = f ()
 
+(* Telemetry on, too: the engine's instruments are resolved once, so
+   a metrics-on sweep adds a fixed number of words, never one per
+   vertex. *)
 let sweep_allocation_flat () =
   let small, large = sweep_sizes in
-  Alcotest.(check (float 0.))
-    (Printf.sprintf "minor words at n=%d and n=%d" small large)
-    (List.hd (warm_sweep_words small [ plain ]))
-    (List.hd (warm_sweep_words large [ plain ]))
+  let arounds = [ plain; Metrics.with_enabled true ] in
+  let words n =
+    let w = warm_sweep_words n arounds in
+    Metrics.with_enabled true Metrics.reset;
+    w
+  in
+  List.iter2
+    (fun what (a, b) ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "%s minor words at n=%d and n=%d" what small large)
+        a b)
+    [ "metrics off:"; "metrics on:" ]
+    (List.combine (words small) (words large))
 
 (* Each chunk spins a little so that, without the clamp, the extra
    worker domains get to claim chunks before the caller drains them. *)

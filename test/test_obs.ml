@@ -104,32 +104,81 @@ let sanitize_names () =
     (Metrics.sanitize "scheme.spanning-tree.accept")
 
 (* ------------------------------------------------------------------ *)
-(* Span nesting                                                        *)
+(* Tracer.with_slice over a Metrics timer                              *)
 (* ------------------------------------------------------------------ *)
 
-let span_nesting () =
+let timer_count name =
+  match
+    List.find_opt
+      (fun (t : Metrics.timing) -> t.Metrics.name = name)
+      (Metrics.timings ())
+  with
+  | Some t -> t.Metrics.count
+  | None -> 0
+
+(* (phase, name) of every non-metadata event in this process's rings. *)
+let slice_events () =
+  List.filter_map
+    (fun ev ->
+      match (Test_tracer.str_field ev "ph", Test_tracer.str_field ev "name") with
+      | Some ph, Some name when ph <> "M" -> Some (ph, name)
+      | _ -> None)
+    (Test_tracer.events_of (Tracer.export ()))
+
+let with_slice_scopes () =
+  let outer = Metrics.timer "test.slice.outer"
+  and inner = Metrics.timer "test.slice.in ner" in
+  check_string "timer name sanitized" "test.slice.in_ner"
+    (Metrics.timer_name inner);
+  Tracer.reset ();
   Metrics.with_enabled true (fun () ->
-      Span.reset ();
-      let stack_inside = ref [] in
-      Span.with_ "outer" (fun () ->
-          Span.with_ "in/ner" (fun () -> stack_inside := Span.current ()));
-      check "stack innermost-first, '/' mangled" true
-        (!stack_inside = [ "in_ner"; "outer" ]);
-      let paths =
-        List.map (fun (s : Span.snapshot) -> s.Span.path) (Span.snapshot ())
+      Metrics.reset ();
+      Tracer.with_enabled true (fun () ->
+          let r =
+            Tracer.with_slice outer (fun () ->
+                Tracer.with_slice inner (fun () -> ());
+                Tracer.with_slice inner (fun () -> 7))
+          in
+          check_int "value passed through" 7 r;
+          (match Tracer.with_slice inner (fun () -> failwith "boom") with
+          | () -> Alcotest.fail "the raise was swallowed"
+          | exception Failure _ -> ()));
+      check_int "outer aggregated under its flat name" 1
+        (timer_count "test.slice.outer");
+      check_int "inner counts every run, the raising one too" 3
+        (timer_count "test.slice.in_ner");
+      let evs = slice_events () in
+      let count ph name =
+        List.length (List.filter (( = ) (ph, name)) evs)
       in
-      check "nested path recorded" true (List.mem "outer/in_ner" paths);
-      check "outer path recorded" true (List.mem "outer" paths);
-      Span.reset ();
-      check "span reset drops aggregates" true (Span.snapshot () = []));
-  (* disabled: no aggregates, no stack *)
-  Span.with_ "ghost" (fun () ->
-      check "disabled span pushes nothing" true (Span.current () = []));
-  check "disabled span records nothing" true
-    (not
-       (List.exists
-          (fun (s : Span.snapshot) -> s.Span.path = "ghost")
-          (Span.snapshot ())))
+      check_int "one outer begin" 1 (count "B" "test.slice.outer");
+      check_int "one outer end" 1 (count "E" "test.slice.outer");
+      check_int "three inner begins" 3 (count "B" "test.slice.in_ner");
+      check_int "three inner ends" 3 (count "E" "test.slice.in_ner");
+      check "the trace validates" true (Tracer.validate (Tracer.export ()) = Ok ());
+      let timing_names () =
+        List.map (fun (t : Export.timing) -> t.Export.name)
+          (Export.snapshot ()).Export.timings
+      in
+      check "exported under the flat names" true
+        (timing_names () = [ "test.slice.in_ner"; "test.slice.outer" ]);
+      Metrics.reset ();
+      check "reset drops the timers from the snapshot" true
+        (timing_names () = []));
+  (* both off: nothing recorded, nothing emitted *)
+  Tracer.reset ();
+  check_int "runs the thunk with both off" 3
+    (Tracer.with_slice outer (fun () -> 3));
+  check_int "nothing recorded with metrics off" 0
+    (timer_count "test.slice.outer");
+  check "nothing emitted with tracing off" true (slice_events () = []);
+  Metrics.with_enabled true (fun () ->
+      ignore (Metrics.counter "test.slice.kind");
+      check "a counter's name is not a timer" true
+        (match Metrics.timer "test.slice.kind" with
+        | _ -> false
+        | exception Invalid_argument _ -> true);
+      Metrics.reset ())
 
 (* ------------------------------------------------------------------ *)
 (* Logger levels                                                       *)
@@ -153,6 +202,48 @@ let logger_levels () =
       Logger.set_level None;
       check "error disabled when off" false (Logger.enabled Logger.Error))
 
+(* The lines [f] writes to stderr, captured through a temp file. *)
+let capture_stderr f =
+  let path = Filename.temp_file "localcert_log" ".txt" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  flush stderr;
+  let saved = Unix.dup Unix.stderr in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stderr;
+      Unix.dup2 saved Unix.stderr;
+      Unix.close saved)
+    f;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  List.filter (( <> ) "") (String.split_on_char '\n' text)
+
+let logger_trace_ids () =
+  let saved = Logger.current_level () in
+  let lines =
+    Fun.protect
+      ~finally:(fun () -> Logger.set_level saved)
+      (fun () ->
+        Logger.set_level (Some Logger.Info);
+        capture_stderr (fun () ->
+            Tracer.with_context (Some 42) (fun () ->
+                Logger.info ~fields:[ ("k", "v") ] "inside");
+            Logger.info "outside"))
+  in
+  match lines with
+  | [ inside; outside ] ->
+      check "a line inside a context ends with its trace id" true
+        (String.ends_with ~suffix:" trace_id=42" inside);
+      check "the fields come first" true
+        (String.starts_with ~prefix:"level=info msg=\"inside\" k=v" inside);
+      check "a line outside any context has no trace id" false
+        (List.exists
+           (String.starts_with ~prefix:"trace_id=")
+           (String.split_on_char ' ' outside))
+  | _ -> Alcotest.failf "expected two log lines, got %d" (List.length lines)
+
 (* ------------------------------------------------------------------ *)
 (* Export: fixpoint and strictness                                     *)
 (* ------------------------------------------------------------------ *)
@@ -163,7 +254,6 @@ let logger_levels () =
 let export_roundtrip_fixpoint () =
   Metrics.with_enabled true (fun () ->
       Metrics.reset ();
-      Span.reset ();
       Metrics.add (Metrics.counter "test.obs.rt_counter") 7;
       Metrics.set_gauge (Metrics.gauge "test.obs.rt_gauge") (-3);
       Metrics.observe
@@ -174,7 +264,7 @@ let export_roundtrip_fixpoint () =
         (Metrics.histogram ~approx:true ~bounds:[| 2; 8 |]
            "test.obs.rt_approx_histo")
         3;
-      Span.with_ "test.obs.rt_span" (fun () -> ());
+      Tracer.with_slice (Metrics.timer "test.obs.rt_span") (fun () -> ());
       let snap = Export.snapshot () in
       let text = Export.render snap in
       match Export.parse text with
@@ -183,6 +273,10 @@ let export_roundtrip_fixpoint () =
           check_string "render o parse is a fixpoint" text
             (Export.render parsed);
           check "structurally equal" true (parsed = snap);
+          check "the timing entry is exported" true
+            (List.map (fun (t : Export.timing) -> (t.Export.name, t.Export.count))
+               parsed.Export.timings
+            = [ ("test.obs.rt_span", 1) ]);
           check "deterministic sections equal" true
             (Export.deterministic_equal parsed snap);
           check "approx histogram segregated" true
@@ -210,7 +304,6 @@ let export_rejects_malformed () =
   let empty =
     Metrics.with_enabled true (fun () ->
         Metrics.reset ();
-        Span.reset ();
         Export.render (Export.snapshot ()))
   in
   check "baseline parses" true
@@ -278,7 +371,6 @@ let export_rejects_malformed () =
 let prometheus_well_formed () =
   Metrics.with_enabled true (fun () ->
       Metrics.reset ();
-      Span.reset ();
       Metrics.incr (Metrics.counter "test.prom.det_counter");
       Metrics.set_gauge (Metrics.gauge "test.prom.det_gauge") 5;
       let h = Metrics.histogram ~bounds:[| 1; 2; 4 |] "test.prom.det_histo" in
@@ -289,7 +381,7 @@ let prometheus_well_formed () =
           "test.prom.apx_histo"
       in
       List.iter (Metrics.observe ah) [ 5; 15; 25 ];
-      Span.with_ "test.prom.span" (fun () -> ());
+      Tracer.with_slice (Metrics.timer "test.prom.span") (fun () -> ());
       let text = Export.to_prometheus (Export.snapshot ()) in
       let lines =
         List.filter (fun l -> l <> "") (String.split_on_char '\n' text)
@@ -382,8 +474,7 @@ let prometheus_well_formed () =
       check "approx histogram present" true
         (Hashtbl.find_opt seen_types "localcert_test_prom_apx_histo"
         = Some "histogram");
-      Metrics.reset ();
-      Span.reset ())
+      Metrics.reset ())
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry is passive: on/off differential                           *)
@@ -459,7 +550,6 @@ let deterministic_snapshot_reproducible () =
   let one_run () =
     Metrics.with_enabled true (fun () ->
         Metrics.reset ();
-        Span.reset ();
         let inst = Instance.make (Gen.random_tree (Rng.make 5) 48) in
         let scheme = Spanning_tree.scheme () in
         (match Scheme.certify scheme inst with
@@ -474,8 +564,7 @@ let deterministic_snapshot_reproducible () =
   let a = one_run () and b = one_run () in
   check "deterministic sections identical" true (Export.deterministic_equal a b);
   Metrics.with_enabled true (fun () ->
-      Metrics.reset ();
-      Span.reset ())
+      Metrics.reset ())
 
 (* ------------------------------------------------------------------ *)
 (* Trace metric edge cases                                             *)
@@ -676,8 +765,11 @@ let suite =
         Alcotest.test_case "disabled updates are no-ops" `Quick
           disabled_updates_are_noops;
         Alcotest.test_case "name sanitization" `Quick sanitize_names;
-        Alcotest.test_case "span nesting and paths" `Quick span_nesting;
+        Alcotest.test_case "with_slice times and traces a scope" `Quick
+          with_slice_scopes;
         Alcotest.test_case "logger level parsing" `Quick logger_levels;
+        Alcotest.test_case "log lines carry the trace id" `Quick
+          logger_trace_ids;
       ] );
     ( "obs-export",
       [

@@ -154,6 +154,11 @@ let spanning_family_declines () =
       Spanning_tree.counted ~choose_root:(fun _ -> Some 3) ~name:"counted-at-3"
         ~total_pred:(fun _ -> true) ~local:yes
         ~root_check:(fun ~total:_ ~degree:_ -> true) ();
+      (* Existential FO declines through its connectivity pre-check: at
+         k = 0 no spanning tree is built at all, and at k >= 1 the
+         check is what spares the n^k witness search. *)
+      Existential_fo.make (Parser.parse_exn "true");
+      Existential_fo.make (Parser.parse_exn "exists x. x = x");
     ];
   check "no empty instance" true
     (try ignore (Instance.make (Graph.empty 0)); false
