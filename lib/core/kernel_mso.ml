@@ -525,9 +525,7 @@ let measure ?k ~t model phi inst =
   match prover_certs ~k ~t phi inst model with
   | None -> None
   | Some certs ->
-      let total_bits =
-        Array.fold_left (fun acc c -> max acc (Bitstring.length c)) 0 certs
-      in
+      let total_bits = Scheme.max_cert_bits certs in
       (* recompute the breakdown *)
       let model' = Elimination.coherentize model inst.Instance.graph in
       let red =

@@ -58,7 +58,7 @@ let run scheme (inst : Instance.t) certs =
   {
     Scheme.accepted = !rejections = [];
     rejections = !rejections;
-    max_bits = Array.fold_left (fun acc c -> max acc (Bitstring.length c)) 0 certs;
+    max_bits = Scheme.max_cert_bits certs;
   }
 
 let certify scheme inst =

@@ -58,10 +58,23 @@ and 'dec flat = {
 
 type compiled = Compiled : 'dec lowering -> compiled
 
+(* A scheme's instruments, each resolved on first use: the sweep and
+   prepare paths then build no ["scheme." ^ name] string and take no
+   registry lock per call, and an instrument never used stays out of
+   the snapshot. *)
+type telemetry = {
+  accept : unit -> Metrics.counter;
+  reject : unit -> Metrics.counter;
+  rejections : unit -> Metrics.counter;
+  cert_bits : unit -> Metrics.histogram;
+  certify_timer : unit -> Metrics.timer;
+}
+
 type t = {
   name : string;
   prover : Instance.t -> Bitstring.t array option;
   lowering : compiled;
+  telemetry : telemetry;
 }
 
 let verify { lowering = Compiled l; _ } (view : view) =
@@ -74,7 +87,21 @@ let verify { lowering = Compiled l; _ } (view : view) =
   l.check ~id_bits ~me:view.me ~label:view.label mine ~ids ~decs ~lo:0
     ~hi:(Array.length ids)
 
-let of_lowering ~name ~prover l = { name; prover; lowering = Compiled l }
+let telemetry_of name =
+  let counter suffix =
+    Once.make (fun () -> Metrics.counter ("scheme." ^ name ^ suffix))
+  in
+  {
+    accept = counter ".accept";
+    reject = counter ".reject";
+    rejections = counter ".rejections";
+    cert_bits =
+      Once.make (fun () -> Metrics.histogram ("scheme." ^ name ^ ".cert_bits"));
+    certify_timer = Once.make (fun () -> Metrics.timer ("certify." ^ name));
+  }
+
+let of_lowering ~name ~prover l =
+  { name; prover; lowering = Compiled l; telemetry = telemetry_of name }
 
 (* The boxed check writes the vertex's value and its neighbors' into
    one scratch plane (neighbors at slots [0, deg), the vertex at slot
@@ -125,8 +152,15 @@ let view_of (inst : Instance.t) certs v =
     nbrs;
   }
 
+(* An int comparison, not [Stdlib.max]: the polymorphic [max] is a
+   [caml_compare] call per certificate without flambda. *)
 let max_cert_bits certs =
-  Array.fold_left (fun acc c -> max acc (Bitstring.length c)) 0 certs
+  let m = ref 0 in
+  for i = 0 to Array.length certs - 1 do
+    let len = Bitstring.length (Array.unsafe_get certs i) in
+    if len > !m then m := len
+  done;
+  !m
 
 (* Telemetry for a completed exhaustive sweep.  Accept/reject is a
    property of the outcome, so for exhaustive sweeps the counters are
@@ -135,18 +169,14 @@ let max_cert_bits certs =
    pruning makes even the {e number} of sweeps scheduling-dependent. *)
 let record_outcome scheme ~early_exit outcome =
   if (not early_exit) && Metrics.is_enabled () then begin
-    let prefix = "scheme." ^ scheme.name ^ "." in
-    Metrics.incr
-      (Metrics.counter
-         (prefix ^ if outcome.accepted then "accept" else "reject"));
-    Metrics.add
-      (Metrics.counter (prefix ^ "rejections"))
-      (List.length outcome.rejections)
+    let m = scheme.telemetry in
+    Metrics.incr (if outcome.accepted then m.accept () else m.reject ());
+    Metrics.add (m.rejections ()) (List.length outcome.rejections)
   end
 
 let record_cert_sizes scheme certs =
   if Metrics.is_enabled () then begin
-    let h = Metrics.histogram ("scheme." ^ scheme.name ^ ".cert_bits") in
+    let h = scheme.telemetry.cert_bits () in
     Array.iter (fun c -> Metrics.observe h (Bitstring.length c)) certs
   end
 
@@ -175,7 +205,7 @@ let prover_timer = Metrics.timer "prover"
 let verify_timer = Metrics.timer "verify"
 
 let certify scheme inst =
-  Tracer.with_slice (Metrics.timer ("certify." ^ scheme.name)) @@ fun () ->
+  Tracer.with_slice (scheme.telemetry.certify_timer ()) @@ fun () ->
   match Tracer.with_slice prover_timer (fun () -> scheme.prover inst) with
   | None ->
       Logger.debug ~fields:[ ("scheme", scheme.name) ] "prover gave up";
@@ -202,9 +232,7 @@ let certify scheme inst =
 let certificate_size scheme inst =
   match scheme.prover inst with
   | None -> None
-  | Some certs ->
-      Some
-        (Array.fold_left (fun acc c -> max acc (Bitstring.length c)) 0 certs)
+  | Some certs -> Some (max_cert_bits certs)
 
 let accepts_with scheme inst certs =
   (run ~early_exit:true scheme inst certs).accepted

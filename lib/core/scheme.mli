@@ -100,12 +100,18 @@ type compiled = Compiled : 'dec lowering -> compiled
 (** A lowering with its decoded representation abstracted away — what
     a scheme publishes for the engine to compile. *)
 
+type telemetry
+(** The scheme's [scheme.<name>.*] instruments and its [certify.<name>]
+    timer, each registered on first use ({!Localcert_obs.Once}) so a
+    sweep looks none of them up by name. *)
+
 type t = {
   name : string;
   prover : Instance.t -> Bitstring.t array option;
       (** [None] when the instance is a no-instance (or the prover
           cannot find a witness); [Some certs] indexed by vertex. *)
   lowering : compiled;  (** The verifier. *)
+  telemetry : telemetry;  (** Built by {!of_lowering} from [name]. *)
 }
 
 val verify : t -> view -> verdict
@@ -156,7 +162,11 @@ val run : ?early_exit:bool -> t -> Instance.t -> Bitstring.t array -> outcome
 
 val max_cert_bits : Bitstring.t array -> int
 (** Size of the largest certificate in an assignment (the [max_bits]
-    field of an {!outcome}). *)
+    field of an {!outcome}): one int-compare loop, the one copy of this
+    fold.  The compiled engine takes the same figure while it decodes
+    ({!Localcert_engine.Vcompile.kernel}), so a warm sweep never runs
+    it; {!run} and an uncompiled {!Localcert_engine.Engine.run_par}
+    do. *)
 
 val certify : t -> Instance.t -> (Bitstring.t array * outcome) option
 (** Prover then verifier; [None] if the prover declines.  The call is

@@ -14,15 +14,15 @@ let chunk_factor = 8
 let chunk_floor = 64
 
 let t_run_par = Metrics.timer "run_par"
-let c_chunks = Metrics.once (fun () -> Metrics.counter ~approx:true "engine.chunks")
+let c_chunks = Once.make (fun () -> Metrics.counter ~approx:true "engine.chunks")
 
 let h_chunk_vertices =
-  Metrics.once (fun () -> Metrics.histogram ~approx:true "engine.chunk_vertices")
+  Once.make (fun () -> Metrics.histogram ~approx:true "engine.chunk_vertices")
 
 let c_vertices_verified =
-  Metrics.once (fun () -> Metrics.counter "engine.vertices_verified")
+  Once.make (fun () -> Metrics.counter "engine.vertices_verified")
 
-let c_compiled_hits = Metrics.once (fun () -> Metrics.counter "engine.compiled_hits")
+let c_compiled_hits = Once.make (fun () -> Metrics.counter "engine.compiled_hits")
 
 let run_par ?pool ?jobs ?(early_exit = false) scheme inst certs =
   with_pool_arg ?pool ?jobs (fun pool ->
@@ -46,10 +46,12 @@ let run_par ?pool ?jobs ?(early_exit = false) scheme inst certs =
          (Vcompile).  With compilation toggled off, the interpreted
          oracle runs instead — both produce identical outcomes. *)
       let kernel = Vcompile.compile scheme inst certs in
-      let check =
+      let check, max_bits =
         match kernel with
-        | Some k -> k
-        | None -> fun v -> Scheme.verify scheme (Scheme.view_of inst certs v)
+        | Some k -> (k.Vcompile.check, k.Vcompile.max_bits)
+        | None ->
+            ( (fun v -> Scheme.verify scheme (Scheme.view_of inst certs v)),
+              Scheme.max_cert_bits certs )
       in
       let stop = Atomic.make false in
       let per_chunk =
@@ -85,7 +87,7 @@ let run_par ?pool ?jobs ?(early_exit = false) scheme inst certs =
         {
           Scheme.accepted = rejections = [];
           rejections;
-          max_bits = Scheme.max_cert_bits certs;
+          max_bits;
         }
       in
       Scheme.record_outcome scheme ~early_exit outcome;

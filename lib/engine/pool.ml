@@ -37,10 +37,10 @@ type t = {
    task count itself depends on the pool size, so it lives in the
    approx section alongside the submission counter. *)
 let c_completed =
-  Metrics.once (fun () -> Metrics.counter ~approx:true "pool.tasks_completed")
+  Once.make (fun () -> Metrics.counter ~approx:true "pool.tasks_completed")
 
 let c_submitted =
-  Metrics.once (fun () -> Metrics.counter ~approx:true "pool.tasks_submitted")
+  Once.make (fun () -> Metrics.counter ~approx:true "pool.tasks_submitted")
 
 let worker i t =
   let timer = Metrics.timer (Printf.sprintf "pool.worker.%d" i) in

@@ -49,11 +49,13 @@ let is_enabled () = Atomic.get enabled
 let slots = 4
 let slot_budget = 1 lsl 21
 
+type kernel = { check : int -> Scheme.verdict; max_bits : int }
+
 type entry = {
   c_scheme : Scheme.t;
   c_inst : Instance.t;
   c_certs : Bitstring.t array;
-  c_kernel : int -> Scheme.verdict;
+  c_kernel : kernel;
   c_size : int;
 }
 
@@ -71,7 +73,7 @@ let same_inputs e (scheme : Scheme.t) (inst : Instance.t) certs =
   !i = n
 
 let c_kernel_reuse =
-  Metrics.once (fun () -> Metrics.counter ~approx:true "vcompile.kernel_reuse")
+  Once.make (fun () -> Metrics.counter ~approx:true "vcompile.kernel_reuse")
 
 let lookup scheme inst certs =
   let l = Atomic.get recent in
@@ -135,7 +137,10 @@ let view_rows ids rp col =
   (nbr_ids, !src)
 
 (* A raising decode or check propagates, as it does from Scheme.run:
-   lowerings are total by contract, so a raise is a bug. *)
+   lowerings are total by contract, so a raise is a bug.  Both branches
+   read every certificate once anyway, so they also take the outcome's
+   [max_bits] there — with an int comparison: [Stdlib.max] is
+   polymorphic, and without flambda each call is a [caml_compare]. *)
 let compile_fresh (scheme : Scheme.t) (inst : Instance.t) certs =
   match scheme.Scheme.lowering with
   | Scheme.Compiled l -> (
@@ -167,8 +172,12 @@ let compile_fresh (scheme : Scheme.t) (inst : Instance.t) certs =
           let k = f.Scheme.width in
           let plane = Array.make (total * k) 0 in
           let mine = Array.make (n * k) 0 in
+          let max_bits = ref 0 in
           for v = 0 to n - 1 do
-            f.Scheme.write (l.Scheme.decode ~id_bits certs.(v)) mine (v * k)
+            let c = certs.(v) in
+            let len = Bitstring.length c in
+            if len > !max_bits then max_bits := len;
+            f.Scheme.write (l.Scheme.decode ~id_bits c) mine (v * k)
           done;
           for i = 0 to total - 1 do
             let s = Array.unsafe_get src i * k and d = i * k in
@@ -176,11 +185,13 @@ let compile_fresh (scheme : Scheme.t) (inst : Instance.t) certs =
               Array.unsafe_set plane (d + j) (Array.unsafe_get mine (s + j))
             done
           done;
-          fun v ->
+          let check v =
             f.Scheme.check_flat ~id_bits ~me:(Array.unsafe_get ids v)
               ~label:(Array.unsafe_get labels v) ~mine ~mbase:(v * k)
               ~ids:nbr_ids ~plane ~lo:(Array.unsafe_get rp v)
               ~hi:(Array.unsafe_get rp (v + 1))
+          in
+          { check; max_bits = !max_bits }
       | None ->
           (* Boxed lowerings (lcl, tree-MSO, treedepth, kernel-MSO, the
              FO fragments, the combinators) see repeated certificates —
@@ -197,15 +208,25 @@ let compile_fresh (scheme : Scheme.t) (inst : Instance.t) certs =
                 BH.add cache c d;
                 d
           in
-          let mine = Array.map dec_of certs in
+          let max_bits = ref 0 in
+          let mine =
+            Array.map
+              (fun c ->
+                let len = Bitstring.length c in
+                if len > !max_bits then max_bits := len;
+                dec_of c)
+              certs
+          in
           let nbr_dec =
             Array.init total (fun i -> mine.(Array.unsafe_get src i))
           in
-          fun v ->
+          let check v =
             l.Scheme.check ~id_bits ~me:(Array.unsafe_get ids v)
               ~label:(Array.unsafe_get labels v) (Array.unsafe_get mine v)
               ~ids:nbr_ids ~decs:nbr_dec ~lo:(Array.unsafe_get rp v)
-              ~hi:(Array.unsafe_get rp (v + 1)))
+              ~hi:(Array.unsafe_get rp (v + 1))
+          in
+          { check; max_bits = !max_bits })
 
 let compile scheme inst certs =
   if not (Atomic.get enabled) then None

@@ -23,16 +23,26 @@ val set_enabled : bool -> unit
 
 val is_enabled : unit -> bool
 
-val compile :
-  Scheme.t -> Instance.t -> Bitstring.t array -> (int -> Scheme.verdict) option
+type kernel = {
+  check : int -> Scheme.verdict;  (** vertex [v]'s verdict *)
+  max_bits : int;
+      (** {!Scheme.max_cert_bits} of the compiled certificates — the
+          sweep outcome's [max_bits], taken while decoding so a warm
+          sweep does not fold over the certificates again. *)
+}
+(** One compiled sweep: the per-vertex check and the size of the
+    largest certificate it checks. *)
+
+val compile : Scheme.t -> Instance.t -> Bitstring.t array -> kernel option
 (** [compile scheme inst certs] builds the per-vertex kernel for one
     sweep, with per-vertex neighbor views laid out as id-ascending flat
-    arrays mirroring {!Scheme.view_of}.  A plane-backed lowering
-    ({!Scheme.flat_lowering}) decodes each vertex's certificate exactly
-    once, straight into an [n × width] own plane, and fills the
-    [2m × width] neighbor plane by copying fields from it — no dedupe
-    table and no boxed staging, since its certificates are per-vertex
-    anyway.  A boxed lowering decodes once per distinct bitstring (so
+    arrays mirroring {!Scheme.view_of}.  Compilation reads every
+    certificate once and takes [max_bits] in that same pass.  A
+    plane-backed lowering ({!Scheme.flat_lowering}) decodes each
+    vertex's certificate exactly once, straight into an [n × width]
+    own plane, and fills the [2m × width] neighbor plane by copying
+    fields from it — no dedupe table and no boxed staging, since its
+    certificates are per-vertex anyway.  A boxed lowering decodes once per distinct bitstring (so
     broadcast-heavy schemes decode a handful).  [None] only when
     compilation is disabled; then callers run {!Scheme.verify}.
 

@@ -88,16 +88,6 @@ let register name make describe =
           Hashtbl.add registry name i;
           v)
 
-let once make =
-  let cell = Atomic.make None in
-  fun () ->
-    match Atomic.get cell with
-    | Some v -> v
-    | None ->
-        let v = make () in
-        Atomic.set cell (Some v);
-        v
-
 let counter ?(approx = false) name =
   register name
     (fun _ ->
@@ -148,9 +138,10 @@ let histogram ?(approx = false) ?(bounds = default_bounds) name =
       (H h, h))
     (function H h -> Some h | _ -> None)
 
-let bucket_index bounds v =
+let bucket_index (bounds : int array) v =
   (* first bound >= v; bounds are short (~20), linear scan beats the
-     branch mispredictions of binary search at this size *)
+     branch mispredictions of binary search at this size.  The int
+     annotation makes [<=] a machine comparison, not [caml_compare]. *)
   let n = Array.length bounds in
   let rec go i = if i >= n || v <= bounds.(i) then i else go (i + 1) in
   go 0

@@ -44,14 +44,6 @@ val sanitize : string -> string
     outside [[A-Za-z0-9_.:/-]] becomes ['_'].  Exposed so callers can
     predict the registered name of a dynamically-built metric. *)
 
-val once : (unit -> 'a) -> unit -> 'a
-(** [once make] registers an instrument on first use and returns the
-    same handle afterwards, without the registry mutex:
-    [let c = once (fun () -> counter "x")], then [incr (c ())].  An
-    instrument never used stays out of the snapshot.  Unlike a
-    module-level [lazy] (which raises [Lazy.Undefined] when two domains
-    force it at once) it is safe from any domain. *)
-
 (** {1 Counters} *)
 
 type counter

@@ -62,7 +62,7 @@ let ring_capacity = Atomic.make default_capacity
 let generation = Atomic.make 0
 let rings : ring list ref = ref []
 let rings_mutex = Mutex.create ()
-let c_dropped = Metrics.once (fun () -> Metrics.counter "obs.trace_dropped")
+let c_dropped = Once.make (fun () -> Metrics.counter "obs.trace_dropped")
 
 let ring_key : ring option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)

@@ -151,7 +151,7 @@ type instruments = {
 }
 
 let instruments =
-  Metrics.once (fun () ->
+  Once.make (fun () ->
     {
       rounds_c = Metrics.counter "runtime.rounds";
       wire_h = Metrics.histogram "runtime.round_wire_bits";
@@ -418,11 +418,13 @@ let execute ?pool ?jobs ?(plan = Fault.none) ?(rounds = 1) ?(seed = 0)
         in
         checked.(r - 1) <- round_checked;
         reverified.(r - 1) <- round_reverified;
-        let max_bits =
-          Array.fold_left
-            (fun acc (nd : Node.t) -> max acc (Bitstring.length nd.Node.cert))
-            0 nodes
-        in
+        let max_bits = ref 0 in
+        Array.iter
+          (fun (nd : Node.t) ->
+            let len = Bitstring.length nd.Node.cert in
+            if len > !max_bits then max_bits := len)
+          nodes;
+        let max_bits = !max_bits in
         let wire_bits = net.Network.wire_bits in
         let round_faults =
           List.length (List.filter (fun e -> fault_kind e >= 0) events)

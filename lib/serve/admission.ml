@@ -45,7 +45,7 @@ let create ~capacity ~inflight_cap () =
     closed = false;
   }
 
-let g_depth = Metrics.once (fun () -> Metrics.gauge ~approx:true "serve.queue_depth")
+let g_depth = Once.make (fun () -> Metrics.gauge ~approx:true "serve.queue_depth")
 
 let record_depth depth =
   if Metrics.is_enabled () then Metrics.set_gauge (g_depth ()) depth

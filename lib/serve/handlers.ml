@@ -74,7 +74,7 @@ let max_graph_edges = 1 lsl 26
 let max_rounds = 1_000_000
 
 let instance_cache_hits =
-  Metrics.once (fun () -> Metrics.counter ~approx:true "serve.instance_cache_hits")
+  Once.make (fun () -> Metrics.counter ~approx:true "serve.instance_cache_hits")
 
 let instance_for t graph =
   match Memo.find_opt t.instances graph with

@@ -79,17 +79,17 @@ let c_requests op =
   Metrics.counter ~approx:true ("serve.requests." ^ Protocol.opcode_name op)
 
 let approx_counter name =
-  Metrics.once (fun () -> Metrics.counter ~approx:true name)
+  Once.make (fun () -> Metrics.counter ~approx:true name)
 
 let approx_histogram bounds name =
-  Metrics.once (fun () -> Metrics.histogram ~approx:true ~bounds name)
+  Once.make (fun () -> Metrics.histogram ~approx:true ~bounds name)
 
 let c_retry = approx_counter "serve.retry_later"
 let c_wire_errors = approx_counter "serve.wire_errors"
 let c_oversized = approx_counter "serve.oversized_responses"
 let c_conns = approx_counter "serve.connections"
 let c_conns_rejected = approx_counter "serve.connections_rejected"
-let g_open = Metrics.once (fun () -> Metrics.gauge ~approx:true "serve.conns_open")
+let g_open = Once.make (fun () -> Metrics.gauge ~approx:true "serve.conns_open")
 let t_handle = Metrics.timer "serve.handle"
 
 let latency_bounds =

@@ -24,23 +24,26 @@
    popcount / lowest-set-bit / ⌈log₂⌉ all come from precomputed tables
    instead of per-call loops; masks are at most 62 bits wide. *)
 
-(* 16-bit popcount and lowest-set-bit-index tables, built once. *)
+(* 16-bit popcount and lowest-set-bit-index tables, built on first use
+   (not at module initialisation, which every CLI start would pay).
+   [Once.make], not [lazy]: two domains solving exact treedepth for the
+   first time at once would make [Lazy.force] raise [Lazy.Undefined]. *)
 let pop16 =
-  lazy
-    (Array.init 65536 (fun i ->
-         let rec go m acc = if m = 0 then acc else go (m land (m - 1)) (acc + 1) in
-         go i 0))
+  Once.make (fun () ->
+      Array.init 65536 (fun i ->
+          let rec go m acc = if m = 0 then acc else go (m land (m - 1)) (acc + 1) in
+          go i 0))
 
 let lsb16 =
-  lazy
-    (Array.init 65536 (fun i ->
-         if i = 0 then -1
-         else
-           let rec go m k = if m land 1 = 1 then k else go (m lsr 1) (k + 1) in
-           go i 0))
+  Once.make (fun () ->
+      Array.init 65536 (fun i ->
+          if i = 0 then -1
+          else
+            let rec go m k = if m land 1 = 1 then k else go (m lsr 1) (k + 1) in
+            go i 0))
 
 let popcount mask =
-  let t = Lazy.force pop16 in
+  let t = pop16 () in
   t.(mask land 0xffff)
   + t.((mask lsr 16) land 0xffff)
   + t.((mask lsr 32) land 0xffff)
@@ -48,21 +51,21 @@ let popcount mask =
 
 (* Index of the lowest set bit; mask must be nonzero. *)
 let ntz mask =
-  let t = Lazy.force lsb16 in
+  let t = lsb16 () in
   if mask land 0xffff <> 0 then t.(mask land 0xffff)
   else if (mask lsr 16) land 0xffff <> 0 then 16 + t.((mask lsr 16) land 0xffff)
   else if (mask lsr 32) land 0xffff <> 0 then 32 + t.((mask lsr 32) land 0xffff)
   else 48 + t.((mask lsr 48) land 0xffff)
 
 (* ceil_log2_tbl.(m) = ⌈log₂(m+1)⌉ — the treedepth of an m-vertex
-   path, hence a lower bound once m is a longest-path estimate. *)
+   path, hence a lower bound once m is a longest-path estimate.  64
+   entries, so it is built eagerly. *)
 let ceil_log2_tbl =
-  lazy
-    (Array.init 64 (fun m ->
-         let rec go k = if 1 lsl k >= m + 1 then k else go (k + 1) in
-         go 0))
+  Array.init 64 (fun m ->
+      let rec go k = if 1 lsl k >= m + 1 then k else go (k + 1) in
+      go 0)
 
-let path_lb m = (Lazy.force ceil_log2_tbl).(m)
+let path_lb m = ceil_log2_tbl.(m)
 
 let bits_of mask =
   let rec go m acc = if m = 0 then List.rev acc else go (m land (m - 1)) (ntz m :: acc) in

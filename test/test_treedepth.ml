@@ -254,6 +254,26 @@ let exact_at_most () =
   check "P7 <= 3" true (Exact.treedepth_at_most (Gen.path 7) 3);
   check "P8 not <= 3" false (Exact.treedepth_at_most (Gen.path 8) 3)
 
+(* The solver's bit tables are built on first use.  [td_race.exe]
+   (test/td_race) makes that first use from two domains released
+   together, in a fresh process each time: a domain-unsafe table
+   ([lazy]) makes one of them raise in most runs. *)
+let exact_first_use_two_domains () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "td_race/td_race.exe"
+  in
+  if not (Sys.file_exists exe) then Alcotest.failf "%s not built" exe;
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let failures = ref 0 in
+  for _ = 1 to 20 do
+    let pid = Unix.create_process exe [| exe |] Unix.stdin devnull devnull in
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> incr failures
+  done;
+  Unix.close devnull;
+  check_int "failed runs of 20" 0 !failures
+
 (* --- cops and robber --- *)
 
 let cops_equals_treedepth () =
@@ -347,6 +367,8 @@ let suite =
         Alcotest.test_case "optimal model" `Quick exact_optimal_model;
         Alcotest.test_case "subgraph monotone" `Quick exact_monotone_under_subgraphs;
         Alcotest.test_case "at_most" `Quick exact_at_most;
+        Alcotest.test_case "first use from two domains" `Quick
+          exact_first_use_two_domains;
       ] );
     ( "treedepth:cops-robber",
       [

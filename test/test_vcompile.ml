@@ -84,7 +84,7 @@ let qcheck_kernel_per_vertex =
       let rng = Rng.make seed in
       let scheme, inst = case_of rng in
       let certs = certs_of rng scheme inst in
-      let kernel = Option.get (Vcompile.compile scheme inst certs) in
+      let kernel = (Option.get (Vcompile.compile scheme inst certs)).Vcompile.check in
       let n = Instance.n inst in
       let ok = ref true in
       for v = 0 to n - 1 do
@@ -118,7 +118,7 @@ let lowered_coverage () =
       let scheme = e.Registry.scheme in
       let inst = e.Registry.instance (Rng.make 1) in
       let certs = Array.make (Instance.n inst) Bitstring.empty in
-      let kernel = Option.get (Vcompile.compile scheme inst certs) in
+      let kernel = (Option.get (Vcompile.compile scheme inst certs)).Vcompile.check in
       check (e.Registry.name ^ " compiles") true
         (List.for_all
            (fun v ->
@@ -243,8 +243,64 @@ let kernel_cache_alternation () =
       let kf = Option.get (Vcompile.compile a inst (List.nth flips 3)) in
       check "changed certificates get their own kernel" true
         (kf != ka
-        && kf 3 = Scheme.verify a (Scheme.view_of inst (List.nth flips 3) 3));
+        && kf.Vcompile.check 3 = Scheme.verify a (Scheme.view_of inst (List.nth flips 3) 3));
       Metrics.reset ())
+
+(* [Engine.run_par]'s [max_bits] comes from the compiled kernel on a
+   cache miss and on a hit, and from [Scheme.max_cert_bits] with
+   compilation off.  Each must equal a plain fold over the
+   certificates, for a plane-backed lowering (spanning) and a boxed one
+   (lcl:mis), on all-empty, mixed-length and honest arrays.  Replacing
+   one element in place by a longer certificate must miss the cache,
+   and [max_bits] must follow it. *)
+let max_bits_on_every_path () =
+  let reference certs =
+    Array.fold_left (fun acc c -> max acc (Bitstring.length c)) 0 certs
+  in
+  let reuse () =
+    Metrics.value (Metrics.counter ~approx:true "vcompile.kernel_reuse")
+  in
+  let inst = Instance.make (Gen.random_tree (Rng.make 17) 150) in
+  let n = Instance.n inst in
+  let rng = Rng.make 23 in
+  let mis = (Option.get (Registry.find "lcl:mis")).Registry.scheme in
+  List.iter
+    (fun scheme ->
+      let arrays =
+        [
+          ("empty", Array.make n Bitstring.empty);
+          ( "mixed",
+            Array.init n (fun v ->
+                if v mod 5 = 0 then Bitstring.empty
+                else Rng.bits rng (Rng.int rng 40)) );
+          ("honest", Option.get (scheme.Scheme.prover inst));
+        ]
+      in
+      List.iter
+        (fun (kind, certs) ->
+          let max_bits what want =
+            let o = Engine.run_par ~pool:pool4 scheme inst certs in
+            Alcotest.(check int)
+              (Printf.sprintf "%s, %s certificates, %s" scheme.Scheme.name kind
+                 what)
+              want o.Scheme.max_bits
+          in
+          let want = reference certs in
+          Metrics.with_enabled true (fun () ->
+              Metrics.reset ();
+              max_bits "kernel miss" want;
+              Alcotest.(check int) "first sweep compiles" 0 (reuse ());
+              max_bits "kernel hit" want;
+              Alcotest.(check int) "second sweep reuses" 1 (reuse ());
+              with_compilation false (fun () ->
+                  max_bits "compilation off" want);
+              certs.(n / 2) <- Bitstring.of_string (String.make (want + 3) '1');
+              max_bits "longer certificate in place" (reference certs);
+              Alcotest.(check int) "in-place replacement recompiles" 1
+                (reuse ());
+              Metrics.reset ()))
+        arrays)
+    [ Spanning_tree.scheme (); mis ]
 
 (* ------------------------------------------------------------------ *)
 (* Work counts and the large-n plane path                              *)
@@ -296,18 +352,21 @@ let decode_work_counts () =
   calls := 0;
   let kernel = Option.get (Vcompile.compile s inst certs) in
   Alcotest.(check int) "plane compile decodes n certificates" n !calls;
+  Alcotest.(check int) "plane compile takes max_bits" 6 kernel.Vcompile.max_bits;
   check "kernel agrees" true
     (List.for_all
-       (fun v -> kernel v = Scheme.verify s (Scheme.view_of inst certs v))
+       (fun v ->
+         kernel.Vcompile.check v = Scheme.verify s (Scheme.view_of inst certs v))
        (Graph.vertices inst.Instance.graph));
   calls := 0;
   ignore (Vcompile.compile s inst certs);
   Alcotest.(check int) "cached compile decodes nothing" 0 !calls;
   let b = Scheme.of_lowering ~name:"count-boxed" ~prover boxed in
   calls := 0;
-  ignore (Vcompile.compile b inst certs);
+  let kb = Option.get (Vcompile.compile b inst certs) in
   Alcotest.(check int) "boxed compile decodes each distinct certificate" 7
-    !calls
+    !calls;
+  Alcotest.(check int) "boxed compile takes max_bits" 6 kb.Vcompile.max_bits
 
 (* The plane path at arena scale: at least 2¹⁶ vertices, so
    [Cert_store.intern_all] hands the kernel byte-offset views into
@@ -356,7 +415,9 @@ let large_plane_differential () =
               ((Cert_store.stats ()).Cert_store.arena_packs = packs + 1);
           List.iter
             (fun certs ->
-              let kernel = Option.get (Vcompile.compile scheme inst certs) in
+              let kernel =
+                (Option.get (Vcompile.compile scheme inst certs)).Vcompile.check
+              in
               for v = 0 to Instance.n inst - 1 do
                 let want = Scheme.verify scheme (Scheme.view_of inst certs v) in
                 if want <> Accept then incr rejected;
@@ -395,5 +456,7 @@ let suite =
           compiled_hits_counted;
         Alcotest.test_case "kernel cache keeps alternating schemes" `Quick
           kernel_cache_alternation;
+        Alcotest.test_case "max_bits on every path" `Quick
+          max_bits_on_every_path;
       ] );
   ]
