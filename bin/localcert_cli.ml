@@ -1067,52 +1067,50 @@ let demo_workload () =
 
 let stats_cmd =
   let run validate required prometheus percentiles remote log =
+    usage_errors @@ fun () ->
     (match log with None -> () | Some l -> Logger.set_level l);
-    match remote with
-    | Some (host, port) -> (
-        match Loadgen.request_once ~host ~port Protocol.Stats with
-        | Ok (Protocol.Stats_text text) ->
-            (* The wire carries the Prometheus exposition; percentile
-               estimates are reconstructed client-side from its
-               cumulative histogram buckets. *)
-            if percentiles then
-              print_string (Export.render_percentiles_of_prometheus text)
-            else print_string text
-        | Ok _ ->
-            Printf.eprintf "unexpected response to STATS\n";
-            exit 1
-        | Error e ->
-            Printf.eprintf "%s\n" e;
-            exit 1)
-    | None -> (
-    match validate with
-    | Some path -> (
-        match Export.parse (read_file path) with
-        | Error msg ->
-            Printf.eprintf "%s: invalid metrics snapshot: %s\n" path msg;
-            exit 1
-        | Ok snap -> (
-            let names = snapshot_names snap in
-            match List.filter (fun r -> not (List.mem r names)) required with
-            | [] ->
-                Printf.printf "%s: valid snapshot, %d metrics%s\n" path
-                  (List.length names)
-                  (if required = [] then ""
-                   else
-                     Printf.sprintf " (%d required names present)"
-                       (List.length required))
-            | missing ->
-                Printf.eprintf "%s: missing required metrics: %s\n" path
-                  (String.concat ", " missing);
-                exit 1))
-    | None ->
-        Metrics.set_enabled true;
-        demo_workload ();
-        let snap = Export.snapshot () in
-        print_string
-          (if percentiles then Export.render_percentiles snap
-           else if prometheus then Export.to_prometheus snap
-           else Export.render snap))
+    let fail source msg =
+      Printf.eprintf "%s: %s\n" source msg;
+      exit 1
+    in
+    (* Exactly one snapshot source; the file and the remote snapshot
+       both come through the strict Export.parse. *)
+    let source, snap =
+      match (validate, remote) with
+      | Some _, Some _ -> usage "stats: give --validate or --remote, not both"
+      | Some path, None -> (
+          match Export.parse (read_file path) with
+          | Ok snap -> (path, snap)
+          | Error msg -> fail path ("invalid metrics snapshot: " ^ msg))
+      | None, Some (host, port) -> (
+          let source = Printf.sprintf "%s:%d" host port in
+          match Loadgen.request_once ~host ~port Protocol.Stats with
+          | Ok (Protocol.Stats_snapshot snap) -> (source, snap)
+          | Ok _ -> fail source "unexpected response to STATS"
+          | Error e -> fail source e)
+      | None, None ->
+          Metrics.set_enabled true;
+          demo_workload ();
+          ("demo workload", Export.snapshot ())
+    in
+    let names = snapshot_names snap in
+    (match List.filter (fun r -> not (List.mem r names)) required with
+    | [] -> ()
+    | missing ->
+        fail source ("missing required metrics: " ^ String.concat ", " missing));
+    print_string
+      (if percentiles then Export.render_percentiles snap
+       else if prometheus then Export.to_prometheus snap
+       else if validate = None then Export.render snap
+       else
+         (* echoing a file back is noise: a file source reports that it
+            passed *)
+         Printf.sprintf "%s: valid snapshot, %d metrics%s\n" source
+           (List.length names)
+           (if required = [] then ""
+            else
+              Printf.sprintf " (%d required names present)"
+                (List.length required)))
   in
   let validate_arg =
     Arg.(
@@ -1129,8 +1127,9 @@ let stats_cmd =
       & opt (list string) []
       & info [ "require" ] ~docv:"NAMES"
           ~doc:
-            "With --validate: comma-separated metric names that must be \
-             present in the snapshot.")
+            "Comma-separated metric names that must be present in the \
+             snapshot, whichever its source; exit non-zero if one is \
+             missing.")
   in
   let prometheus_flag =
     Arg.(
@@ -1144,9 +1143,7 @@ let stats_cmd =
       & info [ "percentiles" ]
           ~doc:
             "Print p50/p90/p99 estimates per histogram (linear \
-             interpolation within buckets) instead of the raw snapshot; \
-             with --remote the estimates are derived client-side from the \
-             server's Prometheus histogram buckets.")
+             interpolation within buckets) instead of the raw snapshot.")
   in
   let remote_conv =
     Arg.conv
@@ -1169,17 +1166,19 @@ let stats_cmd =
       & opt (some remote_conv) None
       & info [ "remote" ] ~docv:"HOST:PORT"
           ~doc:
-            "Fetch a running server's Prometheus exposition over the wire \
+            "Fetch a running server's metrics snapshot over the wire \
              protocol (STATS opcode) instead of running the demo workload.")
   in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
-         "Run a demo workload with telemetry on and print the snapshot, \
-          validate a snapshot file, or query a running server")
+         "Print one metrics snapshot: a demo workload run with telemetry \
+          on (the default), a --metrics file (--validate) or a running \
+          server's (--remote)")
     Term.(
-      const run $ validate_arg $ require_arg $ prometheus_flag
-      $ percentiles_flag $ remote_arg $ log_arg)
+      term_result
+        (const run $ validate_arg $ require_arg $ prometheus_flag
+       $ percentiles_flag $ remote_arg $ log_arg))
 
 (* ------------------------------------------------------------------ *)
 (* trace-merge                                                         *)

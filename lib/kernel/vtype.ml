@@ -18,11 +18,15 @@ let equal a b = a.uid = b.uid
 let compare a b = Int.compare a.uid b.uid
 
 (* Global hash-cons registry keyed by the structural content (ancestor
-   vector + children uids with counts). *)
-let registry : (int * bool list * (int * int) list, t) Hashtbl.t =
-  Hashtbl.create 256
+   vector + children uids with counts).  The prover, certificate decode
+   and the kernel verifier's check all intern types, the last from
+   every domain of a parallel sweep, so the registry is a sharded
+   [Memo]: [find_or_add] allocates the uid under the key's shard lock,
+   which gives equal keys one uid and distinct keys distinct uids. *)
+let registry : (int * bool list * (int * int) list, t) Localcert_util.Memo.t =
+  Localcert_util.Memo.create 64
 
-let counter = ref 0
+let counter = Atomic.make 0
 
 let make ~label ~anc ~children =
   let kids = List.sort (fun (a, _) (b, _) -> Int.compare a.uid b.uid) children in
@@ -30,13 +34,8 @@ let make ~label ~anc ~children =
     (fun (_, c) -> if c <= 0 then invalid_arg "Vtype.make: nonpositive count")
     kids;
   let key = (label, anc, List.map (fun (t, c) -> (t.uid, c)) kids) in
-  match Hashtbl.find_opt registry key with
-  | Some t -> t
-  | None ->
-      let t = { uid = !counter; vlabel = label; anc; kids } in
-      incr counter;
-      Hashtbl.replace registry key t;
-      t
+  Localcert_util.Memo.find_or_add registry key (fun () ->
+      { uid = Atomic.fetch_and_add counter 1; vlabel = label; anc; kids })
 
 let rec size t =
   1 + List.fold_left (fun acc (c, m) -> acc + (m * size c)) 0 t.kids

@@ -251,174 +251,37 @@ let deterministic_equal a b =
    lower bound, which is the honest direction for a tail percentile.
    With power-of-two default bounds the estimate is within 2x of the
    true value, good enough for the operator's "is p99 milliseconds or
-   seconds?" question without scraping Prometheus. *)
-let estimate_percentile (h : histogram) q =
-  if q < 0. || q > 1. then
-    invalid_arg "Export.estimate_percentile: q outside [0, 1]";
-  let total = List.fold_left ( + ) 0 h.counts in
-  if total = 0 then None
-  else begin
-    let rank = q *. float_of_int total in
-    let bounds = Array.of_list h.bounds in
-    let nb = Array.length bounds in
-    let rec walk i cum = function
-      | [] -> Some (float_of_int bounds.(nb - 1))
-      | c :: rest ->
-          let cum' = cum +. float_of_int c in
-          if cum' >= rank && c > 0 then
-            if i >= nb then Some (float_of_int bounds.(nb - 1))
-            else begin
-              let lo = if i = 0 then 0. else float_of_int bounds.(i - 1) in
-              let hi = float_of_int bounds.(i) in
-              let frac = (rank -. cum) /. float_of_int c in
-              Some (lo +. ((hi -. lo) *. Float.max 0. (Float.min 1. frac)))
-            end
-          else walk (i + 1) cum' rest
-    in
-    walk 0 0. h.counts
-  end
+   seconds?" question without scraping Prometheus.  [total] is the
+   (nonzero) observation count; the first bucket starts at 0. *)
+let estimate_percentile (h : histogram) ~total q =
+  let rank = q *. float_of_int total in
+  let rec walk lo cum bounds counts =
+    match (bounds, counts) with
+    | hi :: bounds, c :: counts ->
+        let cum' = cum + c in
+        if c > 0 && float_of_int cum' >= rank then
+          let frac = (rank -. float_of_int cum) /. float_of_int c in
+          lo +. ((float_of_int hi -. lo) *. Float.max 0. (Float.min 1. frac))
+        else walk (float_of_int hi) cum' bounds counts
+    | _ -> lo
+  in
+  walk 0. 0 h.bounds h.counts
 
-type percentile_row = {
-  pname : string;
-  pcount : int;
-  p50 : float option;
-  p90 : float option;
-  p99 : float option;
-}
-
-let rows_of_histograms hs =
-  List.map
-    (fun (h : histogram) ->
-      {
-        pname = h.name;
-        pcount = List.fold_left ( + ) 0 h.counts;
-        p50 = estimate_percentile h 0.5;
-        p90 = estimate_percentile h 0.9;
-        p99 = estimate_percentile h 0.99;
-      })
-    hs
-
-let percentile_rows t = rows_of_histograms (t.histograms @ t.approx_histograms)
-
-let render_rows rows =
+let render_percentiles t =
   let b = Buffer.create 256 in
-  let cell = function
-    | None -> "-"
-    | Some v ->
+  List.iter
+    (fun (h : histogram) ->
+      let total = List.fold_left ( + ) 0 h.counts in
+      let cell q =
+        let v = estimate_percentile h ~total q in
         if Float.is_integer v then Printf.sprintf "%.0f" v
         else Printf.sprintf "%.1f" v
-  in
-  List.iter
-    (fun r ->
-      if r.pcount > 0 then
-        Printf.bprintf b "%-40s count=%-8d p50=%-10s p90=%-10s p99=%s\n"
-          r.pname r.pcount (cell r.p50) (cell r.p90) (cell r.p99))
-    rows;
+      in
+      if total > 0 then
+        Printf.bprintf b "%-40s count=%-8d p50=%-10s p90=%-10s p99=%s\n" h.name
+          total (cell 0.5) (cell 0.9) (cell 0.99))
+    (t.histograms @ t.approx_histograms);
   Buffer.contents b
-
-let render_percentiles t = render_rows (percentile_rows t)
-
-(* Reconstruct histogram summaries from a Prometheus exposition — the
-   only shape of STATS a server returns over the wire.  Cumulative
-   [_bucket{le=...}] samples de-cumulate into per-bucket counts; the
-   [+Inf] bucket becomes the overflow cell.  Lines that do not look
-   like histogram samples are ignored, so this parses any exposition,
-   not just our own — but names stay in their mangled prometheus form
-   (the dotted originals are not recoverable). *)
-let histograms_of_prometheus text =
-  let tbl : (string, (int option * int) list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let sums : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  let label_value labels key =
-    (* labels is the text between braces: le="1",approx="1" *)
-    let marker = key ^ "=\"" in
-    let mlen = String.length marker in
-    let llen = String.length labels in
-    let rec find i =
-      if i + mlen > llen then None
-      else if String.sub labels i mlen = marker then
-        match String.index_from_opt labels (i + mlen) '"' with
-        | Some j -> Some (String.sub labels (i + mlen) (j - i - mlen))
-        | None -> None
-      else find (i + 1)
-    in
-    find 0
-  in
-  let strip_suffix suffix s =
-    let sl = String.length suffix and l = String.length s in
-    if l > sl && String.sub s (l - sl) sl = suffix then
-      Some (String.sub s 0 (l - sl))
-    else None
-  in
-  String.split_on_char '\n' text
-  |> List.iter (fun line ->
-         if line <> "" && line.[0] <> '#' then
-           match String.index_opt line ' ' with
-           | None -> ()
-           | Some sp -> (
-               let key = String.sub line 0 sp in
-               let value =
-                 int_of_string_opt
-                   (String.sub line (sp + 1) (String.length line - sp - 1))
-               in
-               let name, labels =
-                 match String.index_opt key '{' with
-                 | Some i when key.[String.length key - 1] = '}' ->
-                     ( String.sub key 0 i,
-                       String.sub key (i + 1) (String.length key - i - 2) )
-                 | _ -> (key, "")
-               in
-               match value with
-               | None -> ()
-               | Some v -> (
-                   match strip_suffix "_bucket" name with
-                   | Some base -> (
-                       match label_value labels "le" with
-                       | None -> ()
-                       | Some le ->
-                           let bound =
-                             if le = "+Inf" then None else int_of_string_opt le
-                           in
-                           if le = "+Inf" || bound <> None then begin
-                             let cells =
-                               match Hashtbl.find_opt tbl base with
-                               | Some r -> r
-                               | None ->
-                                   let r = ref [] in
-                                   Hashtbl.add tbl base r;
-                                   order := base :: !order;
-                                   r
-                             in
-                             cells := (bound, v) :: !cells
-                           end)
-                   | None -> (
-                       match strip_suffix "_sum" name with
-                       | Some base -> Hashtbl.replace sums base v
-                       | None -> ()))))
-  |> ignore;
-  List.rev !order
-  |> List.filter_map (fun base ->
-         let cells = List.rev !(Hashtbl.find tbl base) in
-         (* de-cumulate in sample order; a malformed (non-monotone)
-            series is dropped rather than reported as negative counts *)
-         let counts, _ =
-           List.fold_left
-             (fun (acc, prev) (_, cum) -> ((cum - prev) :: acc, cum))
-             ([], 0) cells
-         in
-         let counts = List.rev counts in
-         if List.exists (fun c -> c < 0) counts then None
-         else
-           let bounds = List.filter_map fst cells in
-           let sum =
-             match Hashtbl.find_opt sums base with Some s -> s | None -> 0
-           in
-           Some { name = base; bounds; counts; sum })
-
-let render_percentiles_of_prometheus text =
-  render_rows (rows_of_histograms (histograms_of_prometheus text))
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition                                          *)

@@ -13,9 +13,11 @@
     codec: canonical number formatting, names sorted, and a strict
     parser that rejects unknown or repeated fields, unsorted names and
     malformed shapes, such that render ∘ parse is a fixpoint on
-    rendered documents.  The CI telemetry smoke and the
-    [localcert stats --validate] subcommand parse snapshots with
-    exactly this parser. *)
+    rendered documents.  This rendering is also the payload of a
+    server's STATS reply (the serve library's [Protocol]), so a
+    snapshot read from a [--metrics] file, fetched with
+    [localcert stats --remote] or checked by the CI telemetry smoke
+    goes through exactly this parser. *)
 
 type histogram = {
   name : string;
@@ -61,45 +63,21 @@ val deterministic_equal : t -> t -> bool
 (** Equality on the deterministic section only (counters, gauges,
     histograms) — what two same-seed runs must agree on. *)
 
-val estimate_percentile : histogram -> float -> float option
-(** [estimate_percentile h q] estimates the [q]-quantile ([q] in
-    [[0, 1]]) of the observations summarized by [h], interpolating
-    linearly within the bucket the rank falls into.  A rank landing in
-    the overflow bucket clamps to the last bound (a lower bound on the
-    true quantile).  [None] when the histogram is empty.
-    @raise Invalid_argument if [q] is outside [[0, 1]]. *)
-
-type percentile_row = {
-  pname : string;
-  pcount : int;  (** total observations *)
-  p50 : float option;
-  p90 : float option;
-  p99 : float option;
-}
-
-val percentile_rows : t -> percentile_row list
-(** One row per histogram (deterministic then approximate sections,
-    each in name order). *)
-
 val render_percentiles : t -> string
-(** Human-readable percentile table (histograms with zero observations
-    are omitted) — what [localcert stats --percentiles] prints so
-    operators get latency percentiles without scraping Prometheus. *)
-
-val render_percentiles_of_prometheus : string -> string
-(** The same table, reconstructed from a Prometheus text exposition —
-    the shape a server's STATS reply arrives in, so
-    [localcert stats --remote --percentiles] can estimate quantiles
-    client-side.  Cumulative [_bucket{le=...}] samples are
-    de-cumulated; names stay in their mangled [localcert_*] form.
-    Non-histogram lines and malformed (non-monotone) series are
-    ignored. *)
+(** Human-readable p50/p90/p99 table, one row per histogram
+    (deterministic then approximate section, each in name order;
+    histograms with zero observations are omitted) — what
+    [localcert stats --percentiles] prints for any snapshot source.
+    Estimates interpolate linearly within the bucket the rank falls
+    into; a rank in the overflow bucket clamps to the last bound (a
+    lower bound on the true quantile). *)
 
 val to_prometheus : t -> string
 (** Prometheus text exposition (metric names prefixed [localcert_] and
     mapped to the [[a-zA-Z0-9_]] charset; histograms as
     [_bucket]/[_sum]/[_count] triples; approximate metrics carry an
-    [approx="1"] label). *)
+    [approx="1"] label; timers as [_ms] summaries).  A scrape format
+    only: nothing in the repository parses it back. *)
 
 val write_file : string -> t -> unit
 (** Render to a file, atomically enough for CI (write then rename is

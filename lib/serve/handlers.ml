@@ -153,7 +153,7 @@ let verdict_of_outcome (o : Scheme.outcome) =
 let eval t (req : Protocol.request) : Protocol.response =
   match req with
   | Protocol.Ping -> Protocol.Pong
-  | Protocol.Stats -> Protocol.Stats_text (Export.to_prometheus (Export.snapshot ()))
+  | Protocol.Stats -> Protocol.Stats_snapshot (Export.snapshot ())
   | Protocol.Certify { scheme; graph } ->
       let p = prepare t ~scheme ~graph in
       let certs = certs_or_decline p in

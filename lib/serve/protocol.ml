@@ -10,7 +10,13 @@
    Decoding is total: any Bitbuf.Decode_error, trailing bits, bad
    padding or out-of-range field becomes a typed [error_code], never an
    exception past Fatal.is_fatal.  The server answers a request that
-   fails to decode with [Error code] on the same request id. *)
+   fails to decode with [Error code] on the same request id.
+
+   STATS is answered with the server's metrics snapshot itself: the
+   payload is one string holding [Export.render]'s JSON, and the
+   client decodes it with the strict [Export.parse] that --metrics
+   files go through, so a malformed snapshot is a decode error like
+   any other bad field. *)
 
 (* ------------------------------------------------------------------ *)
 (* Opcodes                                                             *)
@@ -25,7 +31,7 @@ let op_pong = 0x81
 let op_verdict = 0x82
 let op_sim = 0x83
 let op_attacked = 0x84
-let op_stats_text = 0x85
+let op_stats_snapshot = 0x85
 let op_retry_later = 0x90
 let op_error = 0x91
 
@@ -41,7 +47,7 @@ let opcode_name op =
   | 0x82 -> "verdict"
   | 0x83 -> "sim"
   | 0x84 -> "attacked"
-  | 0x85 -> "stats_text"
+  | 0x85 -> "stats_snapshot"
   | 0x90 -> "retry_later"
   | 0x91 -> "error"
   | _ -> Printf.sprintf "op_0x%02x" op
@@ -88,7 +94,7 @@ type response =
     }
   | Sim of { detected_at : int option; accepted : bool; trace : string }
   | Attacked of { trials : int; fooled : bool }
-  | Stats_text of string
+  | Stats_snapshot of Export.t
   | Retry_later
   | Error of error_code
 
@@ -295,9 +301,9 @@ let encode_response_payload resp =
         Bitbuf.Writer.nat w trials;
         Bitbuf.Writer.bit w fooled;
         op_attacked
-    | Stats_text text ->
-        Bitbuf.Writer.string w text;
-        op_stats_text
+    | Stats_snapshot snap ->
+        Bitbuf.Writer.string w (Export.render snap);
+        op_stats_snapshot
     | Retry_later -> op_retry_later
     | Error code ->
         Bitbuf.Writer.nat w (error_tag code);
@@ -338,8 +344,11 @@ let decode_response (f : Wire.frame) =
         let fooled = Bitbuf.Reader.bit r in
         Attacked { trials; fooled }
       end
-      else if f.Wire.opcode = op_stats_text then
-        Stats_text (Bitbuf.Reader.string r)
+      else if f.Wire.opcode = op_stats_snapshot then begin
+        match Export.parse (Bitbuf.Reader.string r) with
+        | Ok snap -> Stats_snapshot snap
+        | Error msg -> raise (Bad ("stats snapshot: " ^ msg))
+      end
       else if f.Wire.opcode = op_retry_later then Retry_later
       else if f.Wire.opcode = op_error then begin
         let tag = Bitbuf.Reader.nat r in

@@ -36,7 +36,7 @@ type request =
       max_bits : int;
       seed : int;
     }  (** adversarial probe via [Engine.attack_par]; answers [Attacked] *)
-  | Stats  (** Prometheus exposition of the server's metrics *)
+  | Stats  (** the server's metrics snapshot; answers [Stats_snapshot] *)
 
 type error_code =
   | Unknown_opcode of int
@@ -61,7 +61,11 @@ type response =
       trace : string;  (** the canonical {!Localcert_runtime.Trace} JSON *)
     }
   | Attacked of { trials : int; fooled : bool }
-  | Stats_text of string
+  | Stats_snapshot of Export.t
+      (** {!Localcert_obs.Export.snapshot} of the server process, sent
+          as {!Localcert_obs.Export.render} and decoded with the strict
+          {!Localcert_obs.Export.parse}: a malformed snapshot is a
+          decode error *)
   | Retry_later
       (** admission control: queue full or per-connection cap hit;
           back off and resend *)

@@ -75,11 +75,15 @@ type job = {
 (* Request traffic depends on clients and scheduling, so every serve
    instrument lives in the approx section; the deterministic section
    stays reserved for seed-reproducible workload counts. *)
-let c_requests op =
-  Metrics.counter ~approx:true ("serve.requests." ^ Protocol.opcode_name op)
-
 let approx_counter name =
   Once.make (fun () -> Metrics.counter ~approx:true name)
+
+(* One counter per opcode byte, registered on first use: the IO domain
+   counts every frame without building a name or taking the registry
+   lock. *)
+let c_requests =
+  Array.init 256 (fun op ->
+      approx_counter ("serve.requests." ^ Protocol.opcode_name op))
 
 let approx_histogram bounds name =
   Once.make (fun () -> Metrics.histogram ~approx:true ~bounds name)
@@ -299,10 +303,10 @@ let worker handlers queue batch_max ~io_tid =
 (* ------------------------------------------------------------------ *)
 (* IO loop                                                             *)
 
-let retry_later_payload = lazy (Protocol.encode_response_payload Protocol.Retry_later)
+let retry_later_payload = Protocol.encode_response_payload Protocol.Retry_later
 
 let dispatch ~trace_every queue conn (frame : Wire.frame) =
-  when_metrics (fun () -> Metrics.incr (c_requests frame.Wire.opcode));
+  when_metrics (fun () -> Metrics.incr (c_requests.(frame.Wire.opcode) ()));
   let trace =
     match frame.Wire.trace with
     | Some t ->
@@ -328,7 +332,7 @@ let dispatch ~trace_every queue conn (frame : Wire.frame) =
   | Admission.Admitted -> ()
   | Admission.Queue_full | Admission.Conn_saturated ->
       when_metrics (fun () -> Metrics.incr (c_retry ()));
-      let opcode, payload = Lazy.force retry_later_payload in
+      let opcode, payload = retry_later_payload in
       send conn
         (Wire.encode
            { Wire.id = frame.Wire.id; opcode; trace = frame.Wire.trace; payload })

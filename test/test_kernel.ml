@@ -25,6 +25,44 @@ let vtype_hashcons () =
   check_int "size" 4 (Vtype.size p);
   check_int "height" 2 (Vtype.height p)
 
+(* The registry is shared by every domain of a parallel sweep: the
+   kernel verifier's check interns types.  [vtype_race.exe]
+   (test/vtype_race) releases two domains together into [Vtype.make]
+   on the same keys, in a fresh process each time.  An unlocked
+   registry hands one key two ids, or corrupts its table: the child
+   then raises or spins, so a child past its deadline is killed and
+   counts as failed. *)
+let vtype_registry_two_domains () =
+  let exe =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      "vtype_race/vtype_race.exe"
+  in
+  if not (Sys.file_exists exe) then Alcotest.failf "%s not built" exe;
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let run_one () =
+    let pid = Unix.create_process exe [| exe |] Unix.stdin devnull devnull in
+    let deadline = Unix.gettimeofday () +. 10. in
+    let rec wait () =
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ when Unix.gettimeofday () > deadline ->
+          Unix.kill pid Sys.sigkill;
+          ignore (Unix.waitpid [] pid);
+          false
+      | 0, _ ->
+          Unix.sleepf 0.01;
+          wait ()
+      | _, status -> status = Unix.WEXITED 0
+    in
+    wait ()
+  in
+  let failures = ref 0 in
+  for _ = 1 to 10 do
+    if not (run_one ()) then incr failures
+  done;
+  Unix.close devnull;
+  check_int "failed runs of 10" 0 !failures
+
 let vtype_compute_star () =
   (* star with identity model: all leaves share one type *)
   let g = Gen.star 5 in
@@ -285,6 +323,8 @@ let suite =
     ( "kernel:vtype",
       [
         Alcotest.test_case "hash-consing" `Quick vtype_hashcons;
+        Alcotest.test_case "registry from two domains" `Quick
+          vtype_registry_two_domains;
         Alcotest.test_case "star types" `Quick vtype_compute_star;
         Alcotest.test_case "path types" `Quick vtype_compute_path;
         Alcotest.test_case "f_d bound (Prop 6.2)" `Quick vtype_f_bound;

@@ -476,6 +476,29 @@ let prometheus_well_formed () =
         = Some "histogram");
       Metrics.reset ())
 
+(* The percentile table on a hand-built snapshot: a rank inside a
+   bucket interpolates linearly within it, a rank in the overflow
+   bucket clamps to the last bound, an empty histogram has no row, and
+   rows run deterministic section first. *)
+let percentiles_pinned () =
+  let h name bounds counts = { Export.name; bounds; counts; sum = 0 } in
+  let snap =
+    {
+      Export.counters = [];
+      gauges = [];
+      histograms =
+        [ h "a.inside" [ 10; 20; 40 ] [ 0; 4; 0; 0 ]; h "b.empty" [ 1 ] [ 0; 0 ] ];
+      approx_counters = [];
+      approx_gauges = [];
+      approx_histograms = [ h "c.overflow" [ 1; 2 ] [ 1; 0; 9 ] ];
+      timings = [];
+    }
+  in
+  let row = Printf.sprintf "%-40s count=%-8d p50=%-10s p90=%-10s p99=%s\n" in
+  check_string "percentile table"
+    (row "a.inside" 4 "15" "19" "19.9" ^ row "c.overflow" 10 "2" "2" "2")
+    (Export.render_percentiles snap)
+
 (* ------------------------------------------------------------------ *)
 (* Telemetry is passive: on/off differential                           *)
 (* ------------------------------------------------------------------ *)
@@ -779,6 +802,8 @@ let suite =
           export_rejects_malformed;
         Alcotest.test_case "prometheus TYPE blocks well-formed" `Quick
           prometheus_well_formed;
+        Alcotest.test_case "percentile estimates pinned" `Quick
+          percentiles_pinned;
       ] );
     ( "obs-json",
       [

@@ -163,6 +163,36 @@ let qcheck_request_roundtrip =
       let f = Protocol.encode_request ~id:42 req in
       f.Wire.id = 42 && Protocol.decode_request f = Ok req)
 
+(* A STATS reply carries a real snapshot: a seeded workload over
+   instruments of every kind and section, then [Export.snapshot].
+   Timings hold floats, so snapshots compare in their rendered form. *)
+let seeded_snapshot seed =
+  let rng = Random.State.make [| seed |] in
+  let draw n = Random.State.int rng n in
+  Metrics.with_enabled true (fun () ->
+      Metrics.reset ();
+      for _ = 1 to draw 24 do
+        let name kind = Printf.sprintf "test.stats.%s%d" kind (draw 3) in
+        match draw 7 with
+        | 0 -> Metrics.add (Metrics.counter (name "counter")) (draw 1000)
+        | 1 -> Metrics.add (Metrics.counter ~approx:true (name "acounter")) (draw 9)
+        | 2 -> Metrics.set_gauge (Metrics.gauge (name "gauge")) (draw 200 - 100)
+        | 3 -> Metrics.set_gauge (Metrics.gauge ~approx:true (name "agauge")) (draw 50)
+        | 4 -> Metrics.observe (Metrics.histogram (name "histo")) (draw 5000)
+        | 5 ->
+            Metrics.observe
+              (Metrics.histogram ~approx:true ~bounds:[| 10; 100 |] (name "ahisto"))
+              (draw 200)
+        | _ -> Metrics.record_ns (Metrics.timer (name "timer")) (draw 10_000_000)
+      done;
+      Export.snapshot ())
+
+let response_equal a b =
+  match (a, b) with
+  | Protocol.Stats_snapshot x, Protocol.Stats_snapshot y ->
+      Export.render x = Export.render y
+  | _ -> a = b
+
 let response_arb =
   let open QCheck.Gen in
   let str = string_size ~gen:printable (int_range 0 64) in
@@ -187,7 +217,9 @@ let response_arb =
           return (Protocol.Sim { detected_at; accepted; trace }));
          (let* trials = int_bound 1_000_000 and* fooled = bool in
           return (Protocol.Attacked { trials; fooled }));
-         (let* t = str in return (Protocol.Stats_text t));
+         map
+           (fun seed -> Protocol.Stats_snapshot (seeded_snapshot seed))
+           (int_bound 1_000_000);
          (let* msg = str in
           oneofl
             [
@@ -206,7 +238,66 @@ let qcheck_response_roundtrip =
   QCheck.Test.make ~name:"protocol: responses round-trip" ~count:500
     response_arb (fun resp ->
       let f = Protocol.encode_response ~id:7 resp in
-      f.Wire.id = 7 && Protocol.decode_response f = Ok resp)
+      f.Wire.id = 7
+      &&
+      match Protocol.decode_response f with
+      | Ok resp' -> response_equal resp resp'
+      | Error _ -> false)
+
+(* A STATS payload: the bit-length-prefixed packing of one Bitbuf
+   string, so a test can hand the decoder any text as the snapshot. *)
+let stats_frame text =
+  let w = Bitbuf.Writer.create () in
+  Bitbuf.Writer.string w text;
+  let bits = Bitbuf.Writer.contents w in
+  let len = Bitstring.length bits in
+  let b = Buffer.create (4 + (len / 8) + 1) in
+  Buffer.add_int32_be b (Int32.of_int len);
+  for i = 0 to ((len + 7) / 8) - 1 do
+    let width = min 8 (len - (8 * i)) in
+    Buffer.add_uint8 b
+      (Bitstring.unsafe_extract bits ~pos:(8 * i) ~width lsl (8 - width))
+  done;
+  { Wire.id = 5; opcode = 0x85; trace = None; payload = Buffer.contents b }
+
+(* The snapshot in a STATS reply is decoded by the strict Export.parse:
+   a truncated snapshot (any prefix that stops before the closing
+   brace) or a truncated payload is an [Error], and a corrupted
+   snapshot (one byte overwritten) decodes to [Ok] or [Error] but
+   never raises. *)
+let qcheck_stats_snapshot_strict =
+  QCheck.Test.make ~name:"protocol: damaged stats snapshots are typed errors"
+    ~count:200
+    QCheck.(quad (int_bound 1_000_000) (int_bound 100_000) (int_bound 100_000)
+              printable_char)
+    (fun (seed, cut, pos, c) ->
+      let snap = seeded_snapshot seed in
+      let text = Export.render snap in
+      let n = String.length text in
+      let truncated = String.sub text 0 (cut mod (n - 1)) in
+      let corrupted =
+        String.mapi (fun i x -> if i = pos mod n then c else x) text
+      in
+      let full =
+        (Protocol.encode_response ~id:5 (Protocol.Stats_snapshot snap))
+          .Wire.payload
+      in
+      let short_frame =
+        { (stats_frame text) with
+          Wire.payload = String.sub full 0 (cut mod String.length full) }
+      in
+      (match Protocol.decode_response (stats_frame text) with
+      | Ok (Protocol.Stats_snapshot _) -> true
+      | _ -> false)
+      && (match Protocol.decode_response (stats_frame truncated) with
+         | Error _ -> true
+         | Ok _ -> false)
+      && (match Protocol.decode_response (stats_frame corrupted) with
+         | Ok _ | Error _ -> true)
+      &&
+      match Protocol.decode_response short_frame with
+      | Error _ -> true
+      | Ok _ -> false)
 
 (* Malformed payloads on every known opcode must come back as typed
    errors, never exceptions. *)
@@ -434,6 +525,8 @@ let simulate_differential_via_socket () =
 
 let verify_differential_via_socket () =
   let _, _, _, direct = direct_outcome () in
+  Metrics.with_enabled true @@ fun () ->
+  Metrics.reset ();
   Loadgen.with_self_server
     ~config:{ Server.default_config with Server.workers = 1; jobs = 1 }
     (fun ~port ->
@@ -451,8 +544,17 @@ let verify_differential_via_socket () =
       (match Loadgen.request_once ~host:"127.0.0.1" ~port Protocol.Ping with
       | Ok Protocol.Pong -> ()
       | _ -> Alcotest.fail "ping");
+      (* the STATS reply is the server's own snapshot, dotted names
+         and timings intact *)
       (match Loadgen.request_once ~host:"127.0.0.1" ~port Protocol.Stats with
-      | Ok (Protocol.Stats_text _) -> ()
+      | Ok (Protocol.Stats_snapshot snap) ->
+          check "serve.requests.verify counted" true
+            (List.mem_assoc "serve.requests.verify" snap.Export.approx_counters);
+          check "serve.handle timed" true
+            (List.exists
+               (fun (t : Export.timing) ->
+                 t.Export.name = "serve.handle" && t.Export.count >= 1)
+               snap.Export.timings)
       | _ -> Alcotest.fail "stats");
       (* typed errors over the wire *)
       match
@@ -983,6 +1085,7 @@ let suite =
       [
         QCheck_alcotest.to_alcotest qcheck_request_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_response_roundtrip;
+        QCheck_alcotest.to_alcotest qcheck_stats_snapshot_strict;
         QCheck_alcotest.to_alcotest qcheck_protocol_fuzz;
         Alcotest.test_case "simulate rounds = 0 is a typed rejection" `Quick
           simulate_zero_rounds_rejected;
@@ -991,7 +1094,7 @@ let suite =
       [
         Alcotest.test_case "bounds and batch pops" `Quick admission_bounds;
       ] );
-    ( "serve-batcher",
+    ( "serve-grouping",
       [
         Alcotest.test_case "group by key" `Quick group_by_key;
       ] );
