@@ -44,11 +44,11 @@ let parse_graph spec =
   let fail msg = Error (`Msg msg) in
   match String.split_on_char ':' spec with
   | [ "file"; path ] -> (
-      (* sniff the first line only: an edge-list header is "n m";
-         otherwise graph6.  Edge lists stream through
-         [Io.of_edge_list_file] (two counting passes over the file,
-         CSR built directly), so a multi-million-edge input never
-         needs to fit in memory. *)
+      (* sniff the first line only: an edge-list header is "n m",
+         separated by any whitespace the scanner takes; otherwise
+         graph6.  Edge lists stream through [Io.of_edge_list_file]
+         (two counting passes over the file, CSR built directly), so a
+         multi-million-edge input never needs to fit in memory. *)
       match
         let ic = open_in path in
         let first_line = try input_line ic with End_of_file -> "" in
@@ -56,10 +56,8 @@ let parse_graph spec =
         first_line
       with
       | first_line ->
-          if
-            String.split_on_char ' ' (String.trim first_line)
-            |> List.for_all (fun t -> t <> "" && String.for_all (fun c -> c >= '0' && c <= '9') t)
-          then Result.map_error (fun e -> `Msg e) (Io.of_edge_list_file path)
+          if Io.is_edge_list_header first_line then
+            Result.map_error (fun e -> `Msg e) (Io.of_edge_list_file path)
           else (
             match
               let ic = open_in path in
@@ -387,7 +385,7 @@ let certify_cmd =
               scheme.Scheme.prover instance)
         with
         | Some certs ->
-            let certs = Cert_store.intern_all certs in
+            let certs = Scheme.intern scheme certs in
             Scheme.record_cert_sizes scheme certs;
             let outcome =
               Tracer.with_slice Scheme.verify_timer (fun () -> verify certs)

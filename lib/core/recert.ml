@@ -70,7 +70,7 @@ let recertify (scheme : Scheme.t) inst ~dirty ~old =
     dirty;
   let full () =
     Option.map
-      (fun certs -> (Cert_store.intern_all certs, false))
+      (fun certs -> (Scheme.intern scheme certs, false))
       (prove_contained scheme inst)
   in
   let attempt =
@@ -95,7 +95,7 @@ let recertify (scheme : Scheme.t) inst ~dirty ~old =
               match prove_contained scheme sub_inst with
               | Some sub_certs
                 when Array.length sub_certs = Array.length back ->
-                  let sub_certs = Cert_store.intern_all sub_certs in
+                  let sub_certs = Scheme.intern scheme sub_certs in
                   let certs = Array.copy old in
                   Array.iteri (fun i v -> certs.(v) <- sub_certs.(i)) back;
                   (* The region prover never saw the rest of the graph;

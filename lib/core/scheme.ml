@@ -201,6 +201,17 @@ let run ?(early_exit = false) scheme inst certs =
   record_outcome scheme ~early_exit outcome;
   outcome
 
+(* Dedupe pays only where certificates repeat.  A plane lowering's
+   certificates are per-vertex by construction (a spanning label embeds
+   the vertex's own distance and parent id; see Vcompile's plane
+   branch), and its provers write them born packed, so a dedupe table
+   would hash n distinct values for nothing.  Boxed lowerings see
+   repeats (kernel-MSO labels, broadcast schemes, tree-MSO's few
+   states), and Cert_store collapses them. *)
+let intern scheme certs =
+  let (Compiled l) = scheme.lowering in
+  match l.flat with Some _ -> certs | None -> Cert_store.intern_all certs
+
 let prover_timer = Metrics.timer "prover"
 let verify_timer = Metrics.timer "verify"
 
@@ -211,10 +222,9 @@ let certify scheme inst =
       Logger.debug ~fields:[ ("scheme", scheme.name) ] "prover gave up";
       None
   | Some certs ->
-      (* dedupe the labels: duplicate certificates (common in
-         broadcast-style schemes) share one allocation.  Dedupe is
-         observation-equal, so the outcome and max_bits are unchanged. *)
-      let certs = Cert_store.intern_all certs in
+      (* Dedupe is observation-equal, so the outcome and max_bits
+         are unchanged. *)
+      let certs = intern scheme certs in
       record_cert_sizes scheme certs;
       let outcome =
         Tracer.with_slice verify_timer (fun () -> run scheme inst certs)

@@ -168,6 +168,14 @@ val max_cert_bits : Bitstring.t array -> int
     it; {!run} and an uncompiled {!Localcert_engine.Engine.run_par}
     do. *)
 
+val intern : t -> Bitstring.t array -> Bitstring.t array
+(** The prover's certificates made ready to keep: the same array,
+    physically, for a plane-backed lowering ([flat = Some _]), whose
+    certificates are per-vertex by construction and written packed by
+    its provers; {!Cert_store.intern_all}'s per-array dedupe for every
+    other lowering.  Observation-equal either way.  {!certify}, the
+    CLI's certify, [Handlers.prepare] and [Recert] call it. *)
+
 val certify : t -> Instance.t -> (Bitstring.t array * outcome) option
 (** Prover then verifier; [None] if the prover declines.  The call is
     timed as [certify.<name>], its prover as {!prover_timer} and its

@@ -1,10 +1,16 @@
 type cert = { root_id : int; dist : int; parent_id : int }
 
+(* One writer function per codec: [encode] and the born-packed
+   [encode_trees] both go through it, so a packed certificate and a
+   single one are the same bits by construction. *)
+let write_tree w ~id_bits ~root_id ~dist ~parent_id =
+  Bitbuf.Writer.fixed w ~width:id_bits root_id;
+  Bitbuf.Writer.nat w dist;
+  Bitbuf.Writer.fixed w ~width:id_bits parent_id
+
 let encode ~id_bits c =
   let w = Bitbuf.Writer.create () in
-  Bitbuf.Writer.fixed w ~width:id_bits c.root_id;
-  Bitbuf.Writer.nat w c.dist;
-  Bitbuf.Writer.fixed w ~width:id_bits c.parent_id;
+  write_tree w ~id_bits ~root_id:c.root_id ~dist:c.dist ~parent_id:c.parent_id;
   Bitbuf.Writer.contents w
 
 let decode ~id_bits b =
@@ -23,21 +29,20 @@ let spanning_bfs (inst : Instance.t) root =
     let t = Graph.bfs_tree g root in
     if Array.length t.Graph.order < Graph.n g then None else Some t
 
-(* Build certificates from a BFS spanning tree ([order.(0)] is its
-   root, the one vertex without a parent). *)
-let tree_certs (inst : Instance.t) (t : Graph.bfs_tree) =
-  let root_id = inst.ids.(t.order.(0)) in
-  Array.mapi
-    (fun v p ->
-      {
-        root_id;
-        dist = t.dist.(v);
-        parent_id = inst.ids.(if p < 0 then v else p);
-      })
-    t.parent
+(* Certificates of a BFS spanning tree ([order.(0)] is its root, the
+   one vertex without a parent), born packed (Bitbuf.pack): read
+   straight from the BFS arrays, with no per-vertex record or writer.
+   [suffix w v] appends vertex [v]'s fields past the tree's. *)
+let pack_tree (inst : Instance.t) (t : Graph.bfs_tree) suffix =
+  let id_bits = inst.id_bits and ids = inst.ids in
+  let root_id = ids.(t.order.(0)) in
+  Bitbuf.pack (Array.length t.parent) (fun w v ->
+      let p = t.parent.(v) in
+      write_tree w ~id_bits ~root_id ~dist:t.dist.(v)
+        ~parent_id:ids.(if p < 0 then v else p);
+      suffix w v)
 
-let encode_trees (inst : Instance.t) t =
-  Array.map (encode ~id_bits:inst.id_bits) (tree_certs inst t)
+let encode_trees inst t = pack_tree inst t (fun _ _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Verifiers.  Decoding is total (malformed = None).  Each scheme has
@@ -197,9 +202,8 @@ type count_cert = {
 
 let encode_count ~id_bits c =
   let w = Bitbuf.Writer.create () in
-  Bitbuf.Writer.fixed w ~width:id_bits c.c_root_id;
-  Bitbuf.Writer.nat w c.c_dist;
-  Bitbuf.Writer.fixed w ~width:id_bits c.c_parent_id;
+  write_tree w ~id_bits ~root_id:c.c_root_id ~dist:c.c_dist
+    ~parent_id:c.c_parent_id;
   Bitbuf.Writer.nat w c.size;
   Bitbuf.Writer.nat w c.total;
   Bitbuf.Writer.contents w
@@ -213,22 +217,16 @@ let decode_count ~id_bits b =
       let total = Bitbuf.Reader.nat r in
       { c_root_id; c_dist; c_parent_id; size; total })
 
-let count_certs (inst : Instance.t) (t : Graph.bfs_tree) =
+(* [encode_count]'s bits for every vertex, born packed. *)
+let encode_counts (inst : Instance.t) (t : Graph.bfs_tree) =
   let n = Instance.n inst in
   let sizes =
     Spanning.subtree_sizes
       { root = t.order.(0); parent = t.parent; dist = t.dist }
   in
-  Array.mapi
-    (fun v c ->
-      {
-        c_root_id = c.root_id;
-        c_dist = c.dist;
-        c_parent_id = c.parent_id;
-        size = sizes.(v);
-        total = n;
-      })
-    (tree_certs inst t)
+  pack_tree inst t (fun w v ->
+      Bitbuf.Writer.nat w sizes.(v);
+      Bitbuf.Writer.nat w n)
 
 let count_width = 6
 
@@ -311,9 +309,6 @@ let count_lowering ~total_pred ~local ~root_check :
 
 let always_local ~total:_ ~me:_ ~degree:_ = true
 let always_root ~total:_ ~degree:_ = true
-
-let encode_counts (inst : Instance.t) t =
-  Array.map (encode_count ~id_bits:inst.id_bits) (count_certs inst t)
 
 let vertex_count ?(root = 0) ~expected pred_name =
   Scheme.of_lowering

@@ -15,7 +15,25 @@ type cert = { root_id : int; dist : int; parent_id : int }
 (** [parent_id = own id] at the root. *)
 
 val encode : id_bits:int -> cert -> Bitstring.t
+(** One certificate through its own writer.  The provers write the
+    same bits for every vertex at once into one packed buffer
+    ({!Bitbuf.pack}). *)
+
 val decode : id_bits:int -> Bitstring.t -> cert option
+
+type count_cert = {
+  c_root_id : int;
+  c_dist : int;
+  c_parent_id : int;
+  size : int;  (** vertices in the subtree below this one, itself included *)
+  total : int;  (** the claimed vertex count *)
+}
+(** A {!vertex_count} / {!counted} certificate: the tree fields, then
+    the subtree size and the claimed total. *)
+
+val encode_count : id_bits:int -> count_cert -> Bitstring.t
+(** One count certificate through its own writer; like {!encode}, the
+    provers write the same bits packed. *)
 
 val scheme : ?root:int -> unit -> Scheme.t
 (** Certifies "the graph is connected and admits a spanning tree" —

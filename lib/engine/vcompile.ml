@@ -249,20 +249,44 @@ let compile scheme inst certs =
 (* Runtime inbox views carry per-delivery certificate copies, so a
    per-instance compile keyed by physical arrays does not apply; what
    does transfer is decode-once sharing.  [view_checker] keeps a
-   per-domain decode cache (Domain.DLS — domains never contend on it,
-   unlike a sharded memo) keyed by certificate content, bounded so an
-   adversarial fault plan cannot grow it without limit. *)
+   per-domain decode cache (one table per domain, which only that
+   domain touches — domains never contend on it, unlike a sharded
+   memo) keyed by certificate content, bounded so an adversarial fault
+   plan cannot grow it without limit.  The tables belong to the
+   checker, not to a [Domain.DLS] key: DLS slots are never freed, so a
+   key per checker (one per [Runtime.execute]) would keep every
+   domain's table — each cached certificate pinning the packed buffer
+   its prover wrote it into (Bitbuf.pack) — for the life of the
+   process. *)
 let cache_limit = 8192
+
+let rec table_of self = function
+  | [] -> None
+  | (d, t) :: rest -> if d = self then Some t else table_of self rest
+
+(* [per_domain make ()] is the calling domain's table, made on its
+   first call from that domain. *)
+let per_domain make =
+  let tables = Atomic.make [] in
+  let rec get self =
+    let l = Atomic.get tables in
+    match table_of self l with
+    | Some t -> t
+    | None ->
+        let t = make () in
+        if Atomic.compare_and_set tables l ((self, t) :: l) then t else get self
+  in
+  fun () -> get (Domain.self () :> int)
 
 let view_checker (scheme : Scheme.t) =
   if not (Atomic.get enabled) then None
   else
     match scheme.Scheme.lowering with
     | Scheme.Compiled l ->
-        let key = Domain.DLS.new_key (fun () -> BH.create 64) in
+        let cache_here = per_domain (fun () -> BH.create 64) in
         Some
           (fun (view : Scheme.view) ->
-            let cache = Domain.DLS.get key in
+            let cache = cache_here () in
             if BH.length cache > cache_limit then BH.reset cache;
             let id_bits = view.Scheme.id_bits in
             let dec_of c =

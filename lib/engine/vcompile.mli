@@ -75,5 +75,6 @@ val view_checker : Scheme.t -> (Scheme.view -> Scheme.verdict) option
     instance-wide array exists to compile against.  Decoded values are
     cached per domain (content-keyed, bounded), so repeated rounds and
     broadcast certificates decode once per domain rather than once per
-    vertex per round.  [None] only when compilation is disabled; an
+    vertex per round.  The caches belong to the returned checker and
+    are freed with it.  [None] only when compilation is disabled; an
     exception from the lowering propagates, as from {!compile}. *)

@@ -142,6 +142,12 @@ let[@inline] more s =
   s.len <- k;
   k > 0
 
+(* graph6 bytes lie in 63..126, so no graph6 line is made of digits
+   and whitespace alone. *)
+let is_edge_list_header line =
+  String.exists is_digit line
+  && String.for_all (fun c -> is_digit c || is_ws c) line
+
 let skip_ws s =
   let continue = ref true in
   while !continue do
@@ -157,13 +163,31 @@ let skip_ws s =
 let max_div10 = max_int / 10
 let max_mod10 = max_int mod 10
 
-(* One token: optional '-', then digits, ended by whitespace or end of
-   input.  A missing token or a stray byte fails with [err]; a
-   magnitude above [max_int] fails with "integer out of range" rather
-   than wrapping. *)
-let read_int s ~err =
-  skip_ws s;
-  if not (more s) then failwith err;
+(* The common token, read in one loop over the current chunk: unsigned,
+   at most [fast_digits] digits (so it cannot overflow: 10^18 - 1 <
+   max_int) and followed by whitespace inside the chunk.  Returns -1,
+   with [s.pos] untouched, for anything else: a sign, a longer token, a
+   stray byte, or a token that runs to the chunk's end (whose next byte
+   a refill must supply). *)
+let fast_digits = 18
+
+let read_fast s =
+  let buf = s.buf and p0 = s.pos and len = s.len in
+  let stop = if len - p0 > fast_digits then p0 + fast_digits else len in
+  let v = ref 0 and p = ref p0 in
+  while !p < stop && is_digit (Bytes.unsafe_get buf !p) do
+    v := (!v * 10) + (Char.code (Bytes.unsafe_get buf !p) - Char.code '0');
+    incr p
+  done;
+  if !p > p0 && !p < len && is_ws (Bytes.unsafe_get buf !p) then begin
+    s.pos <- !p;
+    !v
+  end
+  else -1
+
+(* A token from its first byte, across refills, with the sign and the
+   overflow check. *)
+let read_slow s ~err =
   let neg = Bytes.unsafe_get s.buf s.pos = '-' in
   if neg then begin
     s.pos <- s.pos + 1;
@@ -186,6 +210,17 @@ let read_int s ~err =
   done;
   if more s && not (is_ws (Bytes.unsafe_get s.buf s.pos)) then failwith err;
   if neg then - !v else !v
+
+(* One token: optional '-', then digits, ended by whitespace or end of
+   input.  A missing token or a stray byte fails with [err]; a
+   magnitude above [max_int] fails with "integer out of range" rather
+   than wrapping.  [read_fast] takes the common case and [read_slow]
+   the rest, so both paths give the same value or the same error. *)
+let read_int s ~err =
+  skip_ws s;
+  if not (more s) then failwith err;
+  let v = read_fast s in
+  if v >= 0 then v else read_slow s ~err
 
 (* Parses "n m" then m edges from a fresh scanner per pass.
    [scanner ()] must yield the same bytes on every call. *)

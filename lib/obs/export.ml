@@ -245,27 +245,32 @@ let deterministic_equal a b =
 (* Percentile estimation                                               *)
 
 (* Linear interpolation inside fixed buckets: the rank q·N lands in
-   some bucket [lo, hi]; assume observations are uniform within it and
-   interpolate.  The overflow bucket has no upper limit, so a rank
-   landing there clamps to the last bound — the estimate is then a
-   lower bound, which is the honest direction for a tail percentile.
-   With power-of-two default bounds the estimate is within 2x of the
-   true value, good enough for the operator's "is p99 milliseconds or
-   seconds?" question without scraping Prometheus.  [total] is the
-   (nonzero) observation count; the first bucket starts at 0. *)
+   some bucket (lo, hi]; assume observations are uniform within it and
+   interpolate.  The two end buckets have only one bound each, so a
+   rank landing there is reported as that bound: the last bound for
+   the overflow bucket (a lower bound, the honest direction for a tail
+   percentile) and the first bound for the first bucket, whose lower
+   edge is unknown: a histogram of batch sizes, every one at least 1,
+   must not read a percentile below 1.  With power-of-two default
+   bounds the estimate is within 2x of the true value, good enough for
+   the operator's "is p99 milliseconds or seconds?" question without
+   scraping Prometheus.  [total] is the (nonzero) observation count. *)
 let estimate_percentile (h : histogram) ~total q =
   let rank = q *. float_of_int total in
   let rec walk lo cum bounds counts =
     match (bounds, counts) with
     | hi :: bounds, c :: counts ->
-        let cum' = cum + c in
+        let hi = float_of_int hi and cum' = cum + c in
         if c > 0 && float_of_int cum' >= rank then
-          let frac = (rank -. float_of_int cum) /. float_of_int c in
-          lo +. ((float_of_int hi -. lo) *. Float.max 0. (Float.min 1. frac))
-        else walk (float_of_int hi) cum' bounds counts
-    | _ -> lo
+          match lo with
+          | None -> hi
+          | Some lo ->
+              let frac = (rank -. float_of_int cum) /. float_of_int c in
+              lo +. ((hi -. lo) *. Float.max 0. (Float.min 1. frac))
+        else walk (Some hi) cum' bounds counts
+    | _ -> Option.value lo ~default:0.
   in
-  walk 0. 0 h.bounds h.counts
+  walk None 0 h.bounds h.counts
 
 let render_percentiles t =
   let b = Buffer.create 256 in

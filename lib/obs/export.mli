@@ -70,7 +70,8 @@ val render_percentiles : t -> string
     [localcert stats --percentiles] prints for any snapshot source.
     Estimates interpolate linearly within the bucket the rank falls
     into; a rank in the overflow bucket clamps to the last bound (a
-    lower bound on the true quantile). *)
+    lower bound on the true quantile), and one in the first bucket
+    reads as the first bound. *)
 
 val to_prometheus : t -> string
 (** Prometheus text exposition (metric names prefixed [localcert_] and

@@ -24,7 +24,10 @@
 type prepared = {
   scheme : Scheme.t;
   inst : Instance.t;
-  certs : Bitstring.t array option;  (* deduped; None = prover declined *)
+  certs : Bitstring.t array option;
+      (* through Scheme.intern: deduped for a boxed lowering, the
+         prover's packed array for a plane one; None = prover
+         declined *)
 }
 
 type t = {
@@ -111,7 +114,7 @@ let prepare t ~scheme ~graph =
         match sc.Scheme.prover inst with
         | None -> None
         | Some certs ->
-            let certs = Cert_store.intern_all certs in
+            let certs = Scheme.intern sc certs in
             Scheme.record_cert_sizes sc certs;
             Some certs
       in

@@ -108,6 +108,24 @@ module Writer = struct
     Bitstring.unsafe_of_bytes (Bytes.sub w.buf 0 nbytes) ~len:w.len
 end
 
+(* One writer for the whole array: each certificate starts on the
+   byte boundary after the previous one's last bit, and the writer's
+   zero fill past [len] is exactly the padding a bit string needs.  The
+   buffer grows by doubling, so the views are cut only after the last
+   write, from the end position each encoding left. *)
+let pack n enc =
+  let w = Writer.create () in
+  let ends = Array.make n 0 in
+  for i = 0 to n - 1 do
+    w.Writer.len <- (w.Writer.len + 7) land lnot 7;
+    enc w i;
+    ends.(i) <- w.Writer.len
+  done;
+  let buf = w.Writer.buf in
+  Array.init n (fun i ->
+      let start = if i = 0 then 0 else (ends.(i - 1) + 7) land lnot 7 in
+      Bitstring.unsafe_view buf ~off:(start lsr 3) ~len:(ends.(i) - start))
+
 module Reader = struct
   type t = { src : Bitstring.t; mutable pos : int }
 

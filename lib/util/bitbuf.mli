@@ -57,6 +57,16 @@ module Writer : sig
   (** The bits appended so far (the writer remains usable). *)
 end
 
+val pack : int -> (Writer.t -> int -> unit) -> Bitstring.t array
+(** [pack n enc] is [[| c_0; …; c_{n-1} |]] where [c_i] holds the bits
+    [enc w i] appends — each equal ({!Bitstring.equal}, [hash],
+    [compare]) to encoding [i] through its own writer and taking
+    {!Writer.contents}.  One writer serves all [n] calls, each
+    certificate starting on a byte boundary, and the results are views
+    into its one buffer: a prover pays one small box per certificate
+    instead of a writer, a buffer and a copy.  [enc] must only append
+    to [w]. *)
+
 module Reader : sig
   type t
 

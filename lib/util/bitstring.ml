@@ -4,7 +4,8 @@
    shared buffer (the certificate arenas of Cert_store pack millions of
    payloads back-to-back into a few large chunks), and byte alignment
    keeps every operation a plain byte loop.  All constructors in this
-   module produce [off = 0]; views enter only through [unsafe_pack].
+   module produce [off = 0]; views enter only through [unsafe_pack] and
+   [unsafe_view].
 
    Invariants maintained by every constructor in this module:
    - the unused low bits of the last byte of the view are zero (so
@@ -277,6 +278,8 @@ let unsafe_of_bytes data ~len =
 let unsafe_pack b dst ~off =
   Bytes.blit b.data b.off dst off (bytes_for b.len);
   { data = dst; off; len = b.len; hash_cache = b.hash_cache }
+
+let unsafe_view data ~off ~len = { data; off; len; hash_cache = -1 }
 
 let to_string b = String.init b.len (fun i -> if get b i then '1' else '0')
 

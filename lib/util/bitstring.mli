@@ -106,3 +106,11 @@ val unsafe_pack : t -> Bytes.t -> off:int -> t
     into a few large chunks.  The caller must reserve
     [byte_size b] bytes at [off] inside [dst] and must not mutate
     them afterwards; bounds are not checked. *)
+
+val unsafe_view : Bytes.t -> off:int -> len:int -> t
+(** [unsafe_view data ~off ~len] is the [len]-bit string held in
+    [data]'s bytes from byte offset [off], without copying — how
+    {!Bitbuf.pack} cuts its certificates out of one packed buffer.
+    Those [(len + 7) / 8] bytes must lie inside [data], their padding
+    bits must be zero, and the caller must not mutate them afterwards;
+    bounds are not checked. *)

@@ -9,6 +9,13 @@
    dies with the call: no state outlives it, so nothing a request
    makes can grow a process-wide structure.
 
+   Where it runs: [Scheme.intern] calls it for every boxed lowering
+   (tree-MSO's 2×10⁵ certificates hold 6 payloads) and skips the
+   plane-backed ones, whose certificates are per-vertex — hashing 2×10⁵
+   distinct spanning labels found no repeat and took as long as the
+   prover — and are born packed by their provers ([Bitbuf.pack]).
+   [Node.boot] calls it directly.
+
    Dedupe is semantically invisible: every output element is
    structurally equal to its input, so scheme outcomes, wire-bit
    accounting (which only reads lengths) and [max_cert_bits] are

@@ -6,6 +6,12 @@
     and compared by pointer.  The dedupe table is local to the call: no
     state outlives it.
 
+    Callers holding a scheme go through [Scheme.intern], which skips
+    this for plane-backed lowerings (the spanning family): their
+    certificates are per-vertex, so the table would find no repeat, and
+    their provers already write one packed buffer ([Bitbuf.pack]).
+    [Node.boot] calls it directly.
+
     Invariant: dedupe never changes observable behaviour.  Every output
     element satisfies [Bitstring.equal c c'] with its input and has the
     same length, so certificate sizes ([max_cert_bits]) and wire-bit

@@ -289,6 +289,176 @@ let dedupe_shares_small () =
   Alcotest.(check int)
     "no arena pack" packs (Cert_store.stats ()).Cert_store.arena_packs
 
+(* ------------------------------------------------------------------ *)
+(* Born-packed certificates                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Two certificate arrays agree as values: each pair equal, with equal
+   hashes, and [compare] orders every adjacent pair the same way. *)
+let agree packed single =
+  let n = Array.length single in
+  let sign x = Int.compare x 0 in
+  Array.length packed = n
+  && List.for_all
+       (fun i ->
+         let p = packed.(i) and s = single.(i) in
+         let j = (i + 1) mod n in
+         Bitstring.equal p s
+         && Bitstring.hash p = Bitstring.hash s
+         && Bitstring.compare p s = 0
+         && sign (Bitstring.compare p packed.(j))
+            = sign (Bitstring.compare s single.(j)))
+       (List.init n Fun.id)
+
+let write_op w = function
+  | Bit b -> Bitbuf.Writer.bit w b
+  | Fixed (width, v) -> Bitbuf.Writer.fixed w ~width v
+  | Nat n -> Bitbuf.Writer.nat w n
+  | Bits bs -> Bitbuf.Writer.bitstring w (Bitstring.of_bools bs)
+
+(* Random programs give every residue mod 8 and empty certificates. *)
+let qcheck_pack_matches_writers =
+  QCheck.Test.make ~name:"Bitbuf.pack ≡ one writer per certificate"
+    ~count:300 seed_arbitrary (fun seed ->
+      let rng = Rng.make seed in
+      let progs =
+        Array.init (Rng.int rng 12) (fun _ ->
+            List.init (Rng.int rng 6) (fun _ -> op_of rng))
+      in
+      let single =
+        Array.map
+          (fun ops ->
+            let w = Bitbuf.Writer.create () in
+            List.iter (write_op w) ops;
+            Bitbuf.Writer.contents w)
+          progs
+      in
+      agree
+        (Bitbuf.pack (Array.length progs) (fun w i ->
+             List.iter (write_op w) progs.(i)))
+        single)
+
+(* The spanning family's certificates one by one, from the BFS tree
+   at [root]: the tree fields for spanning and acyclicity, plus subtree
+   sizes summed up the BFS order and the total for the count schemes. *)
+let spanning_oracle (inst : Instance.t) root =
+  let g = inst.graph and ids = inst.ids and id_bits = inst.id_bits in
+  let n = Graph.n g in
+  let t = Graph.bfs_tree g root in
+  let size = Array.make n 1 in
+  for k = n - 1 downto 1 do
+    let v = t.order.(k) in
+    size.(t.parent.(v)) <- size.(t.parent.(v)) + size.(v)
+  done;
+  let parent_id v = ids.(if t.parent.(v) < 0 then v else t.parent.(v)) in
+  let tree =
+    Array.init n (fun v ->
+        Spanning_tree.encode ~id_bits
+          { root_id = ids.(root); dist = t.dist.(v); parent_id = parent_id v })
+  in
+  let count =
+    Array.init n (fun v ->
+        Spanning_tree.encode_count ~id_bits
+          {
+            c_root_id = ids.(root);
+            c_dist = t.dist.(v);
+            c_parent_id = parent_id v;
+            size = size.(v);
+            total = n;
+          })
+  in
+  (tree, count)
+
+(* The highest-degree vertex (the first on ties), so the counted
+   scheme's tree is not rooted at vertex 0. *)
+let hub g =
+  Graph.fold_vertices
+    (fun v best -> if Graph.degree g v > Graph.degree g best then v else best)
+    g 0
+
+let hub_counted =
+  Spanning_tree.counted
+    ~choose_root:(fun g -> Some (hub g))
+    ~name:"counted[hub]" ~total_pred:(fun _ -> true)
+    ~local:(fun ~total:_ ~me:_ ~degree:_ -> true)
+    ~root_check:(fun ~total:_ ~degree:_ -> true)
+    ()
+
+let packed_family_agrees inst =
+  let tree, count = spanning_oracle inst 0 in
+  let _, hub_count = spanning_oracle inst (hub inst.Instance.graph) in
+  List.for_all
+    (fun (sc, single) ->
+      match sc.Scheme.prover inst with
+      | Some packed -> agree packed single
+      | None -> false)
+    [
+      (Spanning_tree.scheme (), tree);
+      (Spanning_tree.acyclicity, tree);
+      (Spanning_tree.vertex_count ~expected:(fun _ -> true) "any", count);
+      (hub_counted, hub_count);
+    ]
+
+(* Random trees and relabelled paths, under default or shuffled,
+   widely spaced identifiers. *)
+let tree_instance rng n =
+  let g =
+    if Rng.bool rng then Gen.random_tree rng n
+    else Graph.relabel (Gen.path n) (Rng.permutation rng n)
+  in
+  if Rng.bool rng then Instance.make g
+  else
+    Instance.make
+      ~ids:(Array.map (fun p -> (7 * p) + 1) (Rng.permutation rng n))
+      g
+
+let qcheck_packed_spanning_family =
+  QCheck.Test.make
+    ~name:"spanning-family provers: packed ≡ per-certificate encoders"
+    ~count:60 seed_arbitrary (fun seed ->
+      let rng = Rng.make seed in
+      packed_family_agrees (tree_instance rng (1 + Rng.int rng 300)))
+
+let packed_spanning_family_large () =
+  check "n = 70000" true
+    (packed_family_agrees (tree_instance (Rng.make 11) 70_000))
+
+(* [Scheme.intern]: a plane lowering's array comes back physically
+   unchanged; a boxed lowering's is deduped — tree-MSO at
+   certify-stream's scale has 2×10⁵ certificates and 6 payloads. *)
+let intern_only_where_dedupe_pays () =
+  let inst = Instance.make (Gen.random_tree (Rng.make 3) 500) in
+  List.iter
+    (fun sc ->
+      let certs = Option.get (sc.Scheme.prover inst) in
+      check (sc.Scheme.name ^ ": same array") true
+        (Scheme.intern sc certs == certs))
+    [
+      Spanning_tree.scheme ();
+      Spanning_tree.acyclicity;
+      Spanning_tree.vertex_count ~expected:(fun _ -> true) "any";
+      hub_counted;
+    ];
+  let n = 200_000 in
+  let inst =
+    Instance.make
+      (Graph.relabel (Gen.path n) (Rng.permutation (Rng.make 7) n))
+  in
+  let sc = Tree_mso.make Library.has_perfect_matching.Library.auto in
+  let raw = Option.get (sc.Scheme.prover inst) in
+  let interned = Scheme.intern sc raw in
+  check "equal to the prover's" true
+    (Array.for_all2 Bitstring.equal raw interned);
+  let sorted = Array.copy interned in
+  Array.sort Bitstring.compare sorted;
+  let payloads = ref 1 and values = ref 1 in
+  for i = 1 to n - 1 do
+    if not (Bitstring.equal sorted.(i - 1) sorted.(i)) then incr payloads;
+    if sorted.(i - 1) != sorted.(i) then incr values
+  done;
+  Alcotest.(check int) "distinct payloads" 6 !payloads;
+  Alcotest.(check int) "one value per payload" 6 !values
+
 let suite =
   [
     ( "bitstring-diff",
@@ -301,7 +471,16 @@ let suite =
           qcheck_xor;
           qcheck_extract;
           qcheck_writer_matches_reference;
+          qcheck_pack_matches_writers;
         ] );
+    ( "packed-certs",
+      [
+        QCheck_alcotest.to_alcotest qcheck_packed_spanning_family;
+        Alcotest.test_case "spanning family packed at n = 70000" `Quick
+          packed_spanning_family_large;
+        Alcotest.test_case "Scheme.intern dedupes only boxed lowerings"
+          `Quick intern_only_where_dedupe_pays;
+      ] );
     ( "interning",
       Alcotest.test_case "small arrays share equal payloads in place" `Quick
         dedupe_shares_small

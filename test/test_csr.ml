@@ -264,6 +264,78 @@ let edge_list_chunk_boundaries () =
   check "crlf case parses" true
     (Result.is_ok (Io.of_edge_list (List.assoc "crlf" cases)))
 
+(* The scanner reads a common token (unsigned, at most 18 digits,
+   whitespace after it in the same chunk) on a fast path and everything
+   else from the token's first byte on the general one.  The oracle
+   text keeps the separators and pads every token with zeros to 20
+   digits, which sends each one down the general path with the same
+   value (or the same fault): both readers must give its graph or its
+   error string, and a valid list must give [of_edges]'s graph.  The
+   tested text mixes natural, 18- and 19-digit renderings under runs of
+   space, tab, CR and LF, and a whitespace prefix puts the chunk
+   boundary inside one of its first tokens. *)
+type token = Num of int | Over | Neg of int | Junk of int
+
+(* [pad_to] = 0 renders a number in its natural width. *)
+let render_token ~pad_to tok =
+  let digits k =
+    if pad_to > 0 then Printf.sprintf "%0*d" pad_to k else string_of_int k
+  in
+  match tok with
+  | Num k -> digits k
+  | Over -> String.make (max 0 (pad_to - 19)) '0' ^ "9223372036854775810"
+  | Neg k -> "-" ^ digits k
+  | Junk k -> digits k ^ "x"
+
+let qcheck_scanner_fast_path =
+  QCheck.Test.make ~name:"scanner fast path ≡ general path ≡ of_edges"
+    ~count:150
+    QCheck.(pair seed_arbitrary (int_bound 3))
+    (fun ((n, seed), fault) ->
+      let rng = Rng.make seed in
+      let edges = random_edges rng n in
+      let toks =
+        Array.of_list
+          (Num n
+          :: Num (List.length edges)
+          :: List.concat_map (fun (u, v) -> [ Num u; Num v ]) edges)
+      in
+      (* one faulty token past the header, in three cases of four *)
+      let faulty = fault > 0 && Array.length toks > 2 in
+      if faulty then
+        toks.(2 + Rng.int rng (Array.length toks - 2)) <-
+          (match fault with 1 -> Over | 2 -> Neg 1 | _ -> Junk 1);
+      let ws = [| " "; "\t"; "\r"; "\n" |] in
+      let seps =
+        Array.map
+          (fun _ ->
+            String.concat ""
+              (List.init (1 + Rng.int rng 3) (fun _ -> ws.(Rng.int rng 4))))
+          toks
+      in
+      let text pad =
+        String.concat ""
+          (List.mapi
+             (fun i t -> render_token ~pad_to:(pad i) t ^ seps.(i))
+             (Array.to_list toks))
+      in
+      let widths = Array.map (fun _ -> [| 0; 18; 19 |].(Rng.int rng 3)) toks in
+      let tested =
+        String.make (Io.chunk_size - Rng.int rng 24) ' '
+        ^ text (fun i -> widths.(i))
+      in
+      let expected = Io.of_edge_list (text (fun _ -> 20)) in
+      let same a b =
+        match (a, b) with
+        | Ok g, Ok g' -> Graph.equal g g'
+        | Error e, Error e' -> e = e'
+        | _ -> false
+      in
+      (if faulty then Result.is_error expected
+       else same expected (Ok (Graph.of_edges ~n edges)))
+      && same expected (Io.of_edge_list tested)
+      && same expected (with_edge_file tested Io.of_edge_list_file))
+
 let graph6_truncated () =
   let g = Gen.random_tree (Rng.make 5) 30 in
   let s = Io.to_graph6 g in
@@ -419,6 +491,7 @@ let suite =
           edge_list_malformed;
         Alcotest.test_case "file reader across chunk boundaries" `Quick
           edge_list_chunk_boundaries;
+        QCheck_alcotest.to_alcotest qcheck_scanner_fast_path;
         Alcotest.test_case "truncated graph6 rejected" `Quick graph6_truncated;
       ] );
     ( "cert-arena",

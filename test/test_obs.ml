@@ -487,7 +487,11 @@ let percentiles_pinned () =
       Export.counters = [];
       gauges = [];
       histograms =
-        [ h "a.inside" [ 10; 20; 40 ] [ 0; 4; 0; 0 ]; h "b.empty" [ 1 ] [ 0; 0 ] ];
+        [
+          h "a.first" [ 1; 2; 4 ] [ 3; 1; 0; 0 ];
+          h "a.inside" [ 10; 20; 40 ] [ 0; 4; 0; 0 ];
+          h "b.empty" [ 1 ] [ 0; 0 ];
+        ];
       approx_counters = [];
       approx_gauges = [];
       approx_histograms = [ h "c.overflow" [ 1; 2 ] [ 1; 0; 9 ] ];
@@ -496,7 +500,9 @@ let percentiles_pinned () =
   in
   let row = Printf.sprintf "%-40s count=%-8d p50=%-10s p90=%-10s p99=%s\n" in
   check_string "percentile table"
-    (row "a.inside" 4 "15" "19" "19.9" ^ row "c.overflow" 10 "2" "2" "2")
+    (row "a.first" 4 "1" "1.6" "2.0"
+    ^ row "a.inside" 4 "15" "19" "19.9"
+    ^ row "c.overflow" 10 "2" "2" "2")
     (Export.render_percentiles snap)
 
 (* ------------------------------------------------------------------ *)

@@ -194,6 +194,33 @@ let disabled_compilation_is_equivalent () =
         (outcome_equal on off));
   check "toggle restored" true (Vcompile.is_enabled ())
 
+(* A checker's per-domain decode caches die with it: the runtime makes
+   one per execute, so caches that outlived their checker grew a
+   long-running process by a full table per execute. *)
+let view_checker_caches_freed () =
+  let scheme = Spanning_tree.scheme () in
+  let inst = Instance.make (Gen.random_tree (Rng.make 3) 64) in
+  let certs = Option.get (scheme.Scheme.prover inst) in
+  let views = Array.init 64 (Scheme.view_of inst certs) in
+  let run () =
+    let check = Option.get (Vcompile.view_checker scheme) in
+    Array.iter (fun v -> ignore (check v)) views
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  run ();
+  let before = live () in
+  for _ = 1 to 1000 do
+    run ()
+  done;
+  let grown = live () - before in
+  check
+    (Printf.sprintf "live words grew by %d over 1000 checkers" grown)
+    true
+    (grown < 16_000)
+
 let compiled_hits_counted () =
   let scheme = Spanning_tree.scheme () in
   let n = 300 in
@@ -452,6 +479,8 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_runtime_compiled_flag;
         Alcotest.test_case "disabled compilation is equivalent" `Quick
           disabled_compilation_is_equivalent;
+        Alcotest.test_case "view_checker caches die with the checker" `Quick
+          view_checker_caches_freed;
         Alcotest.test_case "engine.compiled_hits counts kernel verdicts" `Quick
           compiled_hits_counted;
         Alcotest.test_case "kernel cache keeps alternating schemes" `Quick
