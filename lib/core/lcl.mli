@@ -58,6 +58,11 @@ val bfs_parity_coloring : Graph.t -> int array
 
 (** {1 Certification} *)
 
+val encode_label : t -> int -> Bitstring.t
+(** The certificate of a vertex labeled [l]: [l] in ⌈log₂ alphabet⌉
+    bits.  The provers encode each symbol once and hand every vertex
+    with that label the same (physically shared) certificate. *)
+
 val scheme_of_labeled : t -> Scheme.t
 (** Certifies "the instance's own vertex labels satisfy the LCL".
     Certificate: the vertex's label, ⌈log₂ alphabet⌉ bits (a neighbor's

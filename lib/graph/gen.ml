@@ -201,7 +201,7 @@ let random_bounded_treedepth rng ~n ~depth ~p =
     es := (v, parent.(v)) :: !es;
     List.iter
       (fun a ->
-        if a <> parent.(v) && Rng.float rng 1.0 < p then es := (v, a) :: !es)
+        if a <> parent.(v) && Rng.chance rng p then es := (v, a) :: !es)
       (ancestors v)
   done;
   Graph.of_edges ~n !es

@@ -13,6 +13,9 @@ let check_vertex ~n v =
   if v < 0 || v >= n then
     invalid_arg (Printf.sprintf "Graph: vertex %d out of [0,%d)" v n)
 
+(* Rows up to this length are insertion-sorted in place by [of_iter]. *)
+let short_row = 16
+
 (* Two-pass counting build: pass 1 sizes the rows, pass 2 scatters the
    endpoints, then each row is sorted and deduplicated in place.  The
    iterator must describe the same edge multiset on both passes; a
@@ -49,7 +52,9 @@ let of_iter ~n iter =
   (* Sort rows that need it (generators mostly emit ascending already),
      then compact duplicates with a single forward write cursor: the
      write position never overtakes the read position, so this is
-     in place. *)
+     in place.  Short rows — nearly all of them in sparse graphs — are
+     insertion-sorted where they lie; only rows longer than
+     [short_row] pay for a copy and a comparison closure. *)
   let w = ref 0 in
   let rp = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
@@ -59,9 +64,21 @@ let of_iter ~n iter =
       if col.(i - 1) > col.(i) then sorted := false
     done;
     if not !sorted then begin
-      let tmp = Array.sub col lo (hi - lo) in
-      Array.sort Int.compare tmp;
-      Array.blit tmp 0 col lo (hi - lo)
+      if hi - lo <= short_row then
+        for i = lo + 1 to hi - 1 do
+          let x = col.(i) in
+          let j = ref (i - 1) in
+          while !j >= lo && col.(!j) > x do
+            col.(!j + 1) <- col.(!j);
+            decr j
+          done;
+          col.(!j + 1) <- x
+        done
+      else begin
+        let tmp = Array.sub col lo (hi - lo) in
+        Array.sort Int.compare tmp;
+        Array.blit tmp 0 col lo (hi - lo)
+      end
     end;
     let prev = ref (-1) in
     for i = lo to hi - 1 do
@@ -417,16 +434,25 @@ module Delta = struct
 
   let commit d =
     if d.edits = 0 then d.base
-    else
+    else begin
       (* Both passes of [of_iter] see the tables unmutated, so the
          iterator is repeatable; the CSR build re-sorts rows, so the
-         Hashtbl iteration order never shows in the result. *)
+         Hashtbl iteration order never shows in the result.  [removed]
+         is symmetric, so a base edge u < v is removed iff v is in
+         u's list, and only a row marked in [touched] has a list to
+         look up: the other base edges cost no hashing. *)
+      let touched = Bytes.make d.base.size '\000' in
+      Hashtbl.iter (fun u _ -> Bytes.set touched u '\001') d.removed;
       of_iter ~n:d.base.size (fun f ->
           iter_edges d.base (fun u v ->
-              if not (List.mem v (slot d.removed u)) then f u v);
+              if
+                Bytes.get touched u = '\000'
+                || not (List.mem v (slot d.removed u))
+              then f u v);
           Hashtbl.iter
             (fun u l -> List.iter (fun v -> if u < v then f u v) l)
             d.added)
+    end
 end
 
 let pp ppf g =

@@ -63,22 +63,19 @@ let sender_step ~plan ~first_round ~active ~crash_mask ~plane ~lens
         node.status <- Node.Crashed;
         push events (Trace.Crash { vertex = u })
     | _ -> ());
-    let u_byz = Rng.float stream 1.0 in
-    if active && node.status = Node.Alive && u_byz < plan.Fault.byzantine
-    then begin
+    let byz = Rng.chance stream plan.Fault.byzantine in
+    if active && node.status = Node.Alive && byz then begin
       node.status <- Node.Byzantine;
       push events (Trace.Went_byzantine { vertex = u })
     end
   end;
-  let u_crash = Rng.float stream 1.0 in
-  if active && node.status <> Node.Crashed && u_crash < plan.Fault.crash
-  then begin
+  let crash = Rng.chance stream plan.Fault.crash in
+  if active && node.status <> Node.Crashed && crash then begin
     node.status <- Node.Crashed;
     push events (Trace.Crash { vertex = u })
   end;
-  let u_corrupt = Rng.float stream 1.0 in
-  if active && node.status = Node.Alive && u_corrupt < plan.Fault.corrupt
-  then begin
+  let corrupt = Rng.chance stream plan.Fault.corrupt in
+  if active && node.status = Node.Alive && corrupt then begin
     node.cert <- mutate_cert stream node.cert;
     push events (Trace.Corrupt { vertex = u })
   end;
@@ -95,14 +92,14 @@ let sender_step ~plan ~first_round ~active ~crash_mask ~plane ~lens
     lens.(u) <- (if forged then -1 else Bitstring.length node.cert);
     for j = lo to hi - 1 do
       let w = col.(j) in
-      let u_drop = Rng.float stream 1.0 in
-      let u_flip = Rng.float stream 1.0 in
+      let drop = Rng.chance stream plan.Fault.drop in
+      let flip = Rng.chance stream plan.Fault.flip in
       let payload =
         if forged then
           Rng.bits stream (Rng.int stream (plan.Fault.byz_bits + 1))
         else node.cert
       in
-      if active && u_drop < plan.Fault.drop then begin
+      if active && drop then begin
         push events (Trace.Drop { src = u; dst = w });
         slots.(twin.(j)) <- silent
       end
@@ -111,7 +108,7 @@ let sender_step ~plan ~first_round ~active ~crash_mask ~plane ~lens
           if
             active
             && (not forged)
-            && u_flip < plan.Fault.flip
+            && flip
             && Bitstring.length payload > 0
           then begin
             let bit = Rng.int stream (Bitstring.length payload) in

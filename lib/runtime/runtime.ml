@@ -359,8 +359,7 @@ let execute ?pool ?jobs ?(plan = Fault.none) ?(rounds = 1) ?(seed = 0)
           let tstream = streams.(n) in
           for v = 0 to n - 1 do
             if
-              plan.Fault.deledge > 0.
-              && Rng.float tstream 1.0 < plan.Fault.deledge
+              plan.Fault.deledge > 0. && Rng.chance tstream plan.Fault.deledge
             then begin
               let d = Graph.Delta.degree delta v in
               if d > 0 then begin
@@ -375,7 +374,7 @@ let execute ?pool ?jobs ?(plan = Fault.none) ?(rounds = 1) ?(seed = 0)
             end;
             if
               plan.Fault.addedge > 0. && n > 1
-              && Rng.float tstream 1.0 < plan.Fault.addedge
+              && Rng.chance tstream plan.Fault.addedge
             then begin
               (* bounded retries: near-clique vertices may fail to
                  find a non-neighbor, and that is fine *)

@@ -3,7 +3,12 @@
     All randomized components (graph generators, adversarial corruption,
     random formula generation) take an explicit {!t} so that every
     experiment and test is reproducible from a seed.  The generator is
-    SplitMix64; it is emphatically not cryptographic. *)
+    SplitMix64; it is emphatically not cryptographic.
+
+    A generator is one 64-bit state word held in an 8-byte buffer and
+    read and written in place, so a draw allocates nothing: no boxed
+    [int64] state per step, and {!int}, {!bool} and {!chance} return
+    immediate values.  [split] allocates one such buffer per child. *)
 
 type t
 
@@ -33,6 +38,12 @@ val bool : t -> bool
 
 val float : t -> float -> float
 (** [float r bound] is uniform in [\[0, bound)]. *)
+
+val chance : t -> float -> bool
+(** [chance r p] is [float r 1.0 < p]: true with probability [p]
+    (clamped to [\[0, 1\]]).  It takes the same single step as
+    [float r 1.0], so the two are interchangeable in a pinned stream,
+    but it returns no float and so boxes none. *)
 
 val pick : t -> 'a list -> 'a
 (** Uniform element of a non-empty list.  Raises [Invalid_argument] on

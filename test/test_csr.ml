@@ -90,6 +90,55 @@ let qcheck_csr_invariants =
                  !ok))
            (List.init n Fun.id))
 
+(* [of_iter] insertion-sorts rows of at most 16 entries in place and
+   sorts longer ones with [Array.sort]; both must agree with the plain
+   sort-then-dedupe of every row as it fills.  Rows are built to fill
+   descending, in random order or ascending, with duplicates, and with
+   lengths on both sides of the 16-entry cut. *)
+let qcheck_row_sort_vs_array_sort =
+  QCheck.Test.make ~name:"of_iter row sort ≡ Array.sort on every row"
+    ~count:300 seed_arbitrary (fun (n, seed) ->
+      let rng = Rng.make seed in
+      let n = n + 1 in
+      let edges =
+        List.concat_map
+          (fun u ->
+            let d = Rng.int rng (if Rng.int rng 4 = 0 then 40 else 20) in
+            let nbrs =
+              List.init d (fun _ -> Rng.int rng n)
+              |> List.filter (fun v -> v <> u)
+            in
+            let nbrs =
+              match Rng.int rng 3 with
+              | 0 -> List.sort (fun a b -> Int.compare b a) nbrs
+              | 1 -> List.sort Int.compare nbrs
+              | _ -> nbrs
+            in
+            List.map (fun v -> (u, v)) nbrs)
+          (List.init n Fun.id)
+      in
+      let rows = Array.make n [] in
+      List.iter
+        (fun (u, v) ->
+          rows.(u) <- v :: rows.(u);
+          rows.(v) <- u :: rows.(v))
+        edges;
+      let expected =
+        Array.map
+          (fun r ->
+            let a = Array.of_list (List.rev r) in
+            Array.sort Int.compare a;
+            List.sort_uniq Int.compare (Array.to_list a))
+          rows
+      in
+      let g = Graph.of_edges ~n edges in
+      let rp, col = Graph.unsafe_csr g in
+      List.for_all
+        (fun v ->
+          Array.to_list (Array.sub col rp.(v) (rp.(v + 1) - rp.(v)))
+          = expected.(v))
+        (List.init n Fun.id))
+
 let qcheck_bfs_vs_reference =
   QCheck.Test.make ~name:"bfs_tree distances match a reference BFS" ~count:200
     seed_arbitrary (fun (n, seed) ->
@@ -479,6 +528,7 @@ let suite =
       [
         QCheck_alcotest.to_alcotest qcheck_csr_vs_reference;
         QCheck_alcotest.to_alcotest qcheck_csr_invariants;
+        QCheck_alcotest.to_alcotest qcheck_row_sort_vs_array_sort;
         QCheck_alcotest.to_alcotest qcheck_bfs_vs_reference;
         Alcotest.test_case "neighbors is fresh" `Quick neighbors_freshness;
         Alcotest.test_case "of_iter rejects diverging iterators" `Quick

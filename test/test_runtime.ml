@@ -168,12 +168,15 @@ let test_counters_match_trace () =
 (* ------------------------------------------------------------------ *)
 
 (* One warm fault-free exchange on a one-job pool (all allocation lands
-   on the calling domain).  The plane leaves only the Rng draws on the
-   minor heap: two per directed edge at 8 words each (a boxed Int64
-   state and a boxed float), plus two per vertex.  The list exchange
+   on the calling domain).  Messages live in the plane's slots and the
+   Rng draws update their stream in place and return immediates, so
+   nothing is allocated per directed edge: what is left is per chunk
+   (its event list and result tuple) and per round.  The list exchange
    built a Send event, an inbox entry and their conses per message, 59
-   words per directed edge on this graph; any per-message heap object
-   (three words at least) pushes the figure past the bound. *)
+   words per directed edge on this graph, and a boxed Int64 state plus
+   a boxed float per draw still cost 21; any per-message heap object
+   (three words at least) or a boxed draw pushes the figure past the
+   bound of one word. *)
 let test_exchange_allocation () =
   let g = Gen.random_connected (Rng.make 3) ~n:4096 ~extra_edges:2048 in
   let inst = Instance.make g in
@@ -191,7 +194,7 @@ let test_exchange_allocation () =
   ignore (Sys.opaque_identity (exchange streams));
   let words = Gc.minor_words () -. before in
   let per_edge = words /. float_of_int (2 * Graph.m g) in
-  if per_edge > 24. then
+  if per_edge > 1. then
     Alcotest.failf "exchange allocated %.1f minor words per directed edge"
       per_edge
 

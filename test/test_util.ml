@@ -165,6 +165,88 @@ let rng_small_bound_distribution () =
   (* chi-square 99.9th percentile at 6 degrees of freedom is 22.46 *)
   check "chi-square within the df=6 99.9% bound" true (chi2 < 22.46)
 
+(* Pinned streams: the exact outputs of every drawing function for a
+   few seeds.  Traces, golden fixtures and seeded experiments all
+   replay these streams, so a change to the generator's representation
+   must leave every value here unchanged. *)
+let rng_pinned_streams () =
+  let ints = Alcotest.(list int) in
+  let case seed ~ints:i ~big ~int_in ~floats ~bools ~bits ~shuffled ~kids
+      ~after =
+    let r = Rng.make seed in
+    let name what = Printf.sprintf "seed %d: %s" seed what in
+    Alcotest.check ints (name "int") i (List.init 4 (fun _ -> Rng.int r 1000));
+    check_int (name "int 2^40") big (Rng.int r (1 lsl 40));
+    Alcotest.check ints (name "int_in") int_in
+      (List.init 3 (fun _ -> Rng.int_in r (-5) 5));
+    Alcotest.(check (list string))
+      (name "float") floats
+      (List.init 2 (fun _ -> Printf.sprintf "%h" (Rng.float r 1.0)));
+    Alcotest.(check (list bool)) (name "bool") bools
+      (List.init 6 (fun _ -> Rng.bool r));
+    Alcotest.(check string) (name "bits") bits
+      (Bitstring.to_string (Rng.bits r 20));
+    let a = Array.init 8 Fun.id in
+    Rng.shuffle r a;
+    Alcotest.check ints (name "shuffle") shuffled (Array.to_list a);
+    let children = Rng.split r 3 in
+    Alcotest.check ints (name "split children") kids
+      (Array.to_list (Array.map (fun k -> Rng.int k 1_000_000) children));
+    check_int (name "parent after split") after (Rng.int r 1_000_000)
+  in
+  case 0 ~ints:[ 883; 925; 419; 611 ] ~big:389037038886
+    ~int_in:[ 1; -2; -1 ]
+    ~floats:[ "0x1.f72bc4820e4c4p-3"; "0x1.e77091186d196p-1" ]
+    ~bools:[ true; false; true; true; true; true ]
+    ~bits:"10001100110000110111" ~shuffled:[ 3; 4; 1; 2; 6; 5; 7; 0 ]
+    ~kids:[ 474591; 606778; 994102 ] ~after:627755;
+  case 7 ~ints:[ 621; 951; 336; 50 ] ~big:934600476790 ~int_in:[ 2; 3; 5 ]
+    ~floats:[ "0x1.12f603d4ca83p-3"; "0x1.a70e89da21e54p-2" ]
+    ~bools:[ true; false; false; false; false; false ]
+    ~bits:"11101111010111000011" ~shuffled:[ 5; 7; 3; 0; 6; 1; 2; 4 ]
+    ~kids:[ 407776; 752734; 245769 ] ~after:464451;
+  case 42 ~ints:[ 853; 72; 964; 941 ] ~big:96788941052 ~int_in:[ 5; 2; 1 ]
+    ~floats:[ "0x1.5c16e1dc2cf5ep-2"; "0x1.3ca9ae7052feep-1" ]
+    ~bools:[ true; false; false; true; false; false ]
+    ~bits:"11100111011111101011" ~shuffled:[ 3; 2; 5; 0; 6; 7; 1; 4 ]
+    ~kids:[ 738193; 865481; 550639 ] ~after:127146;
+  case (-3) ~ints:[ 383; 432; 127; 498 ] ~big:827186933655
+    ~int_in:[ 4; 1; -2 ]
+    ~floats:[ "0x1.3db5a89cd08b8p-2"; "0x1.5a9d1629bbb38p-2" ]
+    ~bools:[ true; true; true; true; false; false ]
+    ~bits:"01000011000011011111" ~shuffled:[ 1; 3; 6; 2; 0; 4; 5; 7 ]
+    ~kids:[ 497080; 824933; 943810 ] ~after:594836
+
+(* A draw allocates nothing: the state is updated in place and [int],
+   [bool] and [chance] return immediates.  The old [mutable int64]
+   state boxed a fresh word per step (and [float] a float per draw). *)
+let rng_draws_do_not_allocate () =
+  let r = Rng.make 5 in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    hits := !hits + Rng.int r 1000;
+    if Rng.bool r then incr hits;
+    if Rng.chance r 0.5 then incr hits
+  done;
+  let words = Gc.minor_words () -. before in
+  check "hits drawn" true (!hits > 0);
+  check (Printf.sprintf "30000 draws allocated %.0f minor words" words) true
+    (words < 100.)
+
+let qcheck_rng_chance =
+  QCheck.Test.make ~name:"Rng.chance r p = (Rng.float r' 1.0 < p) on twins"
+    ~count:1000
+    QCheck.(pair (int_bound 1_000_000) (float_range (-0.5) 1.5))
+    (fun (seed, p) ->
+      let r = Rng.make seed and r' = Rng.make seed in
+      let same = ref true in
+      for _ = 1 to 16 do
+        if Rng.chance r p <> (Rng.float r' 1.0 < p) then same := false
+      done;
+      (* both took the same steps: their next draws agree *)
+      !same && Rng.int r (1 lsl 40) = Rng.int r' (1 lsl 40))
+
 let combin_binomial () =
   check_int "C(5,2)" 10 (Combin.binomial 5 2);
   check_int "C(10,0)" 1 (Combin.binomial 10 0);
@@ -318,6 +400,10 @@ let suite =
         Alcotest.test_case "bounds" `Quick rng_bounds;
         Alcotest.test_case "permutation" `Quick rng_permutation;
         Alcotest.test_case "rejection boundary" `Quick rng_rejection_boundary;
+        Alcotest.test_case "pinned streams" `Quick rng_pinned_streams;
+        Alcotest.test_case "draws do not allocate" `Quick
+          rng_draws_do_not_allocate;
+        QCheck_alcotest.to_alcotest qcheck_rng_chance;
         Alcotest.test_case "small-bound distribution" `Quick
           rng_small_bound_distribution;
         QCheck_alcotest.to_alcotest qcheck_rng_split_reproducible;
