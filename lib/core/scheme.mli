@@ -131,7 +131,7 @@ val flat_lowering :
     [check_flat]: it writes the vertex's decoded value and each
     neighbor's into a scratch plane and runs [check_flat] on it.  The
     compiled engine runs [check_flat] on whole-graph planes; {!verify},
-    the runtime's view checker and the combinators' sub-checks run the
+    the runtime's row check and the combinators' sub-checks run the
     derived [check] — one check function, so every path agrees on
     every verdict by construction. *)
 

@@ -32,8 +32,8 @@ let is_enabled () = Atomic.get enabled
    dominant callers re-present the same inputs verbatim: a server
    answering verifies of a few (scheme, graph) pairs in turn, and
    repeated sweeps over one assignment (benchmark ladders, a reverify
-   of a certified instance).  The runtime never compiles: its inbox
-   views go through [view_checker] below.  A short
+   of a certified instance).  The runtime never compiles: it checks
+   its message plane's rows (Network.checker).  A short
    most-recently-used list remembers the last compiles.  Validity is
    physical: same scheme, same instance, and every certificate the
    same value it was (bitstrings are immutable, so [==] per element
@@ -245,66 +245,3 @@ let compile scheme inst certs =
             c_size = Array.length rp + rp.(Array.length rp - 1);
           };
         Some kernel
-
-(* Runtime inbox views carry per-delivery certificate copies, so a
-   per-instance compile keyed by physical arrays does not apply; what
-   does transfer is decode-once sharing.  [view_checker] keeps a
-   per-domain decode cache (one table per domain, which only that
-   domain touches — domains never contend on it, unlike a sharded
-   memo) keyed by certificate content, bounded so an adversarial fault
-   plan cannot grow it without limit.  The tables belong to the
-   checker, not to a [Domain.DLS] key: DLS slots are never freed, so a
-   key per checker (one per [Runtime.execute]) would keep every
-   domain's table — each cached certificate pinning the packed buffer
-   its prover wrote it into (Bitbuf.pack) — for the life of the
-   process. *)
-let cache_limit = 8192
-
-let rec table_of self = function
-  | [] -> None
-  | (d, t) :: rest -> if d = self then Some t else table_of self rest
-
-(* [per_domain make ()] is the calling domain's table, made on its
-   first call from that domain. *)
-let per_domain make =
-  let tables = Atomic.make [] in
-  let rec get self =
-    let l = Atomic.get tables in
-    match table_of self l with
-    | Some t -> t
-    | None ->
-        let t = make () in
-        if Atomic.compare_and_set tables l ((self, t) :: l) then t else get self
-  in
-  fun () -> get (Domain.self () :> int)
-
-let view_checker (scheme : Scheme.t) =
-  if not (Atomic.get enabled) then None
-  else
-    match scheme.Scheme.lowering with
-    | Scheme.Compiled l ->
-        let cache_here = per_domain (fun () -> BH.create 64) in
-        Some
-          (fun (view : Scheme.view) ->
-            let cache = cache_here () in
-            if BH.length cache > cache_limit then BH.reset cache;
-            let id_bits = view.Scheme.id_bits in
-            let dec_of c =
-              match BH.find_opt cache c with
-              | Some d -> d
-              | None ->
-                  let d = l.Scheme.decode ~id_bits c in
-                  BH.add cache c d;
-                  d
-            in
-            let mine = dec_of view.Scheme.cert in
-            let deg = List.length view.Scheme.nbrs in
-            let ids = Array.make deg 0 in
-            let decs = Array.make deg mine in
-            List.iteri
-              (fun i (nid, c) ->
-                ids.(i) <- nid;
-                decs.(i) <- dec_of c)
-              view.Scheme.nbrs;
-            l.Scheme.check ~id_bits ~me:view.Scheme.me ~label:view.Scheme.label
-              mine ~ids ~decs ~lo:0 ~hi:deg)

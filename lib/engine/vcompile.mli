@@ -18,8 +18,9 @@
 
 val set_enabled : bool -> unit
 (** Globally enable/disable compilation (default: enabled).  With it
-    disabled, {!compile} and {!view_checker} return [None] and every
-    engine runs {!Scheme.verify} — the CLI's [--no-compiled]. *)
+    disabled, {!compile} returns [None] and every engine runs
+    {!Scheme.verify}, the runtime's row checks included — the CLI's
+    [--no-compiled]. *)
 
 val is_enabled : unit -> bool
 
@@ -53,7 +54,8 @@ val compile : Scheme.t -> Instance.t -> Bitstring.t array -> kernel option
     inputs are verbatim the same — a server alternating schemes on one
     graph and repeated sweeps over one assignment (benchmark ladders,
     a reverify) pay decode cost once, not once per sweep.  The runtime
-    does not compile; it verifies through {!view_checker}.  It keeps up to four kernels while
+    does not compile; it checks its message plane's rows
+    ([Network.checker]).  It keeps up to four kernels while
     their graphs total at most 2²¹ vertex-plus-adjacency slots; the
     newest kernel is always kept.  Reuse is counted in the
     approximate [vcompile.kernel_reuse] metric.  Any changed
@@ -68,13 +70,3 @@ val compile : Scheme.t -> Instance.t -> Bitstring.t array -> kernel option
 
     Compilation is timed as a [vcompile.<scheme>] slice
     ({!Tracer.with_slice}). *)
-
-val view_checker : Scheme.t -> (Scheme.view -> Scheme.verdict) option
-(** A compiled drop-in for {!Scheme.verify} on runtime inbox views,
-    where certificates arrive as per-delivery wire copies and no
-    instance-wide array exists to compile against.  Decoded values are
-    cached per domain (content-keyed, bounded), so repeated rounds and
-    broadcast certificates decode once per domain rather than once per
-    vertex per round.  The caches belong to the returned checker and
-    are freed with it.  [None] only when compilation is disabled; an
-    exception from the lowering propagates, as from {!compile}. *)

@@ -186,3 +186,67 @@ let view plane (inst : Instance.t) nodes v =
       (if !sorted then !nbrs
        else List.sort (fun (a, _) (b, _) -> Int.compare a b) !nbrs);
   }
+
+(* The compiled row check reads row [v] of the plane as the lowering's
+   slices.  An honest payload is the sender's stored certificate itself
+   (sender_step writes [node.cert]), so its decoded value comes from a
+   per-vertex (certificate, decoded) slot revalidated with [==]: a
+   vertex's certificate is decoded once per value it stores, not once
+   per round per neighbor.  Only a flipped or forged payload — a fresh
+   bitstring no vertex stores — is decoded on the spot.  A slot holds
+   an immutable pair, so domains that refresh it concurrently can only
+   overwrite a valid pair with another valid one, and decode is pure,
+   so whichever pair a reader sees gives the same verdict.  The row
+   comes in vertex order and is re-sorted by id only when it is not
+   already sorted, with a stable insertion sort: the order [view]'s
+   stable [List.sort] yields. *)
+let checker (scheme : Scheme.t) (inst : Instance.t) (nodes : Node.t array) =
+  if not (Vcompile.is_enabled ()) then fun plane v ->
+    Scheme.verify scheme (view plane inst nodes v)
+  else
+    let (Scheme.Compiled l) = scheme.Scheme.lowering in
+    let id_bits = inst.Instance.id_bits in
+    let decoded = Array.make (Array.length nodes) None in
+    let decode_stored u c =
+      match decoded.(u) with
+      | Some (c', d) when c' == c -> d
+      | _ ->
+          let d = l.Scheme.decode ~id_bits c in
+          decoded.(u) <- Some (c, d);
+          d
+    in
+    fun plane v ->
+      let node = nodes.(v) in
+      let mine = decode_stored v node.Node.cert in
+      let lo = plane.row_ptr.(v) and hi = plane.row_ptr.(v + 1) in
+      let ids = Array.make (hi - lo) 0 and decs = Array.make (hi - lo) mine in
+      let deg = ref 0 and sorted = ref true in
+      for j = lo to hi - 1 do
+        let payload = plane.slots.(j) in
+        if payload != silent then begin
+          let u = plane.col.(j) in
+          let sender = nodes.(u) in
+          let id = sender.Node.id and k = !deg in
+          if k > 0 && ids.(k - 1) > id then sorted := false;
+          ids.(k) <- id;
+          decs.(k) <-
+            (if payload == sender.Node.cert then decode_stored u payload
+             else l.Scheme.decode ~id_bits payload);
+          deg := k + 1
+        end
+      done;
+      let deg = !deg in
+      if not !sorted then
+        for i = 1 to deg - 1 do
+          let ki = ids.(i) and di = decs.(i) in
+          let j = ref (i - 1) in
+          while !j >= 0 && ids.(!j) > ki do
+            ids.(!j + 1) <- ids.(!j);
+            decs.(!j + 1) <- decs.(!j);
+            decr j
+          done;
+          ids.(!j + 1) <- ki;
+          decs.(!j + 1) <- di
+        done;
+      l.Scheme.check ~id_bits ~me:node.Node.id ~label:inst.Instance.labels.(v)
+        mine ~ids ~decs ~lo:0 ~hi:deg

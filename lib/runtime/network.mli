@@ -78,4 +78,25 @@ val view : t -> Instance.t -> Node.t array -> int -> Scheme.view
     assembles from its row of the plane after {!exchange}: its
     neighbors' [(id, payload)] pairs, sorted by id, with silent slots
     left out.  With every slot delivered honestly this is exactly
-    {!Scheme.view_of}. *)
+    {!Scheme.view_of}.  The interpreted oracle: {!checker} computes the
+    same verdict without building it. *)
+
+val checker :
+  Scheme.t -> Instance.t -> Node.t array -> t -> int -> Scheme.verdict
+(** [checker scheme inst nodes] is the runtime's verifier, built once
+    per execution over the execution's [nodes]; [checker … plane v] is
+    vertex [v]'s verdict on its row of [plane] after {!exchange},
+    always equal to [Scheme.verify scheme (view plane inst nodes v)],
+    reason strings included.
+
+    With compilation enabled ({!Vcompile.is_enabled} when the checker
+    is built) it builds no {!Scheme.view}: it reads the row directly,
+    skips silent slots, sorts the row by id only when it is not already
+    sorted, and runs the lowering's [check].  A payload that is
+    physically its sender's stored certificate (every honest delivery)
+    takes its decoded value from a per-vertex table, kept for the
+    checker's lifetime and refreshed whenever that vertex stores a new
+    certificate.  Flipped and forged payloads are decoded on the spot.
+    With compilation disabled it is exactly the interpreted oracle
+    above.  An exception from the lowering propagates.  Distinct
+    vertices may be checked concurrently. *)

@@ -21,21 +21,20 @@ let chunk_factor = 8
    take the simulator down — but let fatal/programming-error
    exceptions (OOM, stack overflow, tripped assertions) escape: those
    mean the process is broken, not that a fault was detected.  [check]
-   is either the interpreted oracle (Scheme.verify) or the compiled
-   view checker (Vcompile.view_checker); both run the same lowering and
-   raise the same exception, so the rejection text is the same
-   either way. *)
-let run_verifier check view =
-  match check view with
+   is the execution's Network.checker, compiled or interpreted; both
+   run the same lowering and raise the same exception, so the
+   rejection text is the same either way. *)
+let run_verifier check plane v =
+  match check plane v with
   | verdict -> verdict
   | exception e when not (Fatal.is_fatal e) ->
       Scheme.Reject ("verifier raised: " ^ Printexc.to_string e)
 
-(* Full-sweep verification: every alive honest vertex assembles its
-   view from its row of the message plane and runs the verifier.
-   Verdicts come back in ascending vertex order (per-chunk downto +
-   cons, chunks ascending), matching Scheme.run's rejection order. *)
-let verify_round ~pool ~inst ~nodes ~plane check =
+(* Full-sweep verification: every alive honest vertex checks its row
+   of the message plane.  Verdicts come back in ascending vertex order
+   (per-chunk downto + cons, chunks ascending), matching Scheme.run's
+   rejection order. *)
+let verify_round ~pool ~nodes ~plane check =
   let n = Array.length nodes in
   let chunks = max 1 (min n (Pool.size pool * chunk_factor)) in
   let per_chunk =
@@ -43,32 +42,27 @@ let verify_round ~pool ~inst ~nodes ~plane check =
         let lo = c * n / chunks and hi = (c + 1) * n / chunks in
         let out = ref [] in
         for v = hi - 1 downto lo do
-          let node = nodes.(v) in
-          if node.Node.status = Node.Alive then begin
-            let view = Network.view plane inst nodes v in
-            out := (v, run_verifier check view) :: !out
-          end
+          if nodes.(v).Node.status = Node.Alive then
+            out := (v, run_verifier check plane v) :: !out
         done;
         !out)
   in
   List.concat (Array.to_list per_chunk)
 
 (* Incremental verification: the dirty-set propagator (Vcache) names
-   the candidates whose view may have changed; only those reassemble a
-   view, and only key misses among them run the verifier.  Everything
-   else reuses its cached verdict, so the rejections and the verdict
-   count — and hence outcome and trace — are identical to the full
-   sweep's, per-round and byte for byte.  Scopes of this round's events
-   (topology edits included) are closed over the plane's topology, the
-   post-edit one. *)
-let verify_round_incremental ~pool ~inst ~nodes ~plane ~cache ~first_round
-    ~events check =
+   the candidates whose view may have changed; every alive one runs the
+   verifier.  Everything else reuses its cached verdict, so the
+   rejections and the verdict count — and hence outcome and trace — are
+   identical to the full sweep's, per-round and byte for byte.  Scopes
+   of this round's events (topology edits included) are closed over the
+   plane's topology, the post-edit one. *)
+let verify_round_incremental ~pool ~nodes ~plane ~cache ~first_round ~events
+    check =
   let graph = Network.graph plane in
   let cands =
     Array.of_list (Vcache.candidates cache ~graph ~first_round events)
   in
   let k = Array.length cands in
-  let ran = Array.make k false in
   if k > 0 then begin
     let chunks = max 1 (min k (Pool.size pool * chunk_factor)) in
     ignore
@@ -76,19 +70,8 @@ let verify_round_incremental ~pool ~inst ~nodes ~plane ~cache ~first_round
            let lo = c * k / chunks and hi = (c + 1) * k / chunks in
            for i = lo to hi - 1 do
              let v = cands.(i) in
-             let node = nodes.(v) in
-             if node.Node.status <> Node.Alive then Vcache.skip cache v
-             else begin
-               let view = Network.view plane inst nodes v in
-               let key =
-                 View_key.make ~cert:view.Scheme.cert ~nbrs:view.Scheme.nbrs
-               in
-               match Vcache.check cache v key with
-               | Some _ -> ()
-               | None ->
-                   Vcache.store cache v key (run_verifier check view);
-                   ran.(i) <- true
-             end
+             if nodes.(v).Node.status <> Node.Alive then Vcache.skip cache v
+             else Vcache.store cache v (run_verifier check plane v)
            done));
   end;
   let rejections = ref [] and rendered = ref 0 in
@@ -102,11 +85,11 @@ let verify_round_incremental ~pool ~inst ~nodes ~plane ~cache ~first_round
     end
   done;
   Vcache.update_carry cache ~graph events;
-  let reverified = ref [] in
-  for i = k - 1 downto 0 do
-    if ran.(i) then reverified := cands.(i) :: !reverified
-  done;
-  (!rejections, !rendered, Array.to_list cands, !reverified)
+  let cands = Array.to_list cands in
+  let reverified =
+    List.filter (fun v -> nodes.(v).Node.status = Node.Alive) cands
+  in
+  (!rejections, !rendered, cands, reverified)
 
 (* Everything the runtime records is deterministic given the seed: the
    fault plan draws from Rng streams keyed by (round, vertex) — plus
@@ -148,7 +131,15 @@ type instruments = {
   sent_c : Metrics.counter;
   recovered_c : Metrics.counter;
   faults_c : Metrics.counter array;
+  latency_h : unit -> Metrics.histogram;
+      (* registered on the first detection, so a snapshot of runs that
+         never detect has no latency histogram *)
 }
+
+(* Detection latency in rounds, small and linear-ish: simulations run
+   single-digit round counts, where power-of-two buckets would lump
+   everything into two cells. *)
+let latency_bounds = [| 1; 2; 3; 4; 6; 8; 12; 16; 24; 32 |]
 
 let instruments =
   Once.make (fun () ->
@@ -161,6 +152,10 @@ let instruments =
       sent_c = Metrics.counter "runtime.messages_sent";
       recovered_c = Metrics.counter "runtime.certs_recovered";
       faults_c = Array.map (fun name -> Metrics.counter name) fault_counters;
+      latency_h =
+        Once.make (fun () ->
+            Metrics.histogram ~bounds:latency_bounds
+              "runtime.detection_latency_rounds");
     })
 
 (* [events] are the round's heap events; honest deliveries arrive as
@@ -184,19 +179,10 @@ let record_round ~wire_bits ~sent ~events ~rejections ~reverified ~cached =
       events
   end
 
-(* Detection latency in rounds, small and linear-ish: simulations run
-   single-digit round counts, where power-of-two buckets would lump
-   everything into two cells. *)
-let latency_bounds = [| 1; 2; 3; 4; 6; 8; 12; 16; 24; 32 |]
-
 let record_trace trace =
   if Metrics.is_enabled () then
     match Trace.detection_latency (Trace.metrics trace) with
-    | Some l ->
-        Metrics.observe
-          (Metrics.histogram ~bounds:latency_bounds
-             "runtime.detection_latency_rounds")
-          l
+    | Some l -> Metrics.observe ((instruments ()).latency_h ()) l
     | None -> ()
 
 let validate_plan ~n (plan : Fault.t) =
@@ -234,17 +220,11 @@ let execute ?pool ?jobs ?(plan = Fault.none) ?(rounds = 1) ?(seed = 0)
   validate_plan ~n:(Instance.n inst) plan;
   with_pool_arg ?pool ?jobs (fun pool ->
       Tracer.with_slice t_execute @@ fun () ->
-      (* Plane views carry per-delivery wire copies, so the per-domain
-         decode-cache checker is the applicable compiled form; with
-         compilation globally off (Vcompile.set_enabled) the
-         interpreted oracle runs instead.  Verdicts are identical
-         either way. *)
-      let check =
-        match Vcompile.view_checker scheme with
-        | Some fast -> fast
-        | None -> Scheme.verify scheme
-      in
       let nodes = Node.boot inst certs in
+      (* Compiled row checks, or the interpreted oracle with
+         compilation globally off (Vcompile.set_enabled); verdicts are
+         identical either way. *)
+      let check = Network.checker scheme inst nodes in
       let n = Array.length nodes in
       let cache = if incremental then Some (Vcache.create n) else None in
       let rng = Rng.make seed in
@@ -403,10 +383,10 @@ let execute ?pool ?jobs ?(plan = Fault.none) ?(rounds = 1) ?(seed = 0)
         let rejections, verdicts_rendered, round_checked, round_reverified =
           match cache with
           | Some cache ->
-              verify_round_incremental ~pool ~inst ~nodes ~plane ~cache
+              verify_round_incremental ~pool ~nodes ~plane ~cache
                 ~first_round:(r = 1) ~events check
           | None ->
-              let verdicts = verify_round ~pool ~inst ~nodes ~plane check in
+              let verdicts = verify_round ~pool ~nodes ~plane check in
               let alive = List.map fst verdicts in
               let rejections =
                 List.filter_map

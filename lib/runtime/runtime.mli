@@ -5,9 +5,8 @@
     decides locally.  {!execute} actually runs that protocol — each
     round, every alive vertex broadcasts its stored certificate, a
     {!Fault} plan intercepts state, messages {e and topology} (edges
-    appear and vanish through a {!Graph.Delta} overlay), each vertex
-    assembles a {!Scheme.view} from what it received and runs the
-    verifier.
+    appear and vanish through a {!Graph.Delta} overlay), and each
+    vertex runs the verifier on what it received.
 
     Contracts anchoring the simulator:
 
@@ -56,8 +55,9 @@
     reversion); {!Vcache} computes that dirty set from the round's
     canonical event list — a topology edit dirties both endpoints'
     closed neighborhoods in the post-edit overlay, a recovery dirties
-    the re-adopting vertex and its neighbors — and cached verdicts are
-    reused everywhere else.  The mode is {e drop-in exact}: outcomes,
+    the re-adopting vertex and its neighbors — every alive vertex in it
+    runs the verifier, and cached verdicts are reused everywhere else.
+    The mode is {e drop-in exact}: outcomes,
     [detected_at], [quiesced_at] and the trace are byte-identical to
     the full sweep ([~incremental:false]), and the dirty set is
     computed sequentially so [checked]/[reverified] — and the
@@ -93,14 +93,18 @@ type result = {
           fault-free accepting execution this is [1]. *)
   trace : Trace.t;
   checked : int list array;
-      (** per round: vertices whose view was reassembled and re-keyed
-          (the dirty set), ascending.  Contains the distance-1 closure
-          of the round's fault events.  In full-sweep mode: every alive
-          vertex. *)
-  reverified : int list array;
-      (** per round: vertices where the verifier actually ran (a
-          {!Vcache} key miss among [checked]), ascending.  In
+      (** per round: the candidates, vertices whose view may have
+          changed (the dirty set), ascending.  Contains the
+          distance-1 closure of the round's fault events.  In
           full-sweep mode: every alive vertex. *)
+  reverified : int list array;
+      (** per round: vertices where the verifier ran, ascending — the
+          alive candidates, so [checked] minus the crashed and
+          Byzantine ones.  In full-sweep mode: every alive vertex.
+          The [runtime.vertices_reverified] counter sums it; it used
+          to count only candidates whose view also differed from the
+          cached one, so it now reads at least as high for the same
+          run. *)
   adopted : int list array;
       (** per round: vertices that re-adopted a recovered certificate,
           ascending; all empty unless [~recover:true] *)
@@ -139,9 +143,10 @@ val execute :
     events are re-examined.  [~incremental:false] forces the full
     per-round sweep; results are identical either way.
 
-    Verdicts run through {!Vcompile.view_checker} while compilation is
-    globally enabled ({!Vcompile.set_enabled}), else through
-    {!Scheme.verify}; outcomes and traces are identical either way.
+    Verdicts run through {!Network.checker}: compiled row checks while
+    compilation is globally enabled ({!Vcompile.set_enabled}), else
+    {!Scheme.verify} on {!Network.view}; outcomes and traces are
+    identical either way.
 
     [?recover] (default [false]) enables self-healing re-certification
     after detections — see the module preamble.

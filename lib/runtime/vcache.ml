@@ -2,47 +2,40 @@
    runtime (DESIGN §5.4).
 
    Soundness rests on two facts.  First, a radius-1 verifier's verdict
-   is a pure function of its view, and the only view components that
-   change between rounds are the vertex's own certificate and its
-   inbox — captured exactly by [View_key].  Second, every view change
-   is caused by a fault event in the current round's event list,
-   except for the reversion of a transient wire fault (a dropped or
-   flipped message re-sent honestly), which happens exactly one round
-   after the event.  So the set of vertices whose view may have
-   changed this round is
+   is a pure function of its view: the vertex's own certificate and its
+   inbox.  Second, every view change is caused by a fault event in the
+   current round's event list, except for the reversion of a transient
+   wire fault (a dropped or flipped message re-sent honestly), which
+   happens exactly one round after the event.  A persistent change
+   (corruption, crash, Byzantine conversion, recovery, edge edit) is
+   an event in the round it happens and is re-broadcast unchanged
+   afterwards, so it changes no view again without a new event.  So
+   the set of vertices whose view may have changed this round is
 
      closure(fault events this round) ∪ carry(previous round)
 
    where the closure maps a vertex-state fault to the vertex and its
    neighbors, a wire fault to the receiving vertex ([Trace.scope]),
    and the carry re-checks, one round later, every vertex that sat in
-   a transient's scope or whose key actually changed.  Everything
-   outside that set provably has the same view as when its cached
-   verdict was computed.
+   a transient's scope.  Everything outside that set provably has the
+   same view as when its cached verdict was computed, and every alive
+   vertex inside it runs its check.
 
    Determinism: the candidate set is computed sequentially from the
    (canonical, jobs-invariant) event list; the parallel fan-out only
-   writes per-vertex fields of distinct candidates, so there is no
+   writes the verdicts of distinct candidates, so there is no
    cross-domain contention and no scheduling-dependent state. *)
 
-type entry = {
-  mutable key : View_key.t option;
-      (* view key at the last digest check; [None] before round 1 and
-         for vertices that render no verdict *)
-  mutable verdict : Scheme.verdict option;  (* verdict for [key] *)
-  mutable changed : bool;  (* key changed during the current round *)
-}
-
 type t = {
-  entries : entry array;
+  verdicts : Scheme.verdict option array;
+      (* [None] before round 1 and for vertices that render no verdict *)
   carry : bool array;  (* re-check in the next round *)
   dirty : bool array;  (* scratch: the current round's candidate set *)
 }
 
 let create n =
   {
-    entries =
-      Array.init n (fun _ -> { key = None; verdict = None; changed = false });
+    verdicts = Array.make n None;
     carry = Array.make n false;
     dirty = Array.make n false;
   }
@@ -68,8 +61,7 @@ let mark_scope graph dirty = function
 (* The round's candidate list, ascending.  Sequential by design: it
    must be a pure function of the event list, never of scheduling. *)
 let candidates t ~graph ~first_round events =
-  let n = Array.length t.entries in
-  Array.fill t.dirty 0 n false;
+  let n = Array.length t.verdicts in
   if first_round then Array.fill t.dirty 0 n true
   else begin
     Array.blit t.carry 0 t.dirty 0 n;
@@ -77,49 +69,25 @@ let candidates t ~graph ~first_round events =
   end;
   let out = ref [] in
   for v = n - 1 downto 0 do
-    if t.dirty.(v) then begin
-      t.entries.(v).changed <- false;
-      out := v :: !out
-    end
+    if t.dirty.(v) then out := v :: !out
   done;
   !out
 
 (* Candidate-side accessors, called from the parallel fan-out.  Each
-   candidate is owned by exactly one chunk, so the mutations below are
-   single-writer per entry. *)
+   candidate is owned by exactly one chunk, so the writes below are
+   single-writer per vertex. *)
 
-let check t v key =
-  let e = t.entries.(v) in
-  match e.key with
-  | Some k when View_key.equal k key -> e.verdict
-  | _ -> None
+let store t v verdict = t.verdicts.(v) <- Some verdict
 
-let store t v key verdict =
-  let e = t.entries.(v) in
-  e.changed <- Option.is_some e.key;
-  e.key <- Some key;
-  e.verdict <- Some verdict
+(* crashed or Byzantine: renders no verdict, and stays that way *)
+let skip t v = t.verdicts.(v) <- None
+let verdict t v = t.verdicts.(v)
 
-let skip t v =
-  (* crashed or Byzantine: renders no verdict, and stays that way *)
-  let e = t.entries.(v) in
-  e.key <- None;
-  e.verdict <- None;
-  e.changed <- false
-
-let verdict t v = t.entries.(v).verdict
-
-(* Next round's carry: the scopes of this round's transient events
-   (their reversion is unmarked) plus every candidate whose key
-   actually changed (one extra cheap re-check; keeps the invariant
-   robust rather than relying on a sharper reversion analysis). *)
+(* Next round's carry: the scopes of this round's transient events,
+   whose reversion is unmarked. *)
 let update_carry t ~graph events =
-  let n = Array.length t.entries in
-  Array.fill t.carry 0 n false;
+  Array.fill t.carry 0 (Array.length t.carry) false;
   List.iter
     (fun e ->
       if Trace.is_transient e then mark_scope graph t.carry (Trace.scope e))
-    events;
-  for v = 0 to n - 1 do
-    if t.entries.(v).changed then t.carry.(v) <- true
-  done
+    events

@@ -13,18 +13,21 @@
     dirty the vertex and its neighbors, wire faults dirty the
     receiving inbox, topology edits dirty both endpoints' closed
     neighborhoods in the post-edit topology) and the carry holds the
-    scopes of the previous round's transient events plus every vertex
-    whose {!View_key} changed.  Vertices outside the candidate set
-    provably have the same view as when their cached verdict was
-    computed, so the verdict is reused without reassembling the view.
+    scopes of the previous round's transient events.  A persistent
+    change (corruption, crash, Byzantine conversion, recovery, edge
+    edit) is an event in its own round and is re-broadcast unchanged
+    afterwards, so it needs no carry.  Vertices outside the candidate
+    set provably have the same view as when their cached verdict was
+    computed, so the verdict is reused without looking at the view;
+    every alive candidate runs its check.
 
     The candidate set is computed {e sequentially} from the round's
     canonical heap events (honest deliveries are implicit in the
     round's {!Trace.deliveries} and change no view, so they are never
     walked), so it — and every count derived from it — is identical
-    at every job count.  The per-candidate accessors ({!check},
-    {!store}, {!skip}) mutate only the entry of the given vertex and
-    may be called concurrently for distinct vertices. *)
+    at every job count.  The per-candidate accessors ({!store},
+    {!skip}) write only the verdict of the given vertex and may be
+    called concurrently for distinct vertices. *)
 
 type t
 
@@ -37,17 +40,10 @@ val candidates :
 (** The vertices whose view may have changed this round, ascending.
     [graph] is the round's topology, after its edits.
     With [~first_round:true] that is every vertex (nothing is cached
-    yet).  Also resets the per-round change flags; call exactly once
-    per round, before the fan-out. *)
+    yet).  Call exactly once per round, before the fan-out. *)
 
-val check : t -> int -> View_key.t -> Scheme.verdict option
-(** [check t v key] is the cached verdict if [v]'s view is unchanged
-    (its stored key equals [key], structurally), [None] if the
-    verifier must run. *)
-
-val store : t -> int -> View_key.t -> Scheme.verdict -> unit
-(** Record a freshly computed verdict for [v] under [key], marking [v]
-    changed (so next round re-checks it once). *)
+val store : t -> int -> Scheme.verdict -> unit
+(** Record a freshly computed verdict for [v]. *)
 
 val skip : t -> int -> unit
 (** [v] renders no verdict this round (crashed or Byzantine); clears
@@ -58,5 +54,5 @@ val verdict : t -> int -> Scheme.verdict option
     every vertex that was alive at its last candidacy. *)
 
 val update_carry : t -> graph:Graph.t -> Trace.event list -> unit
-(** Compute the carry for the next round from this round's events and
-    change flags.  Call exactly once per round, after the fan-out. *)
+(** Compute the carry for the next round from this round's transient
+    events.  Call exactly once per round, after the fan-out. *)

@@ -158,8 +158,8 @@ let qcheck_fault_free_converges =
       in
       (* round 1 is the cold-cache full pass... *)
       List.length r.Runtime.checked.(0) = Instance.n inst
-      (* ...and with no events and no key changes every later round
-         reuses every verdict *)
+      (* ...and with no events every later round reuses every
+         verdict *)
       && Array.for_all (fun l -> l = []) (Array.sub r.Runtime.checked 1 3)
       && Array.for_all (fun l -> l = []) (Array.sub r.Runtime.reverified 1 3))
 

@@ -93,19 +93,77 @@ let qcheck_kernel_per_vertex =
       done;
       !ok)
 
-let qcheck_view_checker_per_vertex =
+(* One fault kind per case, so every kind meets the oracle on its own:
+   dropped and crashed senders leave silent slots, flips and forgeries
+   put payloads on the wire that no vertex stores, corruption and
+   recovery change what a vertex stores.  Churn cases recover on some
+   draws. *)
+let faulted_plan rng =
+  match Rng.int rng 6 with
+  | 0 -> (Fault.drops 0.2, false)
+  | 1 -> (Fault.flips 0.2, false)
+  | 2 -> (Fault.corruption 0.15, false)
+  | 3 -> (Fault.crashes 0.1, false)
+  | 4 -> (Fault.byzantine ~bits:8 0.15, false)
+  | _ ->
+      ( Fault.union (Fault.edge_additions 0.05) (Fault.edge_deletions 0.05),
+        Rng.bool rng )
+
+(* [s] with a check that raises its rejection reason instead of
+   returning it: the row check must raise exactly what the oracle
+   raises. *)
+let raising (s : Scheme.t) =
+  let (Scheme.Compiled l) = s.Scheme.lowering in
+  Scheme.of_lowering ~name:(s.Scheme.name ^ "-raising")
+    ~prover:s.Scheme.prover
+    {
+      l with
+      Scheme.check =
+        (fun ~id_bits ~me ~label mine ~ids ~decs ~lo ~hi ->
+          match l.Scheme.check ~id_bits ~me ~label mine ~ids ~decs ~lo ~hi with
+          | Scheme.Accept -> Scheme.Accept
+          | Scheme.Reject why -> failwith why);
+      flat = None;
+    }
+
+let verdict_or_raise f =
+  match f () with
+  | (v : Scheme.verdict) -> Ok v
+  | exception e -> Error (Printexc.to_string e)
+
+(* The runtime's row check against the interpreted oracle, vertex by
+   vertex, on planes with silent, flipped and forged slots.  Two
+   exchanges share one checker, so a certificate that changes between
+   rounds (corruption) must refresh its decoded value. *)
+let qcheck_row_check_per_vertex =
   QCheck.Test.make
-    ~name:"view_checker ≡ interpreted verifier on the same views" ~count:600
+    ~name:"row check ≡ interpreted verifier on a faulted plane" ~count:600
     seed_arbitrary (fun seed ->
       let rng = Rng.make seed in
       let scheme, inst = case_of rng in
+      let scheme = if Rng.bool rng then raising scheme else scheme in
       let certs = certs_of rng scheme inst in
-      let fast = Option.get (Vcompile.view_checker scheme) in
-      let n = Instance.n inst in
+      let plan, _ = faulted_plan rng in
+      let nodes = Node.boot inst certs in
+      let n = Array.length nodes in
+      let plane = Network.layout inst.Instance.graph in
+      let check = Network.checker scheme inst nodes in
       let ok = ref true in
-      for v = 0 to n - 1 do
-        let view = Scheme.view_of inst certs v in
-        if fast view <> Scheme.verify scheme view then ok := false
+      for round = 1 to 2 do
+        ignore
+          (Network.exchange ~pool:pool1 ~plan ~first_round:(round = 1)
+             ~active:true ~plane ~nodes
+             ~streams:(Rng.split (Rng.make (seed + round)) (n + 1)));
+        for v = 0 to n - 1 do
+          if nodes.(v).Node.status = Node.Alive then begin
+            let fast = verdict_or_raise (fun () -> check plane v) in
+            let slow =
+              verdict_or_raise (fun () ->
+                  Scheme.verify scheme (Network.view plane inst nodes v))
+            in
+            if fast <> slow then ok := false
+          end
+        done
       done;
       !ok)
 
@@ -164,9 +222,11 @@ let qcheck_runtime_compiled_flag =
       let certs = certs_of rng scheme inst in
       let rounds = 1 + Rng.int rng 2 in
       let pool = List.nth pools (Rng.int rng 3) in
+      let plan, recover = faulted_plan rng in
       let execute compiled =
         with_compilation compiled (fun () ->
-            Runtime.execute ~pool ~rounds ~seed scheme inst certs)
+            Runtime.execute ~pool ~plan ~recover ~rounds ~seed scheme inst
+              certs)
       in
       let fast = execute true and slow = execute false in
       outcome_equal fast.Runtime.outcome slow.Runtime.outcome
@@ -187,24 +247,22 @@ let disabled_compilation_is_equivalent () =
   with_compilation false (fun () ->
       check "compile yields None when disabled" true
         (Vcompile.compile scheme inst certs = None);
-      check "view_checker yields None when disabled" true
-        (match Vcompile.view_checker scheme with None -> true | Some _ -> false);
       let off = Engine.run_par ~pool:pool4 scheme inst certs in
       check "outcomes identical with compilation off" true
         (outcome_equal on off));
   check "toggle restored" true (Vcompile.is_enabled ())
 
-(* A checker's per-domain decode caches die with it: the runtime makes
-   one per execute, so caches that outlived their checker grew a
-   long-running process by a full table per execute. *)
-let view_checker_caches_freed () =
+(* Each execute builds its own row checker and decode table; nothing
+   of it may outlive the execute, or a long-running churn process grows
+   by a table per execute. *)
+let execute_leaves_nothing () =
   let scheme = Spanning_tree.scheme () in
   let inst = Instance.make (Gen.random_tree (Rng.make 3) 64) in
   let certs = Option.get (scheme.Scheme.prover inst) in
-  let views = Array.init 64 (Scheme.view_of inst certs) in
+  let plan = Fault.union (Fault.flips 0.1) (Fault.corruption 0.05) in
   let run () =
-    let check = Option.get (Vcompile.view_checker scheme) in
-    Array.iter (fun v -> ignore (check v)) views
+    ignore
+      (Runtime.execute ~pool:pool1 ~plan ~rounds:3 ~seed:5 scheme inst certs)
   in
   let live () =
     Gc.full_major ();
@@ -212,12 +270,12 @@ let view_checker_caches_freed () =
   in
   run ();
   let before = live () in
-  for _ = 1 to 1000 do
+  for _ = 1 to 600 do
     run ()
   done;
   let grown = live () - before in
   check
-    (Printf.sprintf "live words grew by %d over 1000 checkers" grown)
+    (Printf.sprintf "live words grew by %d over 600 executes" grown)
     true
     (grown < 16_000)
 
@@ -467,7 +525,7 @@ let suite =
     ( "vcompile:differential",
       [
         QCheck_alcotest.to_alcotest qcheck_kernel_per_vertex;
-        QCheck_alcotest.to_alcotest qcheck_view_checker_per_vertex;
+        QCheck_alcotest.to_alcotest qcheck_row_check_per_vertex;
         Alcotest.test_case "every family compiles" `Quick lowered_coverage;
         Alcotest.test_case "decode work counts" `Quick decode_work_counts;
         Alcotest.test_case "large-n plane differential" `Quick
@@ -479,8 +537,8 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_runtime_compiled_flag;
         Alcotest.test_case "disabled compilation is equivalent" `Quick
           disabled_compilation_is_equivalent;
-        Alcotest.test_case "view_checker caches die with the checker" `Quick
-          view_checker_caches_freed;
+        Alcotest.test_case "an execute leaves nothing behind" `Quick
+          execute_leaves_nothing;
         Alcotest.test_case "engine.compiled_hits counts kernel verdicts" `Quick
           compiled_hits_counted;
         Alcotest.test_case "kernel cache keeps alternating schemes" `Quick
