@@ -170,7 +170,7 @@ type 'a analysis_arr = {
    corresponding [pairs_equal] on length-k suffixes).  This replaces
    the quadratic List.nth/suffix walks of the list-based verifier and
    allocates nothing per neighbor beyond the two precomputed arrays. *)
-let verify_decoded ~t_bound codec ~me mine ~ids ~decs ~lo ~hi ~proj =
+let verify_decoded ~t_bound codec ~me mine ~ids ~src ~decs ~lo ~hi ~proj =
   let ( let* ) = Result.bind in
   let* entries =
     match mine with Some e -> Ok e | None -> Error "malformed certificate"
@@ -189,7 +189,7 @@ let verify_decoded ~t_bound codec ~me mine ~ids ~decs ~lo ~hi ~proj =
     let rec go i =
       if i >= n then Ok ()
       else
-        match proj decs.(lo + i) with
+        match proj decs.(src.(lo + i)) with
         | None -> Error "malformed neighbor certificate"
         | Some es ->
             ne.(i) <- es;
@@ -331,9 +331,10 @@ let verify ~t_bound codec (view : Scheme.view) =
     Array.of_list
       (List.map (fun (_, c) -> decode_arr ~id_bits codec c) view.Scheme.nbrs)
   in
+  let deg = Array.length ids in
   match
-    verify_decoded ~t_bound codec ~me:view.Scheme.me mine ~ids ~decs ~lo:0
-      ~hi:(Array.length ids) ~proj:Fun.id
+    verify_decoded ~t_bound codec ~me:view.Scheme.me mine ~ids
+      ~src:(Scheme.identity_src deg) ~decs ~lo:0 ~hi:deg ~proj:Fun.id
   with
   | Error _ as e -> e
   | Ok a ->

@@ -90,18 +90,17 @@ val verify_decoded :
   me:int ->
   'a entry array option ->
   ids:int array ->
+  src:int array ->
   decs:'b array ->
   lo:int ->
   hi:int ->
   proj:('b -> 'a entry array option) ->
   ('a analysis_arr, string) result
 (** {!verify} over pre-decoded certificates ([None] = malformed), the
-    form used by scheme lowerings: the neighbors are the parallel
-    slices [ids.(lo..hi-1)]/[decs.(lo..hi-1)], sorted by id as in
-    {!Scheme.view} (for the compiled engine these are whole-graph
-    CSR rows), and [proj] extracts each neighbor's decoded entry
-    array.  All suffix comparisons run on one precomputed
-    common-suffix length per neighbor, so the per-vertex work is
+    form used by scheme lowerings: a row as in {!Scheme.lowering}'s
+    [check], where [proj] extracts each neighbor's entry array.  All
+    suffix comparisons run on one precomputed common-suffix length
+    per neighbor, so the per-vertex work is
     O(Σ min(d, dn)) instead of the list verifier's quadratic walks.
     Verdicts (error strings included) agree with {!verify} exactly —
     {!verify} is implemented on top of this function. *)

@@ -150,14 +150,15 @@ let make phi =
   (* The shared part stays raw in the decoded value: neighbors must
      carry the same one bit for bit, so only the vertex's own copy is
      ever parsed. *)
-  let check ~id_bits ~me ~label:_ mine ~ids ~decs ~lo ~hi : Scheme.verdict =
+  let check ~id_bits ~me ~label:_ mine ~ids ~src ~decs ~lo ~hi :
+      Scheme.verdict =
     match mine with
     | None -> Reject "malformed certificate"
     | Some (shared_bits, my_trees) -> (
         match decode_shared ~id_bits ~k shared_bits with
         | None -> Reject "malformed shared part"
         | Some (ids_w, madj) -> (
-            match Scheme.decoded_neighbors ~ids ~decs ~lo ~hi with
+            match Scheme.decoded_neighbors ~ids ~src ~decs ~lo ~hi with
             | None -> Reject "malformed neighbor certificate"
             | Some nbrs ->
                 if

@@ -303,7 +303,8 @@ let lowering ~k ~t phi : dec Scheme.lowering =
         let drows, sat = rows_of rows_bits in
         { parts = Some (anc_bits, rows_bits); danc; drows; sat }
   in
-  let check ~id_bits:_ ~me ~label mine ~ids ~decs ~lo ~hi : Scheme.verdict =
+  let check ~id_bits:_ ~me ~label mine ~ids ~src ~decs ~lo ~hi :
+      Scheme.verdict =
     let ( let* ) = Result.bind in
     let result =
       let* mine_rows =
@@ -315,7 +316,7 @@ let lowering ~k ~t phi : dec Scheme.lowering =
         let rec go i =
           if i >= hi then Ok ()
           else
-            match decs.(i).parts with
+            match decs.(src.(i)).parts with
             | None -> Error "malformed neighbor certificate"
             | Some _ -> go (i + 1)
         in
@@ -326,7 +327,7 @@ let lowering ~k ~t phi : dec Scheme.lowering =
         let rec go i =
           if i >= hi then Ok ()
           else
-            match decs.(i).parts with
+            match decs.(src.(i)).parts with
             | Some (_, r) when Bitstring.equal r mine_rows -> go (i + 1)
             | _ -> Error "kernel descriptions disagree"
         in
@@ -339,9 +340,8 @@ let lowering ~k ~t phi : dec Scheme.lowering =
       in
       (* ancestor-list checks with annotations *)
       let* analysis =
-        Anclist.verify_decoded ~t_bound:t ann_codec ~me mine.danc ~ids ~decs
-          ~lo ~hi
-          ~proj:(fun d -> d.danc)
+        Anclist.verify_decoded ~t_bound:t ann_codec ~me mine.danc ~ids ~src
+          ~decs ~lo ~hi ~proj:(fun d -> d.danc)
       in
       let entry_arr = analysis.Anclist.aentries in
       let d = Array.length entry_arr in

@@ -154,7 +154,7 @@ let lowering lcl ~check_own : int option Scheme.lowering =
   {
     decode = (fun ~id_bits:_ c -> decode_label lcl c);
     check =
-      (fun ~id_bits:_ ~me:_ ~label mine ~ids:_ ~decs ~lo ~hi ->
+      (fun ~id_bits:_ ~me:_ ~label mine ~ids:_ ~src ~decs ~lo ~hi ->
         match mine with
         | None -> Reject "malformed label certificate"
         | Some mine ->
@@ -164,7 +164,7 @@ let lowering lcl ~check_own : int option Scheme.lowering =
               let tally = Array.make width 0 in
               let malformed = ref false in
               for i = lo to hi - 1 do
-                match decs.(i) with
+                match decs.(src.(i)) with
                 | None -> malformed := true
                 | Some l -> count tally l
               done;

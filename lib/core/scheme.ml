@@ -12,10 +12,10 @@ type verdict = Accept | Reject of string
    decode stage and a check stage over pre-decoded values; every
    scheme's verifier is one.  The interpreted oracle [verify] decodes
    every view from scratch; the compiled engine path
-   (Localcert_engine.Vcompile) decodes each distinct certificate once
-   and reuses the result across every vertex that sees it.  Because
-   both paths end in the same check, they agree on every verdict —
-   reason strings included — by construction. *)
+   (Localcert_engine.Vcompile) decodes each certificate once, ahead of
+   the sweep, and a row reads a neighbor's value through [src].
+   Because both paths end in the same check, they agree on every
+   verdict — reason strings included — by construction. *)
 type 'dec lowering = {
   decode : id_bits:int -> Bitstring.t -> 'dec;
   check :
@@ -24,6 +24,7 @@ type 'dec lowering = {
     label:int ->
     'dec ->
     ids:int array ->
+    src:int array ->
     decs:'dec array ->
     lo:int ->
     hi:int ->
@@ -77,6 +78,16 @@ type t = {
   telemetry : telemetry;
 }
 
+(* The [src] of 0-based slices: shared, only replaced by longer ones. *)
+let identity = Atomic.make (Array.init 64 Fun.id)
+let identity_src n =
+  let a = Atomic.get identity in
+  if n <= Array.length a then a
+  else
+    let a = Array.init (max n (2 * Array.length a)) Fun.id in
+    Atomic.set identity a;
+    a
+
 let verify { lowering = Compiled l; _ } (view : view) =
   let id_bits = view.id_bits in
   let mine = l.decode ~id_bits view.cert in
@@ -84,8 +95,8 @@ let verify { lowering = Compiled l; _ } (view : view) =
   let decs =
     Array.of_list (List.map (fun (_, c) -> l.decode ~id_bits c) view.nbrs)
   in
-  l.check ~id_bits ~me:view.me ~label:view.label mine ~ids ~decs ~lo:0
-    ~hi:(Array.length ids)
+  l.check ~id_bits ~me:view.me ~label:view.label mine ~ids
+    ~src:(identity_src (Array.length ids)) ~decs ~lo:0 ~hi:(Array.length ids)
 
 let telemetry_of name =
   let counter suffix =
@@ -108,11 +119,11 @@ let of_lowering ~name ~prover l =
    [deg]) and runs the plane check on it.  A fresh zeroed plane per
    call keeps it reentrant across domains and nested sub-checks. *)
 let flat_lowering ~decode flat =
-  let check ~id_bits ~me ~label mine ~ids ~decs ~lo ~hi =
+  let check ~id_bits ~me ~label mine ~ids ~src ~decs ~lo ~hi =
     let deg = hi - lo and w = flat.width in
     let plane = Array.make ((deg + 1) * w) 0 in
     for i = 0 to deg - 1 do
-      flat.write decs.(lo + i) plane (i * w)
+      flat.write decs.(src.(lo + i)) plane (i * w)
     done;
     flat.write mine plane (deg * w);
     let ids = if lo = 0 then ids else Array.sub ids lo deg in
@@ -121,11 +132,11 @@ let flat_lowering ~decode flat =
   in
   { decode; check; flat = Some flat }
 
-let decoded_neighbors ~ids ~decs ~lo ~hi =
+let decoded_neighbors ~ids ~src ~decs ~lo ~hi =
   let rec go i acc =
     if i < lo then Some acc
     else
-      match decs.(i) with
+      match decs.(src.(i)) with
       | None -> None
       | Some d -> go (i - 1) ((ids.(i), d) :: acc)
   in
@@ -264,9 +275,10 @@ let decode_pair c =
    compiled path like any other.  A sub-check runs on a 0-based copy
    of the vertex's neighbor slice, projected to its own component. *)
 let sub_check l ~id_bits ~me ~label mine nbrs =
-  let ids = Array.of_list (List.map fst nbrs) in
-  let decs = Array.of_list (List.map snd nbrs) in
-  l.check ~id_bits ~me ~label mine ~ids ~decs ~lo:0 ~hi:(Array.length ids)
+  let deg = List.length nbrs in
+  l.check ~id_bits ~me ~label mine ~ids:(Array.of_list (List.map fst nbrs))
+    ~src:(identity_src deg) ~decs:(Array.of_list (List.map snd nbrs)) ~lo:0
+    ~hi:deg
 
 let conjoin_lowering n1 l1 n2 l2 =
   {
@@ -276,11 +288,11 @@ let conjoin_lowering n1 l1 n2 l2 =
           (fun (a, b) -> (l1.decode ~id_bits a, l2.decode ~id_bits b))
           (decode_pair c));
     check =
-      (fun ~id_bits ~me ~label mine ~ids ~decs ~lo ~hi ->
+      (fun ~id_bits ~me ~label mine ~ids ~src ~decs ~lo ~hi ->
         match mine with
         | None -> Reject "conjoin: malformed pair certificate"
         | Some (mine1, mine2) -> (
-            match decoded_neighbors ~ids ~decs ~lo ~hi with
+            match decoded_neighbors ~ids ~src ~decs ~lo ~hi with
             | None -> Reject "conjoin: malformed neighbor certificate"
             | Some nbrs -> (
                 let half proj = List.map (fun (id, d) -> (id, proj d)) nbrs in
@@ -323,11 +335,11 @@ let disjoin_lowering l1 l2 =
             else Either.Left (l1.decode ~id_bits body))
           (untag c));
     check =
-      (fun ~id_bits ~me ~label mine ~ids ~decs ~lo ~hi ->
+      (fun ~id_bits ~me ~label mine ~ids ~src ~decs ~lo ~hi ->
         match mine with
         | None -> Reject "disjoin: malformed certificate"
         | Some mine -> (
-            match decoded_neighbors ~ids ~decs ~lo ~hi with
+            match decoded_neighbors ~ids ~src ~decs ~lo ~hi with
             | None -> Reject "disjoin: malformed neighbor certificate"
             | Some nbrs -> (
                 let sel = Either.is_right mine in
@@ -372,7 +384,7 @@ let trivial ~name decide =
     {
       decode = (fun ~id_bits:_ _ -> ());
       check =
-        (fun ~id_bits:_ ~me:_ ~label:_ () ~ids:_ ~decs:_ ~lo ~hi ->
+        (fun ~id_bits:_ ~me:_ ~label:_ () ~ids:_ ~src:_ ~decs:_ ~lo ~hi ->
           decide ~degree:(hi - lo));
       flat = None;
     }

@@ -41,17 +41,16 @@ type 'dec lowering = {
     label:int ->
     'dec ->
     ids:int array ->
+    src:int array ->
     decs:'dec array ->
     lo:int ->
     hi:int ->
     verdict;
-      (** The radius-1 check over pre-decoded certificates.  The
-          neighbors live in the parallel slices
-          [ids.(lo..hi-1)]/[decs.(lo..hi-1)], sorted ascending by
-          identifier — for the compiled engine these are whole-graph
-          CSR-shaped arrays shared by every vertex (one row per
-          vertex, zero per-view allocation); the interpreted path
-          passes a 0-based pair built from the view. *)
+      (** The radius-1 check over pre-decoded certificates.  Slot
+          [i ∈ [lo, hi)] is the neighbor [ids.(i)] (ascending) whose
+          decoded value is [decs.(src.(i))]: whole-graph CSR rows over
+          one value per vertex in the compiled engine, 0-based slices
+          with {!identity_src} on interpreted paths. *)
   flat : 'dec flat option;
       (** Optional struct-of-arrays plane for the compiled engine;
           [None] keeps the boxed [decs] layout.  Build a plane-backed
@@ -93,8 +92,8 @@ and 'dec flat = {
     vertices every neighbor dereference in a row walk is then a cache
     miss on any graph whose adjacency is not id-local.  An int plane
     is one contiguous unboxed array; the same walk streams it
-    sequentially, which is what holds verify throughput flat from
-    n=16384 to n=10⁶ (DESIGN §5.7). *)
+    sequentially (DESIGN §5.7), so a plane keeps a copy per slot where
+    a boxed [check] reads one value per vertex through [src]. *)
 
 type compiled = Compiled : 'dec lowering -> compiled
 (** A lowering with its decoded representation abstracted away — what
@@ -135,8 +134,13 @@ val flat_lowering :
     derived [check] — one check function, so every path agrees on
     every verdict by construction. *)
 
+val identity_src : int -> int array
+(** A shared array whose first [n] entries are [0 .. n - 1]: the
+    [src] of a 0-based slice.  Read-only; never write into it. *)
+
 val decoded_neighbors :
   ids:int array ->
+  src:int array ->
   decs:'a option array ->
   lo:int ->
   hi:int ->

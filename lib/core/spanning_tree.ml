@@ -70,7 +70,8 @@ let tree_write d plane base =
       plane.(base + 2) <- c.dist;
       plane.(base + 3) <- c.parent_id
 
-let tree_check_flat ~me ~mine ~mbase ~ids ~plane ~lo ~hi : Scheme.verdict =
+let tree_check_flat ~id_bits:_ ~me ~label:_ ~mine ~mbase ~ids ~plane ~lo
+    ~hi : Scheme.verdict =
   if Array.unsafe_get mine mbase = 0 then Reject "malformed certificate"
   else begin
     let m_root = Array.unsafe_get mine (mbase + 1) in
@@ -104,13 +105,7 @@ let tree_check_flat ~me ~mine ~mbase ~ids ~plane ~lo ~hi : Scheme.verdict =
 
 let tree_lowering : cert option Scheme.lowering =
   Scheme.flat_lowering ~decode
-    {
-      width = tree_width;
-      write = tree_write;
-      check_flat =
-        (fun ~id_bits:_ ~me ~label:_ ~mine ~mbase ~ids ~plane ~lo ~hi ->
-          tree_check_flat ~me ~mine ~mbase ~ids ~plane ~lo ~hi);
-    }
+    { width = tree_width; write = tree_write; check_flat = tree_check_flat }
 
 (* The spanning-tree check at one vertex over well-formed certificates,
    through the same derived check the scheme runs. *)
@@ -118,7 +113,8 @@ let check_tree_view ~me c ~neighbors =
   let ids = Array.of_list (List.map fst neighbors) in
   let decs = Array.of_list (List.map (fun (_, nc) -> Some nc) neighbors) in
   match
-    tree_lowering.check ~id_bits:0 ~me ~label:0 (Some c) ~ids ~decs ~lo:0
+    tree_lowering.check ~id_bits:0 ~me ~label:0 (Some c) ~ids
+      ~src:(Scheme.identity_src (Array.length ids)) ~decs ~lo:0
       ~hi:(Array.length ids)
   with
   | Accept -> Ok ()
@@ -132,8 +128,8 @@ let scheme ?(root = 0) () =
 (* Acyclicity adds one sub-check to the tree cascade: every edge must
    be a tree edge, i.e. each neighbor is my parent (dist - 1, and I
    claim it) or my child (dist + 1, and it claims me). *)
-let acyclicity_check_flat ~me ~mine ~mbase ~ids ~plane ~lo ~hi :
-    Scheme.verdict =
+let acyclicity_check_flat ~id_bits:_ ~me ~label:_ ~mine ~mbase ~ids ~plane
+    ~lo ~hi : Scheme.verdict =
   if Array.unsafe_get mine mbase = 0 then Reject "malformed certificate"
   else begin
     let m_root = Array.unsafe_get mine (mbase + 1) in
@@ -180,13 +176,8 @@ let acyclicity =
       if Graph.m g <> Graph.n g - 1 then None
       else Option.map (encode_trees inst) (spanning_bfs inst 0))
     (Scheme.flat_lowering ~decode
-       {
-         width = tree_width;
-         write = tree_write;
-         check_flat =
-           (fun ~id_bits:_ ~me ~label:_ ~mine ~mbase ~ids ~plane ~lo ~hi ->
-             acyclicity_check_flat ~me ~mine ~mbase ~ids ~plane ~lo ~hi);
-       })
+       { width = tree_width; write = tree_write;
+         check_flat = acyclicity_check_flat })
 
 (* Vertex count: spanning-tree certificate extended with the subtree
    size and the claimed global total.  The record is flat, with no

@@ -179,30 +179,30 @@ let nbr_cert (d : cert option) =
 
 let lowering ~state_bits ~table (auto : TA.t) : cert option Scheme.lowering =
   let fp = fingerprint auto in
-  let slow_transition ~label ~down decs ~lo ~hi =
+  let slow_transition ~label ~down ~src decs ~lo ~hi =
     let states = ref [] in
     for i = hi - 1 downto lo do
-      let c = nbr_cert decs.(i) in
+      let c = nbr_cert decs.(src.(i)) in
       if c.dist3 = down then states := c.state :: !states
     done;
     auto.TA.delta ~label ~counts:(TA.counts_of_list !states)
   in
-  let transition ~label ~down decs ~lo ~hi =
+  let transition ~label ~down ~src decs ~lo ~hi =
     match table with
     | Some tbl when label = 0 ->
         let packed = ref 0 in
         let i = ref lo in
         while !packed >= 0 && !i < hi do
-          let c = nbr_cert decs.(!i) in
+          let c = nbr_cert decs.(src.(!i)) in
           if c.dist3 = down then packed := TA.table_add tbl !packed c.state;
           incr i
         done;
         if !packed >= 0 then TA.table_delta tbl !packed
-        else slow_transition ~label ~down decs ~lo ~hi
-    | _ -> slow_transition ~label ~down decs ~lo ~hi
+        else slow_transition ~label ~down ~src decs ~lo ~hi
+    | _ -> slow_transition ~label ~down ~src decs ~lo ~hi
   in
-  let check ~id_bits:_ ~me:_ ~label mine ~ids:_ ~decs ~lo ~hi : Scheme.verdict
-      =
+  let check ~id_bits:_ ~me:_ ~label mine ~ids:_ ~src ~decs ~lo ~hi :
+      Scheme.verdict =
     match mine with
     | None -> Reject "malformed certificate"
     | Some mine ->
@@ -211,12 +211,13 @@ let lowering ~state_bits ~table (auto : TA.t) : cert option Scheme.lowering =
         else
           let rec malformed i =
             i < hi
-            && match decs.(i) with None -> true | Some _ -> malformed (i + 1)
+            && (Option.is_none decs.(src.(i)) || malformed (i + 1))
           in
           if malformed lo then Reject "malformed neighbor certificate"
           else
             let rec bad_fp i =
-              i < hi && ((nbr_cert decs.(i)).fingerprint <> fp || bad_fp (i + 1))
+              i < hi
+              && ((nbr_cert decs.(src.(i))).fingerprint <> fp || bad_fp (i + 1))
             in
             if bad_fp lo then Reject "neighbor fingerprint mismatch"
             else begin
@@ -224,7 +225,7 @@ let lowering ~state_bits ~table (auto : TA.t) : cert option Scheme.lowering =
               and down = (mine.dist3 + 1) mod 3 in
               let parents = ref 0 and children = ref 0 in
               for i = lo to hi - 1 do
-                let c = nbr_cert decs.(i) in
+                let c = nbr_cert decs.(src.(i)) in
                 if c.dist3 = up then incr parents
                 else if c.dist3 = down then incr children
               done;
@@ -232,11 +233,11 @@ let lowering ~state_bits ~table (auto : TA.t) : cert option Scheme.lowering =
                 Reject "neighbor at my own mod-3 distance"
               else if !parents >= 2 then Reject "two parents"
               else if !parents = 1 then
-                if transition ~label ~down decs ~lo ~hi <> mine.state then
+                if transition ~label ~down ~src decs ~lo ~hi <> mine.state then
                   Reject "state is not the transition of the children states"
                 else Accept
               else if mine.dist3 <> 0 then Reject "root must have distance 0"
-              else if transition ~label ~down decs ~lo ~hi <> mine.state then
+              else if transition ~label ~down ~src decs ~lo ~hi <> mine.state then
                 Reject "root state is not the transition of the children"
               else if not (auto.TA.accepting mine.state) then
                 Reject "root state is not accepting"
@@ -298,11 +299,12 @@ let make_table table =
             encode_full (dist.(v) mod 3) states.(v)))
       (accepting_run inst auto (Seq.init (Instance.n inst) Fun.id))
   in
-  let check ~id_bits:_ ~me:_ ~label mine ~ids ~decs ~lo ~hi : Scheme.verdict =
+  let check ~id_bits:_ ~me:_ ~label mine ~ids ~src ~decs ~lo ~hi :
+      Scheme.verdict =
     match mine with
     | None -> Reject "malformed certificate or wrong automaton description"
     | Some (dist3, state) -> (
-        match Scheme.decoded_neighbors ~ids ~decs ~lo ~hi with
+        match Scheme.decoded_neighbors ~ids ~src ~decs ~lo ~hi with
         | None -> Reject "malformed neighbor certificate"
         | Some nbrs ->
             let nbrs = List.map snd nbrs in

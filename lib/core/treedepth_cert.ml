@@ -14,10 +14,10 @@ let lowering ~t : unit Anclist.entry array option Scheme.lowering =
   {
     decode = (fun ~id_bits c -> Anclist.decode_arr ~id_bits Anclist.unit_codec c);
     check =
-      (fun ~id_bits:_ ~me ~label:_ mine ~ids ~decs ~lo ~hi ->
+      (fun ~id_bits:_ ~me ~label:_ mine ~ids ~src ~decs ~lo ~hi ->
         match
           Anclist.verify_decoded ~t_bound:t Anclist.unit_codec ~me mine ~ids
-            ~decs ~lo ~hi ~proj:Fun.id
+            ~src ~decs ~lo ~hi ~proj:Fun.id
         with
         | Ok _ -> Scheme.Accept
         | Error e -> Scheme.Reject e);

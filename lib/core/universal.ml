@@ -58,13 +58,13 @@ let lowering p : Bitstring.t Scheme.lowering =
   {
     decode = (fun ~id_bits:_ c -> c);
     check =
-      (fun ~id_bits ~me ~label:_ mine ~ids ~decs ~lo ~hi ->
+      (fun ~id_bits ~me ~label:_ mine ~ids ~src ~decs ~lo ~hi ->
         match decode ~id_bits mine with
         | None -> Reject "malformed description"
         | Some rows -> (
             let differs = ref false in
             for i = lo to hi - 1 do
-              if not (Bitstring.equal decs.(i) mine) then differs := true
+              if not (Bitstring.equal decs.(src.(i)) mine) then differs := true
             done;
             if !differs then Reject "neighbors carry a different description"
             else

@@ -7,15 +7,13 @@
    decodes, and the allocations those decodes make are what serializes
    parallel sweeps on the shared minor heap.  [compile] instead decodes
    up front, once per vertex for a plane-backed lowering (written
-   straight into an int plane) and once per distinct certificate for a
-   boxed one (broadcast-heavy schemes decode a handful of strings),
-   lays the per-vertex neighbor views out as flat arrays, and returns
-   a per-vertex kernel that runs only the check stage: no decoding,
-   and for schemes whose check walks its slice in place (the flat-plane
-   families among them) no allocation at all on the accept path.  The
-   checks ported from verifier closures (Lcl, Tree_mso.make_table,
-   Existential_fo, Universal) and the conjoin/disjoin combinators
-   still build a neighbor list or sub-slices per vertex. *)
+   straight into an int plane, then copied into slot order) and once
+   per distinct certificate for a boxed one (broadcast-heavy schemes
+   decode a handful of strings) into one value per vertex that a row
+   reads through its neighbors' vertex indices.  The per-vertex kernel
+   runs only the check stage: no decoding, and for checks that walk
+   their row in place (the flat-plane families among them) no
+   allocation on the accept path. *)
 
 module BH = Hashtbl.Make (struct
   type t = Bitstring.t
@@ -99,13 +97,13 @@ let remember e =
    presents — and the kernel hands each check its row as a slice, so a
    sweep is one linear pass over flat memory with no per-vertex view
    structure at all.  [view_rows] returns [nbr_ids] and the source
-   vertex of every slot.  Rows come out of the CSR in vertex order and
-   ids are assigned ascending in vertex order for generated instances,
-   so rows are almost always already sorted and the sources are [col]
-   itself; a row that is not gets a joint insertion sort of its
-   (id, source) pairs in a copy.  Ids are unique, so two slots tie only
-   on a parallel edge, where the pairs are equal: the order is the one
-   [Scheme.view_of]'s stable sort yields. *)
+   vertex of every slot ([src]).  Rows come out of the CSR in vertex
+   order and ids are assigned ascending in vertex order for generated
+   instances, so rows are almost always already sorted and the sources
+   are [col] itself; a row that is not gets a joint insertion sort of
+   its (id, source) pairs in a copy.  Ids are unique, so two slots tie
+   only on a parallel edge, where the pairs are equal: the order is the
+   one [Scheme.view_of]'s stable sort yields. *)
 let view_rows ids rp col =
   let n = Array.length rp - 1 in
   let nbr_ids = Array.make rp.(n) 0 in
@@ -159,16 +157,13 @@ let compile_fresh (scheme : Scheme.t) (inst : Instance.t) certs =
           (* Schemes that publish a flat plane (Scheme.flat) get a
              struct-of-arrays layout: vertex [v]'s decoded fields as ints
              at [mine.(v * width ..)] and slot [i]'s at
-             [plane.(i * width ..)].  Boxed decoded records are placed by
-             the major allocator's size-class free lists, so on graphs
-             whose adjacency is not id-local — a random tree at n = 10^6
-             — every dereference of one is a cache miss; the planes are
-             contiguous int arrays the row walk streams sequentially.
-             These certificates are per-vertex (a spanning label embeds
-             the vertex's own distance and parent), so a dedupe table
-             would only cost: each one is decoded once, in vertex order,
-             straight into [mine], and no decoded value outlives its
-             [write]. *)
+             [plane.(i * width ..)].  Boxed records sit wherever the
+             major allocator's free lists put them, so on graphs whose
+             adjacency is not id-local every dereference is a cache miss;
+             the planes are int arrays a row walk streams, where reading
+             [mine] through [src] costs a sweep after idle time a random
+             cold read per slot (DESIGN §5.5).  Certificates are
+             per-vertex, so each is decoded once, straight into [mine]. *)
           let k = f.Scheme.width in
           let plane = Array.make (total * k) 0 in
           let mine = Array.make (n * k) 0 in
@@ -196,9 +191,8 @@ let compile_fresh (scheme : Scheme.t) (inst : Instance.t) certs =
           (* Boxed lowerings (lcl, tree-MSO, treedepth, kernel-MSO, the
              FO fragments, the combinators) see repeated certificates —
              kernel-MSO labels embed one kernel description, broadcast
-             schemes hand every vertex the same label — so each
-             distinct certificate is decoded once and slots share its
-             decoded value. *)
+             schemes hand every vertex the same label — so each distinct
+             certificate is decoded once and vertices share the value. *)
           let cache = BH.create (max 16 (min n 65536)) in
           let dec_of c =
             match BH.find_opt cache c with
@@ -209,7 +203,7 @@ let compile_fresh (scheme : Scheme.t) (inst : Instance.t) certs =
                 d
           in
           let max_bits = ref 0 in
-          let mine =
+          let decs =
             Array.map
               (fun c ->
                 let len = Bitstring.length c in
@@ -217,13 +211,10 @@ let compile_fresh (scheme : Scheme.t) (inst : Instance.t) certs =
                 dec_of c)
               certs
           in
-          let nbr_dec =
-            Array.init total (fun i -> mine.(Array.unsafe_get src i))
-          in
           let check v =
             l.Scheme.check ~id_bits ~me:(Array.unsafe_get ids v)
-              ~label:(Array.unsafe_get labels v) (Array.unsafe_get mine v)
-              ~ids:nbr_ids ~decs:nbr_dec ~lo:(Array.unsafe_get rp v)
+              ~label:(Array.unsafe_get labels v) (Array.unsafe_get decs v)
+              ~ids:nbr_ids ~src ~decs ~lo:(Array.unsafe_get rp v)
               ~hi:(Array.unsafe_get rp (v + 1))
           in
           { check; max_bits = !max_bits })

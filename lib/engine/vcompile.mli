@@ -7,11 +7,10 @@
     vertex's certificate once (plane-backed lowerings) or each
     {e distinct} certificate once (boxed lowerings) and drives the
     check stage through flat precomputed arrays, which removes the
-    per-vertex allocation
-    churn that serializes parallel sweeps on the shared minor heap
-    (DESIGN §5.5).  Verdict equality with {!Scheme.verify} is
-    structural: both paths end in the same check function — reason
-    strings included.  For a plane-backed lowering that function is
+    per-vertex allocation churn that serializes parallel sweeps on
+    the shared minor heap (DESIGN §5.5).  Verdict equality with
+    {!Scheme.verify} is structural: both paths end in the same check
+    function — reason strings included.  For a plane-backed lowering that function is
     [check_flat], which the kernel runs on whole-graph planes and
     {!Scheme.verify} reaches through the [check] that
     {!Scheme.flat_lowering} derives from it. *)
@@ -36,15 +35,15 @@ type kernel = {
 
 val compile : Scheme.t -> Instance.t -> Bitstring.t array -> kernel option
 (** [compile scheme inst certs] builds the per-vertex kernel for one
-    sweep, with per-vertex neighbor views laid out as id-ascending flat
-    arrays mirroring {!Scheme.view_of}.  Compilation reads every
-    certificate once and takes [max_bits] in that same pass.  A
-    plane-backed lowering ({!Scheme.flat_lowering}) decodes each
-    vertex's certificate exactly once, straight into an [n × width]
-    own plane, and fills the [2m × width] neighbor plane by copying
-    fields from it — no dedupe table and no boxed staging, since its
-    certificates are per-vertex anyway.  A boxed lowering decodes once per distinct bitstring (so
-    broadcast-heavy schemes decode a handful).  [None] only when
+    sweep: id-ascending CSR rows of neighbor ids mirroring
+    {!Scheme.view_of}.  Compilation reads every certificate once and
+    takes [max_bits] in that same pass.  A plane-backed lowering
+    ({!Scheme.flat_lowering}) decodes each certificate once into an
+    [n × width] own plane and copies it into the [2m × width]
+    neighbor plane the sweep streams.  A boxed lowering decodes once
+    per distinct bitstring (so broadcast-heavy schemes decode a
+    handful) into one value per vertex, which rows read through
+    their neighbors' vertex indices ([src]).  [None] only when
     compilation is disabled; then callers run {!Scheme.verify}.
 
     Repeated sweeps reuse earlier kernels: a cache of the few most

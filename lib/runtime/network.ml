@@ -249,4 +249,4 @@ let checker (scheme : Scheme.t) (inst : Instance.t) (nodes : Node.t array) =
           decs.(!j + 1) <- di
         done;
       l.Scheme.check ~id_bits ~me:node.Node.id ~label:inst.Instance.labels.(v)
-        mine ~ids ~decs ~lo:0 ~hi:deg
+        mine ~ids ~src:(Scheme.identity_src deg) ~decs ~lo:0 ~hi:deg

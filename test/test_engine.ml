@@ -48,7 +48,7 @@ let length_scheme d =
     {
       Scheme.decode = (fun ~id_bits:_ c -> Bitstring.length c);
       check =
-        (fun ~id_bits:_ ~me:_ ~label:_ len ~ids:_ ~decs:_ ~lo:_ ~hi:_ ->
+        (fun ~id_bits:_ ~me:_ ~label:_ len ~ids:_ ~src:_ ~decs:_ ~lo:_ ~hi:_ ->
           if len >= d then Scheme.Accept
           else Scheme.Reject "certificate too short");
       flat = None;
@@ -323,7 +323,7 @@ let booby_trapped ~target ~in_decode exn =
         (fun ~id_bits:_ c ->
           if in_decode && Bitstring.length c > 0 then raise exn);
       check =
-        (fun ~id_bits:_ ~me ~label:_ () ~ids:_ ~decs:_ ~lo:_ ~hi:_ ->
+        (fun ~id_bits:_ ~me ~label:_ () ~ids:_ ~src:_ ~decs:_ ~lo:_ ~hi:_ ->
           if (not in_decode) && me = target then raise exn
           else Scheme.Accept);
       flat = None;

@@ -402,8 +402,11 @@ let corruption_on_yes_instances () =
 (* Every Reject branch of the spanning family, pinned as an exact
    verdict three ways: the interpreted oracle ([Scheme.verify]), the
    compiled kernel ([Vcompile.compile]), and the lowering's [check] on
-   a neighbor slice padded on both sides with malformed values, so
-   [lo > 0] and [hi] short of the array end. *)
+   a neighbor slice with [lo > 0] and [hi] short of the array end whose
+   [src] is not the identity: the decoded values sit in reverse order
+   between malformed padding, and every slot outside the slice points
+   at padding, so a check that reads a value by slot instead of
+   through [src] sees junk. *)
 
 type spec =
   | Bad  (** the empty bitstring: malformed for every decode below *)
@@ -437,17 +440,19 @@ let three_ways scheme (i : Instance.t) certs v =
     | Scheme.Compiled l ->
         let id_bits = view.Scheme.id_bits in
         let pad = 3 and deg = List.length view.Scheme.nbrs in
+        let len = deg + (2 * pad) in
         let junk = l.Scheme.decode ~id_bits Bitstring.empty in
-        let ids = Array.make (deg + (2 * pad)) 0 in
-        let decs = Array.make (deg + (2 * pad)) junk in
+        let ids = Array.make len 0 in
+        let src = Array.init len (fun i -> len - 1 - i) in
+        let decs = Array.make len junk in
         List.iteri
           (fun k (id, c) ->
             ids.(pad + k) <- id;
-            decs.(pad + k) <- l.Scheme.decode ~id_bits c)
+            decs.(src.(pad + k)) <- l.Scheme.decode ~id_bits c)
           view.Scheme.nbrs;
         l.Scheme.check ~id_bits ~me:view.Scheme.me ~label:view.Scheme.label
           (l.Scheme.decode ~id_bits view.Scheme.cert)
-          ~ids ~decs ~lo:pad ~hi:(pad + deg)
+          ~ids ~src ~decs ~lo:pad ~hi:(pad + deg)
   in
   [
     ("verify", Scheme.verify scheme view);

@@ -119,8 +119,10 @@ let raising (s : Scheme.t) =
     {
       l with
       Scheme.check =
-        (fun ~id_bits ~me ~label mine ~ids ~decs ~lo ~hi ->
-          match l.Scheme.check ~id_bits ~me ~label mine ~ids ~decs ~lo ~hi with
+        (fun ~id_bits ~me ~label mine ~ids ~src ~decs ~lo ~hi ->
+          match
+            l.Scheme.check ~id_bits ~me ~label mine ~ids ~src ~decs ~lo ~hi
+          with
           | Scheme.Accept -> Scheme.Accept
           | Scheme.Reject why -> failwith why);
       flat = None;
@@ -420,7 +422,8 @@ let decode_work_counts () =
     {
       Scheme.decode;
       check =
-        (fun ~id_bits:_ ~me:_ ~label:_ _ ~ids:_ ~decs:_ ~lo:_ ~hi:_ -> Accept);
+        (fun ~id_bits:_ ~me:_ ~label:_ _ ~ids:_ ~src:_ ~decs:_ ~lo:_ ~hi:_ ->
+          Accept);
       flat = None;
     }
   in
@@ -452,6 +455,37 @@ let decode_work_counts () =
   Alcotest.(check int) "boxed compile decodes each distinct certificate" 7
     !calls;
   Alcotest.(check int) "boxed compile takes max_bits" 6 kb.Vcompile.max_bits
+
+(* A fresh boxed compile keeps one decoded value per vertex: rows hold
+   neighbor ids and vertex indices, never a per-slot copy of a
+   neighbor's value.  Arrays past the minor heap's size limit go
+   straight to the major heap, so the direct major words
+   ([major_words - promoted_words]) of one compile count its large
+   arrays exactly.  The bound is the layout: the 2m-slot [nbr_ids],
+   the kernel cache's n-entry certificate snapshot, the vertex-indexed
+   values and the decode table's buckets (2n), and 4096 words for the
+   small structures; a 2m-entry copy of the values exceeds it.
+   [Gc.counters] reads the calling domain's counters ([Gc.quick_stat]
+   would fold in the idle pool domains' at whatever point they were
+   last published), and a fresh instance keeps the kernel cache from
+   answering. *)
+let boxed_compile_words () =
+  let g = Result.get_ok (Spec.parse "random-tree:65536:8") in
+  let n = Graph.n g and m = Graph.m g in
+  let scheme = (Option.get (Registry.find "lcl:mis")).Registry.scheme in
+  let inst = Instance.make g in
+  let certs = Scheme.intern scheme (Option.get (scheme.Scheme.prover inst)) in
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let before = direct () in
+  ignore (Option.get (Vcompile.compile scheme inst certs));
+  let words = direct () -. before in
+  let bound = (2 * n) + (2 * m) + n + 4096 in
+  if words > float bound then
+    Alcotest.failf "lcl:mis: one compile allocates %.0f direct major words (bound %d)"
+      words bound
 
 (* The plane path at arena scale: at least 2¹⁶ vertices, so
    [Cert_store.intern_all] hands the kernel byte-offset views into
@@ -528,6 +562,8 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_row_check_per_vertex;
         Alcotest.test_case "every family compiles" `Quick lowered_coverage;
         Alcotest.test_case "decode work counts" `Quick decode_work_counts;
+        Alcotest.test_case "one decoded value per vertex" `Quick
+          boxed_compile_words;
         Alcotest.test_case "large-n plane differential" `Quick
           large_plane_differential;
       ] );
