@@ -470,14 +470,9 @@ let attack_cmd =
                  prover declined on this instance"
           | Some base ->
               Attack.corruptions (Rng.make seed) scheme instance ~base ~trials)
-      | "random" -> (
-          match jobs with
-          | Some jobs when jobs > 1 ->
-              Engine.attack_par ~jobs (Rng.make seed) scheme instance ~trials
-                ~max_bits
-          | _ ->
-              Attack.random_assignments (Rng.make seed) scheme instance
-                ~trials ~max_bits)
+      | "random" ->
+          Engine.attack_par ?jobs (Rng.make seed) scheme instance ~trials
+            ~max_bits
       | "exhaustive" ->
           if Instance.n instance * (max_bits + 1) > 24 then
             Printf.eprintf
@@ -516,10 +511,12 @@ let attack_cmd =
       & opt string "random"
       & info [ "mode" ] ~docv:"MODE"
           ~doc:
-            "Probe: $(b,random) (uniform assignments), $(b,corruptions) \
-             (mutations of a valid certification), $(b,exhaustive) (every \
-             assignment up to --max-bits), $(b,transplant) (replay a valid \
-             certification of --from).")
+            "Probe: $(b,random) (uniform assignments on the --jobs \
+             domains, drawn from streams split off --seed, so the report \
+             is the same at every --jobs), $(b,corruptions) (mutations of \
+             a valid certification), $(b,exhaustive) (every assignment up \
+             to --max-bits), $(b,transplant) (replay a valid certification \
+             of --from).")
   in
   let trials_arg =
     Arg.(

@@ -141,13 +141,6 @@ let decode_arr ~id_bits codec b =
 (* Verifier                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type 'a analysis = {
-  entries : 'a entry list;
-  depth : int;
-  neighbor_entries : (int * 'a entry list) list;
-  children : (int * 'a) list;
-}
-
 type 'a analysis_arr = {
   aentries : 'a entry array;
   achildren : (int * 'a) list;
@@ -167,9 +160,9 @@ type 'a analysis_arr = {
    - claims a child subtree   <=>  dn > d   and  csl >= d
 
    (all with j <= d, so csl >= k both implies and is implied by the
-   corresponding [pairs_equal] on length-k suffixes).  This replaces
-   the quadratic List.nth/suffix walks of the list-based verifier and
-   allocates nothing per neighbor beyond the two precomputed arrays. *)
+   corresponding [pairs_equal] on length-k suffixes), with no
+   quadratic List.nth/suffix walks, and nothing is allocated per
+   neighbor beyond the two precomputed arrays. *)
 let verify_decoded ~t_bound codec ~me mine ~ids ~src ~decs ~lo ~hi ~proj =
   let ( let* ) = Result.bind in
   let* entries =
@@ -322,31 +315,3 @@ let verify_decoded ~t_bound codec ~me mine ~ids ~src ~decs ~lo ~hi ~proj =
         |> List.sort compare)
   in
   Ok { aentries = entries; achildren = children }
-
-let verify ~t_bound codec (view : Scheme.view) =
-  let id_bits = view.Scheme.id_bits in
-  let mine = decode_arr ~id_bits codec view.Scheme.cert in
-  let ids = Array.of_list (List.map fst view.Scheme.nbrs) in
-  let decs =
-    Array.of_list
-      (List.map (fun (_, c) -> decode_arr ~id_bits codec c) view.Scheme.nbrs)
-  in
-  let deg = Array.length ids in
-  match
-    verify_decoded ~t_bound codec ~me:view.Scheme.me mine ~ids
-      ~src:(Scheme.identity_src deg) ~decs ~lo:0 ~hi:deg ~proj:Fun.id
-  with
-  | Error _ as e -> e
-  | Ok a ->
-      let entries = Array.to_list a.aentries in
-      let neighbor_entries =
-        List.init (Array.length ids) (fun i ->
-            (ids.(i), Array.to_list (Option.get decs.(i))))
-      in
-      Ok
-        {
-          entries;
-          depth = Array.length a.aentries;
-          neighbor_entries;
-          children = a.achildren;
-        }

@@ -19,7 +19,7 @@
     id agreement; suffix compatibility of neighbor lists; presence of
     [d−1] spanning-tree records; and per-depth local spanning-tree
     correctness, including that the exit vertex of [v] touches [v]'s
-    parent.  {!verify} additionally reports the {e children}
+    parent.  {!verify_decoded} additionally reports the {e children}
     information used by the kernel scheme: for each child subtree of
     the vertex (all are visible by coherence), the child's claimed
     (id, annotation) — with conflicting claims rejected. *)
@@ -59,30 +59,15 @@ val decode_arr : id_bits:int -> 'a codec -> Bitstring.t -> 'a entry array option
 
 (** {1 Verifier side} *)
 
-type 'a analysis = {
-  entries : 'a entry list;  (** my decoded list, self first *)
-  depth : int;  (** its length *)
-  neighbor_entries : (int * 'a entry list) list;  (** decoded neighbors *)
-  children : (int * 'a) list;
+type 'a analysis_arr = {
+  aentries : 'a entry array;  (** my decoded list, self first *)
+  achildren : (int * 'a) list;
       (** (id, annotation) of each child of mine visible through a
           deeper neighbor, deduplicated; conflicting annotations for
           one id are a verification failure *)
 }
-
-val verify :
-  t_bound:int ->
-  'a codec ->
-  Scheme.view ->
-  ('a analysis, string) result
-(** All Section-5 checks at one vertex; [t_bound] is the certified
-    depth bound [t]. *)
-
-type 'a analysis_arr = {
-  aentries : 'a entry array;  (** my decoded list, self first *)
-  achildren : (int * 'a) list;  (** as {!analysis.children} *)
-}
-(** What {!verify_decoded} reports — the subset of {!analysis} the
-    lowered schemes consume (neighbor lists stay with the caller). *)
+(** What {!verify_decoded} reports (neighbor lists stay with the
+    caller). *)
 
 val verify_decoded :
   t_bound:int ->
@@ -96,11 +81,9 @@ val verify_decoded :
   hi:int ->
   proj:('b -> 'a entry array option) ->
   ('a analysis_arr, string) result
-(** {!verify} over pre-decoded certificates ([None] = malformed), the
-    form used by scheme lowerings: a row as in {!Scheme.lowering}'s
-    [check], where [proj] extracts each neighbor's entry array.  All
-    suffix comparisons run on one precomputed common-suffix length
-    per neighbor, so the per-vertex work is
-    O(Σ min(d, dn)) instead of the list verifier's quadratic walks.
-    Verdicts (error strings included) agree with {!verify} exactly —
-    {!verify} is implemented on top of this function. *)
+(** All Section-5 checks at one vertex over pre-decoded certificates
+    ([None] = malformed); [t_bound] is the certified depth bound [t].
+    A row as in {!Scheme.lowering}'s [check], where [proj] extracts
+    each neighbor's entry array.  All suffix comparisons run on one
+    precomputed common-suffix length per neighbor, so the per-vertex
+    work is O(Σ min(d, dn)) instead of a list walk's quadratic one. *)

@@ -29,7 +29,7 @@ type 'dec lowering = {
     lo:int ->
     hi:int ->
     verdict;
-  flat : 'dec flat option;
+  flat : flat option;
 }
 
 (* A flat plane lets the compiled engine replace the boxed [decs]
@@ -38,12 +38,15 @@ type 'dec lowering = {
    allocator's size-class free lists, so at 10⁶+ vertices each
    neighbor dereference is a cache miss on any graph whose adjacency
    is not id-local; an int plane is one contiguous unboxed array and
-   the same row walk streams it sequentially.  A plane-backed lowering
-   has one check, [check_flat]: [flat_lowering] derives its boxed
-   [check] from it, so there is no second copy to keep in step. *)
-and 'dec flat = {
+   the same row walk streams it sequentially.  A plane lowering has
+   one decoded form, its row: [read] decodes a certificate straight
+   into a row at an offset, and one check, [check_flat]: the boxed
+   [decode] and [check] that [flat_lowering] derives allocate a row
+   and copy rows into a scratch plane, so there is no second copy of
+   either to keep in step. *)
+and flat = {
   width : int;
-  write : 'dec -> int array -> int -> unit;
+  read : id_bits:int -> Bitstring.t -> int array -> int -> unit;
   check_flat :
     id_bits:int ->
     me:int ->
@@ -114,21 +117,27 @@ let telemetry_of name =
 let of_lowering ~name ~prover l =
   { name; prover; lowering = Compiled l; telemetry = telemetry_of name }
 
-(* The boxed check writes the vertex's value and its neighbors' into
-   one scratch plane (neighbors at slots [0, deg), the vertex at slot
-   [deg]) and runs the plane check on it.  A fresh zeroed plane per
-   call keeps it reentrant across domains and nested sub-checks. *)
-let flat_lowering ~decode flat =
+(* The boxed value is the row itself.  The boxed check copies each
+   neighbor's row into one scratch plane (slot [i] at [i * width]) and
+   runs the plane check on it with the vertex's own row as [mine].  A
+   fresh plane per call keeps it reentrant across domains and nested
+   sub-checks. *)
+let flat_lowering flat =
+  let w = flat.width in
+  let decode ~id_bits c =
+    let row = Array.make w 0 in
+    flat.read ~id_bits c row 0;
+    row
+  in
   let check ~id_bits ~me ~label mine ~ids ~src ~decs ~lo ~hi =
-    let deg = hi - lo and w = flat.width in
-    let plane = Array.make ((deg + 1) * w) 0 in
+    let deg = hi - lo in
+    let plane = Array.make (deg * w) 0 in
     for i = 0 to deg - 1 do
-      flat.write decs.(src.(lo + i)) plane (i * w)
+      Array.blit decs.(src.(lo + i)) 0 plane (i * w) w
     done;
-    flat.write mine plane (deg * w);
     let ids = if lo = 0 then ids else Array.sub ids lo deg in
-    flat.check_flat ~id_bits ~me ~label ~mine:plane ~mbase:(deg * w) ~ids
-      ~plane ~lo:0 ~hi:deg
+    flat.check_flat ~id_bits ~me ~label ~mine ~mbase:0 ~ids ~plane ~lo:0
+      ~hi:deg
   in
   { decode; check; flat = Some flat }
 

@@ -51,17 +51,21 @@ type 'dec lowering = {
           decoded value is [decs.(src.(i))]: whole-graph CSR rows over
           one value per vertex in the compiled engine, 0-based slices
           with {!identity_src} on interpreted paths. *)
-  flat : 'dec flat option;
+  flat : flat option;
       (** Optional struct-of-arrays plane for the compiled engine;
           [None] keeps the boxed [decs] layout.  Build a plane-backed
-          lowering with {!flat_lowering}, which derives [check]. *)
+          lowering with {!flat_lowering}, which derives [decode] and
+          [check]. *)
 }
 
-and 'dec flat = {
-  width : int;  (** ints per decoded value *)
-  write : 'dec -> int array -> int -> unit;
-      (** [write d plane base] stores [d]'s fields at
-          [plane.(base .. base + width - 1)]. *)
+and flat = {
+  width : int;  (** ints per row *)
+  read : id_bits:int -> Bitstring.t -> int array -> int -> unit;
+      (** [read ~id_bits c plane base] decodes [c] straight into its
+          row [plane.(base .. base + width - 1)] — the lowering's one
+          decoded form.  Total like [decode]: a malformed certificate
+          is a row the check rejects (the spanning family writes
+          [valid = 0] in its first field), never a raise. *)
   check_flat :
     id_bits:int ->
     me:int ->
@@ -74,10 +78,10 @@ and 'dec flat = {
     hi:int ->
     verdict;
       (** The check over planes instead of boxed values: the
-          vertex's own fields live at [mine.(mbase .. mbase + width -
-          1)] and slot [i]'s fields at [plane.(i * width ..)],
-          parallel to [ids.(i)].  The lowering's one check:
-          {!flat_lowering} derives the boxed [check] from it. *)
+          vertex's own row lives at [mine.(mbase .. mbase + width -
+          1)] and slot [i]'s at [plane.(i * width ..)], parallel to
+          [ids.(i)].  The lowering's one check: {!flat_lowering}
+          derives the boxed [check] from it. *)
 }
 (** A scheme verifier split into decode and check stages — the one
     representation of a verifier.  The interpreted oracle {!verify}
@@ -93,7 +97,9 @@ and 'dec flat = {
     miss on any graph whose adjacency is not id-local.  An int plane
     is one contiguous unboxed array; the same walk streams it
     sequentially (DESIGN §5.7), so a plane keeps a copy per slot where
-    a boxed [check] reads one value per vertex through [src]. *)
+    a boxed [check] reads one value per vertex through [src].  A
+    certificate decodes straight into its plane row ([read]); the
+    boxed value of a plane lowering is that row. *)
 
 type compiled = Compiled : 'dec lowering -> compiled
 (** A lowering with its decoded representation abstracted away — what
@@ -124,15 +130,15 @@ val of_lowering :
   t
 (** A scheme from its prover and its verifier's lowering. *)
 
-val flat_lowering :
-  decode:(id_bits:int -> Bitstring.t -> 'dec) -> 'dec flat -> 'dec lowering
-(** A plane-backed lowering whose boxed [check] is derived from
-    [check_flat]: it writes the vertex's decoded value and each
-    neighbor's into a scratch plane and runs [check_flat] on it.  The
-    compiled engine runs [check_flat] on whole-graph planes; {!verify},
-    the runtime's row check and the combinators' sub-checks run the
-    derived [check] — one check function, so every path agrees on
-    every verdict by construction. *)
+val flat_lowering : flat -> int array lowering
+(** A plane-backed lowering whose boxed value is its row: the derived
+    [decode] allocates a [width]-int row and [read]s into it, and the
+    derived [check] copies each neighbor's row into a scratch plane
+    and runs [check_flat] on it.  The compiled engine [read]s every
+    certificate into whole-graph planes and runs [check_flat] there;
+    {!verify}, the runtime's row check and the combinators' sub-checks
+    run the derived [check] — one decode and one check function, so
+    every path agrees on every verdict by construction. *)
 
 val identity_src : int -> int array
 (** A shared array whose first [n] entries are [0 .. n - 1]: the
@@ -178,7 +184,8 @@ val intern : t -> Bitstring.t array -> Bitstring.t array
     certificates are per-vertex by construction and written packed by
     its provers; {!Cert_store.intern_all}'s per-array dedupe for every
     other lowering.  Observation-equal either way.  {!certify}, the
-    CLI's certify, [Handlers.prepare] and [Recert] call it. *)
+    CLI's certify, [Handlers.prepare], [Recert] and
+    [Runtime.execute] call it. *)
 
 val certify : t -> Instance.t -> (Bitstring.t array * outcome) option
 (** Prover then verifier; [None] if the prover declines.  The call is

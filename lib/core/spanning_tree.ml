@@ -13,13 +13,6 @@ let encode ~id_bits c =
   write_tree w ~id_bits ~root_id:c.root_id ~dist:c.dist ~parent_id:c.parent_id;
   Bitbuf.Writer.contents w
 
-let decode ~id_bits b =
-  Bitbuf.decode b (fun r ->
-      let root_id = Bitbuf.Reader.fixed r ~width:id_bits in
-      let dist = Bitbuf.Reader.nat r in
-      let parent_id = Bitbuf.Reader.fixed r ~width:id_bits in
-      { root_id; dist; parent_id })
-
 (* The one BFS behind every spanning-family prover: [None] on the
    empty graph or when [root] does not reach every vertex. *)
 let spanning_bfs (inst : Instance.t) root =
@@ -45,13 +38,15 @@ let pack_tree (inst : Instance.t) (t : Graph.bfs_tree) suffix =
 let encode_trees inst t = pack_tree inst t (fun _ _ -> ())
 
 (* ------------------------------------------------------------------ *)
-(* Verifiers.  Decoding is total (malformed = None).  Each scheme has
-   one check, over a struct-of-arrays plane (Scheme.flat): a decoded
-   [cert option] flattens to [valid; root_id; dist; parent_id].  The
-   compiled engine runs it on whole-graph planes; Scheme.flat_lowering
-   derives the boxed [check] every other path runs by writing the
-   vertex and its neighbors into a scratch plane, so all paths agree
-   on every verdict, reason strings included, by construction.
+(* Verifiers.  Each scheme has one decoded form and one check, over a
+   struct-of-arrays plane (Scheme.flat): a certificate decodes straight
+   into its row [valid; root_id; dist; parent_id] (then [size; total]
+   for a count certificate), valid = 0 exactly where Bitbuf.decode
+   refuses the bits.  The compiled engine reads every certificate into
+   whole-graph planes; Scheme.flat_lowering derives the boxed [decode]
+   and [check] every other path runs by reading into a row and copying
+   rows into a scratch plane, so all paths agree on every verdict,
+   reason strings included, by construction.
 
    Each check is single-pass: at 10⁶+ vertices a neighbor's slot may
    be a cache miss, so the row is walked once, gathering every
@@ -60,15 +55,29 @@ let encode_trees inst t = pack_tree inst t (fun _ _ -> ())
    row, so gathering commutes with the cascade. *)
 
 let tree_width = 4
+let count_width = 6
 
-let tree_write d plane base =
-  match d with
-  | None -> plane.(base) <- 0
-  | Some c ->
-      plane.(base) <- 1;
-      plane.(base + 1) <- c.root_id;
-      plane.(base + 2) <- c.dist;
-      plane.(base + 3) <- c.parent_id
+(* One reader per certificate and no record: the fields go into the
+   row as they are read, and a refused read leaves valid = 0 (the
+   fields then hold whatever was read before the refusal, which no
+   check looks at). *)
+let read_row ~counts ~id_bits c row base =
+  let r = Bitbuf.Reader.of_bitstring c in
+  let valid =
+    match
+      row.(base + 1) <- Bitbuf.Reader.fixed r ~width:id_bits;
+      row.(base + 2) <- Bitbuf.Reader.nat r;
+      row.(base + 3) <- Bitbuf.Reader.fixed r ~width:id_bits;
+      if counts then begin
+        row.(base + 4) <- Bitbuf.Reader.nat r;
+        row.(base + 5) <- Bitbuf.Reader.nat r
+      end;
+      Bitbuf.Reader.expect_end r
+    with
+    | () -> 1
+    | exception Bitbuf.Decode_error _ -> 0
+  in
+  row.(base) <- valid
 
 let tree_check_flat ~id_bits:_ ~me ~label:_ ~mine ~mbase ~ids ~plane ~lo
     ~hi : Scheme.verdict =
@@ -103,19 +112,33 @@ let tree_check_flat ~id_bits:_ ~me ~label:_ ~mine ~mbase ~ids ~plane ~lo
     else Reject "parent distance is not mine minus one"
   end
 
-let tree_lowering : cert option Scheme.lowering =
-  Scheme.flat_lowering ~decode
-    { width = tree_width; write = tree_write; check_flat = tree_check_flat }
+let tree_flat : Scheme.flat =
+  {
+    width = tree_width;
+    read = read_row ~counts:false;
+    check_flat = tree_check_flat;
+  }
 
-(* The spanning-tree check at one vertex over well-formed certificates,
-   through the same derived check the scheme runs. *)
+(* The spanning-tree check at one vertex over well-formed certificates:
+   the scheme's own plane check on rows built from the records,
+   neighbors at slots [0, deg) and the vertex at slot [deg]. *)
 let check_tree_view ~me c ~neighbors =
-  let ids = Array.of_list (List.map fst neighbors) in
-  let decs = Array.of_list (List.map (fun (_, nc) -> Some nc) neighbors) in
+  let deg = List.length neighbors in
+  let plane = Array.make ((deg + 1) * tree_width) 0 in
+  let put i c =
+    let b = i * tree_width in
+    plane.(b) <- 1;
+    plane.(b + 1) <- c.root_id;
+    plane.(b + 2) <- c.dist;
+    plane.(b + 3) <- c.parent_id
+  in
+  List.iteri (fun i (_, nc) -> put i nc) neighbors;
+  put deg c;
   match
-    tree_lowering.check ~id_bits:0 ~me ~label:0 (Some c) ~ids
-      ~src:(Scheme.identity_src (Array.length ids)) ~decs ~lo:0
-      ~hi:(Array.length ids)
+    tree_check_flat ~id_bits:0 ~me ~label:0 ~mine:plane
+      ~mbase:(deg * tree_width)
+      ~ids:(Array.of_list (List.map fst neighbors))
+      ~plane ~lo:0 ~hi:deg
   with
   | Accept -> Ok ()
   | Reject r -> Error r
@@ -123,7 +146,7 @@ let check_tree_view ~me c ~neighbors =
 let scheme ?(root = 0) () =
   Scheme.of_lowering ~name:"spanning-tree"
     ~prover:(fun inst -> Option.map (encode_trees inst) (spanning_bfs inst root))
-    tree_lowering
+    (Scheme.flat_lowering tree_flat)
 
 (* Acyclicity adds one sub-check to the tree cascade: every edge must
    be a tree edge, i.e. each neighbor is my parent (dist - 1, and I
@@ -175,9 +198,8 @@ let acyclicity =
       let g = inst.Instance.graph in
       if Graph.m g <> Graph.n g - 1 then None
       else Option.map (encode_trees inst) (spanning_bfs inst 0))
-    (Scheme.flat_lowering ~decode
-       { width = tree_width; write = tree_write;
-         check_flat = acyclicity_check_flat })
+    (Scheme.flat_lowering
+       { tree_flat with check_flat = acyclicity_check_flat })
 
 (* Vertex count: spanning-tree certificate extended with the subtree
    size and the claimed global total.  The record is flat, with no
@@ -199,15 +221,6 @@ let encode_count ~id_bits c =
   Bitbuf.Writer.nat w c.total;
   Bitbuf.Writer.contents w
 
-let decode_count ~id_bits b =
-  Bitbuf.decode b (fun r ->
-      let c_root_id = Bitbuf.Reader.fixed r ~width:id_bits in
-      let c_dist = Bitbuf.Reader.nat r in
-      let c_parent_id = Bitbuf.Reader.fixed r ~width:id_bits in
-      let size = Bitbuf.Reader.nat r in
-      let total = Bitbuf.Reader.nat r in
-      { c_root_id; c_dist; c_parent_id; size; total })
-
 (* [encode_count]'s bits for every vertex, born packed. *)
 let encode_counts (inst : Instance.t) (t : Graph.bfs_tree) =
   let n = Instance.n inst in
@@ -218,19 +231,6 @@ let encode_counts (inst : Instance.t) (t : Graph.bfs_tree) =
   pack_tree inst t (fun w v ->
       Bitbuf.Writer.nat w sizes.(v);
       Bitbuf.Writer.nat w n)
-
-let count_width = 6
-
-let count_write d plane base =
-  match d with
-  | None -> plane.(base) <- 0
-  | Some c ->
-      plane.(base) <- 1;
-      plane.(base + 1) <- c.c_root_id;
-      plane.(base + 2) <- c.c_dist;
-      plane.(base + 3) <- c.c_parent_id;
-      plane.(base + 4) <- c.size;
-      plane.(base + 5) <- c.total
 
 let count_check_flat ~total_pred ~local ~root_check ~me ~mine ~mbase ~ids
     ~plane ~lo ~hi : Scheme.verdict =
@@ -286,12 +286,11 @@ let count_check_flat ~total_pred ~local ~root_check ~me ~mine ~mbase ~ids
     else Accept
   end
 
-let count_lowering ~total_pred ~local ~root_check :
-    count_cert option Scheme.lowering =
-  Scheme.flat_lowering ~decode:decode_count
+let count_lowering ~total_pred ~local ~root_check =
+  Scheme.flat_lowering
     {
       width = count_width;
-      write = count_write;
+      read = read_row ~counts:true;
       check_flat =
         (fun ~id_bits:_ ~me ~label:_ ~mine ~mbase ~ids ~plane ~lo ~hi ->
           count_check_flat ~total_pred ~local ~root_check ~me ~mine ~mbase

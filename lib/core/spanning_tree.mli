@@ -19,8 +19,6 @@ val encode : id_bits:int -> cert -> Bitstring.t
     same bits for every vertex at once into one packed buffer
     ({!Bitbuf.pack}). *)
 
-val decode : id_bits:int -> Bitstring.t -> cert option
-
 type count_cert = {
   c_root_id : int;
   c_dist : int;
@@ -70,14 +68,18 @@ val counted :
 
 (** {1 Verification core (shared with richer schemes)}
 
-    Each scheme above has one check, over a struct-of-arrays plane
-    ({!Scheme.flat}); {!Scheme.flat_lowering} derives the boxed form
-    every non-compiled path runs.  The spanning-tree check is also
-    exposed on its own for schemes that embed spanning trees. *)
+    Each scheme above has one decoded form and one check, over a
+    struct-of-arrays plane ({!Scheme.flat}): a certificate reads
+    straight into its row [valid; root_id; dist; parent_id] (then
+    [size; total] for a count certificate), with [valid = 0] exactly
+    where {!Bitbuf.decode} would refuse the bits, trailing bits
+    included.  {!Scheme.flat_lowering} derives the boxed form every
+    non-compiled path runs.  The spanning-tree check is also exposed on
+    its own for schemes that embed spanning trees. *)
 
 val check_tree_view :
   me:int -> cert -> neighbors:(int * cert) list -> (unit, string) result
 (** The spanning-tree local checks at one vertex over well-formed
-    certificates: {!scheme}'s own plane check, run on a plane built
-    from [neighbors], with the same reason strings.  [Existential_fo]
-    runs it once per witness tree. *)
+    certificates: {!scheme}'s own plane check, run on rows built from
+    the records, with the same reason strings.  [Existential_fo] runs
+    it once per witness tree. *)

@@ -6,11 +6,11 @@
    every vertex that sees it — a vertex of degree d costs d + 1
    decodes, and the allocations those decodes make are what serializes
    parallel sweeps on the shared minor heap.  [compile] instead decodes
-   up front, once per vertex for a plane-backed lowering (written
-   straight into an int plane, then copied into slot order) and once
-   per distinct certificate for a boxed one (broadcast-heavy schemes
-   decode a handful of strings) into one value per vertex that a row
-   reads through its neighbors' vertex indices.  The per-vertex kernel
+   up front, once per vertex for a plane-backed lowering (read straight
+   into its int-plane row, then copied into slot order) and once per
+   distinct certificate for a boxed one (broadcast-heavy schemes decode
+   a handful of strings) into one value per vertex that a row reads
+   through its neighbors' vertex indices.  The per-vertex kernel
    runs only the check stage: no decoding, and for checks that walk
    their row in place (the flat-plane families among them) no
    allocation on the accept path. *)
@@ -163,7 +163,8 @@ let compile_fresh (scheme : Scheme.t) (inst : Instance.t) certs =
              the planes are int arrays a row walk streams, where reading
              [mine] through [src] costs a sweep after idle time a random
              cold read per slot (DESIGN §5.5).  Certificates are
-             per-vertex, so each is decoded once, straight into [mine]. *)
+             per-vertex, so each is read once, straight into its row of
+             [mine], with no decoded value in between. *)
           let k = f.Scheme.width in
           let plane = Array.make (total * k) 0 in
           let mine = Array.make (n * k) 0 in
@@ -172,7 +173,7 @@ let compile_fresh (scheme : Scheme.t) (inst : Instance.t) certs =
             let c = certs.(v) in
             let len = Bitstring.length c in
             if len > !max_bits then max_bits := len;
-            f.Scheme.write (l.Scheme.decode ~id_bits c) mine (v * k)
+            f.Scheme.read ~id_bits c mine (v * k)
           done;
           for i = 0 to total - 1 do
             let s = Array.unsafe_get src i * k and d = i * k in

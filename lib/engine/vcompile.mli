@@ -4,16 +4,17 @@
     per-certificate decode stage and a check stage over pre-decoded
     values.  The interpreted oracle {!Scheme.verify} re-decodes every
     certificate at every vertex that sees it; this module decodes each
-    vertex's certificate once (plane-backed lowerings) or each
-    {e distinct} certificate once (boxed lowerings) and drives the
-    check stage through flat precomputed arrays, which removes the
-    per-vertex allocation churn that serializes parallel sweeps on
-    the shared minor heap (DESIGN §5.5).  Verdict equality with
-    {!Scheme.verify} is structural: both paths end in the same check
-    function — reason strings included.  For a plane-backed lowering that function is
-    [check_flat], which the kernel runs on whole-graph planes and
-    {!Scheme.verify} reaches through the [check] that
-    {!Scheme.flat_lowering} derives from it. *)
+    vertex's certificate once, straight into its plane row
+    (plane-backed lowerings), or each {e distinct} certificate once
+    (boxed lowerings) and drives the check stage through flat
+    precomputed arrays, which removes the per-vertex allocation churn
+    that serializes parallel sweeps on the shared minor heap (DESIGN
+    §5.5).  Verdict equality with {!Scheme.verify} is structural: both
+    paths end in the same check function — reason strings included.
+    For a plane-backed lowering that function is [check_flat], which
+    the kernel runs on whole-graph planes and {!Scheme.verify} reaches
+    through the [decode] and [check] that {!Scheme.flat_lowering}
+    derives from [read] and [check_flat]. *)
 
 val set_enabled : bool -> unit
 (** Globally enable/disable compilation (default: enabled).  With it
@@ -38,9 +39,10 @@ val compile : Scheme.t -> Instance.t -> Bitstring.t array -> kernel option
     sweep: id-ascending CSR rows of neighbor ids mirroring
     {!Scheme.view_of}.  Compilation reads every certificate once and
     takes [max_bits] in that same pass.  A plane-backed lowering
-    ({!Scheme.flat_lowering}) decodes each certificate once into an
-    [n × width] own plane and copies it into the [2m × width]
-    neighbor plane the sweep streams.  A boxed lowering decodes once
+    ({!Scheme.flat_lowering}) reads each certificate once, straight
+    into its row of an [n × width] own plane ({!Scheme.flat}'s
+    [read]), and copies the rows into the [2m × width] neighbor plane
+    the sweep streams.  A boxed lowering decodes once
     per distinct bitstring (so broadcast-heavy schemes decode a
     handful) into one value per vertex, which rows read through
     their neighbors' vertex indices ([src]).  [None] only when

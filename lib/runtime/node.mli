@@ -19,5 +19,6 @@ type t = {
 
 val boot : Instance.t -> Bitstring.t array -> t array
 (** Initial node array: every vertex alive, holding its assigned
-    certificate.  Raises [Invalid_argument] if the certificate count
-    does not match the instance. *)
+    certificate as given ([Runtime.execute] passes the array through
+    [Scheme.intern] first).  Raises [Invalid_argument] if the
+    certificate count does not match the instance. *)

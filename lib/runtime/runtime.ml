@@ -220,7 +220,12 @@ let execute ?pool ?jobs ?(plan = Fault.none) ?(rounds = 1) ?(seed = 0)
   validate_plan ~n:(Instance.n inst) plan;
   with_pool_arg ?pool ?jobs (fun pool ->
       Tracer.with_slice t_execute @@ fun () ->
-      let nodes = Node.boot inst certs in
+      (* Scheme.intern dedupes a boxed lowering's certificates, so
+         equal labels are one value and neighbour-agreement checks on
+         them are pointer-fast, and passes a plane lowering's per-vertex
+         certificates through.  Wire-bit accounting only reads
+         lengths, so it is unaffected. *)
+      let nodes = Node.boot inst (Scheme.intern scheme certs) in
       (* Compiled row checks, or the interpreted oracle with
          compilation globally off (Vcompile.set_enabled); verdicts are
          identical either way. *)

@@ -14,7 +14,7 @@
    plane-backed ones, whose certificates are per-vertex — hashing 2×10⁵
    distinct spanning labels found no repeat and took as long as the
    prover — and are born packed by their provers ([Bitbuf.pack]).
-   [Node.boot] calls it directly.
+   [Runtime.execute] boots its nodes through [Scheme.intern] too.
 
    Dedupe is semantically invisible: every output element is
    structurally equal to its input, so scheme outcomes, wire-bit

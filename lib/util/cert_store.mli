@@ -10,7 +10,7 @@
     this for plane-backed lowerings (the spanning family): their
     certificates are per-vertex, so the table would find no repeat, and
     their provers already write one packed buffer ([Bitbuf.pack]).
-    [Node.boot] calls it directly.
+    [Runtime.execute] boots its nodes through [Scheme.intern] too.
 
     Invariant: dedupe never changes observable behaviour.  Every output
     element satisfies [Bitstring.equal c c'] with its input and has the

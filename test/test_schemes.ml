@@ -590,6 +590,56 @@ let reason_table () =
     (fun (scheme, i, specs, v, want) -> reason_case scheme i specs v want)
     (accepts @ core_cases @ acyclicity_cases @ counting_cases @ efo_cases)
 
+(* A certificate decodes straight into its plane row: the row is valid
+   exactly where [Bitbuf.decode] accepts the fields, trailing bits
+   included, and a valid row holds the decoded fields.  Inputs encode
+   random fields, then append random bits and cut a random number off
+   the end, so both valid and refused rows occur. *)
+let qcheck_rows_match_decode =
+  let fixed k = k = 0 || k = 2 in
+  QCheck.Test.make ~count:500
+    ~name:"plane rows valid exactly where Bitbuf.decode accepts"
+    QCheck.(
+      make
+        Gen.(
+          quad (1 -- 9) (list_repeat 5 (0 -- 300)) (list_size (0 -- 3) bool)
+            (0 -- 3)))
+    (fun (id_bits, fields, extra, cut) ->
+      let fields = List.map (fun x -> x land ((1 lsl id_bits) - 1)) fields in
+      let agrees scheme k =
+        let w = Bitbuf.Writer.create () in
+        List.iteri
+          (fun i x ->
+            if i < k then
+              if fixed i then Bitbuf.Writer.fixed w ~width:id_bits x
+              else Bitbuf.Writer.nat w x)
+          fields;
+        let full =
+          Bitstring.append (Bitbuf.Writer.contents w) (Bitstring.of_bools extra)
+        in
+        let c =
+          Bitstring.sub full ~pos:0 ~len:(max 0 (Bitstring.length full - cut))
+        in
+        let row =
+          match scheme.Scheme.lowering with
+          | Scheme.Compiled l ->
+              let f = Option.get l.Scheme.flat in
+              let row = Array.make f.Scheme.width 0 in
+              f.Scheme.read ~id_bits c row 0;
+              row
+        in
+        match
+          Bitbuf.decode c (fun r ->
+              List.init k (fun i ->
+                  if fixed i then Bitbuf.Reader.fixed r ~width:id_bits
+                  else Bitbuf.Reader.nat r))
+        with
+        | None -> row.(0) = 0
+        | Some fs -> row.(0) = 1 && Array.to_list (Array.sub row 1 k) = fs
+      in
+      agrees (Spanning_tree.scheme ()) 3
+      && agrees (Spanning_tree.vertex_count ~expected:(fun _ -> true) "any") 5)
+
 let suite =
   [
     ( "core:instance",
@@ -606,6 +656,7 @@ let suite =
         Alcotest.test_case "family declines disconnected" `Quick
           spanning_family_declines;
         Alcotest.test_case "reason strings" `Quick reason_table;
+        QCheck_alcotest.to_alcotest qcheck_rows_match_decode;
       ] );
     ( "core:acyclicity",
       [

@@ -461,16 +461,23 @@ let cycle_block_analysis () =
    prover allocates, minor + major - promoted: an n-sized array per
    call (what made the prover quadratic) goes straight to the major
    heap, where minor words alone would not see it.  Counts, not
-   timings, so the gate is deterministic. *)
+   timings, so the gate is deterministic.  Every figure is the calling
+   domain's: [Gc.quick_stat] would fold in the idle pool domains' as
+   last published, and the minor figure of [Gc.counters] counts only
+   part of the minor heap not yet collected, so minor words come from
+   [Gc.minor_words]. *)
 let prover_words_per_vertex n =
   let scheme = Treedepth_cert.make ~t:64 () in
   let inst = Instance.make (Gen.random_tree (Rng.make 1) n) in
-  let before = Gc.quick_stat () in
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = words () in
   let certs = Sys.opaque_identity (scheme.Scheme.prover inst) in
-  let after = Gc.quick_stat () in
+  let after = words () in
   if certs = None then Alcotest.failf "prover declined a %d-vertex tree" n;
-  let words (s : Gc.stat) = s.minor_words +. s.major_words -. s.promoted_words in
-  (words after -. words before) /. float_of_int n
+  (after -. before) /. float_of_int n
 
 let treedepth_prover_allocation () =
   let small = prover_words_per_vertex 2000

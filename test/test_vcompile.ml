@@ -405,10 +405,10 @@ let decode_work_counts () =
     Bitstring.length c
   in
   let flat =
-    Scheme.flat_lowering ~decode
+    Scheme.flat_lowering
       {
         Scheme.width = 1;
-        write = (fun d plane base -> plane.(base) <- d);
+        read = (fun ~id_bits c plane base -> plane.(base) <- decode ~id_bits c);
         check_flat =
           (fun ~id_bits:_ ~me:_ ~label:_ ~mine ~mbase ~ids:_ ~plane ~lo ~hi ->
             let ok = ref true in
@@ -487,6 +487,27 @@ let boxed_compile_words () =
     Alcotest.failf "lcl:mis: one compile allocates %.0f direct major words (bound %d)"
       words bound
 
+(* A fresh spanning compile decodes each certificate straight into
+   its plane row: one [Bitbuf.Reader] (3 words) per vertex, and no
+   decoded record, option or decode closure.  The planes, the rows and
+   the snapshot are past the minor heap's size limit, so the minor
+   words of one compile are its per-vertex garbage plus a constant.
+   [Gc.minor_words] reads the calling domain's count exactly; the
+   minor figure of [Gc.counters] counts only part of the minor heap
+   not yet collected. *)
+let plane_compile_minor_words () =
+  let g = Result.get_ok (Spec.parse "random-tree:65536:1") in
+  let n = Graph.n g in
+  let scheme = (Option.get (Registry.find "spanning")).Registry.scheme in
+  let inst = Instance.make g in
+  let certs = Scheme.intern scheme (Option.get (scheme.Scheme.prover inst)) in
+  let before = Gc.minor_words () in
+  ignore (Option.get (Vcompile.compile scheme inst certs));
+  let per_vertex = (Gc.minor_words () -. before) /. float n in
+  if per_vertex > 4. then
+    Alcotest.failf "spanning: one compile allocates %.2f minor words per vertex (bound 4)"
+      per_vertex
+
 (* The plane path at arena scale: at least 2¹⁶ vertices, so
    [Cert_store.intern_all] hands the kernel byte-offset views into
    shared chunks, and random ids, so CSR rows arrive out of id order
@@ -564,6 +585,8 @@ let suite =
         Alcotest.test_case "decode work counts" `Quick decode_work_counts;
         Alcotest.test_case "one decoded value per vertex" `Quick
           boxed_compile_words;
+        Alcotest.test_case "plane rows read without garbage" `Quick
+          plane_compile_minor_words;
         Alcotest.test_case "large-n plane differential" `Quick
           large_plane_differential;
       ] );
