@@ -24,7 +24,7 @@ let c_vertices_verified =
 
 let c_compiled_hits = Once.make (fun () -> Metrics.counter "engine.compiled_hits")
 
-let run_par ?pool ?jobs ?(early_exit = false) scheme inst certs =
+let sweep ?pool ?jobs ?(early_exit = false) kernel scheme inst certs =
   with_pool_arg ?pool ?jobs (fun pool ->
       Tracer.with_slice t_run_par @@ fun () ->
       let n = Graph.n inst.Instance.graph in
@@ -43,9 +43,9 @@ let run_par ?pool ?jobs ?(early_exit = false) scheme inst certs =
         done
       end;
       (* The compiled fast path: decode-once, flat-array kernels
-         (Vcompile).  With compilation toggled off, the interpreted
-         oracle runs instead — both produce identical outcomes. *)
-      let kernel = Vcompile.compile scheme inst certs in
+         (Vcompile).  With compilation toggled off [kernel] is [None]
+         and the interpreted oracle runs instead — both produce
+         identical outcomes. *)
       let check, max_bits =
         match kernel with
         | Some k -> (k.Vcompile.check, k.Vcompile.max_bits)
@@ -96,6 +96,10 @@ let run_par ?pool ?jobs ?(early_exit = false) scheme inst certs =
         if Option.is_some kernel then Metrics.add (c_compiled_hits ()) n
       end;
       outcome)
+
+let run_par ?pool ?jobs ?early_exit scheme inst certs =
+  sweep ?pool ?jobs ?early_exit (Vcompile.compile scheme inst certs) scheme inst
+    certs
 
 (* Trials per Rng stream.  Any constant works; it only trades stream
    count against intra-block sequencing.  It must not depend on the job

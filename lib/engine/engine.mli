@@ -42,8 +42,30 @@ val run_par :
       default, the outcome equals [Scheme.run scheme inst certs]
       exactly.
 
+    It is {!sweep} over a kernel compiled for this call
+    ([Vcompile.compile scheme inst certs]), so a caller that sweeps
+    one assignment again and again compiles once and calls {!sweep}.
+
     An exception raised by the scheme's lowering propagates, as it
     does from {!Scheme.run}; the pool survives it. *)
+
+val sweep :
+  ?pool:Pool.t ->
+  ?jobs:int ->
+  ?early_exit:bool ->
+  Vcompile.kernel option ->
+  Scheme.t ->
+  Instance.t ->
+  Bitstring.t array ->
+  Scheme.outcome
+(** [sweep kernel scheme inst certs] is {!run_par} without the
+    compile, with its options and outcome.  [kernel] is what
+    [Vcompile.compile scheme inst certs] returned; [None] (compilation
+    off) runs {!Scheme.verify} at every vertex on [certs].  With a
+    kernel, [certs] is not read and the outcome is the kernel's, so a
+    kernel whose [check] is its [swap] sweeps the swapped certificates.
+    The sweep is the [run_par] slice; {!run_par}'s compile is the
+    [vcompile.<scheme>] slice before it. *)
 
 val attack_par :
   ?pool:Pool.t ->

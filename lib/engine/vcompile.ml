@@ -26,70 +26,11 @@ let enabled = Atomic.make true
 let set_enabled b = Atomic.set enabled b
 let is_enabled () = Atomic.get enabled
 
-(* Compilation is pure in (scheme, instance, certificates), and the
-   dominant callers re-present the same inputs verbatim: a server
-   answering verifies of a few (scheme, graph) pairs in turn, and
-   repeated sweeps over one assignment (benchmark ladders, a reverify
-   of a certified instance).  The runtime never compiles: it checks
-   its message plane's rows (Network.checker).  A short
-   most-recently-used list remembers the last compiles.  Validity is
-   physical: same scheme, same instance, and every certificate the
-   same value it was (bitstrings are immutable, so [==] per element
-   certifies the array's contents; the snapshot copy guards against
-   in-place element replacement in the caller's array).  Any
-   difference falls through to a fresh compile, so the cache is
-   invisible except in time.  The newest kernel is always kept; older
-   ones stay only while the list holds at most [slots] kernels over at
-   most [slot_budget] vertex-plus-adjacency slots, so two schemes
-   alternating on one mid-sized graph both hit, while a kernel past
-   the budget pins only itself.  Domains race on the list
-   last-writer-wins, which can only drop an entry. *)
-let slots = 4
-let slot_budget = 1 lsl 21
-
-type kernel = { check : int -> Scheme.verdict; max_bits : int }
-
-type entry = {
-  c_scheme : Scheme.t;
-  c_inst : Instance.t;
-  c_certs : Bitstring.t array;
-  c_kernel : kernel;
-  c_size : int;
+type kernel = {
+  check : int -> Scheme.verdict;
+  swap : int -> Bitstring.t -> int -> Scheme.verdict;
+  max_bits : int;
 }
-
-let recent : entry list Atomic.t = Atomic.make []
-
-let same_inputs e (scheme : Scheme.t) (inst : Instance.t) certs =
-  let n = Array.length certs in
-  e.c_scheme == scheme && e.c_inst == inst
-  && Array.length e.c_certs = n
-  &&
-  let i = ref 0 in
-  while !i < n && e.c_certs.(!i) == certs.(!i) do
-    incr i
-  done;
-  !i = n
-
-let c_kernel_reuse =
-  Once.make (fun () -> Metrics.counter ~approx:true "vcompile.kernel_reuse")
-
-let lookup scheme inst certs =
-  let l = Atomic.get recent in
-  match List.find_opt (fun e -> same_inputs e scheme inst certs) l with
-  | None -> None
-  | Some e ->
-      if List.hd l != e then
-        Atomic.set recent (e :: List.filter (fun e' -> e' != e) l);
-      if Metrics.is_enabled () then Metrics.incr (c_kernel_reuse ());
-      Some e.c_kernel
-
-let remember e =
-  let rec keep used k = function
-    | x :: rest when k < slots && used + x.c_size <= slot_budget ->
-        x :: keep (used + x.c_size) (k + 1) rest
-    | _ -> []
-  in
-  Atomic.set recent (e :: keep e.c_size 1 (Atomic.get recent))
 
 (* The compiled layout mirrors the graph's CSR: one whole-graph
    [nbr_ids] array shaped exactly like the adjacency [col] array, rows
@@ -139,7 +80,7 @@ let view_rows ids rp col =
    read every certificate once anyway, so they also take the outcome's
    [max_bits] there — with an int comparison: [Stdlib.max] is
    polymorphic, and without flambda each call is a [caml_compare]. *)
-let compile_fresh (scheme : Scheme.t) (inst : Instance.t) certs =
+let build (scheme : Scheme.t) (inst : Instance.t) certs =
   match scheme.Scheme.lowering with
   | Scheme.Compiled l -> (
       Tracer.with_slice (Metrics.timer ("vcompile." ^ scheme.Scheme.name))
@@ -152,6 +93,13 @@ let compile_fresh (scheme : Scheme.t) (inst : Instance.t) certs =
       let rp, col = Graph.unsafe_csr g in
       let total = rp.(n) in
       let nbr_ids, src = view_rows ids rp col in
+      (* one byte per vertex, set where the view holds v's certificate *)
+      let sees v =
+        let b = Bytes.make n '\000' in
+        Bytes.set b v '\001';
+        for i = rp.(v) to rp.(v + 1) - 1 do Bytes.set b col.(i) '\001' done;
+        fun u -> Bytes.unsafe_get b u <> '\000'
+      in
       match l.Scheme.flat with
       | Some f ->
           (* Schemes that publish a flat plane (Scheme.flat) get a
@@ -187,7 +135,22 @@ let compile_fresh (scheme : Scheme.t) (inst : Instance.t) certs =
               ~ids:nbr_ids ~plane ~lo:(Array.unsafe_get rp v)
               ~hi:(Array.unsafe_get rp (v + 1))
           in
-          { check; max_bits = !max_bits }
+          (* where u sees v, a copy of u's row takes v's from [c] *)
+          let swap v c =
+            let row = Array.make k 0 and sees = sees v in
+            f.Scheme.read ~id_bits c row 0;
+            fun u ->
+              if not (sees u) then check u else
+              let lo = rp.(u) and deg = rp.(u + 1) - rp.(u) in
+              let plane = Array.sub plane (lo * k) (deg * k) in
+              for i = 0 to deg - 1 do
+                if src.(lo + i) = v then Array.blit row 0 plane (i * k) k
+              done;
+              let mine, mbase = if u = v then (row, 0) else (mine, u * k) in
+              f.Scheme.check_flat ~id_bits ~me:ids.(u) ~label:labels.(u) ~mine
+                ~mbase ~ids:(Array.sub nbr_ids lo deg) ~plane ~lo:0 ~hi:deg
+          in
+          { check; swap; max_bits = !max_bits }
       | None ->
           (* Boxed lowerings (lcl, tree-MSO, treedepth, kernel-MSO, the
              FO fragments, the combinators) see repeated certificates —
@@ -218,22 +181,19 @@ let compile_fresh (scheme : Scheme.t) (inst : Instance.t) certs =
               ~ids:nbr_ids ~src ~decs ~lo:(Array.unsafe_get rp v)
               ~hi:(Array.unsafe_get rp (v + 1))
           in
-          { check; max_bits = !max_bits })
+          (* where u sees v, a copy of u's values takes v's from [c] *)
+          let swap v c =
+            let d = l.Scheme.decode ~id_bits c in
+            let sees = sees v and dec w = if w = v then d else decs.(w) in
+            fun u ->
+              if not (sees u) then check u else
+              let lo = rp.(u) and deg = rp.(u + 1) - rp.(u) in
+              l.Scheme.check ~id_bits ~me:ids.(u) ~label:labels.(u) (dec u)
+                ~ids:(Array.sub nbr_ids lo deg) ~src:(Scheme.identity_src deg)
+                ~decs:(Array.init deg (fun i -> dec src.(lo + i)))
+                ~lo:0 ~hi:deg
+          in
+          { check; swap; max_bits = !max_bits })
 
 let compile scheme inst certs =
-  if not (Atomic.get enabled) then None
-  else
-    match lookup scheme inst certs with
-    | Some kernel -> Some kernel
-    | None ->
-        let kernel = compile_fresh scheme inst certs in
-        let rp, _ = Graph.unsafe_csr inst.Instance.graph in
-        remember
-          {
-            c_scheme = scheme;
-            c_inst = inst;
-            c_certs = Array.copy certs;
-            c_kernel = kernel;
-            c_size = Array.length rp + rp.(Array.length rp - 1);
-          };
-        Some kernel
+  if Atomic.get enabled then Some (build scheme inst certs) else None

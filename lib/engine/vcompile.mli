@@ -26,13 +26,18 @@ val is_enabled : unit -> bool
 
 type kernel = {
   check : int -> Scheme.verdict;  (** vertex [v]'s verdict *)
+  swap : int -> Bitstring.t -> int -> Scheme.verdict;
+      (** [swap v c] decodes [c] once and is [check] with [v]'s
+          certificate replaced by [c].  At [v] and its neighbors it
+          checks a fresh copy of the vertex's row, so the kernel stays
+          immutable and shared; elsewhere it is [check]. *)
   max_bits : int;
       (** {!Scheme.max_cert_bits} of the compiled certificates — the
           sweep outcome's [max_bits], taken while decoding so a warm
           sweep does not fold over the certificates again. *)
 }
-(** One compiled sweep: the per-vertex check and the size of the
-    largest certificate it checks. *)
+(** One compiled sweep: the per-vertex check, its variant with one
+    certificate swapped, and the largest certificate's size. *)
 
 val compile : Scheme.t -> Instance.t -> Bitstring.t array -> kernel option
 (** [compile scheme inst certs] builds the per-vertex kernel for one
@@ -48,20 +53,11 @@ val compile : Scheme.t -> Instance.t -> Bitstring.t array -> kernel option
     their neighbors' vertex indices ([src]).  [None] only when
     compilation is disabled; then callers run {!Scheme.verify}.
 
-    Repeated sweeps reuse earlier kernels: a cache of the few most
-    recent compiles, keyed by physical identity of [scheme] and [inst]
-    plus per-element physical equality of [certs] (bitstrings are
-    immutable, so [==] certifies contents), returns a kernel when the
-    inputs are verbatim the same — a server alternating schemes on one
-    graph and repeated sweeps over one assignment (benchmark ladders,
-    a reverify) pay decode cost once, not once per sweep.  The runtime
-    does not compile; it checks its message plane's rows
-    ([Network.checker]).  It keeps up to four kernels while
-    their graphs total at most 2²¹ vertex-plus-adjacency slots; the
-    newest kernel is always kept.  Reuse is counted in the
-    approximate [vcompile.kernel_reuse] metric.  Any changed
-    certificate, instance or scheme recompiles, so behavior never
-    differs from a fresh compile.
+    [compile] keeps nothing, and its kernel holds decoded values, not
+    [certs].  A caller that sweeps one assignment again and again
+    keeps the kernel and hands it to [Engine.sweep], as a served
+    prepared entry does.  The runtime does not compile; it checks its
+    message plane's rows ([Network.checker]).
 
     Lowerings are total by contract; if one still raises, the
     exception propagates from [compile] (decode) or from the kernel

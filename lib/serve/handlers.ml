@@ -14,12 +14,16 @@
 
    Prover work (instance construction + certificate computation) is
    cached per (scheme, graph): a service exists to answer many verify
-   requests against few instances, and reusing the *physically same*
-   certificate array across requests is what lets Vcompile's
-   kernel cache skip decode entirely on repeat sweeps.
-   The cache is a sharded Memo, insert-only and capped by entry count
-   ([max_prepared], [max_flipped], [max_instances] below); flip
-   variants get their own entries so they are physically stable too. *)
+   requests against few instances.  A prepared entry also keeps the
+   kernel compiled from its certificates, built by the first CERTIFY
+   or VERIFY that sweeps them, so later ones sweep without decoding.
+   SIMULATE never builds it, and ATTACK, which draws its own
+   assignments, needs no prepared entry.  A VERIFY that names a flip
+   sweeps the entry's kernel too, and re-checks the flipped vertex and
+   its neighbours with the flipped certificate ([Vcompile.kernel]'s
+   [swap]): a flip neither compiles nor copies the certificates.  The
+   caches are sharded Memos, insert-only and capped by entry count
+   ([max_prepared], [max_instances] below). *)
 
 type prepared = {
   scheme : Scheme.t;
@@ -28,27 +32,27 @@ type prepared = {
       (* through Scheme.intern: deduped for a boxed lowering, the
          prover's packed array for a plane one; None = prover
          declined *)
+  kernel : unit -> Vcompile.kernel option;
+      (* Once over Vcompile.compile of [certs], forced by the first
+         sweep of them *)
 }
 
 type t = {
   pool : Pool.t;
   prepared : (string * string, prepared) Memo.t;
-  flipped : (string * string * int * int, Bitstring.t array) Memo.t;
   instances : (string, Instance.t) Memo.t;
       (* graph spec string → built instance, shared across schemes: a
          deployment typically certifies several properties of one
          topology, and at 10⁶+ vertices regenerating the graph (and
          re-streaming its edge list) dwarfs the verification sweep.
-         Instances are immutable, and physical sharing is what lets
-         Vcompile's instance-keyed kernel cache hold every scheme's
-         kernel for one graph side by side. *)
+         Instances are immutable, so the prepared entries of every
+         scheme on one graph share one. *)
 }
 
 let create ~pool () =
   {
     pool;
     prepared = Memo.create ~name:"serve.prepared" 16;
-    flipped = Memo.create ~name:"serve.flipped" 16;
     instances = Memo.create ~name:"serve.instances" 16;
   }
 
@@ -59,7 +63,6 @@ exception Reject of Protocol.error_code
    costs itself prover time instead of growing the server's heap.
    (Duplicates within one queue drain still share one evaluation.) *)
 let max_prepared = 256
-let max_flipped = 1024
 let max_instances = 64
 
 (* Work named by a request is bounded the way Attack's trials always
@@ -98,18 +101,18 @@ let instance_for t graph =
         Memo.set t.instances graph inst;
       inst
 
+let scheme_named name =
+  match Registry.find name with
+  | Some e -> e.Registry.scheme
+  | None -> raise (Reject (Protocol.Unknown_scheme name))
+
 let prepare t ~scheme ~graph =
   let key = (scheme, graph) in
   match Memo.find_opt t.prepared key with
   | Some p -> p
   | None ->
-      let entry =
-        match Registry.find scheme with
-        | Some e -> e
-        | None -> raise (Reject (Protocol.Unknown_scheme scheme))
-      in
+      let sc = scheme_named scheme in
       let inst = instance_for t graph in
-      let sc = entry.Registry.scheme in
       let certs =
         match sc.Scheme.prover inst with
         | None -> None
@@ -118,7 +121,10 @@ let prepare t ~scheme ~graph =
             Scheme.record_cert_sizes sc certs;
             Some certs
       in
-      let p = { scheme = sc; inst; certs } in
+      let kernel =
+        Once.make (fun () -> Option.bind certs (Vcompile.compile sc inst))
+      in
+      let p = { scheme = sc; inst; certs; kernel } in
       if Memo.length t.prepared < max_prepared then Memo.set t.prepared key p;
       p
 
@@ -130,20 +136,11 @@ let certs_or_decline p =
 (* The flip lands on real coordinates ([mod] the instance): loadgen can
    drive the rejection path without knowing certificate lengths, and a
    differential test can reproduce the exact mutation. *)
-let flipped_certs t ~scheme ~graph p (v, b) =
-  let key = (scheme, graph, v, b) in
-  match Memo.find_opt t.flipped key with
-  | Some certs -> certs
-  | None ->
-      let base = certs_or_decline p in
-      let n = Array.length base in
-      let v = v mod n in
-      let certs = Array.copy base in
-      let len = Bitstring.length certs.(v) in
-      if len > 0 then
-        certs.(v) <- Bitstring.flip certs.(v) (b mod len);
-      if Memo.length t.flipped < max_flipped then Memo.set t.flipped key certs;
-      certs
+let flip base (v, b) =
+  let v = v mod Array.length base in
+  let c = base.(v) in
+  let len = Bitstring.length c in
+  (v, if len > 0 then Bitstring.flip c (b mod len) else c)
 
 let verdict_of_outcome (o : Scheme.outcome) =
   Protocol.Verdict
@@ -157,18 +154,27 @@ let eval t (req : Protocol.request) : Protocol.response =
   match req with
   | Protocol.Ping -> Protocol.Pong
   | Protocol.Stats -> Protocol.Stats_snapshot (Export.snapshot ())
-  | Protocol.Certify { scheme; graph } ->
+  | Protocol.Certify { scheme; graph }
+  | Protocol.Verify { scheme; graph; flip = None } ->
       let p = prepare t ~scheme ~graph in
       let certs = certs_or_decline p in
-      verdict_of_outcome (Engine.run_par ~pool:t.pool p.scheme p.inst certs)
-  | Protocol.Verify { scheme; graph; flip } ->
+      verdict_of_outcome
+        (Engine.sweep ~pool:t.pool (p.kernel ()) p.scheme p.inst certs)
+  | Protocol.Verify { scheme; graph; flip = Some fl } ->
       let p = prepare t ~scheme ~graph in
-      let certs =
-        match flip with
-        | None -> certs_or_decline p
-        | Some fl -> flipped_certs t ~scheme ~graph p fl
-      in
-      verdict_of_outcome (Engine.run_par ~pool:t.pool p.scheme p.inst certs)
+      let base = certs_or_decline p in
+      let v, c = flip base fl in
+      verdict_of_outcome
+        (match p.kernel () with
+        | Some k ->
+            (* v and its neighbours are re-checked with [c]; a flip
+               keeps lengths, so [max_bits] holds *)
+            Engine.sweep ~pool:t.pool
+              (Some { k with check = k.swap v c })
+              p.scheme p.inst base
+        | None ->
+            Engine.run_par ~pool:t.pool p.scheme p.inst
+              (Array.mapi (fun u x -> if u = v then c else x) base))
   | Protocol.Simulate { scheme; graph; plan; rounds; seed } ->
       if rounds < 1 || rounds > max_rounds then
         raise (Reject (Protocol.Bad_argument "rounds must be in [1, 1e6]"));
@@ -198,10 +204,12 @@ let eval t (req : Protocol.request) : Protocol.response =
         raise (Reject (Protocol.Bad_argument "trials must be in [0, 1e6]"));
       if max_bits < 0 || max_bits > 4096 then
         raise (Reject (Protocol.Bad_argument "max-bits must be in [0, 4096]"));
-      let p = prepare t ~scheme ~graph in
+      (* Random assignments need neither the prover's certificates
+         nor a prepared entry: resolve the scheme, then the graph. *)
+      let sc = scheme_named scheme in
+      let inst = instance_for t graph in
       let report =
-        Engine.attack_par ~pool:t.pool (Rng.make seed) p.scheme p.inst ~trials
-          ~max_bits
+        Engine.attack_par ~pool:t.pool (Rng.make seed) sc inst ~trials ~max_bits
       in
       Protocol.Attacked
         {

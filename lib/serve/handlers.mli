@@ -12,10 +12,16 @@
 type t
 
 val create : pool:Pool.t -> unit -> t
-(** Shared evaluation state: the engine pool and capped
-    per-(scheme, graph) prover caches whose certificate arrays stay
-    physically stable across requests (so Vcompile's kernel cache
-    fires on repeat sweeps). *)
+(** Shared evaluation state: the engine pool and a capped
+    per-(scheme, graph) cache of prepared entries, each holding the
+    prover's certificates and, once a CERTIFY or VERIFY has swept
+    them, the kernel compiled from them. *)
+
+val flip : Bitstring.t array -> int * int -> int * Bitstring.t
+(** [flip certs (v, b)] is the change a VERIFY with
+    [flip = Some (v, b)] checks: vertex [v mod n] and its certificate
+    with bit [b mod len] flipped, or unchanged when that certificate
+    is empty ([len = 0]). *)
 
 val handle : t -> Protocol.request -> Protocol.response
 (** Evaluate one request.  No deduplication happens here: the

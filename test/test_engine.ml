@@ -394,15 +394,16 @@ let minor_words f =
   ignore (Sys.opaque_identity (f ()));
   Gc.minor_words () -. before
 
-(* Minor words of one [Engine.run_par] sweep of the n-vertex fixture
-   on a one-job pool (so all allocation lands on the calling domain),
-   once per wrapper in [arounds] (e.g. one that enables the tracer).
-   Each wrapper first runs a sweep unmeasured, which compiles and
-   caches the kernel and creates any per-domain state. *)
+(* Minor words of one [Engine.sweep] of the n-vertex fixture's kernel,
+   compiled once beforehand, on a one-job pool (so all allocation lands
+   on the calling domain), once per wrapper in [arounds] (e.g. one that
+   enables the tracer).  Each wrapper first runs a sweep unmeasured,
+   which creates any per-domain state. *)
 let warm_sweep_words n arounds =
   let scheme, inst, certs = spanning_fixture n in
+  let kernel = Vcompile.compile scheme inst certs in
   Pool.with_pool ~jobs:1 (fun pool ->
-      let sweep () = Engine.run_par ~pool scheme inst certs in
+      let sweep () = Engine.sweep ~pool kernel scheme inst certs in
       List.iter (fun around -> ignore (around sweep)) arounds;
       List.map (fun around -> minor_words (fun () -> around sweep)) arounds)
 

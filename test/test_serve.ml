@@ -602,15 +602,120 @@ let overload_retry_later () =
 let verify_req flip =
   Protocol.Verify { scheme = scheme_name; graph = graph_spec; flip }
 
-(* What the server's flip does to the prover certificates (see
-   Handlers.flipped_certs), computed in process. *)
-let flipped_outcome (v, b) =
-  let sc, inst, certs, _ = direct_outcome () in
+(* What a flipped VERIFY does to the prover certificates, written out
+   in process: bit [b mod len] of vertex [v mod n]'s certificate, and
+   nothing when that certificate is empty. *)
+let materialise certs (v, b) =
   let certs = Array.copy certs in
   let v = v mod Array.length certs in
   let len = Bitstring.length certs.(v) in
   if len > 0 then certs.(v) <- Bitstring.flip certs.(v) (b mod len);
-  Pool.with_pool ~jobs:1 (fun pool -> Engine.run_par ~pool sc inst certs)
+  certs
+
+let flipped_outcome flip =
+  let sc, inst, certs, _ = direct_outcome () in
+  Pool.with_pool ~jobs:1 (fun pool ->
+      Engine.run_par ~pool sc inst (materialise certs flip))
+
+(* A served flipped VERIFY answers [Engine.run_par] on the materialised
+   flipped array.  Flips land on hubs (vertex 0, a star's centre and a
+   clique vertex), on random vertices and at v >= n, where the server
+   takes v mod n; each flip is sent twice, in separate requests, and
+   both answers must agree.  One draw in four serves it with
+   compilation off.  No registry prover emits an empty
+   certificate, so the empty case is checked on [Handlers.flip]
+   itself: flipping an empty certificate leaves it as it was. *)
+let flip_cases =
+  [
+    ("star:40", "spanning");
+    ("star:40", "lcl:mis");
+    ("star:40", "depth2:dominating");
+    ("clique:12", "spanning");
+    ("clique:12", "depth2:dominating");
+    ("random-tree:96:5", "spanning");
+    ("random-tree:96:5", "lcl:mis");
+  ]
+
+let qcheck_served_flips =
+  QCheck.Test.make ~name:"served flipped VERIFY ≡ run_par on the flipped array"
+    ~count:80 QCheck.(int_bound 1_000_000) (fun seed ->
+      let rng = Rng.make seed in
+      let graph, scheme =
+        List.nth flip_cases (Rng.int rng (List.length flip_cases))
+      in
+      let sc = (Option.get (Registry.find scheme)).Registry.scheme in
+      let inst = Instance.make (Result.get_ok (Spec.parse graph)) in
+      let certs = Option.get (sc.Scheme.prover inst) in
+      let n = Instance.n inst in
+      let v =
+        match Rng.int rng 3 with
+        | 0 -> 0
+        | 1 -> Rng.int rng n
+        | _ -> n + Rng.int rng (1 lsl 20)
+      in
+      let fl = (v, Rng.int rng 1_000) in
+      let compiled = Rng.int rng 4 > 0 in
+      let empty_ok =
+        let blanked = Array.copy certs in
+        blanked.(v mod n) <- Bitstring.empty;
+        let u, c = Handlers.flip blanked fl in
+        u = v mod n && Bitstring.equal c Bitstring.empty
+      in
+      Pool.with_pool ~jobs:1 (fun pool ->
+          let h = Handlers.create ~pool () in
+          let want = Engine.run_par ~pool sc inst (materialise certs fl) in
+          let served () =
+            Vcompile.set_enabled compiled;
+            Fun.protect ~finally:(fun () -> Vcompile.set_enabled true)
+            @@ fun () ->
+            Handlers.handle h
+              (Protocol.Verify { scheme; graph; flip = Some fl })
+          in
+          let first = served () in
+          let second = served () in
+          empty_ok && first = second
+          &&
+          match first with
+          | Protocol.Verdict { accepted; max_bits; rejections } ->
+              accepted = want.Scheme.accepted
+              && max_bits = want.Scheme.max_bits
+              && rejections = want.Scheme.rejections
+          | _ -> false))
+
+(* An ATTACK draws its own assignments: it needs the scheme and the
+   instance, never the prover's certificates, so it makes no prepared
+   entry, and it answers what [Engine.attack_par] computes in process.
+   An unknown scheme is still reported before a bad graph. *)
+let attack_prepares_nothing () =
+  let sc, inst, _, _ = direct_outcome () in
+  let trials = 300 and max_bits = 6 and seed = 9 in
+  Pool.with_pool ~jobs:1 (fun pool ->
+      let want =
+        Engine.attack_par ~pool (Rng.make seed) sc inst ~trials ~max_bits
+      in
+      let h = Handlers.create ~pool () in
+      let attack scheme graph =
+        Handlers.handle h
+          (Protocol.Attack { scheme; graph; trials; max_bits; seed })
+      in
+      Metrics.with_enabled true @@ fun () ->
+      Metrics.reset ();
+      Fun.protect ~finally:Metrics.reset @@ fun () ->
+      (match attack scheme_name graph_spec with
+      | Protocol.Attacked { trials = t; fooled } ->
+          check "trials as in process" true (t = want.Attack.trials);
+          check "verdict as in process" true
+            (fooled = (want.Attack.fooled <> None))
+      | _ -> Alcotest.fail "expected an Attacked answer");
+      Alcotest.(check int) "no prepared entry looked up" 0
+        (Metrics.value
+           (Metrics.counter ~approx:true "memo.serve.prepared.misses"));
+      (match attack "nosuch" "clique:100000" with
+      | Protocol.Error (Protocol.Unknown_scheme "nosuch") -> ()
+      | _ -> Alcotest.fail "an unknown scheme must be reported first");
+      match attack scheme_name "clique:100000" with
+      | Protocol.Error (Protocol.Bad_graph _) -> ()
+      | _ -> Alcotest.fail "an oversized graph must be Bad_graph")
 
 let batch_sizes () =
   match
@@ -1117,6 +1222,9 @@ let suite =
           `Quick drain_groups_identical_requests;
         Alcotest.test_case "two workers agree with the engine" `Quick
           concurrent_workers_agree;
+        QCheck_alcotest.to_alcotest qcheck_served_flips;
+        Alcotest.test_case "ATTACK prepares nothing" `Quick
+          attack_prepares_nothing;
       ] );
     ( "serve-spec",
       [

@@ -93,6 +93,43 @@ let qcheck_kernel_per_vertex =
       done;
       !ok)
 
+(* [swap v c] is a check of the certificates with v's replaced by c:
+   at every vertex (v, its neighbours and the rest), for every family,
+   on replacements that flip one bit, empty the certificate or draw
+   noise, and on v a hub as often as a random vertex.  Swept across
+   four jobs it rejects where [Scheme.run] on the swapped array does
+   ([max_bits] stays the compiled array's). *)
+let qcheck_swap_per_vertex =
+  QCheck.Test.make
+    ~name:"compile: swapped verdict ≡ interpreted verdict on the swapped array"
+    ~count:400 seed_arbitrary (fun seed ->
+      let rng = Rng.make seed in
+      let scheme, inst = case_of rng in
+      let certs = certs_of rng scheme inst in
+      let kernel = Option.get (Vcompile.compile scheme inst certs) in
+      let n = Instance.n inst in
+      let g = inst.Instance.graph in
+      n = 0
+      ||
+      let v =
+        if Rng.bool rng then Rng.int rng n
+        else
+          List.fold_left
+            (fun a u -> if Graph.degree g u > Graph.degree g a then u else a)
+            0 (Graph.vertices g)
+      in
+      let swapped = Array.copy certs in
+      swapped.(v) <- (corrupt rng [| certs.(v) |]).(0);
+      let check = kernel.Vcompile.swap v swapped.(v) in
+      let swept =
+        Engine.sweep ~pool:pool4 (Some { kernel with check }) scheme inst certs
+      in
+      swept.Scheme.rejections = (Scheme.run scheme inst swapped).Scheme.rejections
+      && List.for_all
+           (fun u ->
+             check u = Scheme.verify scheme (Scheme.view_of inst swapped u))
+           (Graph.vertices g))
+
 (* One fault kind per case, so every kind meets the oracle on its own:
    dropped and crashed senders leave silent slots, flips and forgeries
    put payloads on the wire that no vertex stores, corruption and
@@ -298,54 +335,75 @@ let compiled_hits_counted () =
         (Metrics.value (Metrics.counter "engine.compiled_hits") = 0);
       Metrics.reset ())
 
-(* Two schemes alternating on one instance both keep their kernels;
-   past four keys the oldest is evicted, and a changed certificate
-   array is a new key. *)
-let kernel_cache_alternation () =
-  let inst = Instance.make (Gen.random_tree (Rng.make 5) 120) in
-  let a = Spanning_tree.scheme () and b = Spanning_tree.acyclicity in
-  let ca = Option.get (a.Scheme.prover inst) in
-  let cb = Option.get (b.Scheme.prover inst) in
-  let reuse () =
-    Metrics.value (Metrics.counter ~approx:true "vcompile.kernel_reuse")
+(* A kernel lives with the certificates it checks: a served prepared
+   entry compiles on its first sweep and never again.  Two VERIFYs each
+   of two schemes on one graph, interleaved, compile twice in all.  A
+   SIMULATE prepares a key without compiling, an ATTACK after it
+   compiles nothing either, the first VERIFY of that key then compiles
+   once, and flipped VERIFYs of it compile nothing more. *)
+let kernel_per_prepared_entry () =
+  let graph = "random-tree:120:5" in
+  let compiles () =
+    List.fold_left
+      (fun acc (t : Metrics.timing) ->
+        if String.starts_with ~prefix:"vcompile." t.Metrics.name then
+          acc + t.Metrics.count
+        else acc)
+      0 (Metrics.timings ())
   in
-  Metrics.with_enabled true (fun () ->
-      Metrics.reset ();
-      let ka = Option.get (Vcompile.compile a inst ca) in
-      let kb = Option.get (Vcompile.compile b inst cb) in
-      check "first scheme still cached" true
-        (Option.get (Vcompile.compile a inst ca) == ka);
-      check "second scheme still cached" true
-        (Option.get (Vcompile.compile b inst cb) == kb);
-      check "both hits counted" true (reuse () = 2);
-      let flips =
-        List.init 4 (fun v ->
-            let c = Array.copy ca in
-            c.(v) <- Bitstring.flip c.(v) 0;
-            c)
-      in
-      List.iter (fun c -> ignore (Vcompile.compile a inst c)) flips;
-      check "oldest key evicted after four newer ones" true
-        (Option.get (Vcompile.compile b inst cb) != kb);
-      let kf = Option.get (Vcompile.compile a inst (List.nth flips 3)) in
-      check "changed certificates get their own kernel" true
-        (kf != ka
-        && kf.Vcompile.check 3 = Scheme.verify a (Scheme.view_of inst (List.nth flips 3) 3));
-      Metrics.reset ())
+  let handle h req what ok =
+    if not (ok (Handlers.handle h req)) then
+      Alcotest.failf "%s: wrong answer" what
+  in
+  let verify h scheme =
+    handle h
+      (Protocol.Verify { scheme; graph; flip = None })
+      ("verify " ^ scheme)
+      (function Protocol.Verdict { accepted; _ } -> accepted | _ -> false)
+  in
+  Metrics.with_enabled true @@ fun () ->
+  Metrics.reset ();
+  Fun.protect ~finally:Metrics.reset @@ fun () ->
+  let h = Handlers.create ~pool:pool1 () in
+  List.iter (verify h) [ "spanning"; "acyclic"; "spanning"; "acyclic" ];
+  Alcotest.(check int) "one compile per prepared entry" 2 (compiles ());
+  let h = Handlers.create ~pool:pool1 () in
+  Metrics.reset ();
+  handle h
+    (Protocol.Simulate
+       { scheme = "spanning"; graph; plan = "corrupt:0.2"; rounds = 3; seed = 1 })
+    "simulate"
+    (function Protocol.Sim _ -> true | _ -> false);
+  handle h
+    (Protocol.Attack
+       { scheme = "spanning"; graph; trials = 64; max_bits = 8; seed = 1 })
+    "attack"
+    (function Protocol.Attacked _ -> true | _ -> false);
+  Alcotest.(check int) "SIMULATE and ATTACK compile nothing" 0 (compiles ());
+  verify h "spanning";
+  Alcotest.(check int) "the prepared key compiles on its first VERIFY" 1
+    (compiles ());
+  List.iter
+    (fun fl ->
+      handle h
+        (Protocol.Verify { scheme = "spanning"; graph; flip = Some fl })
+        "flipped verify"
+        (function Protocol.Verdict _ -> true | _ -> false))
+    [ (3, 1); (3, 1); (70, 2) ];
+  Alcotest.(check int) "flipped VERIFYs sweep the entry's kernel" 1
+    (compiles ())
 
-(* [Engine.run_par]'s [max_bits] comes from the compiled kernel on a
-   cache miss and on a hit, and from [Scheme.max_cert_bits] with
-   compilation off.  Each must equal a plain fold over the
-   certificates, for a plane-backed lowering (spanning) and a boxed one
-   (lcl:mis), on all-empty, mixed-length and honest arrays.  Replacing
-   one element in place by a longer certificate must miss the cache,
-   and [max_bits] must follow it. *)
+(* A sweep's [max_bits] comes from the compiled kernel, whether
+   [Engine.run_par] compiles it or a caller keeps it for
+   [Engine.sweep], and from [Scheme.max_cert_bits] with compilation
+   off.  Each must equal a plain fold over the certificates, for a
+   plane-backed lowering (spanning) and a boxed one (lcl:mis), on
+   all-empty, mixed-length and honest arrays.  After one element is
+   replaced in place by a longer certificate, [max_bits] must follow
+   it. *)
 let max_bits_on_every_path () =
   let reference certs =
     Array.fold_left (fun acc c -> max acc (Bitstring.length c)) 0 certs
-  in
-  let reuse () =
-    Metrics.value (Metrics.counter ~approx:true "vcompile.kernel_reuse")
   in
   let inst = Instance.make (Gen.random_tree (Rng.make 17) 150) in
   let n = Instance.n inst in
@@ -365,27 +423,23 @@ let max_bits_on_every_path () =
       in
       List.iter
         (fun (kind, certs) ->
-          let max_bits what want =
-            let o = Engine.run_par ~pool:pool4 scheme inst certs in
+          let check_max what want (o : Scheme.outcome) =
             Alcotest.(check int)
               (Printf.sprintf "%s, %s certificates, %s" scheme.Scheme.name kind
                  what)
               want o.Scheme.max_bits
           in
+          let run_par what want =
+            check_max what want (Engine.run_par ~pool:pool4 scheme inst certs)
+          in
           let want = reference certs in
-          Metrics.with_enabled true (fun () ->
-              Metrics.reset ();
-              max_bits "kernel miss" want;
-              Alcotest.(check int) "first sweep compiles" 0 (reuse ());
-              max_bits "kernel hit" want;
-              Alcotest.(check int) "second sweep reuses" 1 (reuse ());
-              with_compilation false (fun () ->
-                  max_bits "compilation off" want);
-              certs.(n / 2) <- Bitstring.of_string (String.make (want + 3) '1');
-              max_bits "longer certificate in place" (reference certs);
-              Alcotest.(check int) "in-place replacement recompiles" 1
-                (reuse ());
-              Metrics.reset ()))
+          run_par "run_par" want;
+          let kernel = Vcompile.compile scheme inst certs in
+          check_max "kept kernel" want
+            (Engine.sweep ~pool:pool4 kernel scheme inst certs);
+          with_compilation false (fun () -> run_par "compilation off" want);
+          certs.(n / 2) <- Bitstring.of_string (String.make (want + 3) '1');
+          run_par "longer certificate in place" (reference certs))
         arrays)
     [ Spanning_tree.scheme (); mis ]
 
@@ -394,10 +448,8 @@ let max_bits_on_every_path () =
 (* ------------------------------------------------------------------ *)
 
 (* A plane-backed compile decodes each vertex's certificate exactly
-   once — no per-slot and no per-distinct-certificate pass — and a
-   kernel-cache hit decodes nothing.  A boxed lowering decodes once per
-   distinct certificate.  Fresh scheme values keep the physically keyed
-   kernel cache from answering for another test's compile. *)
+   once — no per-slot and no per-distinct-certificate pass.  A boxed
+   lowering decodes once per distinct certificate. *)
 let decode_work_counts () =
   let calls = ref 0 in
   let decode ~id_bits:_ c =
@@ -446,9 +498,6 @@ let decode_work_counts () =
        (fun v ->
          kernel.Vcompile.check v = Scheme.verify s (Scheme.view_of inst certs v))
        (Graph.vertices inst.Instance.graph));
-  calls := 0;
-  ignore (Vcompile.compile s inst certs);
-  Alcotest.(check int) "cached compile decodes nothing" 0 !calls;
   let b = Scheme.of_lowering ~name:"count-boxed" ~prover boxed in
   calls := 0;
   let kb = Option.get (Vcompile.compile b inst certs) in
@@ -456,19 +505,18 @@ let decode_work_counts () =
     !calls;
   Alcotest.(check int) "boxed compile takes max_bits" 6 kb.Vcompile.max_bits
 
-(* A fresh boxed compile keeps one decoded value per vertex: rows hold
+(* A boxed compile keeps one decoded value per vertex: rows hold
    neighbor ids and vertex indices, never a per-slot copy of a
    neighbor's value.  Arrays past the minor heap's size limit go
    straight to the major heap, so the direct major words
    ([major_words - promoted_words]) of one compile count its large
    arrays exactly.  The bound is the layout: the 2m-slot [nbr_ids],
-   the kernel cache's n-entry certificate snapshot, the vertex-indexed
-   values and the decode table's buckets (2n), and 4096 words for the
-   small structures; a 2m-entry copy of the values exceeds it.
+   the vertex-indexed values and the decode table's buckets (2n), and
+   4096 words for the small structures; a 2m-entry copy of the values,
+   or an n-entry copy of the certificate array, exceeds it.
    [Gc.counters] reads the calling domain's counters ([Gc.quick_stat]
    would fold in the idle pool domains' at whatever point they were
-   last published), and a fresh instance keeps the kernel cache from
-   answering. *)
+   last published). *)
 let boxed_compile_words () =
   let g = Result.get_ok (Spec.parse "random-tree:65536:8") in
   let n = Graph.n g and m = Graph.m g in
@@ -482,16 +530,16 @@ let boxed_compile_words () =
   let before = direct () in
   ignore (Option.get (Vcompile.compile scheme inst certs));
   let words = direct () -. before in
-  let bound = (2 * n) + (2 * m) + n + 4096 in
+  let bound = (2 * n) + (2 * m) + 4096 in
   if words > float bound then
     Alcotest.failf "lcl:mis: one compile allocates %.0f direct major words (bound %d)"
       words bound
 
-(* A fresh spanning compile decodes each certificate straight into
-   its plane row: one [Bitbuf.Reader] (3 words) per vertex, and no
-   decoded record, option or decode closure.  The planes, the rows and
-   the snapshot are past the minor heap's size limit, so the minor
-   words of one compile are its per-vertex garbage plus a constant.
+(* A spanning compile decodes each certificate straight into its
+   plane row: one [Bitbuf.Reader] (3 words) per vertex, and no decoded
+   record, option or decode closure.  The planes and the rows are past
+   the minor heap's size limit, so the minor words of one compile are
+   its per-vertex garbage plus a constant.
    [Gc.minor_words] reads the calling domain's count exactly; the
    minor figure of [Gc.counters] counts only part of the minor heap
    not yet collected. *)
@@ -580,6 +628,7 @@ let suite =
     ( "vcompile:differential",
       [
         QCheck_alcotest.to_alcotest qcheck_kernel_per_vertex;
+        QCheck_alcotest.to_alcotest qcheck_swap_per_vertex;
         QCheck_alcotest.to_alcotest qcheck_row_check_per_vertex;
         Alcotest.test_case "every family compiles" `Quick lowered_coverage;
         Alcotest.test_case "decode work counts" `Quick decode_work_counts;
@@ -600,8 +649,8 @@ let suite =
           execute_leaves_nothing;
         Alcotest.test_case "engine.compiled_hits counts kernel verdicts" `Quick
           compiled_hits_counted;
-        Alcotest.test_case "kernel cache keeps alternating schemes" `Quick
-          kernel_cache_alternation;
+        Alcotest.test_case "a kernel is compiled once per prepared entry"
+          `Quick kernel_per_prepared_entry;
         Alcotest.test_case "max_bits on every path" `Quick
           max_bits_on_every_path;
       ] );
