@@ -83,23 +83,70 @@ let sweep ?pool ?jobs ?(early_exit = false) kernel scheme inst certs =
             !rejections)
       in
       let rejections = List.concat (Array.to_list per_chunk) in
-      let outcome =
-        {
-          Scheme.accepted = rejections = [];
-          rejections;
-          max_bits;
-        }
-      in
-      Scheme.record_outcome scheme ~early_exit outcome;
       if (not early_exit) && Metrics.is_enabled () then begin
         Metrics.add (c_vertices_verified ()) n;
         if Option.is_some kernel then Metrics.add (c_compiled_hits ()) n
       end;
-      outcome)
+      { Scheme.accepted = rejections = []; rejections; max_bits })
 
-let run_par ?pool ?jobs ?early_exit scheme inst certs =
-  sweep ?pool ?jobs ?early_exit (Vcompile.compile scheme inst certs) scheme inst
-    certs
+let run_par ?pool ?jobs ?(early_exit = false) scheme inst certs =
+  let outcome =
+    sweep ?pool ?jobs ~early_exit (Vcompile.compile scheme inst certs) scheme
+      inst certs
+  in
+  Scheme.record_outcome scheme ~early_exit outcome;
+  outcome
+
+(* The verifier has radius 1, so swapping v's certificate can change
+   verdicts only in N[v]: re-check those, keep every stored rejection
+   outside N[v], and merge the two vertex-ascending lists.  A CSR row
+   is strictly ascending and loopless, so walking it downwards with v
+   slotted in visits N[v] in descending order, each vertex once (the
+   [prev] guard holds that even for a row listing a neighbour twice),
+   and consing leaves the re-checked rejections ascending. *)
+let recheck (kernel : Vcompile.kernel) inst (base : Scheme.outcome) v c =
+  let g = inst.Instance.graph in
+  let n = Graph.n g in
+  if v < 0 || v >= n then invalid_arg "Engine.recheck: vertex out of range";
+  let check = kernel.Vcompile.swap v c in
+  let rp, col = Graph.unsafe_csr g in
+  let fresh = ref [] and prev = ref (-1) and checked = ref 0 in
+  let visit u =
+    if u <> !prev then begin
+      prev := u;
+      incr checked;
+      match check u with
+      | Scheme.Accept -> ()
+      | Scheme.Reject reason -> fresh := (u, reason) :: !fresh
+    end
+  in
+  let own = ref true in
+  for i = rp.(v + 1) - 1 downto rp.(v) do
+    let u = col.(i) in
+    if !own && u < v then begin
+      own := false;
+      visit v
+    end;
+    visit u
+  done;
+  if !own then visit v;
+  let inside u = u = v || Graph.mem_edge g v u in
+  let rec merge acc a b =
+    match (a, b) with
+    | [], rest | rest, [] -> List.rev_append acc rest
+    | ((x, _) as p) :: a', ((y, _) as q) :: b' ->
+        if x < y then merge (p :: acc) a' b else merge (q :: acc) a b'
+  in
+  let rejections =
+    merge []
+      (List.filter (fun (u, _) -> not (inside u)) base.Scheme.rejections)
+      !fresh
+  in
+  if Metrics.is_enabled () then begin
+    Metrics.add (c_vertices_verified ()) !checked;
+    Metrics.add (c_compiled_hits ()) !checked
+  end;
+  { base with Scheme.accepted = rejections = []; rejections }
 
 (* Trials per Rng stream.  Any constant works; it only trades stream
    count against intra-block sequencing.  It must not depend on the job

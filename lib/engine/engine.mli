@@ -43,8 +43,10 @@ val run_par :
       exactly.
 
     It is {!sweep} over a kernel compiled for this call
-    ([Vcompile.compile scheme inst certs]), so a caller that sweeps
-    one assignment again and again compiles once and calls {!sweep}.
+    ([Vcompile.compile scheme inst certs]), then the outcome recorded
+    in the scheme's [scheme.<name>.*] counters
+    ({!Scheme.record_outcome}).  A caller that sweeps one assignment
+    again and again compiles once and calls {!sweep}.
 
     An exception raised by the scheme's lowering propagates, as it
     does from {!Scheme.run}; the pool survives it. *)
@@ -59,13 +61,40 @@ val sweep :
   Bitstring.t array ->
   Scheme.outcome
 (** [sweep kernel scheme inst certs] is {!run_par} without the
-    compile, with its options and outcome.  [kernel] is what
+    compile, with its options and outcome, and without recording the
+    outcome: a caller that answers one sweep many times records each
+    answer itself.  [kernel] is what
     [Vcompile.compile scheme inst certs] returned; [None] (compilation
     off) runs {!Scheme.verify} at every vertex on [certs].  With a
-    kernel, [certs] is not read and the outcome is the kernel's, so a
-    kernel whose [check] is its [swap] sweeps the swapped certificates.
+    kernel, [certs] is not read and the outcome is the kernel's.
     The sweep is the [run_par] slice; {!run_par}'s compile is the
-    [vcompile.<scheme>] slice before it. *)
+    [vcompile.<scheme>] slice before it.
+
+    Without early exit a sweep adds [n] to [engine.vertices_verified]
+    and, with a kernel, to [engine.compiled_hits]: both count vertices
+    actually checked, not vertices per answer. *)
+
+val recheck :
+  Vcompile.kernel ->
+  Instance.t ->
+  Scheme.outcome ->
+  int ->
+  Bitstring.t ->
+  Scheme.outcome
+(** [recheck kernel inst base v c] is the outcome of the kernel's
+    certificates with [v]'s replaced by [c], given their outcome
+    [base] (a full {!sweep} of [kernel]): [sweep] on the swapped
+    array, at the cost of N[v].  The verifier has radius 1, so only
+    verdicts in N[v] can change.  Each vertex of N[v] is checked once
+    through [kernel.swap v c]; the rejections of [base] inside N[v]
+    are dropped and the re-checked ones merged in, vertex-ascending.
+    [max_bits] is [base]'s, so it is the swapped array's when [c] has
+    the length of [v]'s old certificate, as a bit flip does.
+
+    Like {!sweep} it records no outcome, and it adds |N[v]| to
+    [engine.vertices_verified] and [engine.compiled_hits].  It runs on
+    the calling domain.  Raises [Invalid_argument] unless
+    [0 <= v < n]. *)
 
 val attack_par :
   ?pool:Pool.t ->

@@ -93,13 +93,6 @@ let build (scheme : Scheme.t) (inst : Instance.t) certs =
       let rp, col = Graph.unsafe_csr g in
       let total = rp.(n) in
       let nbr_ids, src = view_rows ids rp col in
-      (* one byte per vertex, set where the view holds v's certificate *)
-      let sees v =
-        let b = Bytes.make n '\000' in
-        Bytes.set b v '\001';
-        for i = rp.(v) to rp.(v + 1) - 1 do Bytes.set b col.(i) '\001' done;
-        fun u -> Bytes.unsafe_get b u <> '\000'
-      in
       match l.Scheme.flat with
       | Some f ->
           (* Schemes that publish a flat plane (Scheme.flat) get a
@@ -135,20 +128,27 @@ let build (scheme : Scheme.t) (inst : Instance.t) certs =
               ~ids:nbr_ids ~plane ~lo:(Array.unsafe_get rp v)
               ~hi:(Array.unsafe_get rp (v + 1))
           in
-          (* where u sees v, a copy of u's row takes v's from [c] *)
+          (* v's own row is read from [c] and its slots, which a
+             loopless row never points at v, from the kernel; a
+             neighbour's row is copied with v's slots taken from [c],
+             and its ids sliced to match *)
           let swap v c =
-            let row = Array.make k 0 and sees = sees v in
+            let row = Array.make k 0 in
             f.Scheme.read ~id_bits c row 0;
             fun u ->
-              if not (sees u) then check u else
-              let lo = rp.(u) and deg = rp.(u + 1) - rp.(u) in
-              let plane = Array.sub plane (lo * k) (deg * k) in
-              for i = 0 to deg - 1 do
-                if src.(lo + i) = v then Array.blit row 0 plane (i * k) k
-              done;
-              let mine, mbase = if u = v then (row, 0) else (mine, u * k) in
-              f.Scheme.check_flat ~id_bits ~me:ids.(u) ~label:labels.(u) ~mine
-                ~mbase ~ids:(Array.sub nbr_ids lo deg) ~plane ~lo:0 ~hi:deg
+              let lo = rp.(u) and hi = rp.(u + 1) in
+              if u = v then
+                f.Scheme.check_flat ~id_bits ~me:ids.(v) ~label:labels.(v)
+                  ~mine:row ~mbase:0 ~ids:nbr_ids ~plane ~lo ~hi
+              else
+                let deg = hi - lo in
+                let plane = Array.sub plane (lo * k) (deg * k) in
+                for i = 0 to deg - 1 do
+                  if src.(lo + i) = v then Array.blit row 0 plane (i * k) k
+                done;
+                f.Scheme.check_flat ~id_bits ~me:ids.(u) ~label:labels.(u)
+                  ~mine ~mbase:(u * k) ~ids:(Array.sub nbr_ids lo deg) ~plane
+                  ~lo:0 ~hi:deg
           in
           { check; swap; max_bits = !max_bits }
       | None ->
@@ -181,17 +181,26 @@ let build (scheme : Scheme.t) (inst : Instance.t) certs =
               ~ids:nbr_ids ~src ~decs ~lo:(Array.unsafe_get rp v)
               ~hi:(Array.unsafe_get rp (v + 1))
           in
-          (* where u sees v, a copy of u's values takes v's from [c] *)
+          (* v checks [c]'s value against the kernel's row; a
+             neighbour checks a copy of its row's values with v's
+             taken from [c], and its ids sliced to match *)
           let swap v c =
             let d = l.Scheme.decode ~id_bits c in
-            let sees = sees v and dec w = if w = v then d else decs.(w) in
             fun u ->
-              if not (sees u) then check u else
-              let lo = rp.(u) and deg = rp.(u + 1) - rp.(u) in
-              l.Scheme.check ~id_bits ~me:ids.(u) ~label:labels.(u) (dec u)
-                ~ids:(Array.sub nbr_ids lo deg) ~src:(Scheme.identity_src deg)
-                ~decs:(Array.init deg (fun i -> dec src.(lo + i)))
-                ~lo:0 ~hi:deg
+              let lo = rp.(u) and hi = rp.(u + 1) in
+              if u = v then
+                l.Scheme.check ~id_bits ~me:ids.(v) ~label:labels.(v) d
+                  ~ids:nbr_ids ~src ~decs ~lo ~hi
+              else
+                let deg = hi - lo in
+                l.Scheme.check ~id_bits ~me:ids.(u) ~label:labels.(u) decs.(u)
+                  ~ids:(Array.sub nbr_ids lo deg)
+                  ~src:(Scheme.identity_src deg)
+                  ~decs:
+                    (Array.init deg (fun i ->
+                         let w = src.(lo + i) in
+                         if w = v then d else decs.(w)))
+                  ~lo:0 ~hi:deg
           in
           { check; swap; max_bits = !max_bits })
 

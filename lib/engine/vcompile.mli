@@ -28,9 +28,14 @@ type kernel = {
   check : int -> Scheme.verdict;  (** vertex [v]'s verdict *)
   swap : int -> Bitstring.t -> int -> Scheme.verdict;
       (** [swap v c] decodes [c] once and is [check] with [v]'s
-          certificate replaced by [c].  At [v] and its neighbors it
-          checks a fresh copy of the vertex's row, so the kernel stays
-          immutable and shared; elsewhere it is [check]. *)
+          certificate replaced by [c], defined on N[v] only: the
+          verifier has radius 1, so elsewhere the verdict is
+          [check]'s, and [Engine.recheck] calls it on N[v] alone.  At
+          [v] it checks [c]'s value against the kernel's own row (a
+          loopless row never holds [v]); at a neighbor it checks a
+          fresh copy of the neighbor's row with [v]'s slot taken from
+          [c], so the kernel stays immutable and shared.  No work is
+          proportional to [n]. *)
   max_bits : int;
       (** {!Scheme.max_cert_bits} of the compiled certificates — the
           sweep outcome's [max_bits], taken while decoding so a warm
@@ -54,9 +59,10 @@ val compile : Scheme.t -> Instance.t -> Bitstring.t array -> kernel option
     compilation is disabled; then callers run {!Scheme.verify}.
 
     [compile] keeps nothing, and its kernel holds decoded values, not
-    [certs].  A caller that sweeps one assignment again and again
-    keeps the kernel and hands it to [Engine.sweep], as a served
-    prepared entry does.  The runtime does not compile; it checks its
+    [certs].  A caller that checks one assignment more than once
+    keeps the kernel: a served prepared entry sweeps it once
+    ([Engine.sweep]) and re-checks each flip on N[v]
+    ([Engine.recheck]).  The runtime does not compile; it checks its
     message plane's rows ([Network.checker]).
 
     Lowerings are total by contract; if one still raises, the

@@ -10,20 +10,21 @@
    Runtime.execute, trace bytes included.  Because a response is a
    pure function of its request, identical requests need only one
    evaluation: the server's worker groups them per queue drain
-   (Server.group), and nothing here deduplicates.
+   (Server.group).
 
    Prover work (instance construction + certificate computation) is
    cached per (scheme, graph): a service exists to answer many verify
-   requests against few instances.  A prepared entry also keeps the
-   kernel compiled from its certificates, built by the first CERTIFY
-   or VERIFY that sweeps them, so later ones sweep without decoding.
-   SIMULATE never builds it, and ATTACK, which draws its own
-   assignments, needs no prepared entry.  A VERIFY that names a flip
-   sweeps the entry's kernel too, and re-checks the flipped vertex and
-   its neighbours with the flipped certificate ([Vcompile.kernel]'s
-   [swap]): a flip neither compiles nor copies the certificates.  The
-   caches are sharded Memos, insert-only and capped by entry count
-   ([max_prepared], [max_instances] below). *)
+   requests against few instances.  A prepared entry also keeps its
+   first sweep: the kernel compiled from its certificates and their
+   outcome, built by the first CERTIFY or VERIFY of the key.  The
+   verifier has radius 1, so the verdicts of unchanged certificates
+   never change: later CERTIFYs and VERIFYs answer the stored outcome
+   without sweeping, and a VERIFY that names a flip re-checks only the
+   flipped vertex and its neighbours from it (Engine.recheck): a flip
+   neither compiles, sweeps nor copies the certificates.  SIMULATE
+   never sweeps, and ATTACK, which draws its own assignments, needs no
+   prepared entry.  The caches are sharded Memos, insert-only and
+   capped by entry count ([max_prepared], [max_instances] below). *)
 
 type prepared = {
   scheme : Scheme.t;
@@ -32,9 +33,11 @@ type prepared = {
       (* through Scheme.intern: deduped for a boxed lowering, the
          prover's packed array for a plane one; None = prover
          declined *)
-  kernel : unit -> Vcompile.kernel option;
-      (* Once over Vcompile.compile of [certs], forced by the first
-         sweep of them *)
+  swept : unit -> Vcompile.kernel option * Scheme.outcome;
+      (* Once over the first sweep of [certs]: the kernel compiled
+         from them (None with compilation off) and their outcome,
+         which is recorded per answer, not here.  Raises
+         Prover_declined when [certs] is None. *)
 }
 
 type t = {
@@ -121,10 +124,15 @@ let prepare t ~scheme ~graph =
             Scheme.record_cert_sizes sc certs;
             Some certs
       in
-      let kernel =
-        Once.make (fun () -> Option.bind certs (Vcompile.compile sc inst))
+      let swept =
+        Once.make (fun () ->
+            match certs with
+            | None -> raise (Reject Protocol.Prover_declined)
+            | Some certs ->
+                let k = Vcompile.compile sc inst certs in
+                (k, Engine.sweep ~pool:t.pool k sc inst certs))
       in
-      let p = { scheme = sc; inst; certs; kernel } in
+      let p = { scheme = sc; inst; certs; swept } in
       if Memo.length t.prepared < max_prepared then Memo.set t.prepared key p;
       p
 
@@ -150,6 +158,12 @@ let verdict_of_outcome (o : Scheme.outcome) =
       rejections = o.Scheme.rejections;
     }
 
+(* The scheme.<name>.* counters count verdicts served, one per answer,
+   whether it swept or not. *)
+let answer p o =
+  Scheme.record_outcome p.scheme ~early_exit:false o;
+  verdict_of_outcome o
+
 let eval t (req : Protocol.request) : Protocol.response =
   match req with
   | Protocol.Ping -> Protocol.Pong
@@ -157,24 +171,19 @@ let eval t (req : Protocol.request) : Protocol.response =
   | Protocol.Certify { scheme; graph }
   | Protocol.Verify { scheme; graph; flip = None } ->
       let p = prepare t ~scheme ~graph in
-      let certs = certs_or_decline p in
-      verdict_of_outcome
-        (Engine.sweep ~pool:t.pool (p.kernel ()) p.scheme p.inst certs)
-  | Protocol.Verify { scheme; graph; flip = Some fl } ->
+      answer p (snd (p.swept ()))
+  | Protocol.Verify { scheme; graph; flip = Some fl } -> (
       let p = prepare t ~scheme ~graph in
       let base = certs_or_decline p in
       let v, c = flip base fl in
-      verdict_of_outcome
-        (match p.kernel () with
-        | Some k ->
-            (* v and its neighbours are re-checked with [c]; a flip
-               keeps lengths, so [max_bits] holds *)
-            Engine.sweep ~pool:t.pool
-              (Some { k with check = k.swap v c })
-              p.scheme p.inst base
-        | None ->
-            Engine.run_par ~pool:t.pool p.scheme p.inst
-              (Array.mapi (fun u x -> if u = v then c else x) base))
+      match p.swept () with
+      | Some k, o ->
+          (* a flip keeps lengths, so [max_bits] holds *)
+          answer p (Engine.recheck k p.inst o v c)
+      | None, _ ->
+          verdict_of_outcome
+            (Engine.run_par ~pool:t.pool p.scheme p.inst
+               (Array.mapi (fun u x -> if u = v then c else x) base)))
   | Protocol.Simulate { scheme; graph; plan; rounds; seed } ->
       if rounds < 1 || rounds > max_rounds then
         raise (Reject (Protocol.Bad_argument "rounds must be in [1, 1e6]"));

@@ -15,7 +15,11 @@ val create : pool:Pool.t -> unit -> t
 (** Shared evaluation state: the engine pool and a capped
     per-(scheme, graph) cache of prepared entries, each holding the
     prover's certificates and, once a CERTIFY or VERIFY has swept
-    them, the kernel compiled from them. *)
+    them, the kernel compiled from them and their outcome: a list of
+    rejections, empty for an honest prover's certificates.  Later
+    CERTIFYs and unflipped VERIFYs of the key answer that outcome
+    without sweeping; a flipped VERIFY re-checks only the flipped
+    vertex and its neighbours ({!Localcert_engine.Engine.recheck}). *)
 
 val flip : Bitstring.t array -> int * int -> int * Bitstring.t
 (** [flip certs (v, b)] is the change a VERIFY with
@@ -24,9 +28,10 @@ val flip : Bitstring.t array -> int * int -> int * Bitstring.t
     is empty ([len = 0]). *)
 
 val handle : t -> Protocol.request -> Protocol.response
-(** Evaluate one request.  No deduplication happens here: the
-    server's worker groups identical requests of one queue drain
-    ({!Server.group}) and calls this once per group.  All failures
+(** Evaluate one request.  Each answer is recorded in the scheme's
+    [scheme.<name>.*] counters, swept or not.  The server's worker
+    groups identical requests of one queue drain ({!Server.group}) and
+    calls this once per group.  All failures
     (unknown scheme, bad graph, prover declined, non-fatal evaluation
     exceptions) come back as [Protocol.Error]; only
     {!Localcert_util.Fatal.is_fatal} exceptions propagate. *)

@@ -93,12 +93,11 @@ let qcheck_kernel_per_vertex =
       done;
       !ok)
 
-(* [swap v c] is a check of the certificates with v's replaced by c:
-   at every vertex (v, its neighbours and the rest), for every family,
-   on replacements that flip one bit, empty the certificate or draw
-   noise, and on v a hub as often as a random vertex.  Swept across
-   four jobs it rejects where [Scheme.run] on the swapped array does
-   ([max_bits] stays the compiled array's). *)
+(* [swap v c] is a check of the certificates with v's replaced by c
+   on N[v], where the verifier can see the swap: at v and at each
+   neighbour, for every family, on replacements that flip one bit,
+   empty the certificate or draw noise, and on v a hub as often as a
+   random vertex. *)
 let qcheck_swap_per_vertex =
   QCheck.Test.make
     ~name:"compile: swapped verdict ≡ interpreted verdict on the swapped array"
@@ -121,14 +120,64 @@ let qcheck_swap_per_vertex =
       let swapped = Array.copy certs in
       swapped.(v) <- (corrupt rng [| certs.(v) |]).(0);
       let check = kernel.Vcompile.swap v swapped.(v) in
-      let swept =
-        Engine.sweep ~pool:pool4 (Some { kernel with check }) scheme inst certs
+      List.for_all
+        (fun u -> check u = Scheme.verify scheme (Scheme.view_of inst swapped u))
+        (v :: Array.to_list (Graph.neighbors g v)))
+
+(* [Engine.recheck] from a stored outcome answers what [Engine.run_par]
+   sweeps on the materialised flipped array.  The base already rejects:
+   a few random vertices are corrupted, and half the time a member of
+   N[v] too, so stored rejections fall inside N[v], where the re-check
+   must replace them, and outside it, where they must stay.  Every
+   registry family runs on its own instances and on stars and cliques,
+   with flips at the hub, at a random vertex and at v >= n, taken
+   [mod n] as a served flip is ([Handlers.flip]). *)
+let qcheck_recheck_from_rejecting_base =
+  QCheck.Test.make
+    ~name:"recheck from a rejecting base ≡ run_par on the flipped array"
+    ~count:500 seed_arbitrary (fun seed ->
+      let rng = Rng.make seed in
+      let e = entry_of rng in
+      let scheme = e.Registry.scheme in
+      let inst =
+        match Rng.int rng 3 with
+        | 0 -> Instance.make (Gen.star (2 + Rng.int rng 24))
+        | 1 -> Instance.make (Gen.clique (2 + Rng.int rng 7))
+        | _ -> e.Registry.instance rng
       in
-      swept.Scheme.rejections = (Scheme.run scheme inst swapped).Scheme.rejections
-      && List.for_all
-           (fun u ->
-             check u = Scheme.verify scheme (Scheme.view_of inst swapped u))
-           (Graph.vertices g))
+      let n = Instance.n inst in
+      let g = inst.Instance.graph in
+      n = 0
+      ||
+      let v =
+        match Rng.int rng 3 with
+        | 0 ->
+            List.fold_left
+              (fun a u -> if Graph.degree g u > Graph.degree g a then u else a)
+              0 (Graph.vertices g)
+        | 1 -> Rng.int rng n
+        | _ -> n + Rng.int rng (1 lsl 20)
+      in
+      let honest =
+        match scheme.Scheme.prover inst with
+        | Some c -> c
+        | None -> Array.init n (fun _ -> Rng.bits rng (1 + Rng.int rng 8))
+      in
+      let base = corrupt rng honest in
+      (if Rng.bool rng then
+         let near =
+           Array.append [| v mod n |] (Graph.neighbors g (v mod n))
+         in
+         let u = near.(Rng.int rng (Array.length near)) in
+         base.(u) <- (corrupt rng [| base.(u) |]).(0));
+      let u, c = Handlers.flip base (v, Rng.int rng 1_000) in
+      let flipped = Array.copy base in
+      flipped.(u) <- c;
+      let kernel = Option.get (Vcompile.compile scheme inst base) in
+      let stored = Engine.sweep ~pool:pool1 (Some kernel) scheme inst base in
+      outcome_equal
+        (Engine.recheck kernel inst stored u c)
+        (Engine.run_par ~pool:pool4 scheme inst flipped))
 
 (* One fault kind per case, so every kind meets the oracle on its own:
    dropped and crashed senders leave silent slots, flips and forgeries
@@ -336,62 +385,87 @@ let compiled_hits_counted () =
       Metrics.reset ())
 
 (* A kernel lives with the certificates it checks: a served prepared
-   entry compiles on its first sweep and never again.  Two VERIFYs each
-   of two schemes on one graph, interleaved, compile twice in all.  A
-   SIMULATE prepares a key without compiling, an ATTACK after it
-   compiles nothing either, the first VERIFY of that key then compiles
-   once, and flipped VERIFYs of it compile nothing more. *)
+   entry compiles and sweeps on its first CERTIFY or VERIFY and never
+   again.  Two VERIFYs each of two schemes on one graph, interleaved,
+   compile twice in all.  A SIMULATE prepares a key without compiling,
+   an ATTACK after it compiles nothing either.  Then CERTIFYs, VERIFYs
+   and three flips of that key, interleaved, compile once and sweep
+   once: unflipped answers are the stored outcome, a flip re-checks
+   N[v] alone, so [engine.vertices_verified] is n + Σ|N[v]|, while the
+   scheme's accept/reject counters still count every answer. *)
 let kernel_per_prepared_entry () =
   let graph = "random-tree:120:5" in
-  let compiles () =
+  let timed name =
     List.fold_left
       (fun acc (t : Metrics.timing) ->
-        if String.starts_with ~prefix:"vcompile." t.Metrics.name then
-          acc + t.Metrics.count
-        else acc)
+        if name t.Metrics.name then acc + t.Metrics.count else acc)
       0 (Metrics.timings ())
   in
-  let handle h req what ok =
-    if not (ok (Handlers.handle h req)) then
-      Alcotest.failf "%s: wrong answer" what
+  let compiles () = timed (String.starts_with ~prefix:"vcompile.") in
+  let counter name = Metrics.value (Metrics.counter name) in
+  let handle h req what =
+    match Handlers.handle h req with
+    | Protocol.Verdict { accepted; _ } -> accepted
+    | Protocol.Sim _ | Protocol.Attacked _ -> true
+    | _ -> Alcotest.failf "%s: wrong answer" what
   in
-  let verify h scheme =
-    handle h
-      (Protocol.Verify { scheme; graph; flip = None })
-      ("verify " ^ scheme)
-      (function Protocol.Verdict { accepted; _ } -> accepted | _ -> false)
+  let verify ?flip h scheme =
+    handle h (Protocol.Verify { scheme; graph; flip }) ("verify " ^ scheme)
   in
   Metrics.with_enabled true @@ fun () ->
   Metrics.reset ();
   Fun.protect ~finally:Metrics.reset @@ fun () ->
   let h = Handlers.create ~pool:pool1 () in
-  List.iter (verify h) [ "spanning"; "acyclic"; "spanning"; "acyclic" ];
+  List.iter
+    (fun sc -> check ("verify " ^ sc) true (verify h sc))
+    [ "spanning"; "acyclic"; "spanning"; "acyclic" ];
   Alcotest.(check int) "one compile per prepared entry" 2 (compiles ());
   let h = Handlers.create ~pool:pool1 () in
   Metrics.reset ();
-  handle h
-    (Protocol.Simulate
-       { scheme = "spanning"; graph; plan = "corrupt:0.2"; rounds = 3; seed = 1 })
-    "simulate"
-    (function Protocol.Sim _ -> true | _ -> false);
-  handle h
-    (Protocol.Attack
-       { scheme = "spanning"; graph; trials = 64; max_bits = 8; seed = 1 })
-    "attack"
-    (function Protocol.Attacked _ -> true | _ -> false);
+  ignore
+    (handle h
+       (Protocol.Simulate
+          { scheme = "spanning"; graph; plan = "corrupt:0.2"; rounds = 3; seed = 1 })
+       "simulate");
+  ignore
+    (handle h
+       (Protocol.Attack
+          { scheme = "spanning"; graph; trials = 64; max_bits = 8; seed = 1 })
+       "attack");
   Alcotest.(check int) "SIMULATE and ATTACK compile nothing" 0 (compiles ());
-  verify h "spanning";
-  Alcotest.(check int) "the prepared key compiles on its first VERIFY" 1
-    (compiles ());
-  List.iter
-    (fun fl ->
-      handle h
-        (Protocol.Verify { scheme = "spanning"; graph; flip = Some fl })
-        "flipped verify"
-        (function Protocol.Verdict _ -> true | _ -> false))
-    [ (3, 1); (3, 1); (70, 2) ];
-  Alcotest.(check int) "flipped VERIFYs sweep the entry's kernel" 1
-    (compiles ())
+  Metrics.reset ();
+  let certify () =
+    handle h (Protocol.Certify { scheme = "spanning"; graph }) "certify"
+  in
+  let g = Result.get_ok (Spec.parse graph) in
+  let n = Graph.n g in
+  let closed v = 1 + Graph.degree g (v mod n) in
+  let flips = [ (3, 1); (3, 1); (n + 70, 2) ] in
+  let unflipped = ref 0 and flipped_accepts = ref 0 in
+  let plain ok =
+    check "an unflipped answer accepts" true ok;
+    incr unflipped
+  in
+  let flipped fl = if verify ~flip:fl h "spanning" then incr flipped_accepts in
+  plain (verify h "spanning");
+  plain (certify ());
+  flipped (List.nth flips 0);
+  plain (verify h "spanning");
+  flipped (List.nth flips 1);
+  plain (certify ());
+  flipped (List.nth flips 2);
+  plain (verify h "spanning");
+  Alcotest.(check int) "the prepared key compiles once" 1 (compiles ());
+  Alcotest.(check int) "and sweeps once" 1 (timed (String.equal "run_par"));
+  Alcotest.(check int) "vertices checked: one sweep, then N[v] per flip"
+    (n + List.fold_left (fun acc (v, _) -> acc + closed v) 0 flips)
+    (counter "engine.vertices_verified");
+  Alcotest.(check int) "every accepting answer is counted"
+    (!unflipped + !flipped_accepts)
+    (counter "scheme.spanning-tree.accept");
+  Alcotest.(check int) "every answer is counted" (!unflipped + 3)
+    (counter "scheme.spanning-tree.accept"
+    + counter "scheme.spanning-tree.reject")
 
 (* A sweep's [max_bits] comes from the compiled kernel, whether
    [Engine.run_par] compiles it or a caller keeps it for
@@ -629,6 +703,7 @@ let suite =
       [
         QCheck_alcotest.to_alcotest qcheck_kernel_per_vertex;
         QCheck_alcotest.to_alcotest qcheck_swap_per_vertex;
+        QCheck_alcotest.to_alcotest qcheck_recheck_from_rejecting_base;
         QCheck_alcotest.to_alcotest qcheck_row_check_per_vertex;
         Alcotest.test_case "every family compiles" `Quick lowered_coverage;
         Alcotest.test_case "decode work counts" `Quick decode_work_counts;
