@@ -115,8 +115,7 @@ let timing_tests pool =
           Test.make
             ~name:(Printf.sprintf "run-par%d/tree-mso-pm-n4096" (Pool.size pool))
             (staged (fun () ->
-                 Engine.sweep ~pool pm4096_kernel pm_scheme ipath4096
-                   pm4096_certs));
+                 Engine.sweep ~pool pm4096_kernel ipath4096));
         ];
       Test.make_grouped ~name:"substrate" ~fmt:"%s/%s"
         [
@@ -185,7 +184,7 @@ let engine_comparison pool =
       let seq = wall ~reps (fun () -> Scheme.run scheme inst certs) in
       let kernel = Vcompile.compile scheme inst certs in
       let par =
-        wall ~reps (fun () -> Engine.sweep ~pool kernel scheme inst certs)
+        wall ~reps (fun () -> Engine.sweep ~pool kernel inst)
       in
       Printf.printf "  %-28s %7d %9.2f %9.2f %8.2fx\n" name
         (Instance.n inst) (seq *. 1e3) (par *. 1e3) (seq /. par))

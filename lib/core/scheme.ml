@@ -184,11 +184,9 @@ let max_cert_bits certs =
 
 (* Telemetry for a completed exhaustive sweep.  Accept/reject is a
    property of the outcome, so for exhaustive sweeps the counters are
-   deterministic under any scheduling.  Early-exit sweeps are not
-   counted at all: they are the attack path, where racing trial
-   pruning makes even the {e number} of sweeps scheduling-dependent. *)
-let record_outcome scheme ~early_exit outcome =
-  if (not early_exit) && Metrics.is_enabled () then begin
+   deterministic under any scheduling. *)
+let record_outcome scheme outcome =
+  if Metrics.is_enabled () then begin
     let m = scheme.telemetry in
     Metrics.incr (if outcome.accepted then m.accept () else m.reject ());
     Metrics.add (m.rejections ()) (List.length outcome.rejections)
@@ -218,7 +216,10 @@ let run ?(early_exit = false) scheme inst certs =
       max_bits = max_cert_bits certs;
     }
   in
-  record_outcome scheme ~early_exit outcome;
+  (* Early-exit sweeps are not counted: they are the attack path,
+     where racing trial pruning makes even the number of sweeps
+     scheduling-dependent. *)
+  if not early_exit then record_outcome scheme outcome;
   outcome
 
 (* Dedupe pays only where certificates repeat.  A plane lowering's

@@ -210,13 +210,14 @@ val record_cert_sizes : t -> Bitstring.t array -> unit
     this itself; exposed for drivers that invoke the prover directly
     (the CLI). *)
 
-val record_outcome : t -> early_exit:bool -> outcome -> unit
+val record_outcome : t -> outcome -> unit
 (** Bump the per-scheme accept/reject/rejections telemetry counters
-    ({!Localcert_obs.Metrics}) for a completed sweep.  [run] calls this
-    itself; it is exposed for alternative sweep implementations
-    ({!Localcert_engine.Engine.run_par}).  Early-exit sweeps are never
-    counted — under racing attack-trial pruning even the number of
-    such sweeps is scheduling-dependent. *)
+    ({!Localcert_obs.Metrics}) for a completed exhaustive sweep.  [run]
+    calls this itself, except with [~early_exit:true] — under racing
+    attack-trial pruning even the number of such sweeps is
+    scheduling-dependent; it is exposed for alternative sweep
+    implementations ({!Localcert_engine.Engine.run_par}) and for
+    answers served from a stored outcome. *)
 
 (** {1 Combinators} *)
 

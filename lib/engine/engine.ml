@@ -1,8 +1,3 @@
-let with_pool_arg ?pool ?jobs f =
-  match pool with
-  | Some p -> f p
-  | None -> Pool.with_pool ?jobs f
-
 (* Chunks per domain for vertex sharding: enough slack that one slow
    chunk (an expensive verifier hitting a cold memo) load-balances, not
    so many that counter traffic shows up at small n.  The floor keeps
@@ -22,10 +17,8 @@ let h_chunk_vertices =
 let c_vertices_verified =
   Once.make (fun () -> Metrics.counter "engine.vertices_verified")
 
-let c_compiled_hits = Once.make (fun () -> Metrics.counter "engine.compiled_hits")
-
-let sweep ?pool ?jobs ?(early_exit = false) kernel scheme inst certs =
-  with_pool_arg ?pool ?jobs (fun pool ->
+let sweep ?pool ?jobs (kernel : Vcompile.kernel) inst =
+  Pool.with_pool ?pool ?jobs (fun pool ->
       Tracer.with_slice t_run_par @@ fun () ->
       let n = Graph.n inst.Instance.graph in
       let chunks =
@@ -42,59 +35,35 @@ let sweep ?pool ?jobs ?(early_exit = false) kernel scheme inst certs =
           Metrics.observe h (((c + 1) * n / chunks) - (c * n / chunks))
         done
       end;
-      (* The compiled fast path: decode-once, flat-array kernels
-         (Vcompile).  With compilation toggled off [kernel] is [None]
-         and the interpreted oracle runs instead — both produce
-         identical outcomes. *)
-      let check, max_bits =
-        match kernel with
-        | Some k -> (k.Vcompile.check, k.Vcompile.max_bits)
-        | None ->
-            ( (fun v -> Scheme.verify scheme (Scheme.view_of inst certs v)),
-              Scheme.max_cert_bits certs )
-      in
-      let stop = Atomic.make false in
+      let check = kernel.Vcompile.check in
       let per_chunk =
         Pool.map_chunks pool ~chunks (fun c ->
-            (* contiguous ranges: chunk c covers [lo, hi) *)
+            (* contiguous ranges: chunk c covers [lo, hi); a raising
+               lowering is a programming error (lowerings are total by
+               contract) and propagates through [Pool] exactly as it
+               does from [Scheme.run].  Containment for wire data
+               lives in [Runtime.run_verifier]. *)
             let lo = c * n / chunks and hi = (c + 1) * n / chunks in
             let rejections = ref [] in
-            (* Only [Exit] (the early-exit signal) is caught here: a
-               lowering that raises is a programming error (lowerings
-               are total by contract), and the exception propagates
-               through [Pool] exactly as it does from [Scheme.run].
-               Containment for wire data lives in
-               [Runtime.run_verifier], where mangled deliveries make
-               verifier failures expected. *)
-            (try
-               (* downto, so consing leaves the list vertex-ascending *)
-               for v = hi - 1 downto lo do
-                 if early_exit && Atomic.get stop then raise Exit;
-                 match check v with
-                 | Scheme.Accept -> ()
-                 | Scheme.Reject reason ->
-                     rejections := (v, reason) :: !rejections;
-                     if early_exit then begin
-                       Atomic.set stop true;
-                       raise Exit
-                     end
-               done
-             with Exit -> ());
+            (* downto, so consing leaves the list vertex-ascending *)
+            for v = hi - 1 downto lo do
+              match check v with
+              | Scheme.Accept -> ()
+              | Scheme.Reject reason -> rejections := (v, reason) :: !rejections
+            done;
             !rejections)
       in
       let rejections = List.concat (Array.to_list per_chunk) in
-      if (not early_exit) && Metrics.is_enabled () then begin
-        Metrics.add (c_vertices_verified ()) n;
-        if Option.is_some kernel then Metrics.add (c_compiled_hits ()) n
-      end;
-      { Scheme.accepted = rejections = []; rejections; max_bits })
+      if Metrics.is_enabled () then Metrics.add (c_vertices_verified ()) n;
+      {
+        Scheme.accepted = rejections = [];
+        rejections;
+        max_bits = kernel.Vcompile.max_bits;
+      })
 
-let run_par ?pool ?jobs ?(early_exit = false) scheme inst certs =
-  let outcome =
-    sweep ?pool ?jobs ~early_exit (Vcompile.compile scheme inst certs) scheme
-      inst certs
-  in
-  Scheme.record_outcome scheme ~early_exit outcome;
+let run_par ?pool ?jobs scheme inst certs =
+  let outcome = sweep ?pool ?jobs (Vcompile.compile scheme inst certs) inst in
+  Scheme.record_outcome scheme outcome;
   outcome
 
 (* The verifier has radius 1, so swapping v's certificate can change
@@ -142,10 +111,7 @@ let recheck (kernel : Vcompile.kernel) inst (base : Scheme.outcome) v c =
       (List.filter (fun (u, _) -> not (inside u)) base.Scheme.rejections)
       !fresh
   in
-  if Metrics.is_enabled () then begin
-    Metrics.add (c_vertices_verified ()) !checked;
-    Metrics.add (c_compiled_hits ()) !checked
-  end;
+  if Metrics.is_enabled () then Metrics.add (c_vertices_verified ()) !checked;
   { base with Scheme.accepted = rejections = []; rejections }
 
 (* Trials per Rng stream.  Any constant works; it only trades stream
@@ -156,7 +122,7 @@ let trial_block = 32
 let attack_par ?pool ?jobs rng scheme inst ~trials ~max_bits =
   if trials <= 0 then { Attack.trials = 0; fooled = None; near_miss = None }
   else
-    with_pool_arg ?pool ?jobs (fun pool ->
+    Pool.with_pool ?pool ?jobs (fun pool ->
         let size = Instance.n inst in
         let blocks = (trials + trial_block - 1) / trial_block in
         let streams = Rng.split rng blocks in

@@ -6,14 +6,14 @@
     evaluates independent certificate assignments.  This module shards
     both across a {!Pool} of domains.
 
-    {!run_par} is a drop-in replacement for {!Scheme.run}: with early
-    exit disabled it returns an identical {!Scheme.outcome} — same
-    [accepted], same [max_bits], and the same [rejections] list in the
-    same (vertex-ascending) order, reasons included.  {!attack_par} is
-    deterministic in the seed {e independently of the job count}: trial
-    randomness comes from {!Rng.split} streams keyed by trial position,
-    not by domain, so [--jobs 1] and [--jobs 8] report the same verdict
-    and the same fooling witness.
+    {!run_par} is a drop-in replacement for {!Scheme.run}: it returns
+    an identical {!Scheme.outcome} — same [accepted], same [max_bits],
+    and the same [rejections] list in the same (vertex-ascending)
+    order, reasons included.  {!attack_par} is deterministic in the
+    seed {e independently of the job count}: trial randomness comes
+    from {!Rng.split} streams keyed by trial position, not by domain,
+    so [--jobs 1] and [--jobs 8] report the same verdict and the same
+    fooling witness.
 
     Verifiers run concurrently from several domains, so a scheme's
     lowering must be thread-safe.  Every scheme in this library is:
@@ -24,7 +24,6 @@
 val run_par :
   ?pool:Pool.t ->
   ?jobs:int ->
-  ?early_exit:bool ->
   Scheme.t ->
   Instance.t ->
   Bitstring.t array ->
@@ -36,13 +35,9 @@ val run_par :
       across many runs); otherwise a fresh pool of [?jobs] domains
       (default {!Domain.recommended_domain_count}) is created for this
       call and shut down afterwards.
-    - [?early_exit] (default [false]) stops every domain at the first
-      rejection, via a shared atomic flag; the outcome then carries at
-      least one rejection but not necessarily all of them.  With the
-      default, the outcome equals [Scheme.run scheme inst certs]
-      exactly.
 
-    It is {!sweep} over a kernel compiled for this call
+    The outcome equals [Scheme.run scheme inst certs] exactly.  It is
+    {!sweep} over a kernel compiled for this call
     ([Vcompile.compile scheme inst certs]), then the outcome recorded
     in the scheme's [scheme.<name>.*] counters
     ({!Scheme.record_outcome}).  A caller that sweeps one assignment
@@ -52,26 +47,17 @@ val run_par :
     does from {!Scheme.run}; the pool survives it. *)
 
 val sweep :
-  ?pool:Pool.t ->
-  ?jobs:int ->
-  ?early_exit:bool ->
-  Vcompile.kernel option ->
-  Scheme.t ->
-  Instance.t ->
-  Bitstring.t array ->
-  Scheme.outcome
-(** [sweep kernel scheme inst certs] is {!run_par} without the
-    compile, with its options and outcome, and without recording the
-    outcome: a caller that answers one sweep many times records each
-    answer itself.  [kernel] is what
-    [Vcompile.compile scheme inst certs] returned; [None] (compilation
-    off) runs {!Scheme.verify} at every vertex on [certs].  With a
-    kernel, [certs] is not read and the outcome is the kernel's.
-    The sweep is the [run_par] slice; {!run_par}'s compile is the
-    [vcompile.<scheme>] slice before it.
+  ?pool:Pool.t -> ?jobs:int -> Vcompile.kernel -> Instance.t -> Scheme.outcome
+(** [sweep kernel inst] is {!run_par} without the compile and without
+    recording the outcome: a caller that answers one sweep many times
+    records each answer itself.  [kernel] is what [Vcompile.compile
+    scheme inst certs] returned, compiled or, with compilation off,
+    interpreted; the sweep calls its [check] at every vertex, and the
+    outcome's [max_bits] is the kernel's.  The sweep is the [run_par]
+    slice; {!run_par}'s compile is the [vcompile.<scheme>] slice
+    before it.
 
-    Without early exit a sweep adds [n] to [engine.vertices_verified]
-    and, with a kernel, to [engine.compiled_hits]: both count vertices
+    A sweep adds [n] to [engine.vertices_verified]: it counts vertices
     actually checked, not vertices per answer. *)
 
 val recheck :
@@ -91,10 +77,10 @@ val recheck :
     [max_bits] is [base]'s, so it is the swapped array's when [c] has
     the length of [v]'s old certificate, as a bit flip does.
 
-    Like {!sweep} it records no outcome, and it adds |N[v]| to
-    [engine.vertices_verified] and [engine.compiled_hits].  It runs on
-    the calling domain.  Raises [Invalid_argument] unless
-    [0 <= v < n]. *)
+    Like {!sweep} it records no outcome, serves a compiled and an
+    interpreted kernel alike, and adds |N[v]| to
+    [engine.vertices_verified].  It runs on the calling domain.
+    Raises [Invalid_argument] unless [0 <= v < n]. *)
 
 val attack_par :
   ?pool:Pool.t ->

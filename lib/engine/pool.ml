@@ -177,6 +177,9 @@ let map_chunks (type a) t ~chunks (f : int -> a) : a array =
       results
   end
 
-let with_pool ?jobs f =
-  let t = create ?jobs () in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
+let with_pool ?pool ?jobs f =
+  match pool with
+  | Some t -> f t
+  | None ->
+      let t = create ?jobs () in
+      Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

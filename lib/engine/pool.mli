@@ -52,6 +52,7 @@ val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent.  Calling
     {!map_chunks} after [shutdown] raises [Invalid_argument]. *)
 
-val with_pool : ?jobs:int -> (t -> 'a) -> 'a
+val with_pool : ?pool:t -> ?jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] on a fresh pool and shuts it down when
-    [f] returns or raises. *)
+    [f] returns or raises.  [with_pool ~pool f] runs [f] on [pool] and
+    leaves it running; [jobs] is then ignored. *)

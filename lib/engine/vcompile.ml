@@ -204,5 +204,23 @@ let build (scheme : Scheme.t) (inst : Instance.t) certs =
           in
           { check; swap; max_bits = !max_bits })
 
+(* The interpreted oracle as a kernel: every check builds the vertex's
+   view and runs Scheme.verify, and a swap edits the view, so a sweep
+   or a recheck over it is Scheme.run's, verdict for verdict. *)
+let interpreted scheme inst certs =
+  let verify view = Scheme.verify scheme view in
+  let check v = verify (Scheme.view_of inst certs v) in
+  let swap v c =
+    let id = inst.Instance.ids.(v) in
+    fun u ->
+      let view = Scheme.view_of inst certs u in
+      if u = v then verify { view with Scheme.cert = c }
+      else
+        let swapped (i, x) = (i, if i = id then c else x) in
+        verify { view with Scheme.nbrs = List.map swapped view.Scheme.nbrs }
+  in
+  { check; swap; max_bits = Scheme.max_cert_bits certs }
+
 let compile scheme inst certs =
-  if Atomic.get enabled then Some (build scheme inst certs) else None
+  if Atomic.get enabled then build scheme inst certs
+  else interpreted scheme inst certs

@@ -11,9 +11,6 @@ type result = {
   final_certs : Bitstring.t array;
 }
 
-let with_pool_arg ?pool ?jobs f =
-  match pool with Some p -> f p | None -> Pool.with_pool ?jobs f
-
 let chunk_factor = 8
 
 (* Contain scheme-level failures as rejections — a vertex whose whole
@@ -218,7 +215,7 @@ let execute ?pool ?jobs ?(plan = Fault.none) ?(rounds = 1) ?(seed = 0)
   if Array.length certs <> Instance.n inst then
     invalid_arg "Runtime.execute: certificate count does not match the instance";
   validate_plan ~n:(Instance.n inst) plan;
-  with_pool_arg ?pool ?jobs (fun pool ->
+  Pool.with_pool ?pool ?jobs (fun pool ->
       Tracer.with_slice t_execute @@ fun () ->
       (* Scheme.intern dedupes a boxed lowering's certificates, so
          equal labels are one value and neighbour-agreement checks on

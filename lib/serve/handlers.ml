@@ -15,8 +15,10 @@
    Prover work (instance construction + certificate computation) is
    cached per (scheme, graph): a service exists to answer many verify
    requests against few instances.  A prepared entry also keeps its
-   first sweep: the kernel compiled from its certificates and their
-   outcome, built by the first CERTIFY or VERIFY of the key.  The
+   first sweep: the kernel compiled from its certificates (the
+   interpreted one with compilation off; Vcompile.compile returns
+   either) and their outcome, built by the first CERTIFY or VERIFY of
+   the key.  The
    verifier has radius 1, so the verdicts of unchanged certificates
    never change: later CERTIFYs and VERIFYs answer the stored outcome
    without sweeping, and a VERIFY that names a flip re-checks only the
@@ -33,10 +35,10 @@ type prepared = {
       (* through Scheme.intern: deduped for a boxed lowering, the
          prover's packed array for a plane one; None = prover
          declined *)
-  swept : unit -> Vcompile.kernel option * Scheme.outcome;
+  swept : unit -> Vcompile.kernel * Scheme.outcome;
       (* Once over the first sweep of [certs]: the kernel compiled
-         from them (None with compilation off) and their outcome,
-         which is recorded per answer, not here.  Raises
+         from them (interpreted with compilation off) and their
+         outcome, which is recorded per answer, not here.  Raises
          Prover_declined when [certs] is None. *)
 }
 
@@ -130,7 +132,7 @@ let prepare t ~scheme ~graph =
             | None -> raise (Reject Protocol.Prover_declined)
             | Some certs ->
                 let k = Vcompile.compile sc inst certs in
-                (k, Engine.sweep ~pool:t.pool k sc inst certs))
+                (k, Engine.sweep ~pool:t.pool k inst))
       in
       let p = { scheme = sc; inst; certs; swept } in
       if Memo.length t.prepared < max_prepared then Memo.set t.prepared key p;
@@ -150,19 +152,16 @@ let flip base (v, b) =
   let len = Bitstring.length c in
   (v, if len > 0 then Bitstring.flip c (b mod len) else c)
 
-let verdict_of_outcome (o : Scheme.outcome) =
+(* The scheme.<name>.* counters count verdicts served, one per answer,
+   whether it swept or not. *)
+let answer p (o : Scheme.outcome) =
+  Scheme.record_outcome p.scheme o;
   Protocol.Verdict
     {
       accepted = o.Scheme.accepted;
       max_bits = o.Scheme.max_bits;
       rejections = o.Scheme.rejections;
     }
-
-(* The scheme.<name>.* counters count verdicts served, one per answer,
-   whether it swept or not. *)
-let answer p o =
-  Scheme.record_outcome p.scheme ~early_exit:false o;
-  verdict_of_outcome o
 
 let eval t (req : Protocol.request) : Protocol.response =
   match req with
@@ -172,18 +171,12 @@ let eval t (req : Protocol.request) : Protocol.response =
   | Protocol.Verify { scheme; graph; flip = None } ->
       let p = prepare t ~scheme ~graph in
       answer p (snd (p.swept ()))
-  | Protocol.Verify { scheme; graph; flip = Some fl } -> (
+  | Protocol.Verify { scheme; graph; flip = Some fl } ->
       let p = prepare t ~scheme ~graph in
-      let base = certs_or_decline p in
-      let v, c = flip base fl in
-      match p.swept () with
-      | Some k, o ->
-          (* a flip keeps lengths, so [max_bits] holds *)
-          answer p (Engine.recheck k p.inst o v c)
-      | None, _ ->
-          verdict_of_outcome
-            (Engine.run_par ~pool:t.pool p.scheme p.inst
-               (Array.mapi (fun u x -> if u = v then c else x) base)))
+      let v, c = flip (certs_or_decline p) fl in
+      let k, o = p.swept () in
+      (* a flip keeps lengths, so [max_bits] holds *)
+      answer p (Engine.recheck k p.inst o v c)
   | Protocol.Simulate { scheme; graph; plan; rounds; seed } ->
       if rounds < 1 || rounds > max_rounds then
         raise (Reject (Protocol.Bad_argument "rounds must be in [1, 1e6]"));

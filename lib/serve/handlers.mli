@@ -15,11 +15,12 @@ val create : pool:Pool.t -> unit -> t
 (** Shared evaluation state: the engine pool and a capped
     per-(scheme, graph) cache of prepared entries, each holding the
     prover's certificates and, once a CERTIFY or VERIFY has swept
-    them, the kernel compiled from them and their outcome: a list of
-    rejections, empty for an honest prover's certificates.  Later
-    CERTIFYs and unflipped VERIFYs of the key answer that outcome
-    without sweeping; a flipped VERIFY re-checks only the flipped
-    vertex and its neighbours ({!Localcert_engine.Engine.recheck}). *)
+    them, the kernel compiled from them (interpreted with compilation
+    off) and their outcome: a list of rejections, empty for an honest
+    prover's certificates.  Later CERTIFYs and unflipped VERIFYs of
+    the key answer that outcome without sweeping; a flipped VERIFY, in
+    either mode, re-checks only the flipped vertex and its neighbours
+    ({!Localcert_engine.Engine.recheck}). *)
 
 val flip : Bitstring.t array -> int * int -> int * Bitstring.t
 (** [flip certs (v, b)] is the change a VERIFY with

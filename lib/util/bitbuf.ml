@@ -182,11 +182,13 @@ module Reader = struct
 
   (* Slow continuation once the zero-run length [k] is known but the
      value bits run past the peeked window: the leading 1 sits at
-     [pos + k], the remaining [k] bits follow it. *)
+     [pos + k], the remaining [k] bits follow it.  At k = 62 the code
+     is 2^62 + rest, so only rest = 0 (max_int) is an int. *)
   let nat_finish r k =
     if r.pos + (2 * k) + 1 > Bitstring.length r.src then
       fail "truncated certificate";
     let rest = Bitstring.unsafe_extract r.src ~pos:(r.pos + k + 1) ~width:k in
+    if k = 62 && rest <> 0 then fail "nat: unreasonable length";
     r.pos <- r.pos + (2 * k) + 1;
     ((1 lsl k) lor rest) - 1
 

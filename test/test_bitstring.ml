@@ -196,22 +196,36 @@ let qcheck_writer_matches_reference =
                ops)
          = Some true)
 
+(* A gamma code with 62 leading zeros is 2^62 + tail: an int holds it
+   only at tail 0, as max_int ([Writer.nat max_int]).  Any other tail
+   must fail to decode, not wrap to a negative int. *)
+let nat_past_max_int () =
+  let nat write =
+    let w = Bitbuf.Writer.create () in
+    write w;
+    Bitbuf.decode (Bitbuf.Writer.contents w) Bitbuf.Reader.nat
+  in
+  let code tail w =
+    Bitbuf.Writer.fixed w ~width:63 1;
+    Bitbuf.Writer.fixed w ~width:62 tail
+  in
+  let expect what want got = Alcotest.(check (option int)) what want got in
+  expect "Writer.nat max_int round-trips" (Some max_int)
+    (nat (fun w -> Bitbuf.Writer.nat w max_int));
+  expect "tail 0" (Some max_int) (nat (code 0));
+  List.iter
+    (fun tail -> expect (Printf.sprintf "tail %d" tail) None (nat (code tail)))
+    [ 1; 2; 1 lsl 61; max_int ]
+
 (* ------------------------------------------------------------------ *)
 (* Dedupe transparency                                                *)
 (* ------------------------------------------------------------------ *)
 
-let outcome_equal (a : Scheme.outcome) (b : Scheme.outcome) =
-  a.Scheme.accepted = b.Scheme.accepted
-  && a.Scheme.max_bits = b.Scheme.max_bits
-  && a.Scheme.rejections = b.Scheme.rejections
+let outcome_equal = Test_engine.outcome_equal
 
-(* Half prover certificates, half random garbage, as in test_engine. *)
-let certs_of rng scheme inst =
-  let forged () =
-    Array.init (Instance.n inst) (fun _ -> Rng.bits rng (Rng.int rng 9))
-  in
-  if Rng.bool rng then forged ()
-  else match scheme.Scheme.prover inst with Some c -> c | None -> forged ()
+(* Half prover certificates (covering the all-accept path), half random
+   garbage (covering dense rejection). *)
+let certs_of = Test_engine.certs_of
 
 let entry_of seed = List.nth Registry.all (seed mod List.length Registry.all)
 
@@ -472,7 +486,9 @@ let suite =
           qcheck_extract;
           qcheck_writer_matches_reference;
           qcheck_pack_matches_writers;
-        ] );
+        ]
+      @ [ Alcotest.test_case "nat past max_int fails" `Quick nat_past_max_int ]
+    );
     ( "packed-certs",
       [
         QCheck_alcotest.to_alcotest qcheck_packed_spanning_family;

@@ -20,10 +20,7 @@ let pool1 = Pool.create ~jobs:1 ()
 let pool8 = Pool.create ~jobs:8 ()
 let () = at_exit (fun () -> List.iter Pool.shutdown [ pool1; pool8 ])
 
-let outcome_equal (a : Scheme.outcome) (b : Scheme.outcome) =
-  a.Scheme.accepted = b.Scheme.accepted
-  && a.Scheme.max_bits = b.Scheme.max_bits
-  && a.Scheme.rejections = b.Scheme.rejections
+let outcome_equal = Test_engine.outcome_equal
 
 let seed_arbitrary = QCheck.(int_bound 1_000_000)
 

@@ -512,10 +512,7 @@ let percentiles_pinned () =
 let pool2 = Pool.create ~jobs:2 ()
 let () = at_exit (fun () -> Pool.shutdown pool2)
 
-let outcome_equal (a : Scheme.outcome) (b : Scheme.outcome) =
-  a.Scheme.accepted = b.Scheme.accepted
-  && a.Scheme.max_bits = b.Scheme.max_bits
-  && a.Scheme.rejections = b.Scheme.rejections
+let outcome_equal = Test_engine.outcome_equal
 
 (* Certificates, run_par outcomes and runtime traces must be
    byte-identical with telemetry on and off — recording observes, never

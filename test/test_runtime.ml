@@ -17,21 +17,13 @@ let pool1 = Pool.create ~jobs:1 ()
 let pool8 = Pool.create ~jobs:8 ()
 let () = at_exit (fun () -> List.iter Pool.shutdown [ pool1; pool8 ])
 
-let outcome_equal (a : Scheme.outcome) (b : Scheme.outcome) =
-  a.Scheme.accepted = b.Scheme.accepted
-  && a.Scheme.max_bits = b.Scheme.max_bits
-  && a.Scheme.rejections = b.Scheme.rejections
+let outcome_equal = Test_engine.outcome_equal
 
 let seed_arbitrary = QCheck.(int_bound 1_000_000)
 
 (* Half prover certificates (covering the all-accept path), half random
-   garbage (covering dense rejection), as in test_engine. *)
-let certs_of rng scheme inst =
-  let forged () =
-    Array.init (Instance.n inst) (fun _ -> Rng.bits rng (Rng.int rng 9))
-  in
-  if Rng.bool rng then forged ()
-  else match scheme.Scheme.prover inst with Some c -> c | None -> forged ()
+   garbage (covering dense rejection). *)
+let certs_of = Test_engine.certs_of
 
 (* ------------------------------------------------------------------ *)
 (* Fault-free runtime ≡ Scheme.run, for every registered scheme         *)

@@ -434,7 +434,7 @@ let string_of_verdict = function
 
 let three_ways scheme (i : Instance.t) certs v =
   let view = Scheme.view_of i certs v in
-  let kernel = (Option.get (Vcompile.compile scheme i certs)).Vcompile.check in
+  let kernel = (Vcompile.compile scheme i certs).Vcompile.check in
   let sliced =
     match scheme.Scheme.lowering with
     | Scheme.Compiled l ->

@@ -326,6 +326,26 @@ let simulate_zero_rounds_rejected () =
   | Ok _ -> Alcotest.fail "rounds = 0 must not decode"
   | Error _ -> Alcotest.fail "rounds = 0 must be Bad_payload"
 
+(* [Verify {flip = Some (max_int, 1)}] ends in v's gamma code (62
+   zeros, a one, a zero tail of 62 bits) and b's (010).  Setting the
+   tail's last bit, 4 bits from the end, makes a code no int holds: a
+   typed Bad_payload, not a negative flip. *)
+let overlong_flip_rejected () =
+  let flip = Some (max_int, 1) in
+  let f =
+    Protocol.encode_request ~id:5
+      (Protocol.Verify { scheme = "spanning"; graph = "path:8"; flip })
+  in
+  let p = Bytes.of_string f.Wire.payload in
+  let bit = Int32.to_int (Bytes.get_int32_be p 0) - 4 in
+  let at = 4 + (bit / 8) in
+  Bytes.set_uint8 p at (Bytes.get_uint8 p at lor (0x80 lsr (bit mod 8)));
+  match Protocol.decode_request { f with Wire.payload = Bytes.to_string p } with
+  | Error (Protocol.Bad_payload _) -> ()
+  | Ok (Protocol.Verify { flip = Some (v, b); _ }) ->
+      Alcotest.failf "decoded to the flip (%d, %d)" v b
+  | _ -> Alcotest.fail "an overlong flip must be Bad_payload"
+
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                   *)
 
@@ -622,7 +642,8 @@ let flipped_outcome flip =
    clique vertex), on random vertices and at v >= n, where the server
    takes v mod n; each flip is sent twice, in separate requests, and
    both answers must agree.  One draw in four serves it with
-   compilation off.  No registry prover emits an empty
+   compilation off, so the entry keeps the interpreted kernel and the
+   flip is its [Engine.recheck].  No registry prover emits an empty
    certificate, so the empty case is checked on [Handlers.flip]
    itself: flipping an empty certificate leaves it as it was. *)
 let flip_cases =
@@ -1194,6 +1215,8 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_protocol_fuzz;
         Alcotest.test_case "simulate rounds = 0 is a typed rejection" `Quick
           simulate_zero_rounds_rejected;
+        Alcotest.test_case "an overlong VERIFY flip is a typed rejection"
+          `Quick overlong_flip_rejected;
       ] );
     ( "serve-admission",
       [

@@ -68,10 +68,7 @@ let certs_of rng scheme inst =
       | 1 -> corrupt rng c
       | _ -> noise ())
 
-let outcome_equal (a : Scheme.outcome) (b : Scheme.outcome) =
-  a.Scheme.accepted = b.Scheme.accepted
-  && a.Scheme.max_bits = b.Scheme.max_bits
-  && a.Scheme.rejections = b.Scheme.rejections
+let outcome_equal = Test_engine.outcome_equal
 
 (* ------------------------------------------------------------------ *)
 (* Per-vertex differential: kernel ≡ interpreted verifier              *)
@@ -84,7 +81,7 @@ let qcheck_kernel_per_vertex =
       let rng = Rng.make seed in
       let scheme, inst = case_of rng in
       let certs = certs_of rng scheme inst in
-      let kernel = (Option.get (Vcompile.compile scheme inst certs)).Vcompile.check in
+      let kernel = (Vcompile.compile scheme inst certs).Vcompile.check in
       let n = Instance.n inst in
       let ok = ref true in
       for v = 0 to n - 1 do
@@ -97,7 +94,8 @@ let qcheck_kernel_per_vertex =
    on N[v], where the verifier can see the swap: at v and at each
    neighbour, for every family, on replacements that flip one bit,
    empty the certificate or draw noise, and on v a hub as often as a
-   random vertex. *)
+   random vertex.  One draw in four swaps on the interpreted kernel,
+   what [compile] returns with compilation off. *)
 let qcheck_swap_per_vertex =
   QCheck.Test.make
     ~name:"compile: swapped verdict ≡ interpreted verdict on the swapped array"
@@ -105,7 +103,10 @@ let qcheck_swap_per_vertex =
       let rng = Rng.make seed in
       let scheme, inst = case_of rng in
       let certs = certs_of rng scheme inst in
-      let kernel = Option.get (Vcompile.compile scheme inst certs) in
+      let kernel =
+        if Rng.int rng 4 = 0 then Vcompile.interpreted scheme inst certs
+        else Vcompile.compile scheme inst certs
+      in
       let n = Instance.n inst in
       let g = inst.Instance.graph in
       n = 0
@@ -131,7 +132,8 @@ let qcheck_swap_per_vertex =
    must replace them, and outside it, where they must stay.  Every
    registry family runs on its own instances and on stars and cliques,
    with flips at the hub, at a random vertex and at v >= n, taken
-   [mod n] as a served flip is ([Handlers.flip]). *)
+   [mod n] as a served flip is ([Handlers.flip]).  From the
+   interpreted kernel the answer is [Scheme.run]'s. *)
 let qcheck_recheck_from_rejecting_base =
   QCheck.Test.make
     ~name:"recheck from a rejecting base ≡ run_par on the flipped array"
@@ -173,11 +175,16 @@ let qcheck_recheck_from_rejecting_base =
       let u, c = Handlers.flip base (v, Rng.int rng 1_000) in
       let flipped = Array.copy base in
       flipped.(u) <- c;
-      let kernel = Option.get (Vcompile.compile scheme inst base) in
-      let stored = Engine.sweep ~pool:pool1 (Some kernel) scheme inst base in
+      let interpreted = Rng.int rng 4 = 0 in
+      let kernel =
+        if interpreted then Vcompile.interpreted scheme inst base
+        else Vcompile.compile scheme inst base
+      in
+      let stored = Engine.sweep ~pool:pool1 kernel inst in
       outcome_equal
         (Engine.recheck kernel inst stored u c)
-        (Engine.run_par ~pool:pool4 scheme inst flipped))
+        (if interpreted then Scheme.run scheme inst flipped
+         else Engine.run_par ~pool:pool4 scheme inst flipped))
 
 (* One fault kind per case, so every kind meets the oracle on its own:
    dropped and crashed senders leave silent slots, flips and forgeries
@@ -264,7 +271,7 @@ let lowered_coverage () =
       let scheme = e.Registry.scheme in
       let inst = e.Registry.instance (Rng.make 1) in
       let certs = Array.make (Instance.n inst) Bitstring.empty in
-      let kernel = (Option.get (Vcompile.compile scheme inst certs)).Vcompile.check in
+      let kernel = (Vcompile.compile scheme inst certs).Vcompile.check in
       check (e.Registry.name ^ " compiles") true
         (List.for_all
            (fun v ->
@@ -324,7 +331,7 @@ let qcheck_runtime_compiled_flag =
       && fast.Runtime.reverified = slow.Runtime.reverified)
 
 (* ------------------------------------------------------------------ *)
-(* The global toggle and the hit counter                               *)
+(* The global toggle                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let disabled_compilation_is_equivalent () =
@@ -333,8 +340,13 @@ let disabled_compilation_is_equivalent () =
   let certs = Option.get (scheme.Scheme.prover inst) in
   let on = Engine.run_par ~pool:pool4 scheme inst certs in
   with_compilation false (fun () ->
-      check "compile yields None when disabled" true
-        (Vcompile.compile scheme inst certs = None);
+      let kernel = Vcompile.compile scheme inst certs in
+      check "the disabled compile checks like Scheme.verify" true
+        (List.for_all
+           (fun v ->
+             kernel.Vcompile.check v
+             = Scheme.verify scheme (Scheme.view_of inst certs v))
+           (Graph.vertices inst.Instance.graph));
       let off = Engine.run_par ~pool:pool4 scheme inst certs in
       check "outcomes identical with compilation off" true
         (outcome_equal on off));
@@ -366,23 +378,6 @@ let execute_leaves_nothing () =
     (Printf.sprintf "live words grew by %d over 600 executes" grown)
     true
     (grown < 16_000)
-
-let compiled_hits_counted () =
-  let scheme = Spanning_tree.scheme () in
-  let n = 300 in
-  let inst = Instance.make (Gen.random_tree (Rng.make 11) n) in
-  let certs = Option.get (scheme.Scheme.prover inst) in
-  Metrics.with_enabled true (fun () ->
-      Metrics.reset ();
-      ignore (Engine.run_par ~pool:pool4 scheme inst certs);
-      check "every vertex went through the compiled kernel" true
-        (Metrics.value (Metrics.counter "engine.compiled_hits") = n);
-      Metrics.reset ();
-      with_compilation false (fun () ->
-          ignore (Engine.run_par ~pool:pool4 scheme inst certs));
-      check "no compiled hits when disabled" true
-        (Metrics.value (Metrics.counter "engine.compiled_hits") = 0);
-      Metrics.reset ())
 
 (* A kernel lives with the certificates it checks: a served prepared
    entry compiles and sweeps on its first CERTIFY or VERIFY and never
@@ -509,8 +504,7 @@ let max_bits_on_every_path () =
           let want = reference certs in
           run_par "run_par" want;
           let kernel = Vcompile.compile scheme inst certs in
-          check_max "kept kernel" want
-            (Engine.sweep ~pool:pool4 kernel scheme inst certs);
+          check_max "kept kernel" want (Engine.sweep ~pool:pool4 kernel inst);
           with_compilation false (fun () -> run_par "compilation off" want);
           certs.(n / 2) <- Bitstring.of_string (String.make (want + 3) '1');
           run_par "longer certificate in place" (reference certs))
@@ -564,7 +558,7 @@ let decode_work_counts () =
   in
   let s = Scheme.of_lowering ~name:"count-flat" ~prover flat in
   calls := 0;
-  let kernel = Option.get (Vcompile.compile s inst certs) in
+  let kernel = Vcompile.compile s inst certs in
   Alcotest.(check int) "plane compile decodes n certificates" n !calls;
   Alcotest.(check int) "plane compile takes max_bits" 6 kernel.Vcompile.max_bits;
   check "kernel agrees" true
@@ -574,7 +568,7 @@ let decode_work_counts () =
        (Graph.vertices inst.Instance.graph));
   let b = Scheme.of_lowering ~name:"count-boxed" ~prover boxed in
   calls := 0;
-  let kb = Option.get (Vcompile.compile b inst certs) in
+  let kb = Vcompile.compile b inst certs in
   Alcotest.(check int) "boxed compile decodes each distinct certificate" 7
     !calls;
   Alcotest.(check int) "boxed compile takes max_bits" 6 kb.Vcompile.max_bits
@@ -602,7 +596,7 @@ let boxed_compile_words () =
     major -. promoted
   in
   let before = direct () in
-  ignore (Option.get (Vcompile.compile scheme inst certs));
+  ignore (Vcompile.compile scheme inst certs);
   let words = direct () -. before in
   let bound = (2 * n) + (2 * m) + 4096 in
   if words > float bound then
@@ -624,7 +618,7 @@ let plane_compile_minor_words () =
   let inst = Instance.make g in
   let certs = Scheme.intern scheme (Option.get (scheme.Scheme.prover inst)) in
   let before = Gc.minor_words () in
-  ignore (Option.get (Vcompile.compile scheme inst certs));
+  ignore (Vcompile.compile scheme inst certs);
   let per_vertex = (Gc.minor_words () -. before) /. float n in
   if per_vertex > 4. then
     Alcotest.failf "spanning: one compile allocates %.2f minor words per vertex (bound 4)"
@@ -678,7 +672,7 @@ let large_plane_differential () =
           List.iter
             (fun certs ->
               let kernel =
-                (Option.get (Vcompile.compile scheme inst certs)).Vcompile.check
+                (Vcompile.compile scheme inst certs).Vcompile.check
               in
               for v = 0 to Instance.n inst - 1 do
                 let want = Scheme.verify scheme (Scheme.view_of inst certs v) in
@@ -722,8 +716,6 @@ let suite =
           disabled_compilation_is_equivalent;
         Alcotest.test_case "an execute leaves nothing behind" `Quick
           execute_leaves_nothing;
-        Alcotest.test_case "engine.compiled_hits counts kernel verdicts" `Quick
-          compiled_hits_counted;
         Alcotest.test_case "a kernel is compiled once per prepared entry"
           `Quick kernel_per_prepared_entry;
         Alcotest.test_case "max_bits on every path" `Quick
